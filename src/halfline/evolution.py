@@ -8,7 +8,8 @@ the integrands are entire and decay between the old and new rays, so the
 values are unchanged while the factor becomes exponentially small along the
 new rays.  Node sets are built once per (datum, xs, ts) batch: truncation
 radii come from the smallest positive time, oscillation rates from the
-largest, and the cached transform values are reused for every t.
+largest, and the cached transform values are reused for every t: all
+positive times are applied in one matrix product per segment.
 """
 
 from __future__ import annotations
@@ -130,14 +131,11 @@ def solve_grid(pair: TransformPair, datum, xs, ts, *,
             jobs)
 
         a, n = pair.a, pair.n
+        tpos = ts[pos]
         for lam, w, F in packs:
             phase = np.exp(1j * np.multiply.outer(xs, lam))
-            wf = w * F
-            pows = lam ** n
-            for i, t in enumerate(ts):
-                if t <= 0.0:
-                    continue
-                values[i] += phase @ (wf * np.exp(-a * pows * t))
+            decay = np.exp(-a * np.multiply.outer(lam ** n, tpos))
+            values[pos] += (phase @ ((w * F)[:, None] * decay)).T
 
     if (~pos).any():
         row = pair.reconstruct(datum, xs)

@@ -16,28 +16,10 @@ import numpy as np
 from halfline import oracles, spectral
 from halfline.datum import make_datum
 from halfline.evolution import solve_grid
-from halfline.quadrature import QuadratureParams
-from halfline.transforms import TransformPair
 from halfline.verify import data_trio, extrapolated_boundary_values
 
 CATALOG = ("lkdv-dirichlet", "reverse-lkdv", "heat-dirichlet",
            "heat-neumann", "robin-4")
-
-# quadrature for the timed reconstruction run: the check asserts at 1e-6,
-# so four problems use a 1e-9 tail floor (measured error stays ~1e-11) to
-# fit the runtime budget; the two-form order-3 problem keeps the tight
-# default because its sector rays run beside the real axis and the slowly
-# decaying tails there need the extra scan depth.
-_FAST = QuadratureParams(rel_tol=1e-8, abs_tol=1e-9)
-_RECON_PARAMS = {name: (None if name == "reverse-lkdv" else _FAST)
-                 for name in CATALOG}
-_RECON_PAIRS: dict = {}
-
-
-def _recon_pair(catalog, name):
-    if name not in _RECON_PAIRS:
-        _RECON_PAIRS[name] = TransformPair(catalog[name], _RECON_PARAMS[name])
-    return _RECON_PAIRS[name]
 
 # residual times, boundary-form times, coarse finite-difference step, and
 # datum amplitude per problem.  The order-4 problem carries a growing
@@ -69,14 +51,14 @@ def _report(name, passed, value, tol, detail=""):
     print(f"{mark}  {name:<26} value={value:.3e} tol={tol:.1e}{extra}")
 
 
-def test_reconstruction_identity(catalog):
+def test_reconstruction_identity(get_pair, catalog):
     """inverse(forward(f)) reproduces f for every catalog problem and three
     data each (maximal boundary jet, pure bump, mixed), 20 points spanning
     the support, within 1e-6 and 60 seconds."""
     t0 = time.perf_counter()
     worst = 0.0
     for name in CATALOG:
-        pair = _recon_pair(catalog, name)
+        pair = get_pair(name)
         trio = _trio(catalog, name)
         xs = _xs20(trio)
         for d in trio:

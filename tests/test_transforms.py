@@ -1,10 +1,16 @@
 """Forward transforms, inverse kernels, and reconstruction round trips."""
 
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from halfline.errors import NonpositiveX
+from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.oracles import adaptive_reference
+from halfline.quadrature import QuadratureParams
+from halfline.transforms import SupportTransform, TransformPair
 
 
 def _random_lams(rng, count, rmin=0.5, rmax=3.0):
@@ -81,6 +87,115 @@ def test_fhat_matches_adaptive_reference(get_pair, get_datum):
             [0.0, datum.support], tol=1e-13)
         assert ref.est_error < 1e-10
         assert abs(got - ref.value) < 1e-9, mu
+
+
+def _dense_fhat(st, mu):
+    """Dense evaluation of the support rule at one resolution level:
+    exp(-i mu x_j) @ (w_j g(x_j)) over the same panels, with the absolute
+    sum of its terms."""
+    mid, hx, wg = st._nodes(st._level_for(float(np.abs(mu).max())))
+    nodes = (mid[:, None] + hx[None, :]).ravel()
+    terms = np.exp(-1j * mu[:, None] * nodes[None, :]) * wg.ravel()[None, :]
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+@pytest.mark.parametrize("name", ["reverse-lkdv", "robin-4", "heat-neumann"])
+def test_support_transform_matches_dense_oracle(get_datum, catalog, name):
+    """The panel-factored transform equals the dense exp @ (w g) of the same
+    quadrature rule to rounding: |fast - dense| <= 16 eps (1 + |mu| L)
+    sum_j |exp(-i mu x_j) w_j g(x_j)|, for levels 0..8, the datum and its
+    n-th derivative, real mu and mu with |Im mu| <= 3."""
+    datum = get_datum(name)
+    eps = np.finfo(float).eps
+    for deriv in (0, catalog[name].order):
+        g = datum.value if deriv == 0 else datum.derivative_function(deriv)
+        st = SupportTransform(g, datum.support, QuadratureParams(),
+                              base_rate=datum.bandwidth * (1.0 + deriv))
+        for level in range(9):
+            top = 0.99 * st.base * 2.0 ** level
+            re = np.linspace(-top, top, 9)
+            mu = np.concatenate([re, re + 1j * np.linspace(-3.0, 3.0, 9)])
+            assert st._level_for(float(np.abs(mu).max())) == level
+            fast = st(mu)
+            dense, scale = _dense_fhat(st, mu)
+            bound = 16.0 * eps * (1.0 + np.abs(mu) * datum.support) * scale
+            assert np.all(np.abs(fast - dense) <= bound), (deriv, level)
+
+
+def test_support_transform_refuses_mu_past_top_level(get_datum):
+    """|mu| beyond base * 2**16 raises instead of under-resolving."""
+    datum = get_datum("heat-dirichlet")
+    st = SupportTransform(datum.value, datum.support, QuadratureParams())
+    assert st._level_for(st.base * 2.0 ** 16) == 16
+    with pytest.raises(ToleranceNotMet, match="top resolution level 16"):
+        st._level_for(st.base * 2.0 ** 16 * 1.01)
+    with pytest.raises(ToleranceNotMet):
+        st(np.array([1.0, st.base * 2.0 ** 17]))
+
+
+class _CountingDatum:
+    """Datum stand-in that counts evaluations of each derivative stream."""
+
+    def __init__(self, datum):
+        self.datum = datum
+        self.support = datum.support
+        self.bandwidth = datum.bandwidth
+        self.calls = Counter()
+        self._lock = threading.Lock()
+
+    def _count(self, deriv, x):
+        with self._lock:
+            self.calls[deriv, np.size(x)] += 1
+
+    def value(self, x):
+        self._count(0, x)
+        return self.datum.value(x)
+
+    def derivative_function(self, k):
+        fk = self.datum.derivative_function(k)
+
+        def g(x):
+            self._count(k, x)
+            return fk(x)
+        return g
+
+
+def test_transform_caches_evaluate_datum_once_under_threads(catalog, get_datum):
+    """Threads sharing one TransformPair evaluate the datum once per
+    (deriv, level): more threads than cores, a short switch interval, and
+    every thread asking for the same levels in its own order.  A level is
+    told apart by its node count, which about doubles with the level."""
+    pair = TransformPair(catalog["heat-dirichlet"])
+    datum = _CountingDatum(get_datum("heat-dirichlet"))
+    requests = [(deriv, 64.0 * 2.0 ** level)
+                for deriv in (0, 1, 2) for level in range(8)]
+    errors = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(len(requests))
+        try:
+            for i in order:
+                deriv, mu = requests[i]
+                pair.fhat(datum, np.array([mu, -mu]), deriv=deriv)
+        except Exception as exc:  # a dead worker must fail the test
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for deriv in (0, 1, 2):
+        counts = [c for (d, _), c in datum.calls.items() if d == deriv]
+        assert len(counts) >= 3
+        assert counts == [1] * len(counts), (deriv, datum.calls)
 
 
 def test_fhat_derivative_streams(get_pair, get_datum):
