@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -59,6 +60,10 @@ __all__ = ["SupportTransform", "TransformPair"]
 _CHUNK_BUDGET = 1_000_000
 # highest resolution level: |mu| up to base * 2**_MAX_LEVEL is resolved
 _MAX_LEVEL = 16
+# (datum, derivative) transforms a TransformPair keeps, least recently used
+# evicted first; a verify_problem uses up to eight (four data, derivatives
+# 0 and n)
+_HATS_MAX = 32
 
 
 class SupportTransform:
@@ -142,6 +147,18 @@ class SupportTransform:
         return out
 
 
+def _real_axis_monomial_tails(r0: float, xs: np.ndarray, power: int) -> np.ndarray:
+    """int exp(i lam x) lam^(-power) over the real line outside [-r0, r0],
+    one exponential integral per x.
+
+    The left ray is the mirror of the right one: for real x > 0,
+    E_p(conj z) = conj E_p(z), so the outward tail along theta = pi equals
+    (-1)^(1-p) conj of the tail along theta = 0.
+    """
+    right = np.array([ray_monomial_tail(0.0, r0, float(x), power) for x in xs])
+    return right - (-1.0) ** (1 - power) * np.conj(right)
+
+
 def _against_x(w_times_f: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sum_n w_n f_n exp(i lam_n x) for each x."""
     return np.exp(1j * np.multiply.outer(xs, lam)) @ w_times_f
@@ -163,21 +180,27 @@ class TransformPair:
         self.contours = build_contours(problem, self.R, delta)
         self.params = params or QuadratureParams()
         self.alpha = np.exp(2j * np.pi / self.n)
-        self._hats: dict[tuple, SupportTransform] = {}
+        self._hats: OrderedDict[tuple, SupportTransform] = OrderedDict()
         self._hats_lock = threading.Lock()
 
     # -- half-line Fourier transform --------------------------------------
     def fhat(self, datum, mu, deriv: int = 0) -> np.ndarray:
+        # an entry holds the datum through its bound g, so a live key's
+        # id cannot be reused by another datum
         key = (id(datum), deriv)
         with self._hats_lock:
-            if key not in self._hats:
+            hat = self._hats.get(key)
+            if hat is None:
                 g = datum.value if deriv == 0 else datum.derivative_function(deriv)
                 # each derivative sharpens the integrand's endpoint behaviour,
                 # so the panel floor has to grow with the order to hold accuracy
                 rate = getattr(datum, "bandwidth", 0.0) * (1.0 + deriv)
-                self._hats[key] = SupportTransform(
+                hat = self._hats[key] = SupportTransform(
                     g, datum.support, self.params, base_rate=rate)
-            hat = self._hats[key]
+                if len(self._hats) > _HATS_MAX:
+                    self._hats.popitem(last=False)
+            else:
+                self._hats.move_to_end(key)
         return hat(mu)
 
     def fhat_applied(self, datum, mu) -> np.ndarray:
@@ -320,9 +343,7 @@ class TransformPair:
         for j, c in zip(jj, coeffs):
             if c == 0.0:
                 continue
-            tj = np.array([ray_monomial_tail(0.0, lc, float(x), int(j) + 1)
-                           - ray_monomial_tail(math.pi, lc, float(x), int(j) + 1)
-                           for x in xs])
+            tj = _real_axis_monomial_tails(lc, xs, int(j) + 1)
             vals += c * (1j) ** (-(j + 1.0)) * tj / (2 * np.pi)
         return vals
 

@@ -5,8 +5,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
+from halfline import oracles, quadrature, transforms
 from halfline.datum import InitialDatum, make_datum
+from halfline.errors import ToleranceNotMet
 from halfline.oracles import (
     OracleResult,
     adaptive_reference,
@@ -27,21 +31,108 @@ def _images_reference(datum, x: float, t: float, sign: float) -> float:
     return float(mpmath.quad(f, [0.0, datum.support / 2, datum.support]))
 
 
-def test_heat_oracles_match_method_of_images(catalog):
-    """Sine and cosine spectral oracles agree with the image construction."""
-    pd = catalog["heat-dirichlet"]
-    datum_d = make_datum(pd, pd.datum_kernel, seed=0)
-    pn = catalog["heat-neumann"]
-    datum_n = make_datum(pn, pn.datum_kernel, seed=0)
-    for x, t in ((0.7, 0.05), (0.5, 0.2)):
-        got = heat_dirichlet_solution(datum_d, x, t)
-        want = _images_reference(datum_d, x, t, -1.0)
-        assert got.est_error < 1e-8
-        assert abs(got.value - want) < 1e-9, ("dirichlet", x, t)
+def _nested_quad_reference(datum, x: float, t: float, kernel: str,
+                           tol: float = 1e-10) -> float:
+    """The scalar form the grid oracle replaced: QUADPACK's oscillatory rule
+    for the outer integral over lam, each integrand value a QUADPACK
+    transform of a dense cubic spline of the datum."""
+    L = datum.support
+    grid = np.linspace(0.0, L, 4097)
+    spline = CubicSpline(grid, datum.value(grid))
+    lam_max = math.sqrt(math.log(1e18) / t)
 
-        got = heat_neumann_solution(datum_n, x, t)
-        want = _images_reference(datum_n, x, t, +1.0)
-        assert abs(got.value - want) < 1e-9, ("neumann", x, t)
+    def outer(lam):
+        F, _ = quad(spline, 0.0, L, weight=kernel, wvar=lam,
+                    epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200)
+        return math.exp(-lam * lam * t) * F
+
+    cycles = int(lam_max * max(x, 1.0) / math.pi) + 10
+    val, _ = quad(outer, 0.0, lam_max, weight=kernel, wvar=x, epsabs=tol,
+                  epsrel=tol, limit=max(200, 2 * cycles))
+    return val * 2.0 / math.pi
+
+
+@pytest.fixture(scope="module")
+def heat_data(catalog):
+    """(oracle, kernel, image sign, datum) for the sine and cosine forms."""
+    pd, pn = catalog["heat-dirichlet"], catalog["heat-neumann"]
+    return ((heat_dirichlet_solution, "sin", -1.0,
+             make_datum(pd, pd.datum_kernel, seed=0)),
+            (heat_neumann_solution, "cos", +1.0,
+             make_datum(pn, pn.datum_kernel, seed=0)))
+
+
+def test_heat_oracles_match_method_of_images(heat_data):
+    """Sine and cosine spectral oracles agree with the image construction,
+    also at the corners (1.5, 0.01) and (0.5, 1.0) of the verify grid."""
+    for oracle, kernel, sign, datum in heat_data:
+        for x, t in ((0.7, 0.05), (0.5, 0.2), (1.5, 0.01), (0.5, 1.0)):
+            got = oracle(datum, x, t)
+            want = _images_reference(datum, x, t, sign)
+            assert got.est_error < 1e-8
+            assert abs(got.value - want) < 1e-9, (kernel, x, t)
+
+
+def test_heat_oracles_match_nested_quadpack_form(heat_data):
+    """One grid call agrees with the nested scalar QUADPACK form at two
+    (x, t) points per kernel."""
+    xs, ts = np.array([0.7, 1.2]), np.array([0.05, 0.5])
+    for oracle, kernel, _, datum in heat_data:
+        got = oracle(datum, xs, ts).value
+        for i, j in ((0, 0), (1, 1)):
+            want = _nested_quad_reference(datum, xs[j], ts[i], kernel)
+            assert abs(got[i, j] - want) < 1e-9, (kernel, xs[j], ts[i])
+
+
+def test_heat_oracle_grid_equals_scalar_calls(heat_data):
+    """A grid call has shape (len(ts), len(xs)) and equals the scalar calls;
+    scalar input gives a scalar OracleResult."""
+    xs = np.array([0.5, 1.0, 1.5])
+    ts = np.array([0.01, 0.1, 1.0])
+    for oracle, kernel, _, datum in heat_data:
+        grid = oracle(datum, xs, ts)
+        assert grid.value.shape == (3, 3)
+        for i, t in enumerate(ts):
+            for j, x in enumerate(xs):
+                one = oracle(datum, float(x), float(t))
+                assert isinstance(one.value, complex)
+                assert one.meta["x"] == x and one.meta["t"] == t
+                assert abs(one.value - grid.value[i, j]) < 1e-13, (kernel, x, t)
+
+
+def test_heat_oracle_time_zero_returns_datum(heat_data):
+    """At t = 0 the spectral integral runs to the fixed datum cutoff and
+    returns the datum itself (x = 0.3 keeps the rule at 6144 nodes)."""
+    for oracle, kernel, _, datum in heat_data:
+        res = oracle(datum, 0.3, 0.0, tol=1e-8)
+        assert res.meta["lambda_max"] == oracles._DATUM_LAMBDA_MAX
+        assert res.est_error < 1e-7
+        assert abs(res.value - datum.value(0.3)) < 1e-8, kernel
+
+
+def test_heat_oracle_unmet_tolerance_raises(heat_data, monkeypatch):
+    """Two spectral rules that still disagree at the panel cap raise
+    instead of returning a degraded value."""
+    monkeypatch.setattr(oracles, "_MAX_PANELS", 2)
+    for oracle, _, _, datum in heat_data:
+        with pytest.raises(ToleranceNotMet):
+            oracle(datum, 1.5, 0.01)
+
+
+def test_heat_oracles_are_independent_of_the_pipeline(heat_data, monkeypatch):
+    """The oracle gives the same values with the production transform and
+    node builders disabled."""
+    want = [oracle(datum, 0.7, 0.05).value for oracle, _, _, datum in heat_data]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle reached the production pipeline")
+
+    monkeypatch.setattr(transforms.SupportTransform, "__call__", refuse)
+    monkeypatch.setattr(transforms.TransformPair, "__init__", refuse)
+    monkeypatch.setattr(quadrature, "segment_nodes", refuse)
+    monkeypatch.setattr(transforms, "segment_nodes", refuse)
+    for (oracle, _, _, datum), w in zip(heat_data, want):
+        assert oracle(datum, 0.7, 0.05).value == w
 
 
 def test_heat_oracles_reject_incompatible_data():

@@ -7,10 +7,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from halfline import transforms
+from halfline.datum import make_datum
 from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.oracles import adaptive_reference
-from halfline.quadrature import QuadratureParams
+from halfline.quadrature import QuadratureParams, ray_monomial_tail
 from halfline.transforms import SupportTransform, TransformPair
+from halfline.verify import all_passed, verify_problem
 
 
 def _random_lams(rng, count, rmin=0.5, rmax=3.0):
@@ -196,6 +199,69 @@ def test_transform_caches_evaluate_datum_once_under_threads(catalog, get_datum):
         counts = [c for (d, _), c in datum.calls.items() if d == deriv]
         assert len(counts) >= 3
         assert counts == [1] * len(counts), (deriv, datum.calls)
+
+
+def test_transform_cache_is_a_bounded_lru(catalog):
+    """200 fresh data leave at most the bound in the cache; the least
+    recently used entry goes first."""
+    problem = catalog["heat-dirichlet"]
+    pair = TransformPair(problem)
+    mu = np.array([1.0, -2.0])
+    first = make_datum(problem, problem.datum_kernel, seed=0)
+    pair.fhat(first, mu)
+    fresh = []
+    for seed in range(1, 201):
+        fresh.append(make_datum(problem, problem.datum_kernel, seed=seed))
+        pair.fhat(fresh[-1], mu)
+        pair.fhat(first, mu)  # kept recent, so never evicted
+        assert len(pair._hats) <= transforms._HATS_MAX
+    assert len(pair._hats) == transforms._HATS_MAX
+    assert (id(first), 0) in pair._hats
+    assert (id(fresh[-1]), 0) in pair._hats
+    assert (id(fresh[0]), 0) not in pair._hats
+
+
+def test_verify_problem_never_rebuilds_a_transform(catalog, monkeypatch):
+    """One verify_problem builds each (datum, derivative) transform once:
+    the bounded cache evicts nothing that the run asks for again."""
+    built = []
+
+    class Counting(SupportTransform):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    keys = set()
+    fhat = TransformPair.fhat
+
+    def recording(self, datum, mu, deriv=0):
+        keys.add((id(datum), deriv))
+        return fhat(self, datum, mu, deriv)
+
+    monkeypatch.setattr(transforms, "SupportTransform", Counting)
+    monkeypatch.setattr(TransformPair, "fhat", recording)
+    results = verify_problem(catalog["heat-neumann"])
+    assert all_passed(results)
+    assert len(keys) <= transforms._HATS_MAX
+    assert len(built) == len(keys)
+
+
+def test_real_axis_tails_mirror_identity():
+    """The left-ray tail is the mirrored conjugate of the right one, to
+    1e-14 relative, so one exponential integral per point gives the
+    two-ray real-axis tail."""
+    xs = np.linspace(0.05, 1.0, 12)
+    for r0 in (2.0, 3.7):
+        for p in range(1, 6):
+            right = np.array([ray_monomial_tail(0.0, r0, x, p) for x in xs])
+            left = np.array([ray_monomial_tail(np.pi, r0, x, p) for x in xs])
+            np.testing.assert_allclose(left, (-1.0) ** (1 - p) * np.conj(right),
+                                       rtol=1e-14, atol=0)
+            got = transforms._real_axis_monomial_tails(r0, xs, p)
+            # right - left cancels to one real or imaginary part, so the
+            # comparison is relative to the size of a ray tail
+            np.testing.assert_allclose(got, right - left, rtol=0,
+                                       atol=1e-14 * np.abs(right).max())
 
 
 def test_fhat_derivative_streams(get_pair, get_datum):
