@@ -26,7 +26,7 @@ from .oracles import (OracleResult, adaptive_reference, fd_residual,
                       stencil_coefficients)
 from .problems import HalfLineProblem, builtin_catalog, classify, validate
 from .quadrature import (ExpDecay, IntegralResult, PathSegment,
-                         QuadratureParams, integrate_path, integrate_segment)
+                         QuadratureParams, integrate_segment)
 from .spectral import (check_type_I, check_type_II, expected_type_I,
                        remainder_closed_form, remainder_polynomial,
                        remainder_report, spectral_representation_check)
@@ -51,7 +51,7 @@ __all__ = [
     "stencil_coefficients",
     "HalfLineProblem", "builtin_catalog", "classify", "validate",
     "ExpDecay", "IntegralResult", "PathSegment", "QuadratureParams",
-    "integrate_path", "integrate_segment",
+    "integrate_segment",
     "check_type_I", "check_type_II", "expected_type_I",
     "remainder_closed_form", "remainder_polynomial", "remainder_report",
     "spectral_representation_check",

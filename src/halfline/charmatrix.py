@@ -135,10 +135,6 @@ class CharMatrix:
             radius = 2.2 * rmax
         return trimmed
 
-    def delta_from_coeffs(self, lam) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(np.asarray(lam, dtype=complex),
-                                                self.delta_poly)
-
     @cached_property
     def delta_roots(self) -> tuple:
         """Roots of Delta with multiplicities from 1e-6 clustering."""

@@ -114,12 +114,6 @@ class InitialDatum:
         out[:k] = self.kernel_coeffs[:k]
         return out * self.amplitude
 
-    def first_nonzero_boundary_order(self) -> int | None:
-        for j, c in enumerate(self.kernel_coeffs):
-            if c != 0.0:
-                return j
-        return None
-
     @property
     def bandwidth(self) -> float:
         """Minimum phase-rate resolution (rad per unit x) a quadrature of
@@ -129,10 +123,6 @@ class InitialDatum:
             return 0.0
         w_min = min(w for _, _, w in self._bumps)
         return 100.0 / w_min
-
-    @property
-    def is_real(self) -> bool:
-        return True
 
     # -- evaluation ------------------------------------------------------
     def jet(self, x, order: int | None = None) -> np.ndarray:

@@ -21,7 +21,9 @@ import numpy as np
 
 from .contours import deform_for_time
 from .errors import DeformationRequired, NonpositiveX
-from .quadrature import ExpDecay, segment_nodes
+from .quadrature import ExpDecay, apply_phase, component_nodes
+# perfbench/spans.py patches segment_nodes at this binding too
+from .quadrature import segment_nodes  # noqa: F401
 from .transforms import TransformPair
 from .util import parallel_map
 
@@ -80,19 +82,24 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
     n = pair.n
     L = datum.support
 
-    pole = pair.junction_osc(seg, 0.0) if k >= 1 else (lambda u: 0.0)
-    if seg.kind == "arc":
-        r = seg.radius
-        rate = r * (x_max + L) + n * t_max * r ** n
-        osc = lambda u: rate + pole(u)
-        lam, w = segment_nodes(seg, pair.params, osc=osc)
-    else:
+    def osc(seg):
+        pole = pair.junction_osc(seg, 0.0) if k >= 1 else (lambda u: 0.0)
+        if seg.kind == "arc":
+            r = seg.radius
+            rate = r * (x_max + L) + n * t_max * r ** n
+            return lambda u: rate + pole(u)
         base = abs(seg.base)
-        osc = lambda u: (x_max + L) + n * t_max * (base + u) ** (n - 1) + pole(u)
+        return lambda u: (x_max + L) + n * t_max * (base + u) ** (n - 1) + pole(u)
+
+    def decay(seg):
         jun = np.array([seg.point(seg.r0)], dtype=complex)
         scale = max(float(np.abs(pair.forward(datum, k, jun)).max()), 1e-12)
-        decay = _ray_decay(pair, seg, k, t_min, x_min, x_max, L, scale)
-        lam, w = segment_nodes(seg, pair.params, osc=osc, decay=decay)
+        return _ray_decay(pair, seg, k, t_min, x_min, x_max, L, scale)
+
+    lam, w, axis_rays = component_nodes([seg], pair.params, osc, decay)
+    if axis_rays:
+        raise DeformationRequired(
+            "positive times need contours rotated off the real axis")
     return lam, w, pair.forward(datum, k, lam)
 
 
@@ -133,9 +140,8 @@ def solve_grid(pair: TransformPair, datum, xs, ts, *,
         a, n = pair.a, pair.n
         tpos = ts[pos]
         for lam, w, F in packs:
-            phase = np.exp(1j * np.multiply.outer(xs, lam))
             decay = np.exp(-a * np.multiply.outer(lam ** n, tpos))
-            values[pos] += (phase @ ((w * F)[:, None] * decay)).T
+            values[pos] += apply_phase(xs, lam, (w * F)[:, None] * decay).T
 
     if (~pos).any():
         row = pair.reconstruct(datum, xs)

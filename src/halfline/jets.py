@@ -15,8 +15,6 @@ All operations are vectorized over the point axis.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "divide",
     "exp",
     "polyval",
-    "derivatives",
 ]
 
 
@@ -96,9 +93,3 @@ def polyval(coeffs, xjet: np.ndarray) -> np.ndarray:
         out[0] += c
     return out
 
-
-def derivatives(jet: np.ndarray) -> np.ndarray:
-    """Convert Taylor coefficients back to derivative values f(k)(x)."""
-    m = jet.shape[0] - 1
-    fact = np.array([math.factorial(k) for k in range(m + 1)], dtype=float)
-    return jet * fact[:, None]

@@ -6,10 +6,20 @@ panel holds a fixed number of nodes per oscillation wavelength.  Infinite
 rays are truncated in one of two ways:
 
 * with an :class:`ExpDecay` envelope model, at the radius where the model
-  guarantees the tail is below a tenth of the absolute tolerance;
+  guarantees the tail is below a tenth of the absolute tolerance
+  (:func:`segment_nodes`);
 * without one, by summing half-period blocks of the dominant oscillation
   and accelerating the partial sums with Wynn's epsilon algorithm, which
-  converges for integrands with algebraically decaying envelopes.
+  converges for integrands with algebraically decaying envelopes
+  (:func:`integrate_segment`).
+
+Every component integral of the transform pair, int exp(i lam x) F(lam)
+over the real line or a sector boundary, runs on one engine:
+:func:`component_nodes` discretizes a component's arcs, finite rays and
+off-axis infinite rays (each caller supplies its phase-rate and envelope
+models) and hands back the infinite rays on the real axis, whose tails the
+caller sums exactly or by acceleration; :func:`apply_phase` then evaluates
+exp(i x lam) @ (w F) for all x at once.
 
 Everything is deterministic: no randomness, and identical inputs produce
 identical node sequences.  Error estimates come from comparing each panel
@@ -33,10 +43,10 @@ __all__ = [
     "ExpDecay",
     "IntegralResult",
     "segment_nodes",
+    "component_nodes",
+    "apply_phase",
     "integrate_segment",
-    "integrate_path",
     "wynn_epsilon",
-    "gamma0_monomial_integral",
     "ray_monomial_tail",
     "tail_subtraction_coeffs",
 ]
@@ -96,6 +106,12 @@ class PathSegment:
     @property
     def finite(self) -> bool:
         return self.kind == "arc" or math.isfinite(self.r1)
+
+    @property
+    def on_real_axis(self) -> bool:
+        """True for a ray that runs along the real axis."""
+        return (self.kind == "ray" and abs(math.sin(self.angle)) < 1e-12
+                and abs(self.base.imag) < 1e-12)
 
     def reversed(self) -> "PathSegment":
         return PathSegment(**{**self.__dict__, "orientation": -self.orientation})
@@ -241,6 +257,39 @@ def segment_nodes(seg: PathSegment, params: QuadratureParams, *, osc=None,
     return lam, w
 
 
+def component_nodes(segments, params: QuadratureParams, osc, decay=None):
+    """Quadrature nodes and weights for the segments of one contour component.
+
+    ``osc(seg)`` returns the phase-rate bound of a segment (a callable of
+    its parameter, as in :func:`segment_nodes`); ``decay(seg)`` returns the
+    :class:`ExpDecay` envelope that truncates an infinite ray off the real
+    axis.  Returns (lam, w, axis_rays): the nodes and weights of every arc,
+    finite ray and truncated off-axis ray, in segment order, and the
+    infinite rays on the real axis unchanged, for the caller's exact or
+    accelerated tails.
+    """
+    empty = np.zeros(0, dtype=complex)
+    lams, ws, axis_rays = [empty], [empty], []
+    for seg in segments:
+        if not seg.finite and seg.on_real_axis:
+            axis_rays.append(seg)
+            continue
+        env = None if seg.finite or decay is None else decay(seg)
+        lam, w = segment_nodes(seg, params, osc=osc(seg), decay=env)
+        lams.append(lam)
+        ws.append(w)
+    return np.concatenate(lams), np.concatenate(ws), axis_rays
+
+
+def apply_phase(xs: np.ndarray, lam: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """exp(i xs (x) lam) @ wf: sum_n wf_n exp(i lam_n x) for every x.
+
+    ``wf`` holds weights times integrand values, shape (nodes,) or
+    (nodes, columns); the result has shape (len(xs),) or (len(xs), columns).
+    """
+    return np.exp(1j * np.multiply.outer(xs, lam)) @ wf
+
+
 def _param_interval(seg: PathSegment):
     if seg.kind == "ray":
         return seg.r0, seg.r1, 1.0
@@ -343,75 +392,26 @@ def _blocks_with_acceleration(f, seg, params, osc, order):
 
 
 def integrate_segment(f, seg: PathSegment, params: QuadratureParams | None = None, *,
-                      osc=None, decay: ExpDecay | None = None,
-                      order: int | None = None) -> IntegralResult:
+                      osc=None, order: int | None = None) -> IntegralResult:
     """Integrate a vectorized callable along one segment with error control.
 
     ``osc(u)`` bounds the local phase rate per parameter unit (radius or
-    angle).  Infinite rays use ``decay`` when given, otherwise fall back to
-    oscillation blocks with epsilon acceleration.
+    angle).  Infinite rays are summed in oscillation blocks with epsilon
+    acceleration; :func:`segment_nodes` truncates them with a decay model
+    instead.
     """
     params = params or QuadratureParams()
     if osc is None:
         osc = lambda u: 1.0
     if order is None:
         order = params.max_order
-    if seg.kind == "ray" and not math.isfinite(seg.r1):
-        if decay is not None:
-            log_target = math.log(params.abs_tol / 10.0)
-            hi = decay.radius(log_target)
-            finite = PathSegment.ray(seg.base, seg.angle, seg.r0, hi, seg.orientation)
-            return _finite_with_refinement(f, finite, params, osc, order)
+    if not seg.finite:
         return _blocks_with_acceleration(f, seg, params, osc, order)
     return _finite_with_refinement(f, seg, params, osc, order)
 
 
-def integrate_path(f, segments, params: QuadratureParams | None = None, *,
-                   osc=None, decay=None, order=None) -> IntegralResult:
-    """Sum of :func:`integrate_segment` over a list of segments.
-
-    ``osc`` and ``decay`` may be single values or lists matching segments.
-    """
-    params = params or QuadratureParams()
-    seq = list(segments)
-    oscs = osc if isinstance(osc, (list, tuple)) else [osc] * len(seq)
-    decays = decay if isinstance(decay, (list, tuple)) else [decay] * len(seq)
-    total = 0.0 + 0.0j
-    est = 0.0
-    nodes = 0
-    ok = True
-    msgs = []
-    for s, o, d in zip(seq, oscs, decays):
-        r = integrate_segment(f, s, params, osc=o, decay=d, order=order)
-        total += r.value
-        est += r.est_error
-        nodes += r.nodes
-        ok = ok and r.converged
-        if r.message:
-            msgs.append(r.message)
-    return IntegralResult(total, est, nodes, ok, "; ".join(msgs))
-
-
 # ---------------------------------------------------------------------------
 # analytic primitives
-
-
-def gamma0_monomial_integral(power: int, x: float, delta: float = 0.1) -> complex:
-    """Integral over the indented real contour of exp(i lam x) lam^(-power).
-
-    The contour runs along the real axis from -infinity to +infinity with a
-    semicircular indentation of radius ``delta`` passing above the origin,
-    so the only pole of the integrand lies below the path.  For x > 0 the
-    factor exp(i lam x) decays in the upper half plane, Jordan's lemma
-    closes the contour upward, and the integral is exactly zero.
-    """
-    if power < 1 or int(power) != power:
-        raise ValueError(f"power must be a positive integer, got {power}")
-    if not (x > 0.0):
-        raise NonpositiveX(f"requires x > 0, got {x}")
-    if not (delta > 0.0):
-        raise ValueError("indentation radius must be positive")
-    return 0.0 + 0.0j
 
 
 def ray_monomial_tail(theta: float, r0: float, x: float, power: int) -> complex:

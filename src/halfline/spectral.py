@@ -12,10 +12,17 @@ Three families of checks:
   operator directly (type I, remainder integral vanishes) or only after
   division by lam^n (type II).  Components with a ray on the real axis
   carry a polynomially growing oscillatory integrand there, so the type I
-  integral diverges; the check detects that by a truncation scan.
+  integral diverges; the check detects that by a truncation scan.  The
+  type II integral is computed on every component, the real line included:
+  there the integrand is a sum of monomials lam^(-p), integrated around the
+  indentation above their pole and restored exactly beyond it;
 * representation identity: inverting lam^(-n) F_k[Sf] over the components,
   with the real-line contour genuinely indented above the origin, must
   reproduce the same values as inverting F_k[f].
+
+Every component integral runs on the contour engine of
+:mod:`halfline.quadrature`; the real-line ones go through
+:meth:`TransformPair.real_line_component`.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitResidualTooLarge, NonpositiveX
-from .quadrature import (ExpDecay, PathSegment, gamma0_monomial_integral,
-                         ray_monomial_tail, segment_nodes)
+from .quadrature import (ExpDecay, PathSegment, apply_phase, component_nodes,
+                         ray_monomial_tail)
+# perfbench/spans.py patches segment_nodes at this binding too
+from .quadrature import segment_nodes  # noqa: F401
 
 __all__ = [
     "RemainderReport",
@@ -154,58 +163,42 @@ def _poly_component_integral(pair, k: int, xs: np.ndarray, beta: np.ndarray,
                              inv_power: int, truncate: float | None = None):
     """Integral over component k of exp(i lam x) lam^(-inv_power) P(lam).
 
-    Real-axis rays use exact exponential-integral tails when inv_power > 0
-    and finite truncation when ``truncate`` is given; off-axis rays use
-    decay models sized for the polynomial growth."""
+    With ``truncate`` every infinite ray stops at that radius.  Otherwise
+    off-axis rays use decay models sized for the polynomial growth, and
+    real-axis rays exact exponential-integral tails, which need
+    inv_power > 0."""
     n = pair.n
-    params = pair.params
     x_min, x_max = float(xs.min()), float(xs.max())
-    out = np.zeros(xs.size, dtype=complex)
+    segs = pair.contours.gammas[k - 1]
+    if truncate is not None:
+        segs = [seg if seg.finite else PathSegment.ray(
+                    seg.base, seg.angle, seg.r0, truncate, seg.orientation)
+                for seg in segs]
 
-    def add_nodes(lam, w):
-        nonlocal out
-        vals = w * _poly_eval(beta, lam)
-        if inv_power:
-            vals = vals * lam ** (-float(inv_power))
-        out += np.exp(1j * np.multiply.outer(xs, lam)) @ vals
+    def osc(seg):
+        rate = seg.radius * (x_max + 1.0) + n if seg.kind == "arc" else x_max + 1.0
+        return lambda u: rate
 
-    for seg in pair.contours.gammas[k - 1]:
-        if seg.kind == "arc":
-            lam, w = segment_nodes(seg, params,
-                                   osc=lambda u: seg.radius * (x_max + 1.0) + n)
-            add_nodes(lam, w)
-            continue
-        s = math.sin(seg.angle)
-        if abs(s) < 1e-12:
-            if truncate is not None:
-                fin = PathSegment.ray(seg.base, seg.angle, seg.r0, truncate,
-                                      seg.orientation)
-                lam, w = segment_nodes(fin, params, osc=lambda u: x_max + 1.0)
-                add_nodes(lam, w)
-            else:
-                if inv_power <= 0:
-                    raise ValueError("real-axis ray with growing integrand "
-                                     "needs a truncation radius")
-                for i, x in enumerate(xs):
-                    acc = 0.0 + 0.0j
-                    for j, b in enumerate(beta):
-                        if b != 0.0:
-                            acc += b * ray_monomial_tail(seg.angle, seg.r0,
-                                                         float(x), inv_power - j)
-                    out[i] += seg.orientation * acc
-            continue
-        seg_eff = seg
-        if truncate is not None and not seg.finite:
-            seg_eff = PathSegment.ray(seg.base, seg.angle, seg.r0, truncate,
-                                      seg.orientation)
-        if seg_eff.finite:
-            lam, w = segment_nodes(seg_eff, params, osc=lambda u: x_max + 1.0)
-        else:
-            decay = _poly_ray_decay(x_min, s, beta, seg.r0, inv_power,
-                                    params.abs_tol)
-            lam, w = segment_nodes(seg_eff, params, osc=lambda u: x_max + 1.0,
-                                   decay=decay)
-        add_nodes(lam, w)
+    def decay(seg):
+        return _poly_ray_decay(x_min, math.sin(seg.angle), beta, seg.r0,
+                               inv_power, pair.params.abs_tol)
+
+    lam, w, axis_rays = component_nodes(segs, pair.params, osc, decay)
+    vals = w * _poly_eval(beta, lam)
+    if inv_power:
+        vals = vals * lam ** (-float(inv_power))
+    out = apply_phase(xs, lam, vals)
+    for seg in axis_rays:
+        if inv_power <= 0:
+            raise ValueError("real-axis ray with growing integrand "
+                             "needs a truncation radius")
+        for i, x in enumerate(xs):
+            acc = 0.0 + 0.0j
+            for j, b in enumerate(beta):
+                if b != 0.0:
+                    acc += b * ray_monomial_tail(seg.angle, seg.r0,
+                                                 float(x), inv_power - j)
+            out[i] += seg.orientation * acc
     return out
 
 
@@ -241,8 +234,7 @@ def check_type_I(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIReport:
         raise NonpositiveX("type I check requires x > 0")
     beta = remainder_polynomial(pair, datum, k)
     expected = expected_type_I(pair.problem)
-    has_real_ray = any(seg.kind == "ray" and abs(math.sin(seg.angle)) < 1e-12
-                       for seg in pair.contours.gammas[k - 1])
+    has_real_ray = any(seg.on_real_axis for seg in pair.contours.gammas[k - 1])
     if has_real_ray:
         base = max(8.0 * pair.R, 40.0)
         scan = tuple(
@@ -272,20 +264,21 @@ def check_type_II(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIIReport
     """Integral of exp(i lam x) lam^(-n) times the remainder over component
     k; expected to vanish for every component and x > 0.
 
-    For k = 0 the integrand's only pole sits below the indented contour and
-    each monomial integral is exactly zero; for sectors the real-axis rays
-    are summed exactly with exponential integrals and the rest by
-    quadrature."""
+    For k = 0 the integrand is a sum of monomials whose only pole sits below
+    the indented real contour: the central segment runs around the
+    indentation by quadrature and the tails are summed exactly with
+    exponential integrals, so the value measures how well both vanish
+    together.  For sectors the real-axis rays are summed exactly with
+    exponential integrals and the rest by quadrature."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.min() <= 0.0:
         raise NonpositiveX("type II check requires x > 0")
     n = pair.n
     if k == 0:
         beta = remainder_closed_form(pair, datum)
-        vals = np.array([
-            sum(b * gamma0_monomial_integral(n - j, float(x), pair.contours.delta)
-                for j, b in enumerate(beta))
-            for x in xs])
+        vals = pair.real_line_component(
+            None, xs, float(xs.max()) + 1.0, indented=True,
+            monomials=[(n - j, b) for j, b in enumerate(beta) if b != 0.0])
     else:
         beta = remainder_polynomial(pair, datum, k)
         vals = _poly_component_integral(pair, k, xs, beta, n)
@@ -316,18 +309,11 @@ def spectral_representation_check(pair, datum, xs, *,
     n = pair.n
     rhs = pair.reconstruct(datum, xs)
 
-    rate = float(xs.max()) + datum.support
-    lam, w = pair.indented_central_nodes(rate)
-    vals = w * pair.forward(datum, 0, lam, applied=True) * lam ** (-float(n))
-    lhs = np.exp(1j * np.multiply.outer(xs, lam)) @ vals
-
-    def tail_integrand(lam):
-        return pair.forward(datum, 0, lam, applied=True) * lam ** (-float(n))
-
-    # for real data the integrand keeps the conjugate-reflection symmetry:
-    # the lam^(-n) parity cancels against that of the transform of Sf
-    sym = 1 if getattr(datum, "is_real", False) else None
-    lhs += pair.gamma0_tail_scan(tail_integrand, xs, rate, symmetry=sym)
+    # lam^(-n) F_0[Sf] keeps the real-data symmetry: the parity of lam^(-n)
+    # cancels against that of the transform of Sf
+    lhs = pair.real_line_component(
+        lambda lam: pair.forward(datum, 0, lam, applied=True) * lam ** (-float(n)),
+        xs, float(xs.max()) + datum.support, indented=True)
     for k in range(1, pair.N + 1):
         lhs += pair.sector_component(datum, k, xs, applied=True, inv_power=n)
 

@@ -25,14 +25,20 @@ factors: exp(-i mu (m_p + h x_k)) = exp(-i mu m_p) exp(-i mu h x_k).  The
 sum over the order-many nodes of each panel is then one matrix product, and
 the sum over panels a row-wise dot product, so a batch costs
 #mu (panels + order) complex exponentials instead of #mu panels order for
-the same quadrature rule.  The real-line component is integrated as a
-central segment plus power-subtracted tails: the first n+1 boundary terms
-of the large-lambda expansion fhat ~ sum_j f(j)(0) / (i lam)^(j+1) are
-removed, the subtracted remainder decays faster than any power and is
-summed in doubling blocks, and the removed terms are restored exactly with
-generalized exponential integrals.  Sector rays off the real axis are truncated with exponential
-decay models; rays on the real axis (reverse-time problems) are summed per
-evaluation point in oscillation blocks with epsilon acceleration.
+the same quadrature rule.
+
+Every component integral runs on the engine of :mod:`halfline.quadrature`
+(``component_nodes`` plus ``apply_phase``).  The real-line component
+(:meth:`TransformPair.real_line_component`, which also serves the spectral
+checks) is a central segment, flat or indented above the origin, plus
+power-subtracted tails: the leading monomials of the integrand's
+large-lambda expansion, for the inversion the first n+1 terms of
+fhat ~ sum_j f(j)(0) / (i lam)^(j+1), are removed, the subtracted remainder
+decays faster than any power and is summed in doubling blocks, and the
+removed terms are restored exactly with generalized exponential integrals.
+Sector rays off the real axis are truncated with exponential decay models;
+rays on the real axis (reverse-time problems) are summed per evaluation
+point in oscillation blocks with epsilon acceleration, which must converge.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ from .contours import build_contours
 from .errors import NonpositiveX, ToleranceNotMet
 from .problems import validate
 from .quadrature import (ExpDecay, PathSegment, QuadratureParams,
-                         integrate_segment, ray_monomial_tail, segment_nodes,
+                         apply_phase, component_nodes, integrate_segment,
+                         ray_monomial_tail, segment_nodes,
                          tail_subtraction_coeffs)
 
 __all__ = ["SupportTransform", "TransformPair"]
@@ -159,11 +166,6 @@ def _real_axis_monomial_tails(r0: float, xs: np.ndarray, power: int) -> np.ndarr
     return right - (-1.0) ** (1 - power) * np.conj(right)
 
 
-def _against_x(w_times_f: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_n w_n f_n exp(i lam_n x) for each x."""
-    return np.exp(1j * np.multiply.outer(xs, lam)) @ w_times_f
-
-
 class TransformPair:
     """Forward/inverse transform machinery for one half-line problem."""
 
@@ -255,97 +257,86 @@ class TransformPair:
     def lambda_center(self) -> float:
         return max(2.0, 1.25 * self.R)
 
-    def _central_flat_nodes(self, rate: float):
-        lc = self.lambda_center
-        seg = PathSegment.ray(-lc, 0.0, 0.0, 2.0 * lc)
-        return segment_nodes(seg, self.params, osc=lambda u: rate)
-
-    def indented_central_nodes(self, rate: float):
-        """Central real-line nodes with the semicircular indentation kept,
-        for integrands with a pole at the origin."""
-        lc = self.lambda_center
-        d = self.contours.delta
-        segs = [PathSegment.ray(-lc, 0.0, 0.0, lc - d),
-                PathSegment.arc(0.0, d, math.pi, 0.0),
-                PathSegment.ray(d, 0.0, 0.0, lc - d)]
-        packs = [segment_nodes(s, self.params, osc=lambda u: max(rate, 4.0 / d))
-                 for s in segs]
-        lam = np.concatenate([p[0] for p in packs])
-        w = np.concatenate([p[1] for p in packs])
-        return lam, w
-
-    def gamma0_tail_scan(self, G, xs: np.ndarray, rate: float,
-                         abs_tol: float | None = None,
-                         symmetry: int | None = None):
+    def gamma0_tail_scan(self, G, xs: np.ndarray, rate: float):
         """Doubling-block tails of int exp(i lam x) G(lam) over |lam| > lambda_center
         on the real line, vectorized over xs.
 
-        ``G`` must decay faster than any tracked power (already subtracted).
-        When ``symmetry`` is +-1, G(-lam) = symmetry * conj(G(lam)) on the
-        real line (true for transforms of real data) and the left tail is
-        folded into the right one.  Raises ToleranceNotMet if the blocks
-        have not become negligible within the block budget.
+        ``G`` must decay faster than any tracked power (already subtracted)
+        and keep the real-data symmetry G(-lam) = conj(G(lam)) on the real
+        line, which folds the left tail into the right one.  Raises
+        ToleranceNotMet if the blocks have not become negligible within the
+        block budget.
         """
-        tol = abs_tol if abs_tol is not None else self.params.abs_tol
-        lc = self.lambda_center
+        tol = self.params.abs_tol
         out = np.zeros(xs.size, dtype=complex)
-        sides = (((0.0, 1),) if symmetry is not None
-                 else ((0.0, 1), (math.pi, -1)))
-        for theta, orient in sides:
-            prev = math.inf
-            a = lc
-            for _ in range(18):
-                seg = PathSegment.ray(0.0, theta, a, 2.0 * a, orientation=orient)
-                lam, w = segment_nodes(seg, self.params, osc=lambda u: rate)
-                block = _against_x(w * G(lam), lam, xs)
-                if symmetry is not None:
-                    block = block + symmetry * np.conj(block)
-                out += block
-                mag = float(np.abs(block).max())
-                a *= 2.0
-                # a small block that is also collapsing against the previous
-                # one bounds the remaining tail; two small in a row works too
-                if mag < tol / 8.0 and (mag <= 0.25 * prev or prev < tol / 8.0):
-                    break
-                prev = mag
-            else:
-                raise ToleranceNotMet(
-                    f"real-line tail still {mag:.2e} at |lambda| = {a:.3g}",
-                    value=out, est_error=mag)
-        return out
+        prev = math.inf
+        a = self.lambda_center
+        for _ in range(18):
+            seg = PathSegment.ray(0.0, 0.0, a, 2.0 * a)
+            lam, w = segment_nodes(seg, self.params, osc=lambda u: rate)
+            block = apply_phase(xs, lam, w * G(lam))
+            block = block + np.conj(block)
+            out += block
+            mag = float(np.abs(block).max())
+            a *= 2.0
+            # a small block that is also collapsing against the previous
+            # one bounds the remaining tail; two small in a row works too
+            if mag < tol / 8.0 and (mag <= 0.25 * prev or prev < tol / 8.0):
+                return out
+            prev = mag
+        raise ToleranceNotMet(
+            f"real-line tail still {mag:.2e} at |lambda| = {a:.3g}",
+            value=out, est_error=mag)
+
+    def real_line_component(self, G, xs: np.ndarray, rate: float, *,
+                            monomials=(), indented: bool = False) -> np.ndarray:
+        """Integral of exp(i lam x) I(lam) along the real line, for x in xs.
+
+        The integrand I is ``G``, or the sum of ``monomials`` (pairs (p, b)
+        standing for b lam^(-p)) when ``G`` is None.  I minus that sum must
+        decay faster than any power and keep the real-data symmetry
+        I(-lam) = conj(I(lam)).  ``rate`` bounds the phase rate.  The
+        central segment |lam| < lambda_center runs along the axis, or around
+        the semicircular indentation above the origin when ``indented`` (I
+        has a pole there).  Beyond it, the rest of I is summed by
+        :meth:`gamma0_tail_scan` and the monomials exactly with exponential
+        integrals.
+        """
+        lc = self.lambda_center
+        if indented:
+            d = self.contours.delta
+            segs = (PathSegment.ray(-lc, 0.0, 0.0, lc - d),
+                    PathSegment.arc(0.0, d, math.pi, 0.0),
+                    PathSegment.ray(d, 0.0, 0.0, lc - d))
+            central = max(rate, 4.0 / d)
+        else:
+            segs = (PathSegment.ray(-lc, 0.0, 0.0, 2.0 * lc),)
+            central = rate
+        lam, w, _ = component_nodes(segs, self.params, lambda seg: lambda u: central)
+
+        def mono(lam):
+            return sum(b * lam ** (-float(p)) for p, b in monomials)
+
+        vals = apply_phase(xs, lam, w * (mono if G is None else G)(lam))
+        if G is not None:
+            vals += self.gamma0_tail_scan(lambda lam: G(lam) - mono(lam), xs, rate)
+        for p, b in monomials:
+            vals += b * _real_axis_monomial_tails(lc, xs, p)
+        return vals
 
     def _gamma0_piece(self, datum, xs: np.ndarray) -> np.ndarray:
         """Real-line component of the inversion of F_0[f] at t = 0.
 
-        The integrand is entire, so the indentation is dropped and the
-        integral runs along the real axis: a central segment, subtracted
-        tails, and exact restoration of the subtracted powers.
+        The integrand is entire, so the central segment runs along the real
+        axis; the first n+1 terms of fhat ~ sum_j f(j)(0) / (i lam)^(j+1)
+        are the monomials whose tails are restored exactly.
         """
-        rate = float(xs.max()) + datum.support
-        lam_c, w_c = self._central_flat_nodes(rate)
-        vals = _against_x(w_c * self.fhat(datum, lam_c) / (2 * np.pi), lam_c, xs)
-
         coeffs = tail_subtraction_coeffs(datum, self.n + 1)
-        jj = np.arange(coeffs.size)
-
-        def subtracted(lam):
-            s = np.zeros(lam.shape, dtype=complex)
-            il = 1.0 / (1j * lam)
-            for j, c in zip(jj, coeffs):
-                if c != 0.0:
-                    s += c * il ** (j + 1)
-            return (self.fhat(datum, lam) - s) / (2 * np.pi)
-
-        sym = 1 if getattr(datum, "is_real", False) else None
-        vals += self.gamma0_tail_scan(subtracted, xs, rate, symmetry=sym)
-
-        lc = self.lambda_center
-        for j, c in zip(jj, coeffs):
-            if c == 0.0:
-                continue
-            tj = _real_axis_monomial_tails(lc, xs, int(j) + 1)
-            vals += c * (1j) ** (-(j + 1.0)) * tj / (2 * np.pi)
-        return vals
+        monomials = [(j + 1, c * (1j) ** (-(j + 1.0)) / (2 * np.pi))
+                     for j, c in enumerate(coeffs) if c != 0.0]
+        return self.real_line_component(
+            lambda lam: self.fhat(datum, lam) / (2 * np.pi), xs,
+            float(xs.max()) + datum.support, monomials=monomials)
 
     # -- sector components --------------------------------------------------
     @property
@@ -365,72 +356,40 @@ class TransformPair:
         r0 = seg.r0
         return lambda u: base_rate + 8.0 / (gap + max(u - r0, 0.0))
 
-    def _sector_integrand(self, datum, k: int, applied: bool, inv_power: int):
-        def F(lam):
-            out = self.forward(datum, k, lam, applied=applied)
-            if inv_power:
-                out = out * lam ** (-float(inv_power))
-            return out
-        return F
-
-    def sector_nodes(self, datum, k: int, x_min: float, x_max: float, *,
-                     applied: bool = False, inv_power: int = 0):
-        """Node packs for the k-th sector component at t = 0.
-
-        Returns (lam, w, real_ray_segments): off-axis rays and the arc are
-        discretized; rays lying on the real axis are returned separately
-        for per-point accelerated summation.
-        """
-        segs = self.contours.gammas[k - 1]
-        F = self._sector_integrand(datum, k, applied, inv_power)
-        rate = x_max + datum.support
-        packs = []
-        real_rays = []
-        for seg in segs:
-            if seg.kind == "arc":
-                packs.append(segment_nodes(
-                    seg, self.params, osc=self.junction_osc(seg, rate)))
-                continue
-            s = math.sin(seg.angle)
-            if abs(s) < 1e-12:
-                real_rays.append(seg)
-                continue
-            jun = np.array([seg.point(seg.r0)], dtype=complex)
-            scale = max(float(np.abs(F(jun)).max()), 1e-12)
-            decay = ExpDecay.linear(x_min * s, seg.r0, math.log(scale))
-            packs.append(segment_nodes(seg, self.params,
-                                       osc=self.junction_osc(seg, rate),
-                                       decay=decay))
-        if packs:
-            lam = np.concatenate([p[0] for p in packs])
-            w = np.concatenate([p[1] for p in packs])
-        else:
-            lam = np.zeros(0, dtype=complex)
-            w = np.zeros(0, dtype=complex)
-        return lam, w, real_rays
-
     def sector_component(self, datum, k: int, xs: np.ndarray, *,
                          applied: bool = False, inv_power: int = 0) -> np.ndarray:
         """Integral of exp(i lam x) lam^(-inv_power) F_k over component k.
 
-        ``applied=True`` replaces F_k[f] with F_k[Sf].  Rays on the real
-        axis are summed per point with oscillation blocks and epsilon
-        acceleration; everything else uses fixed truncated node sets.
+        ``applied=True`` replaces F_k[f] with F_k[Sf].  Rays off the real
+        axis are truncated where an exponential envelope from the junction
+        value falls below tolerance; rays on the real axis are summed per
+        point with oscillation blocks and epsilon acceleration, and raise
+        ToleranceNotMet when the acceleration does not converge.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        F = self._sector_integrand(datum, k, applied, inv_power)
-        lam, w, real_rays = self.sector_nodes(
-            datum, k, float(xs.min()), float(xs.max()),
-            applied=applied, inv_power=inv_power)
-        vals = np.zeros(xs.size, dtype=complex)
-        if lam.size:
-            vals += _against_x(w * F(lam), lam, xs)
-        for seg in real_rays:
+        x_min = float(xs.min())
+        rate = float(xs.max()) + datum.support
+
+        def F(lam):
+            out = self.forward(datum, k, lam, applied=applied)
+            return out * lam ** (-float(inv_power)) if inv_power else out
+
+        def decay(seg):
+            jun = np.array([seg.point(seg.r0)], dtype=complex)
+            scale = max(float(np.abs(F(jun)).max()), 1e-12)
+            return ExpDecay.linear(x_min * math.sin(seg.angle), seg.r0,
+                                   math.log(scale))
+
+        lam, w, axis_rays = component_nodes(
+            self.contours.gammas[k - 1], self.params,
+            lambda seg: self.junction_osc(seg, rate), decay)
+        vals = apply_phase(xs, lam, w * F(lam))
+        for seg in axis_rays:
             for i, x in enumerate(xs):
                 g = lambda lam: np.exp(1j * lam * x) * F(lam)
-                res = integrate_segment(g, seg, self.params,
-                                        osc=self.junction_osc(seg, x + datum.support))
-                vals[i] += res.value
+                vals[i] += integrate_segment(
+                    g, seg, self.params,
+                    osc=self.junction_osc(seg, x + datum.support)).require()
         return vals
 
     def gamma_k_vanishing(self, datum, k: int, xs) -> np.ndarray:
@@ -446,48 +405,4 @@ class TransformPair:
         vals = self._gamma0_piece(datum, xs)
         for k in range(1, self.N + 1):
             vals += self.sector_component(datum, k, xs)
-        return vals
-
-    def inverse(self, F_by_component: dict, xs, *, rate: float = 2.0) -> np.ndarray:
-        """Generic inversion of caller-supplied transform values.
-
-        ``F_by_component`` maps component index (0 for the real line,
-        1..N for sectors) to a vectorized callable of lam.  Infinite rays
-        fall back to accelerated oscillation blocks, so callables should
-        decay at least algebraically; per-point cost is accordingly higher
-        than :meth:`reconstruct`.
-        """
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if xs.min() <= 0.0:
-            raise NonpositiveX("inversion requires x > 0")
-        vals = np.zeros(xs.size, dtype=complex)
-        for k, F in F_by_component.items():
-            if k == 0:
-                lam_c, w_c = self._central_flat_nodes(rate + float(xs.max()))
-                vals += _against_x(w_c * F(lam_c), lam_c, xs)
-                for i, x in enumerate(xs):
-                    for theta, orient in ((0.0, 1), (math.pi, -1)):
-                        seg = PathSegment.ray(0.0, theta, self.lambda_center,
-                                              math.inf, orientation=orient)
-                        g = lambda lam: np.exp(1j * lam * x) * F(lam)
-                        vals[i] += integrate_segment(
-                            g, seg, self.params, osc=lambda u: x + rate).value
-            else:
-                segs = self.contours.gammas[k - 1]
-                for i, x in enumerate(xs):
-                    g = lambda lam: np.exp(1j * lam * x) * F(lam)
-                    for seg in segs:
-                        s = math.sin(seg.angle) if seg.kind == "ray" else 0.0
-                        if seg.kind == "ray" and s > 1e-12 and not seg.finite:
-                            jun = abs(complex(F(np.array([seg.point(seg.r0)]))[0]))
-                            decay = ExpDecay.linear(x * s, seg.r0,
-                                                    math.log(max(jun, 1e-12)))
-                            res = integrate_segment(g, seg, self.params,
-                                                    osc=lambda u: x + rate,
-                                                    decay=decay)
-                        else:
-                            res = integrate_segment(g, seg, self.params,
-                                                    osc=lambda u: (x + rate) *
-                                                    (seg.radius if seg.kind == "arc" else 1.0))
-                        vals[i] += res.value
         return vals

@@ -5,6 +5,7 @@ datum, so tests share one pair and one maximal-kernel datum per catalog
 problem across the whole session.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,20 @@ from halfline.transforms import TransformPair
 
 _pairs: dict = {}
 _data: dict = {}
+_SESSION_DPS = mpmath.mp.dps
+
+
+@pytest.fixture(autouse=True)
+def _mpmath_precision_is_restored():
+    """Fail a test that leaves mpmath's working precision changed: the
+    library's exponential-integral tails run at that precision, and users
+    get mpmath's default.  Reference computations scope theirs with
+    ``mpmath.workdps``."""
+    yield
+    left = mpmath.mp.dps
+    mpmath.mp.dps = _SESSION_DPS  # later tests start clean
+    assert left == _SESSION_DPS, (
+        f"mpmath.mp.dps left at {left}, session started at {_SESSION_DPS}")
 
 
 @pytest.fixture(scope="session")

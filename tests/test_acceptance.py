@@ -13,23 +13,13 @@ import time
 
 import numpy as np
 
-from halfline import oracles, spectral
+from halfline import oracles, spectral, verify
 from halfline.datum import make_datum
 from halfline.evolution import solve_grid
 from halfline.verify import data_trio, extrapolated_boundary_values
 
 CATALOG = ("lkdv-dirichlet", "reverse-lkdv", "heat-dirichlet",
            "heat-neumann", "robin-4")
-
-# residual times, boundary-form times, coarse finite-difference step, and
-# datum amplitude per problem.  The order-4 problem carries a growing
-# discrete mode (rate ~ exp(55.4 t)), so it is probed at early times with a
-# small-amplitude datum to keep truncation error dominant.
-_EVOLUTION = {
-    "lkdv-dirichlet": ((0.1, 0.2, 0.3), (0.15, 0.3), 5e-3, 1.0),
-    "reverse-lkdv": ((0.1, 0.2, 0.3), (0.15, 0.3), 5e-3, 1.0),
-    "robin-4": ((0.01, 0.015, 0.02), (0.01, 0.02), 5e-3, 1e-3),
-}
 
 _TRIOS: dict = {}
 
@@ -119,8 +109,10 @@ def test_evolution_correctness(get_pair, catalog):
     boundary forms to 1e-3, and reproduces the datum at t = 0 to 1e-6."""
     worst_res = worst_bnd = worst_init = 0.0
     ratios = []
-    for name, (ts_res, ts_bnd, h, amp) in _EVOLUTION.items():
+    for name in ("lkdv-dirichlet", "reverse-lkdv", "robin-4"):
         problem = catalog[name]
+        # residual times, boundary-form times, coarse step, datum amplitude
+        ts_res, ts_bnd, h, amp = verify._EVOLUTION[problem.order]
         pair = get_pair(name)
         datum = _trio(catalog, name)[0]
         evo = datum if amp == 1.0 else make_datum(

@@ -20,15 +20,14 @@ from halfline.oracles import (
     stencil_coefficients,
 )
 
-mpmath.mp.dps = 25
-
 
 def _images_reference(datum, x: float, t: float, sign: float) -> float:
     """Method-of-images heat solution: Gaussian kernel with a reflected
     source, - for an absorbing wall (Dirichlet), + for a reflecting one."""
     G = lambda z: mpmath.e ** (-z * z / (4 * t)) / mpmath.sqrt(4 * mpmath.pi * t)
     f = lambda y: (G(x - y) + sign * G(x + y)) * datum.value(float(y))
-    return float(mpmath.quad(f, [0.0, datum.support / 2, datum.support]))
+    with mpmath.workdps(25):
+        return float(mpmath.quad(f, [0.0, datum.support / 2, datum.support]))
 
 
 def _nested_quad_reference(datum, x: float, t: float, kernel: str,

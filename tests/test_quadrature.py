@@ -12,8 +12,8 @@ from halfline.quadrature import (
     IntegralResult,
     PathSegment,
     QuadratureParams,
-    gamma0_monomial_integral,
-    integrate_path,
+    apply_phase,
+    component_nodes,
     integrate_segment,
     ray_monomial_tail,
     segment_nodes,
@@ -75,14 +75,13 @@ def test_closed_rectangle_residue():
     p = 0.5 + 0.5j
     f = lambda z: np.exp(2j * z) / (z - p)
     corners = [-3.0 - 1.0j, 3.0 - 1.0j, 3.0 + 2.0j, -3.0 + 2.0j, -3.0 - 1.0j]
-    segs = []
+    total = 0.0
     for z0, z1 in zip(corners[:-1], corners[1:]):
         d = z1 - z0
-        segs.append(PathSegment.ray(z0, math.atan2(d.imag, d.real), 0.0, abs(d)))
-    res = integrate_path(f, segs, PARAMS, osc=lambda u: 4.0)
+        seg = PathSegment.ray(z0, math.atan2(d.imag, d.real), 0.0, abs(d))
+        total += integrate_segment(f, seg, PARAMS, osc=lambda u: 4.0).require()
     want = 2j * math.pi * np.exp(2j * p)
-    assert res.converged
-    assert abs(res.value - want) < 1e-9 * abs(want)
+    assert abs(total - want) < 1e-9 * abs(want)
 
 
 def test_segment_nodes_reproduce_oscillatory_integral():
@@ -97,10 +96,43 @@ def test_segment_nodes_reproduce_oscillatory_integral():
 def test_infinite_ray_with_decay_model():
     """int_0^inf exp(-r) dr via an ExpDecay-truncated ray equals 1."""
     seg = PathSegment.ray(0.0, 0.0, 0.0, math.inf)
-    res = integrate_segment(lambda z: np.exp(-z), seg, PARAMS,
-                            decay=ExpDecay.linear(1.0, 0.0))
-    assert res.converged
-    assert abs(res.value - 1.0) < 1e-10
+    lam, w = segment_nodes(seg, PARAMS, decay=ExpDecay.linear(1.0, 0.0))
+    assert abs(np.sum(w * np.exp(-lam)) - 1.0) < 1e-10
+
+
+def test_component_nodes_split_and_apply_phase():
+    """component_nodes discretizes arcs, finite rays and off-axis infinite
+    rays (truncated by the caller's envelope) in segment order, and hands
+    back the infinite real-axis rays untouched; apply_phase is the direct
+    sum over nodes for 1-D and 2-D weights."""
+    axis = PathSegment.ray(0.0, 0.0, 2.0, math.inf)
+    upper = PathSegment.ray(0.0, math.pi / 2, 2.0, math.inf)
+    arc = PathSegment.arc(0.0, 2.0, 0.0, math.pi / 2)
+    assert axis.on_real_axis and axis.reversed().on_real_axis
+    assert not upper.on_real_axis and not arc.on_real_axis
+    assert not PathSegment.ray(-1j, 0.0, 0.0, 1.0).on_real_axis
+
+    osc = lambda seg: (lambda u: 3.0)
+    decay = lambda seg: ExpDecay.linear(1.0, seg.r0)
+    lam, w, axis_rays = component_nodes([arc, axis, upper], PARAMS, osc, decay)
+    assert axis_rays == [axis]
+    lam_arc, w_arc = segment_nodes(arc, PARAMS, osc=osc(arc))
+    lam_up, w_up = segment_nodes(upper, PARAMS, osc=osc(upper),
+                                 decay=decay(upper))
+    np.testing.assert_array_equal(lam, np.concatenate([lam_arc, lam_up]))
+    np.testing.assert_array_equal(w, np.concatenate([w_arc, w_up]))
+    # the arc from 2 to 2i, then up the imaginary axis: the integral of
+    # exp(i lam) from 2 to i infinity
+    assert abs(np.sum(w * np.exp(1j * lam)) + np.exp(2j) / 1j) < 1e-10
+
+    xs = np.array([0.5, 1.0, 2.0])
+    wf = w * np.exp(-lam ** 2 / 50.0)
+    loop = np.array([np.sum(wf * np.exp(1j * lam * x)) for x in xs])
+    np.testing.assert_allclose(apply_phase(xs, lam, wf), loop, rtol=1e-12)
+    cols = np.stack([wf, 2.0 * wf], axis=1)
+    np.testing.assert_allclose(apply_phase(xs, lam, cols),
+                               np.stack([loop, 2.0 * loop], axis=1), rtol=1e-12)
+    assert component_nodes([axis], PARAMS, osc, decay)[0].size == 0
 
 
 def test_infinite_ray_with_block_acceleration():
@@ -160,25 +192,6 @@ def test_wynn_epsilon_short_sequences():
     assert v == 3.0 and e == 3.0
     v, e = wynn_epsilon([1.0, 1.5])
     assert v == 1.5 and e == pytest.approx(0.5)
-
-
-def test_gamma0_monomial_integral_is_exactly_zero():
-    """With the indentation above the origin, every monomial integral along
-    the real contour vanishes by closing upward."""
-    for power in (1, 2, 5):
-        for x in (0.1, 1.0, 7.5):
-            assert gamma0_monomial_integral(power, x) == 0.0
-
-
-def test_gamma0_monomial_integral_guards():
-    with pytest.raises(ValueError):
-        gamma0_monomial_integral(0, 1.0)
-    with pytest.raises(NonpositiveX):
-        gamma0_monomial_integral(2, 0.0)
-    with pytest.raises(NonpositiveX):
-        gamma0_monomial_integral(2, -1.0)
-    with pytest.raises(ValueError):
-        gamma0_monomial_integral(2, 1.0, delta=0.0)
 
 
 def test_ray_monomial_tail_against_mpmath_quad():

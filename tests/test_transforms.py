@@ -361,17 +361,44 @@ def test_sector_component_vanishes_for_positive_x(get_pair, get_datum):
     assert vals.max() < 1e-6
 
 
-def test_generic_inverse_matches_reconstruct(get_pair, get_datum):
-    """Caller-supplied transform callables run through the slow generic
-    inversion and still reproduce the datum."""
+def test_unconverged_real_axis_ray_raises(catalog, get_datum):
+    """A real-axis sector ray whose tail acceleration does not converge
+    within the block budget raises instead of returning its partial sum."""
+    pair = TransformPair(catalog["reverse-lkdv"], QuadratureParams(max_blocks=3))
+    datum = get_datum("reverse-lkdv")
+    xs = np.array([0.3, 0.7])
+    for k in (1, 2):
+        assert any(seg.on_real_axis for seg in pair.contours.gammas[k - 1])
+        with pytest.raises(ToleranceNotMet, match="did not converge"):
+            pair.sector_component(datum, k, xs)
+
+
+@pytest.mark.parametrize("name", ["heat-dirichlet", "robin-4"])
+def test_real_line_component_monomials_below_indentation_vanish(get_pair, name):
+    """int exp(i lam x) lam^-p over the real line indented above its pole
+    is zero (close the contour upward).  Central nodes and exact tails
+    reproduce that; rounding around the indentation, where |lam^-p| is
+    delta^-p, sets the floor 1e-15 delta^-p (1e-12 for p <= 3 at
+    delta = 0.1)."""
+    pair = get_pair(name)
+    delta = pair.contours.delta
+    xs = np.array([0.1, 1.0, 7.5])
+    for p in range(1, 6):
+        got = pair.real_line_component(None, xs, float(xs.max()) + 1.0,
+                                       monomials=[(p, 1.0)], indented=True)
+        assert np.abs(got).max() < 1e-15 * delta ** -p, p
+
+
+def test_real_line_component_restores_residue_above_indentation(get_pair):
+    """i / (lam - i/2) keeps the real-data symmetry and its pole lies above
+    the contour, so the integral is the residue -2 pi exp(-x/2); its first
+    four powers i (i/2)^k lam^-(k+1) are subtracted for the tail scan and
+    restored exactly."""
     pair = get_pair("heat-dirichlet")
-    datum = get_datum("heat-dirichlet")
-    F = {
-        0: lambda lam: pair.fhat(datum, lam) / (2.0 * np.pi),
-        1: lambda lam: -pair.fhat(datum, -lam) / (2.0 * np.pi),
-    }
-    xs = np.array([0.4, 0.8])
-    got = pair.inverse(F, xs)
-    np.testing.assert_allclose(got.real, datum.value(xs), atol=5e-6)
-    with pytest.raises(NonpositiveX):
-        pair.inverse(F, np.array([-0.1]))
+    xs = np.array([0.5, 1.0, 2.0])
+    monomials = [(k + 1, 1j * (0.5j) ** k) for k in range(4)]
+    got = pair.real_line_component(lambda lam: 1j / (lam - 0.5j), xs,
+                                   float(xs.max()) + 1.0,
+                                   monomials=monomials, indented=True)
+    np.testing.assert_allclose(got, -2.0 * np.pi * np.exp(-xs / 2.0),
+                               rtol=0, atol=1e-10)
