@@ -20,7 +20,7 @@ from .datum import InitialDatum, bump_datum, make_datum
 from .errors import (CoeffsNotInKernel, ConfigError, HalflineError,
                      InadmissibleDispersion, RankDeficientBoundary,
                      ToleranceNotMet, WrongConditionCount)
-from .evolution import SolutionField, solve_at, solve_grid
+from .evolution import SolutionField, solve_grid
 from .oracles import (OracleResult, adaptive_reference, fd_residual,
                       heat_dirichlet_solution, heat_neumann_solution,
                       stencil_coefficients)
@@ -45,7 +45,7 @@ __all__ = [
     "CoeffsNotInKernel", "ConfigError", "HalflineError",
     "InadmissibleDispersion", "RankDeficientBoundary", "ToleranceNotMet",
     "WrongConditionCount",
-    "SolutionField", "solve_at", "solve_grid",
+    "SolutionField", "solve_grid",
     "OracleResult", "adaptive_reference", "fd_residual",
     "heat_dirichlet_solution", "heat_neumann_solution",
     "stencil_coefficients",

@@ -191,6 +191,8 @@ def _cmd_solve(args) -> int:
              _fmt(field.values[i, j].imag))
             for i, t in enumerate(ts) for j, x in enumerate(xs)]
     _write_csv(args, "solve", ["x", "t", "re_q", "im_q"], rows)
+    print(f"quadrature nodes = {field.nodes}, "
+          f"(node, time) pairs applied = {field.applied}", file=sys.stderr)
     return 0
 
 

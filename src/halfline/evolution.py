@@ -6,10 +6,18 @@ factor merely oscillates along the rays (they bound the decay regions), so
 every ray is first rotated into the adjacent region where Re(a lam^n) > 0;
 the integrands are entire and decay between the old and new rays, so the
 values are unchanged while the factor becomes exponentially small along the
-new rays.  Node sets are built once per (datum, xs, ts) batch: truncation
-radii come from the smallest positive time, oscillation rates from the
-largest, and the cached transform values are reused for every t: all
-positive times are applied in one matrix product per segment.
+new rays.  Node sets are built once per (datum, xs, ts) batch: rays are cut
+where the envelope of the smallest positive time falls below the tail
+target, oscillation rates come from the largest, and the cached transform
+values are reused for every t.
+
+Each time needs only the ray nodes inside its own truncation radius: the
+envelope's order-n coefficient is linear in t, so every ray node gets the
+time from which its envelope is below the tail target (arcs and finite
+segments never drop out).  Each segment's nodes are walked outward in
+blocks of a fixed entry budget against the positive times in increasing
+order; a block's exp(i x lam) is built once and applied, with its decay
+factors, only to the prefix of times that still need one of its nodes.
 """
 
 from __future__ import annotations
@@ -27,21 +35,35 @@ from .quadrature import segment_nodes  # noqa: F401
 from .transforms import TransformPair
 from .util import parallel_map
 
-__all__ = ["SolutionField", "solve_at", "solve_grid"]
+__all__ = ["SolutionField", "solve_grid"]
 
 _DECAY_MARGIN = 0.5
 _SCALE_MARGIN = 1.5
+# cap on the exp(i x lam) entries of one node block, len(xs) x nodes: 512 KB,
+# inside one core's L2 cache.  Budgets from 16k to 128k entries timed alike
+# on 400 x 100 grids (2-core x86); smaller blocks follow each time's radius
+# more closely.  The 5-7 xs of a finite-difference stencil keep each segment
+# of the catalog problems (at most about 3.4k nodes) in one block applied at
+# every time: the arithmetic of the dense product, bit for bit.
+_BLOCK_BUDGET = 32_768
 
 
 @dataclass(frozen=True)
 class SolutionField:
-    """Solution values on a (t, x) grid; values[i, j] = q(xs[j], ts[i])."""
+    """Solution values on a (t, x) grid; values[i, j] = q(xs[j], ts[i]).
+
+    ``nodes`` counts the quadrature nodes of all deformed segments and
+    ``applied`` the (node, positive time) pairs multiplied out; both are 0
+    when every time is 0.
+    """
 
     xs: np.ndarray
     ts: np.ndarray
     values: np.ndarray
     problem_label: str = ""
     datum_label: str = ""
+    nodes: int = 0
+    applied: int = 0
 
     def at(self, x: float, t: float) -> complex:
         i = int(np.argmin(np.abs(self.ts - t)))
@@ -54,9 +76,10 @@ def _ray_decay(pair: TransformPair, seg, k: int, t_min: float,
                scale: float) -> ExpDecay:
     """Envelope for |exp(i lam x - a lam^n t) F_k| along a rotated ray.
 
-    The order-n term uses half the asymptotic coefficient, which bounds the
-    true exponent for radii past the pivot; the linear term collects the
-    worst-case x factor and the support growth of the shifted transforms.
+    The order-n term comes first and uses half the asymptotic coefficient,
+    which bounds the true exponent for radii past the pivot; the linear term
+    collects the worst-case x factor and the support growth of the shifted
+    transforms.
     """
     theta = seg.angle
     g = (pair.a * np.exp(1j * pair.n * theta)).real
@@ -76,11 +99,32 @@ def _ray_decay(pair: TransformPair, seg, k: int, t_min: float,
     return ExpDecay(terms, seg.r0, math.log(scale) + _SCALE_MARGIN)
 
 
+def _last_times(env: ExpDecay, r: np.ndarray, t_env: float,
+                log_target: float) -> np.ndarray:
+    """Per node radius r, the time from which the envelope is below target.
+
+    ``env`` is the :func:`_ray_decay` model for time ``t_env``; its leading
+    (order-n) term is linear in t, so at time t the envelope is
+    log_env(r) - (t / t_env - 1) lead(r), which reaches ``log_target`` at
+    t = t_env (1 + (log_env(r) - log_target) / lead(r)).
+    """
+    c, p = env.terms[0]
+    lead = c * (r ** p - env.r0 ** p)
+    return t_env * (1.0 + (env.log_env(r) - log_target) / lead)
+
+
 def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
                   t_max: float, x_min: float, x_max: float):
-    """(lam, w, F_k(lam)) for one deformed segment, shared across times."""
+    """(lam, w F_k(lam), tau) for one deformed segment, shared across times.
+
+    Node j contributes below the tail target at every time t >= tau[j];
+    arcs and finite segments have tau = inf.
+    """
     n = pair.n
     L = datum.support
+    if not seg.finite and seg.on_real_axis:
+        raise DeformationRequired(
+            "positive times need contours rotated off the real axis")
 
     def osc(seg):
         pole = pair.junction_osc(seg, 0.0) if k >= 1 else (lambda u: 0.0)
@@ -91,16 +135,75 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
         base = abs(seg.base)
         return lambda u: (x_max + L) + n * t_max * (base + u) ** (n - 1) + pole(u)
 
-    def decay(seg):
+    env = None
+    if not seg.finite:
         jun = np.array([seg.point(seg.r0)], dtype=complex)
         scale = max(float(np.abs(pair.forward(datum, k, jun)).max()), 1e-12)
-        return _ray_decay(pair, seg, k, t_min, x_min, x_max, L, scale)
+        env = _ray_decay(pair, seg, k, t_min, x_min, x_max, L, scale)
 
-    lam, w, axis_rays = component_nodes([seg], pair.params, osc, decay)
-    if axis_rays:
-        raise DeformationRequired(
-            "positive times need contours rotated off the real axis")
-    return lam, w, pair.forward(datum, k, lam)
+    lam, w, _ = component_nodes([seg], pair.params, osc, lambda _seg: env)
+    if env is None:
+        tau = np.full(lam.size, np.inf)
+    else:
+        tau = _last_times(env, np.abs(lam - seg.base), t_min,
+                          pair.params.tail_log_target)
+    return lam, w * pair.forward(datum, k, lam), tau
+
+
+def _packs(pair: TransformPair, datum, xs, tpos, theta_fraction, contours):
+    """The :func:`_segment_pack` of every deformed segment, for times tpos."""
+    if contours is None:
+        dcs = deform_for_time(pair.contours, theta_fraction=theta_fraction)
+    else:
+        dcs = contours
+        if not dcs.deformed:
+            raise DeformationRequired(
+                "positive times need contours rotated off the neutral rays")
+    t_min, t_max = float(tpos.min()), float(tpos.max())
+    x_min, x_max = float(xs.min()), float(xs.max())
+    jobs = [(seg, 0) for seg in dcs.gamma0]
+    for k in range(1, pair.N + 1):
+        jobs += [(seg, k) for seg in dcs.gammas[k - 1]]
+    return parallel_map(
+        lambda job: _segment_pack(pair, datum, job[0], job[1],
+                                  t_min, t_max, x_min, x_max),
+        jobs)
+
+
+def _apply(pair: TransformPair, xs, tpos, packs):
+    """sum_j w_j F(lam_j) exp(i lam_j x - a lam_j^n t) for every (x, t > 0).
+
+    Each pack is walked in node blocks against the times in increasing
+    order, so a block is applied only to the prefix of times below its
+    largest tau; nodes outward along a ray have falling tau.  Returns the
+    (len(tpos), len(xs)) values in the order of ``tpos`` and the number of
+    (node, time) pairs applied.
+    """
+    t_order = np.argsort(tpos, kind="stable")
+    ts = tpos[t_order]
+    acc = np.zeros((xs.size, ts.size), dtype=complex)
+    step = max(1, _BLOCK_BUDGET // xs.size)
+    applied = 0
+    for lam, wf, tau in packs:
+        # the sorted times that still need node j: those below tau[j]
+        need = np.searchsorted(ts, tau, side="left")
+        lam_n = lam ** pair.n
+        for i in range(0, lam.size, step):
+            blk = slice(i, i + step)
+            m = int(need[blk].max())
+            if m == 0:
+                continue
+            # the operand order of the dense product, whose rounding
+            # numpy's complex multiply does not make symmetric
+            decay = np.multiply.outer(lam_n[blk], ts[:m])
+            np.multiply(-pair.a, decay, out=decay)
+            np.exp(decay, out=decay)
+            np.multiply(wf[blk, None], decay, out=decay)
+            acc[:, :m] += apply_phase(xs, lam[blk], decay)
+            applied += decay.size
+    values = np.empty((tpos.size, xs.size), dtype=complex)
+    values[t_order] = acc.T
+    return values, applied
 
 
 def solve_grid(pair: TransformPair, datum, xs, ts, *,
@@ -116,46 +219,18 @@ def solve_grid(pair: TransformPair, datum, xs, ts, *,
         raise ValueError("times must be nonnegative")
 
     values = np.zeros((ts.size, xs.size), dtype=complex)
+    nodes = applied = 0
     pos = ts > 0.0
     if pos.any():
-        if contours is None:
-            dcs = deform_for_time(pair.contours, theta_fraction=theta_fraction)
-        else:
-            dcs = contours
-            if not dcs.deformed:
-                raise DeformationRequired(
-                    "positive times need contours rotated off the neutral rays")
-        t_min = float(ts[pos].min())
-        t_max = float(ts[pos].max())
-        x_min, x_max = float(xs.min()), float(xs.max())
-
-        jobs = [(seg, 0) for seg in dcs.gamma0]
-        for k in range(1, pair.N + 1):
-            jobs += [(seg, k) for seg in dcs.gammas[k - 1]]
-        packs = parallel_map(
-            lambda job: _segment_pack(pair, datum, job[0], job[1],
-                                      t_min, t_max, x_min, x_max),
-            jobs)
-
-        a, n = pair.a, pair.n
-        tpos = ts[pos]
-        for lam, w, F in packs:
-            decay = np.exp(-a * np.multiply.outer(lam ** n, tpos))
-            values[pos] += apply_phase(xs, lam, (w * F)[:, None] * decay).T
+        packs = _packs(pair, datum, xs, ts[pos], theta_fraction, contours)
+        nodes = sum(lam.size for lam, _, _ in packs)
+        evolved, applied = _apply(pair, xs, ts[pos], packs)
+        values[pos] = evolved
 
     if (~pos).any():
-        row = pair.reconstruct(datum, xs)
-        for i, t in enumerate(ts):
-            if t <= 0.0:
-                values[i] = row
+        values[~pos] = pair.reconstruct(datum, xs)
 
     return SolutionField(xs=xs, ts=ts, values=values,
                          problem_label=pair.problem.label,
-                         datum_label=getattr(datum, "label", ""))
-
-
-def solve_at(pair: TransformPair, datum, x: float, t: float, *,
-             theta_fraction: float = 0.5) -> complex:
-    """Solution value at a single point (x > 0, t >= 0)."""
-    field = solve_grid(pair, datum, [x], [t], theta_fraction=theta_fraction)
-    return complex(field.values[0, 0])
+                         datum_label=getattr(datum, "label", ""),
+                         nodes=nodes, applied=applied)

@@ -71,6 +71,11 @@ class QuadratureParams:
     max_blocks: int = 400
     max_refine: int = 4
 
+    @property
+    def tail_log_target(self) -> float:
+        """log of the envelope level past which an infinite ray is cut."""
+        return math.log(self.abs_tol / 10.0)
+
 
 @dataclass(frozen=True)
 class PathSegment:
@@ -245,8 +250,7 @@ def segment_nodes(seg: PathSegment, params: QuadratureParams, *, osc=None,
         if decay is None:
             raise TailBoundUnavailable(
                 "infinite ray needs a decay model for fixed-node quadrature")
-        log_target = math.log(params.abs_tol / 10.0)
-        hi = decay.radius(log_target)
+        hi = decay.radius(params.tail_log_target)
         seg = PathSegment.ray(seg.base, seg.angle, seg.r0, hi, seg.orientation)
     lo, hi, flip = _param_interval(seg)
     panels = _build_panels(lo, hi, osc, order, params.density,
@@ -287,7 +291,9 @@ def apply_phase(xs: np.ndarray, lam: np.ndarray, wf: np.ndarray) -> np.ndarray:
     ``wf`` holds weights times integrand values, shape (nodes,) or
     (nodes, columns); the result has shape (len(xs),) or (len(xs), columns).
     """
-    return np.exp(1j * np.multiply.outer(xs, lam)) @ wf
+    phase = np.multiply.outer(1j * xs, lam)
+    np.exp(phase, out=phase)
+    return phase @ wf
 
 
 def _param_interval(seg: PathSegment):

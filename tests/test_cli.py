@@ -122,7 +122,7 @@ def test_solve_csv_matches_library(tmp_path, capsys, get_pair, get_datum):
     assert run(["solve", "--builtin", "heat-dirichlet",
                 "--xs", "0.5,1.0", "--ts", "0,0.1",
                 "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+    err = capsys.readouterr().err
     rows = list(csv.reader((tmp_path / "solve.csv").open()))
     assert rows[0] == ["x", "t", "re_q", "im_q"]
     data = rows[1:]
@@ -134,6 +134,11 @@ def test_solve_csv_matches_library(tmp_path, capsys, get_pair, get_datum):
     got = np.array([complex(float(r[2]), float(r[3])) for r in data])
     want = np.array([field.values[i, j] for i in range(2) for j in range(2)])
     np.testing.assert_array_equal(got, want)
+    # the quadrature's node counts go to stderr, one line
+    assert field.nodes > 0 and 0 < field.applied <= field.nodes
+    assert err.splitlines() == [
+        f"quadrature nodes = {field.nodes}, "
+        f"(node, time) pairs applied = {field.applied}"]
 
 
 def test_reconstruct_pass_and_fail(capsys):

@@ -1,11 +1,15 @@
 """Time evolution along deformed contours against independent references."""
 
+import math
+
 import numpy as np
 import pytest
 
+from halfline import evolution
 from halfline.errors import DeformationRequired, NonpositiveX
-from halfline.evolution import solve_at, solve_grid
+from halfline.evolution import solve_grid
 from halfline.oracles import heat_dirichlet_solution, heat_neumann_solution
+from halfline.quadrature import ExpDecay
 
 
 def test_heat_dirichlet_matches_sine_oracle(get_pair, get_datum):
@@ -13,7 +17,7 @@ def test_heat_dirichlet_matches_sine_oracle(get_pair, get_datum):
     pair = get_pair("heat-dirichlet")
     datum = get_datum("heat-dirichlet")
     for x, t in ((0.5, 0.1), (1.0, 0.5)):
-        got = solve_at(pair, datum, x, t)
+        got = solve_grid(pair, datum, [x], [t]).values[0, 0]
         ref = heat_dirichlet_solution(datum, x, t)
         assert ref.est_error < 1e-8
         assert abs(got - ref.value) < 1e-6, (x, t)
@@ -24,7 +28,7 @@ def test_heat_neumann_matches_cosine_oracle(get_pair, get_datum):
     pair = get_pair("heat-neumann")
     datum = get_datum("heat-neumann")
     for x, t in ((0.5, 0.1), (1.2, 0.3)):
-        got = solve_at(pair, datum, x, t)
+        got = solve_grid(pair, datum, [x], [t]).values[0, 0]
         ref = heat_neumann_solution(datum, x, t)
         assert ref.est_error < 1e-8
         assert abs(got - ref.value) < 1e-6, (x, t)
@@ -40,14 +44,6 @@ def test_time_zero_row_is_reconstruction(get_pair, get_datum):
     np.testing.assert_allclose(field.values[0].imag, 0.0, atol=1e-6)
     # and the positive-time row moved away from it
     assert np.abs(field.values[1] - field.values[0]).max() > 1e-4
-
-
-def test_solve_at_agrees_with_grid(get_pair, get_datum):
-    pair = get_pair("heat-dirichlet")
-    datum = get_datum("heat-dirichlet")
-    field = solve_grid(pair, datum, [0.6], [0.2])
-    assert solve_at(pair, datum, 0.6, 0.2) == pytest.approx(
-        complex(field.values[0, 0]), abs=1e-12)
 
 
 def test_grid_factorizes_over_times(get_pair, get_datum):
@@ -77,7 +73,8 @@ def test_theta_fraction_invariance(get_pair, get_datum):
     """The contour rotation depth cannot change the solution value."""
     pair = get_pair("lkdv-dirichlet")
     datum = get_datum("lkdv-dirichlet")
-    vals = [solve_at(pair, datum, 0.5, 0.2, theta_fraction=f)
+    vals = [solve_grid(pair, datum, [0.5], [0.2],
+                       theta_fraction=f).values[0, 0]
             for f in (0.5, 0.25)]
     assert abs(vals[0] - vals[1]) < 1e-8
 
@@ -86,8 +83,8 @@ def test_deterministic_repeat(get_pair, get_datum):
     """Identical calls produce bit-identical values."""
     pair = get_pair("heat-dirichlet")
     datum = get_datum("heat-dirichlet")
-    a = solve_at(pair, datum, 0.8, 0.3)
-    b = solve_at(pair, datum, 0.8, 0.3)
+    a = solve_grid(pair, datum, [0.8], [0.3]).values[0, 0]
+    b = solve_grid(pair, datum, [0.8], [0.3]).values[0, 0]
     assert a == b
 
 
@@ -118,8 +115,91 @@ def test_fourth_order_problem_hosts_growing_mode(get_pair, get_datum):
     rather than damp it."""
     pair = get_pair("robin-4")
     datum = get_datum("robin-4")
-    lo = abs(solve_at(pair, datum, 0.4, 0.05))
-    hi = abs(solve_at(pair, datum, 0.4, 0.15))
+    lo = abs(solve_grid(pair, datum, [0.4], [0.05]).values[0, 0])
+    hi = abs(solve_grid(pair, datum, [0.4], [0.15]).values[0, 0])
     ratio = hi / lo
     # exp(55.43 * 0.1) = 256 up to the projection coefficients
     assert 10.0 < ratio < 6000.0
+
+
+# the evolve benchmark workload's t_max per order: order 4 stays at early
+# times, where robin-4's exp(55.4 t) mode has not yet grown
+_T_MAX = {2: 0.3, 3: 0.3, 4: 0.02}
+
+
+def _evolve_grid(order: int):
+    """An evolve-shaped grid: 40 xs on (0, 1.5], 20 ts on [0.1, 1] t_max."""
+    return (np.linspace(1.5 / 40, 1.5, 40),
+            _T_MAX[order] * np.linspace(0.1, 1.0, 20))
+
+
+def _dense_apply(pair, xs, ts, packs):
+    """Every node at every time, in one product per pack."""
+    values = np.zeros((ts.size, xs.size), dtype=complex)
+    for lam, wf, _ in packs:
+        decay = np.exp(-pair.a * np.multiply.outer(lam ** pair.n, ts))
+        values += (np.exp(1j * np.multiply.outer(xs, lam))
+                   @ (wf[:, None] * decay)).T
+    return values
+
+
+@pytest.mark.parametrize("name", ["lkdv-dirichlet", "reverse-lkdv",
+                                  "heat-dirichlet", "heat-neumann",
+                                  "robin-4"])
+def test_grid_matches_dense_apply(get_pair, get_datum, name):
+    """Dropping each time's nodes past its own truncation radius changes no
+    value beyond the tail target: solve_grid equals the dense product of
+    the same packs."""
+    pair = get_pair(name)
+    datum = get_datum(name)
+    xs, ts = _evolve_grid(pair.n)
+    field = solve_grid(pair, datum, xs, ts)
+    packs = evolution._packs(pair, datum, xs, ts, 0.5, None)
+    ref = _dense_apply(pair, xs, ts, packs)
+    assert field.nodes == sum(lam.size for lam, _, _ in packs)
+    err = np.abs(field.values - ref)
+    assert (err <= 1e-11 + 1e-12 * np.abs(ref)).all(), err.max()
+
+
+def test_grid_is_independent_of_time_order(get_pair, get_datum):
+    """Shuffled times with a repeat and a t = 0 entry give the rows of the
+    sorted call."""
+    pair = get_pair("heat-neumann")
+    datum = get_datum("heat-neumann")
+    xs, _ = _evolve_grid(pair.n)
+    ts = np.array([0.2, 0.05, 0.0, 0.3, 0.05, 0.1])
+    field = solve_grid(pair, datum, xs, ts)
+    ordered = solve_grid(pair, datum, xs, np.sort(ts))
+    assert field.applied == ordered.applied
+    for i, t in enumerate(ts):
+        want = ordered.values[np.searchsorted(ordered.ts, t)]
+        assert np.abs(field.values[i] - want).max() <= (
+            1e-13 * np.abs(want).max()), t
+
+
+def test_each_time_applies_only_its_own_nodes(get_pair, get_datum):
+    """Later times drop the ray nodes past their truncation radius, so far
+    fewer (node, time) pairs are applied than the dense nodes x times."""
+    pair = get_pair("heat-dirichlet")
+    datum = get_datum("heat-dirichlet")
+    xs, ts = _evolve_grid(pair.n)
+    field = solve_grid(pair, datum, xs, ts)
+    assert field.nodes > 0
+    assert field.applied < 0.5 * field.nodes * len(ts)
+
+
+def test_node_last_times_match_decay_radius():
+    """A node's last time is where the ExpDecay radius at that time passes
+    the node: needed before, below the tail target after."""
+    g, c1, r0, log_scale, log_target = 0.7, -2.0, 0.5, 1.0, math.log(1e-12)
+    model = lambda t: ExpDecay([(0.5 * t * g, 3.0), (c1, 1.0)], r0, log_scale)
+    t_env = 0.05
+    r = np.linspace(r0 + 1e-3, model(t_env).radius(log_target), 400,
+                    endpoint=False)
+    tau = evolution._last_times(model(t_env), r, t_env, log_target)
+    assert (tau > t_env).all()
+    assert (np.diff(tau) <= 0.0).all()
+    for t in (0.06, 0.1, 0.3, 1.0):
+        radius = model(t).radius(log_target)
+        assert (tau[r < radius * (1 - 1e-9)] > t).all(), t
+        assert (tau[r > radius * (1 + 1e-9)] <= t).all(), t
