@@ -11,12 +11,12 @@ structure, augmented-eigenfunction behaviour, and agreement with classical
 references.
 """
 
-from .boundary import (CompletedForms, adjoint_forms, complementary_forms,
+from .boundary import (CompletedForms, complementary_forms,
                        concomitant_matrix, concomitant_value)
 from .charmatrix import CharMatrix, DeltaRoot
 from .config import RunConfig, load_config, parse_config, parse_grid
 from .contours import ContourSystem, build_contours, deform_for_time
-from .datum import InitialDatum, bump_datum, make_datum
+from .datum import InitialDatum, make_datum
 from .errors import (CoeffsNotInKernel, ConfigError, HalflineError,
                      InadmissibleDispersion, RankDeficientBoundary,
                      ToleranceNotMet, WrongConditionCount)
@@ -27,21 +27,21 @@ from .oracles import (OracleResult, adaptive_reference, fd_residual,
 from .problems import HalfLineProblem, builtin_catalog, classify, validate
 from .quadrature import (ExpDecay, IntegralResult, PathSegment,
                          QuadratureParams, integrate_segment)
-from .spectral import (check_type_I, check_type_II, expected_type_I,
-                       remainder_closed_form, remainder_polynomial,
-                       remainder_report, spectral_representation_check)
+from .spectral import (check_type_I, check_type_II, remainder_closed_form,
+                       remainder_polynomial, remainder_report,
+                       spectral_representation_check)
 from .transforms import SupportTransform, TransformPair
 from .verify import CheckResult, all_passed, data_trio, verify_problem
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompletedForms", "adjoint_forms", "complementary_forms",
+    "CompletedForms", "complementary_forms",
     "concomitant_matrix", "concomitant_value",
     "CharMatrix", "DeltaRoot",
     "RunConfig", "load_config", "parse_config", "parse_grid",
     "ContourSystem", "build_contours", "deform_for_time",
-    "InitialDatum", "bump_datum", "make_datum",
+    "InitialDatum", "make_datum",
     "CoeffsNotInKernel", "ConfigError", "HalflineError",
     "InadmissibleDispersion", "RankDeficientBoundary", "ToleranceNotMet",
     "WrongConditionCount",
@@ -52,7 +52,7 @@ __all__ = [
     "HalfLineProblem", "builtin_catalog", "classify", "validate",
     "ExpDecay", "IntegralResult", "PathSegment", "QuadratureParams",
     "integrate_segment",
-    "check_type_I", "check_type_II", "expected_type_I",
+    "check_type_I", "check_type_II",
     "remainder_closed_form", "remainder_polynomial", "remainder_report",
     "spectral_representation_check",
     "SupportTransform", "TransformPair",

@@ -36,7 +36,6 @@ __all__ = [
     "concomitant_value",
     "rref",
     "kernel_basis",
-    "adjoint_forms",
     "complementary_forms",
     "CompletedForms",
 ]
@@ -132,18 +131,6 @@ def _normalize_rows(raw: np.ndarray, tol: float = PIVOT_TOL):
     return np.array(rows), np.array(gammas)
 
 
-def adjoint_forms(n: int, B: np.ndarray) -> np.ndarray:
-    """Adjoint boundary-form matrix B*, shape (n - rank B, n).
-
-    Row j of B* applied to u(phi) equals, up to the recorded normalization,
-    the concomitant [k_j phi](0) of the j-th kernel basis vector of B.
-    """
-    K = kernel_basis(B)
-    raw = np.conj(K.T @ concomitant_matrix(n))
-    normalized, _ = _normalize_rows(raw)
-    return normalized
-
-
 @dataclass(frozen=True)
 class CompletedForms:
     """Completion of a boundary system and its adjoint.
@@ -160,6 +147,11 @@ class CompletedForms:
 
 
 def complementary_forms(n: int, B: np.ndarray) -> CompletedForms:
+    """Adjoint forms B*, shape (n - rank B, n), and the completion of B and B*.
+
+    Row j of B* applied to u(phi) equals, up to the recorded normalization,
+    the concomitant [k_j phi](0) of the j-th kernel basis vector of B.
+    """
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     C = concomitant_matrix(n)
     K = kernel_basis(B)

@@ -19,13 +19,11 @@ points, giving explicit polynomial coefficients for root finding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .boundary import adjoint_forms
 from .errors import DeltaIdenticallyZero, OnDeltaZero
 
 __all__ = ["CharMatrix", "DeltaRoot"]
@@ -56,10 +54,6 @@ class CharMatrix:
         r = np.arange(n)
         factors = (-1j * self.alpha ** np.arange(m)[:, None]) ** r[None, :]
         self.coeffs = factors[:, None, :] * b_star[None, :, :]
-
-    @classmethod
-    def from_problem(cls, problem) -> "CharMatrix":
-        return cls(problem.order, adjoint_forms(problem.order, problem.boundary_matrix))
 
     # -- evaluation -----------------------------------------------------
     def entry(self, k: int, j: int, lam) -> np.ndarray:
@@ -152,10 +146,11 @@ class CharMatrix:
                 clusters.append([z])
         return tuple(DeltaRoot(complex(np.mean(c)), len(c)) for c in clusters)
 
-    def choose_radius(self, safety: float = 1.1) -> float:
-        """Circle radius excluding every determinant zero, with floor 1."""
+    def choose_radius(self) -> float:
+        """Circle radius excluding every determinant zero: 1.1 times the
+        largest root modulus, with floor 1.1."""
         rmax = max((abs(r.value) for r in self.delta_roots), default=0.0)
-        return safety * max(1.0, rmax)
+        return 1.1 * max(1.0, rmax)
 
     def guard_delta(self, mu) -> np.ndarray:
         """Delta(mu), raising if any value sits on a numerical zero."""

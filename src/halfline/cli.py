@@ -206,32 +206,24 @@ def _cmd_spectral_check(args) -> int:
     failures = []
 
     rep = spectral.remainder_report(pair, datum)
-    devs = [rep.zero_dev] + [
-        float(np.abs(np.abs(rep.coeffs[k]) - np.abs(rep.closed_form)).max()
-              / max(float(np.abs(rep.closed_form).max()), 1e-6))
-        for k in range(1, pair.N + 1)]
-    for k, dev in enumerate(devs):
-        verdict = "PASS" if dev <= 1e-8 else "FAIL"
-        rows.append((k, "", "remainder", _fmt(dev), verdict))
-        if verdict == "FAIL":
+    for k, dev in enumerate(rep.devs):
+        ok = dev <= rep.tol
+        rows.append((k, "", "remainder", _fmt(dev), "PASS" if ok else "FAIL"))
+        if not ok:
             failures.append(f"remainder k={k}")
-    if not rep.passed:
-        failures.append("remainder report")
 
-    expected = spectral.expected_type_I(problem)
     for k in range(1, pair.N + 1):
         r1 = spectral.check_type_I(pair, datum, k, xs, tol=tol)
-        if r1.divergent:
-            s = r1.scan
-            drift = max(abs(s[1] - s[0]), abs(s[2] - s[1])) if len(s) >= 3 else float("inf")
-            rows.append((k, "", "I", _fmt(drift), "DIVERGENT"))
+        if r1.values is None:
+            rows.append((k, "", "I", _fmt(r1.drift),
+                         "DIVERGENT" if r1.divergent else "CONVERGENT"))
         else:
-            for x, v in zip(xs, np.abs(r1.values)):
+            for x, v in zip(xs, r1.values):
                 rows.append((k, _fmt(x), "I", _fmt(v),
                              "PASS" if v < tol else "FAIL"))
         if not r1.passed:
             failures.append(f"type-I k={k} (expected "
-                            f"{'convergent' if expected else 'divergent'})")
+                            f"{'convergent' if r1.expected else 'divergent'})")
 
     for k in range(pair.N + 1):
         r2 = spectral.check_type_II(pair, datum, k, xs, tol=tol)

@@ -80,15 +80,16 @@ class RunConfig:
                           seed=self.datum_seed)
 
 
-def _floats(text: str, lineno: int, key: str) -> list[float]:
+def _floats(text: str, key: str, lineno: int | None) -> list[float]:
+    """Comma list of numbers; errors name ``key`` and the line, if any."""
     out = []
     for piece in text.split(","):
         piece = piece.strip()
         try:
             out.append(float(piece))
         except ValueError:
-            raise ConfigError(
-                f"line {lineno}: bad number {piece!r} in {key}") from None
+            where = f"line {lineno}: " if lineno is not None else ""
+            raise ConfigError(f"{where}bad number {piece!r} in {key}") from None
     return out
 
 
@@ -108,36 +109,20 @@ def parse_grid(text: str, *, key: str = "grid",
                lineno: int | None = None) -> np.ndarray:
     """Comma list or start:step:stop range (stop inclusive) as an array."""
     where = f"line {lineno}: " if lineno is not None else ""
-
-    def nums(chunk: str) -> list[float]:
-        out = []
-        for piece in chunk.split(","):
-            piece = piece.strip()
-            try:
-                out.append(float(piece))
-            except ValueError:
-                raise ConfigError(
-                    f"{where}bad number {piece!r} in {key}") from None
-        return out
-
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(
                 f"{where}{key} range must be start:step:stop, got {text!r}")
-        start, step, stop = (nums(p)[0] for p in parts)
+        start, step, stop = (_floats(p, key, lineno)[0] for p in parts)
         if step <= 0.0:
             raise ConfigError(f"{where}{key} step must be positive")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
             raise ConfigError(f"{where}{key} range {text!r} is empty")
         return start + step * np.arange(count)
-    return np.array(nums(text))
-
-
-def _grid(text: str, lineno: int, key: str) -> np.ndarray:
-    return parse_grid(text, key=key, lineno=lineno)
+    return np.array(_floats(text, key, lineno))
 
 
 def _bool(text: str, lineno: int, key: str) -> bool:
@@ -177,7 +162,7 @@ def parse_config(text: str) -> RunConfig:
             if cfg.order < 2:
                 raise ConfigError(f"line {lineno}: order must be at least 2")
         elif key == "a":
-            parts = _floats(val, lineno, "a")
+            parts = _floats(val, "a", lineno)
             if len(parts) != 2:
                 raise ConfigError(
                     f"line {lineno}: a takes exactly two values re,im")
@@ -189,9 +174,9 @@ def parse_config(text: str) -> RunConfig:
         elif key == "allow_complex":
             cfg.allow_complex = _bool(val, lineno, key)
         elif key == "datum.kernel":
-            cfg.datum_kernel = tuple(_floats(val, lineno, key))
+            cfg.datum_kernel = tuple(_floats(val, key, lineno))
         elif key == "datum.support":
-            cfg.datum_support = _floats(val, lineno, key)[0]
+            cfg.datum_support = _floats(val, key, lineno)[0]
             if cfg.datum_support <= 0.0:
                 raise ConfigError(f"line {lineno}: datum.support must be positive")
         elif key == "datum.seed":
@@ -210,9 +195,9 @@ def parse_config(text: str) -> RunConfig:
             except ValueError:
                 raise ConfigError(f"line {lineno}: bad value for {key}") from None
         elif key == "solve.xs":
-            cfg.xs = _grid(val, lineno, key)
+            cfg.xs = parse_grid(val, key=key, lineno=lineno)
         elif key == "solve.ts":
-            cfg.ts = _grid(val, lineno, key)
+            cfg.ts = parse_grid(val, key=key, lineno=lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 

@@ -94,24 +94,18 @@ class ContourSystem:
     sectors: tuple
     gamma0: tuple            # segments of the indented real contour
     gammas: tuple            # gammas[k-1] = segments of the k-th component
-    deformed: bool = False
 
     @property
     def count(self) -> int:
         return len(self.gammas)
 
-    def all_segments(self):
-        yield from self.gamma0
-        for g in self.gammas:
-            yield from g
 
-
-def build_contours(problem: HalfLineProblem, R: float, delta: float | None = None) -> ContourSystem:
-    """Undeformed contour system for a validated problem."""
+def build_contours(problem: HalfLineProblem, R: float) -> ContourSystem:
+    """Undeformed contour system for a validated problem; the indentation
+    radius is min(0.1, R / 10)."""
     validate(problem)
     n, a = problem.order, problem.a
-    if delta is None:
-        delta = min(0.1, R / 10.0)
+    delta = min(0.1, R / 10.0)
     sectors = decay_sectors(n, a)
     expected = classify(n, a).count
     if not sectors:
@@ -181,4 +175,4 @@ def deform_for_time(cs: ContourSystem, theta_fraction: float = 0.5) -> ContourSy
     for segs in cs.gammas:
         inward, arc, outward = segs
         gammas.append((rotate(inward, "down"), arc, rotate(outward, "up")))
-    return replace(cs, gamma0=gamma0, gammas=tuple(gammas), deformed=True)
+    return replace(cs, gamma0=gamma0, gammas=tuple(gammas))

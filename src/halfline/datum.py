@@ -26,7 +26,7 @@ import numpy as np
 from . import jets
 from .errors import CoeffsNotInKernel
 
-__all__ = ["InitialDatum", "make_datum", "bump_datum"]
+__all__ = ["InitialDatum", "make_datum"]
 
 # below this, exp(-1/s) underflows double precision to an exact 0.0, so the
 # cutoff and bump jets are constant there
@@ -204,8 +204,3 @@ def make_datum(problem, kernel_coeffs, support: float = 1.0, seed: int | None = 
     return InitialDatum(tuple(coeffs), float(support), seed,
                         order=n + 2, label=label or (problem.label + "-datum"),
                         amplitude=amplitude)
-
-
-def bump_datum(problem, support: float = 1.0, seed: int = 0, label: str = "") -> InitialDatum:
-    """Pure bump datum: every boundary derivative vanishes."""
-    return make_datum(problem, (), support, seed, label=label or (problem.label + "-bump"))

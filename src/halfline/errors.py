@@ -33,9 +33,10 @@ class InadmissibleDispersion(HalflineError):
 
 
 class ConfigError(HalflineError):
-    """Problem/run configuration file could not be parsed.
+    """Problem/run configuration could not be parsed: a configuration file,
+    a command-line value or the UTM_THREADS variable.
 
-    The message always starts with ``line <k>:`` for the offending line.
+    A message about a file line starts with ``line <k>:``.
     """
 
 

@@ -60,15 +60,8 @@ class SolutionField:
     xs: np.ndarray
     ts: np.ndarray
     values: np.ndarray
-    problem_label: str = ""
-    datum_label: str = ""
     nodes: int = 0
     applied: int = 0
-
-    def at(self, x: float, t: float) -> complex:
-        i = int(np.argmin(np.abs(self.ts - t)))
-        j = int(np.argmin(np.abs(self.xs - x)))
-        return complex(self.values[i, j])
 
 
 def _ray_decay(pair: TransformPair, seg, k: int, t_min: float,
@@ -150,15 +143,9 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
     return lam, w * pair.forward(datum, k, lam), tau
 
 
-def _packs(pair: TransformPair, datum, xs, tpos, theta_fraction, contours):
+def _packs(pair: TransformPair, datum, xs, tpos, theta_fraction):
     """The :func:`_segment_pack` of every deformed segment, for times tpos."""
-    if contours is None:
-        dcs = deform_for_time(pair.contours, theta_fraction=theta_fraction)
-    else:
-        dcs = contours
-        if not dcs.deformed:
-            raise DeformationRequired(
-                "positive times need contours rotated off the neutral rays")
+    dcs = deform_for_time(pair.contours, theta_fraction=theta_fraction)
     t_min, t_max = float(tpos.min()), float(tpos.max())
     x_min, x_max = float(xs.min()), float(xs.max())
     jobs = [(seg, 0) for seg in dcs.gamma0]
@@ -207,7 +194,7 @@ def _apply(pair: TransformPair, xs, tpos, packs):
 
 
 def solve_grid(pair: TransformPair, datum, xs, ts, *,
-               theta_fraction: float = 0.5, contours=None) -> SolutionField:
+               theta_fraction: float = 0.5) -> SolutionField:
     """Evaluate the solution on the grid xs x ts (xs > 0, ts >= 0)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -222,7 +209,7 @@ def solve_grid(pair: TransformPair, datum, xs, ts, *,
     nodes = applied = 0
     pos = ts > 0.0
     if pos.any():
-        packs = _packs(pair, datum, xs, ts[pos], theta_fraction, contours)
+        packs = _packs(pair, datum, xs, ts[pos], theta_fraction)
         nodes = sum(lam.size for lam, _, _ in packs)
         evolved, applied = _apply(pair, xs, ts[pos], packs)
         values[pos] = evolved
@@ -231,6 +218,4 @@ def solve_grid(pair: TransformPair, datum, xs, ts, *,
         values[~pos] = pair.reconstruct(datum, xs)
 
     return SolutionField(xs=xs, ts=ts, values=values,
-                         problem_label=pair.problem.label,
-                         datum_label=getattr(datum, "label", ""),
                          nodes=nodes, applied=applied)

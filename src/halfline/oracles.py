@@ -260,18 +260,17 @@ def _space_offsets(n: int) -> np.ndarray:
     return np.arange(-half, half + 1, dtype=float)
 
 
-def fd_residual(q_grid, n: int, a: complex, x: float, t: float, h: float,
-                time_step: float | None = None) -> OracleResult:
+def fd_residual(q_grid, n: int, a: complex, x: float, t: float,
+                h: float) -> OracleResult:
     """|q_t + a (-i d/dx)^n q| at (x, t) from finite differences.
 
     ``q_grid(xs, ts)`` must return solution values with shape
     (len(ts), len(xs)).  Space and time derivatives use second-order
-    stencils at steps h and h/2; the returned value is the fine-step
-    residual and ``est_error`` is its Richardson error estimate.  The time
-    stencil is centered, falling back to a one-sided second-order formula
-    when t - k would be negative.
+    stencils at steps h and h/2, in x and in t alike; the returned value
+    is the fine-step residual and ``est_error`` is its Richardson error
+    estimate.  The time stencil is centered, falling back to a one-sided
+    second-order formula when t - h would be negative.
     """
-    k = h if time_step is None else float(time_step)
     offs = _space_offsets(n)
     cs = stencil_coefficients(n, offs)
 
@@ -280,12 +279,12 @@ def fd_residual(q_grid, n: int, a: complex, x: float, t: float, h: float,
     xs = x + np.array(xi) * (h / 2.0)
     if xs.min() <= 0.0:
         raise ValueError(f"stencil at x={x}, h={h} leaves the half-line")
-    centered = t - k >= 0.0
+    centered = t - h >= 0.0
     if centered:
         ti = [-2, -1, 0, 1, 2]
     else:
         ti = [0, 1, 2, 3, 4]
-    ts = t + np.array(ti) * (k / 2.0)
+    ts = t + np.array(ti) * (h / 2.0)
     vals = np.asarray(q_grid(xs, ts), dtype=complex)
     if vals.shape != (len(ts), len(xs)):
         raise ValueError(f"q_grid returned shape {vals.shape}, "
@@ -296,16 +295,15 @@ def fd_residual(q_grid, n: int, a: complex, x: float, t: float, h: float,
 
     def residual(step_mult: int) -> complex:
         hh = step_mult * (h / 2.0)
-        kk = step_mult * (k / 2.0)
         qx = sum(c * vals[it, col[int(o * step_mult)]]
                  for o, c in zip(offs, cs)) / hh ** n
         if centered:
             qt = (vals[row[step_mult], col[0]]
-                  - vals[row[-step_mult], col[0]]) / (2.0 * kk)
+                  - vals[row[-step_mult], col[0]]) / (2.0 * hh)
         else:
             qt = (-3.0 * vals[it, col[0]]
                   + 4.0 * vals[row[step_mult], col[0]]
-                  - vals[row[2 * step_mult], col[0]]) / (2.0 * kk)
+                  - vals[row[2 * step_mult], col[0]]) / (2.0 * hh)
         return qt + a * (-1j) ** n * qx
 
     coarse = residual(2)
@@ -313,4 +311,4 @@ def fd_residual(q_grid, n: int, a: complex, x: float, t: float, h: float,
     return OracleResult(value=abs(fine),
                         est_error=abs(coarse - fine) / 3.0,
                         method="fd_residual",
-                        meta={"h": h, "time_step": k, "coarse": abs(coarse)})
+                        meta={"h": h, "coarse": abs(coarse)})

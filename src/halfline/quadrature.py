@@ -48,10 +48,14 @@ __all__ = [
     "integrate_segment",
     "wynn_epsilon",
     "ray_monomial_tail",
-    "tail_subtraction_coeffs",
 ]
 
 TWO_PI = 2.0 * math.pi
+# node budget of one segment, refinement rounds of a finite segment, and
+# half-period blocks of an accelerated infinite ray
+_MAX_NODES = 400_000
+_MAX_REFINE = 4
+_MAX_BLOCKS = 400
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,6 @@ class QuadratureParams:
     abs_tol: float = 1e-11
     density: float = 8.0
     max_order: int = 24
-    max_nodes: int = 400_000
-    max_blocks: int = 400
-    max_refine: int = 4
 
     @property
     def tail_log_target(self) -> float:
@@ -117,9 +118,6 @@ class PathSegment:
         """True for a ray that runs along the real axis."""
         return (self.kind == "ray" and abs(math.sin(self.angle)) < 1e-12
                 and abs(self.base.imag) < 1e-12)
-
-    def reversed(self) -> "PathSegment":
-        return PathSegment(**{**self.__dict__, "orientation": -self.orientation})
 
     def point(self, u):
         """Position for parameter u (radius for rays, angle for arcs)."""
@@ -235,7 +233,7 @@ def _panel_nodes(panels, order: int):
 
 
 def segment_nodes(seg: PathSegment, params: QuadratureParams, *, osc=None,
-                  decay: ExpDecay | None = None, order: int | None = None):
+                  decay: ExpDecay | None = None):
     """Quadrature nodes and complex weights for a segment (fast path).
 
     Returns (lam, w) such that integral f = sum w * f(lam).  Infinite rays
@@ -244,8 +242,6 @@ def segment_nodes(seg: PathSegment, params: QuadratureParams, *, osc=None,
     """
     if osc is None:
         osc = lambda u: 1.0
-    if order is None:
-        order = params.max_order
     if seg.kind == "ray" and not math.isfinite(seg.r1):
         if decay is None:
             raise TailBoundUnavailable(
@@ -253,8 +249,9 @@ def segment_nodes(seg: PathSegment, params: QuadratureParams, *, osc=None,
         hi = decay.radius(params.tail_log_target)
         seg = PathSegment.ray(seg.base, seg.angle, seg.r0, hi, seg.orientation)
     lo, hi, flip = _param_interval(seg)
+    order = params.max_order
     panels = _build_panels(lo, hi, osc, order, params.density,
-                           max_panels=max(4, params.max_nodes // order))
+                           max_panels=max(4, _MAX_NODES // order))
     u, wu = _panel_nodes(panels, order)
     lam = seg.point(u)
     w = wu * seg.dpoint(u) * (seg.orientation * flip)
@@ -333,13 +330,14 @@ def wynn_epsilon(partial_sums):
     return best, abs(best - prev_best)
 
 
-def _finite_with_refinement(f, seg, params, osc, order):
+def _finite_with_refinement(f, seg, params, osc):
     tol = lambda v: max(params.abs_tol, params.rel_tol * abs(v))
     lo, hi, flip = _param_interval(seg)
+    order = params.max_order
     panels = _build_panels(lo, hi, osc, order, params.density,
-                           max_panels=max(4, params.max_nodes // order))
+                           max_panels=max(4, _MAX_NODES // order))
     nodes_used = 0
-    for round_ in range(params.max_refine + 1):
+    for round_ in range(_MAX_REFINE + 1):
         u, wu = _panel_nodes(panels, order)
         lam = seg.point(u)
         vals = f(lam) * seg.dpoint(u)
@@ -350,7 +348,7 @@ def _finite_with_refinement(f, seg, params, osc, order):
         nodes_used += u.size + u2.size
         est = abs(value - value_low)
         scaled = value * seg.orientation * flip
-        if est <= tol(value) or nodes_used > params.max_nodes:
+        if est <= tol(value) or nodes_used > _MAX_NODES:
             ok = est <= tol(value)
             return IntegralResult(scaled, est, nodes_used, ok,
                                   "" if ok else "node budget exhausted")
@@ -358,7 +356,7 @@ def _finite_with_refinement(f, seg, params, osc, order):
     return IntegralResult(scaled, est, nodes_used, False, "refinement limit reached")
 
 
-def _blocks_with_acceleration(f, seg, params, osc, order):
+def _blocks_with_acceleration(f, seg, params, osc):
     """Infinite ray: half-period blocks plus epsilon acceleration."""
     rate0 = osc(seg.r0)
     if rate0 <= 0.0:
@@ -370,12 +368,12 @@ def _blocks_with_acceleration(f, seg, params, osc, order):
     nodes_used = 0
     est = math.inf
     small = 0
-    for m in range(params.max_blocks):
+    for m in range(_MAX_BLOCKS):
         a = edges[-1]
         b = a + math.pi / max(osc(a), 1e-12)
         edges.append(b)
         piece = PathSegment.ray(seg.base, seg.angle, a, b, 1)
-        res = _finite_with_refinement(f, piece, params, osc, order)
+        res = _finite_with_refinement(f, piece, params, osc)
         nodes_used += res.nodes
         total += res.value
         partial.append(total)
@@ -398,7 +396,7 @@ def _blocks_with_acceleration(f, seg, params, osc, order):
 
 
 def integrate_segment(f, seg: PathSegment, params: QuadratureParams | None = None, *,
-                      osc=None, order: int | None = None) -> IntegralResult:
+                      osc=None) -> IntegralResult:
     """Integrate a vectorized callable along one segment with error control.
 
     ``osc(u)`` bounds the local phase rate per parameter unit (radius or
@@ -409,11 +407,9 @@ def integrate_segment(f, seg: PathSegment, params: QuadratureParams | None = Non
     params = params or QuadratureParams()
     if osc is None:
         osc = lambda u: 1.0
-    if order is None:
-        order = params.max_order
     if not seg.finite:
-        return _blocks_with_acceleration(f, seg, params, osc, order)
-    return _finite_with_refinement(f, seg, params, osc, order)
+        return _blocks_with_acceleration(f, seg, params, osc)
+    return _finite_with_refinement(f, seg, params, osc)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +434,3 @@ def ray_monomial_tail(theta: float, r0: float, x: float, power: int) -> complex:
     e = complex(mpmath.expint(power, z))
     return np.exp(1j * theta * (1 - power)) * r0 ** (1 - power) * e
 
-
-def tail_subtraction_coeffs(datum, m_terms: int) -> np.ndarray:
-    """Boundary derivatives f(j)(0), j < m_terms, for large-lambda
-    subtraction of the half-line Fourier transform."""
-    return datum.boundary_derivatives(m_terms)

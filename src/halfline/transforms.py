@@ -56,8 +56,7 @@ from .errors import NonpositiveX, ToleranceNotMet
 from .problems import validate
 from .quadrature import (ExpDecay, PathSegment, QuadratureParams,
                          apply_phase, component_nodes, integrate_segment,
-                         ray_monomial_tail, segment_nodes,
-                         tail_subtraction_coeffs)
+                         ray_monomial_tail, segment_nodes)
 
 __all__ = ["SupportTransform", "TransformPair"]
 
@@ -169,8 +168,7 @@ def _real_axis_monomial_tails(r0: float, xs: np.ndarray, power: int) -> np.ndarr
 class TransformPair:
     """Forward/inverse transform machinery for one half-line problem."""
 
-    def __init__(self, problem, params: QuadratureParams | None = None, *,
-                 safety: float = 1.1, delta: float | None = None):
+    def __init__(self, problem, params: QuadratureParams | None = None):
         self.problem = validate(problem)
         self.n = problem.order
         self.a = problem.a
@@ -178,8 +176,8 @@ class TransformPair:
         self.m = self.n - self.N
         self.forms = complementary_forms(self.n, problem.boundary_matrix)
         self.cm = CharMatrix(self.n, self.forms.B_star)
-        self.R = self.cm.choose_radius(safety)
-        self.contours = build_contours(problem, self.R, delta)
+        self.R = self.cm.choose_radius()
+        self.contours = build_contours(problem, self.R)
         self.params = params or QuadratureParams()
         self.alpha = np.exp(2j * np.pi / self.n)
         self._hats: OrderedDict[tuple, SupportTransform] = OrderedDict()
@@ -331,7 +329,7 @@ class TransformPair:
         axis; the first n+1 terms of fhat ~ sum_j f(j)(0) / (i lam)^(j+1)
         are the monomials whose tails are restored exactly.
         """
-        coeffs = tail_subtraction_coeffs(datum, self.n + 1)
+        coeffs = datum.boundary_derivatives(self.n + 1)
         monomials = [(j + 1, c * (1j) ** (-(j + 1.0)) / (2 * np.pi))
                      for j, c in enumerate(coeffs) if c != 0.0]
         return self.real_line_component(
@@ -391,10 +389,6 @@ class TransformPair:
                     g, seg, self.params,
                     osc=self.junction_osc(seg, x + datum.support)).require()
         return vals
-
-    def gamma_k_vanishing(self, datum, k: int, xs) -> np.ndarray:
-        """|integral over the k-th component|, expected ~0 for x > 0."""
-        return np.abs(self.sector_component(datum, k, xs))
 
     # -- public inversion --------------------------------------------------
     def reconstruct(self, datum, xs) -> np.ndarray:

@@ -5,18 +5,25 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import ConfigError
+
 __all__ = ["thread_count", "parallel_map"]
 
 
 def thread_count() -> int:
-    """Worker count for batch loops; honors the UTM_THREADS variable."""
+    """Worker count for batch loops: the UTM_THREADS variable when set,
+    else the core count up to 8.  Raises :class:`ConfigError` unless
+    UTM_THREADS is unset, blank or a positive integer."""
     env = os.environ.get("UTM_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"UTM_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 def parallel_map(fn, items):

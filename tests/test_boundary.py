@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 
 from halfline.boundary import (
-    adjoint_forms,
     complementary_forms,
     concomitant_matrix,
     concomitant_value,
@@ -75,7 +74,7 @@ def test_adjoint_forms_catalog(catalog):
     }
     for name, mat in expected.items():
         prob = catalog[name]
-        got = adjoint_forms(prob.order, prob.boundary_matrix)
+        got = complementary_forms(prob.order, prob.boundary_matrix).B_star
         np.testing.assert_allclose(got, np.array(mat, dtype=complex), atol=1e-12)
 
 
@@ -87,7 +86,7 @@ def test_adjoint_annihilates_kernel_pairs():
             B = rng.standard_normal((nforms, n))
             if np.linalg.matrix_rank(B) < nforms:
                 continue
-            Bs = adjoint_forms(n, B)
+            Bs = complementary_forms(n, B).B_star
             assert Bs.shape == (n - nforms, n)
             K = kernel_basis(B)
             Ks = kernel_basis(Bs)
@@ -101,7 +100,8 @@ def test_adjoint_is_an_involution_on_row_spans():
     rng = np.random.default_rng(13)
     for n, nforms in ((3, 1), (4, 2), (5, 2), (6, 3)):
         B = rng.standard_normal((nforms, n))
-        Bss = adjoint_forms(n, adjoint_forms(n, B))
+        Bs = complementary_forms(n, B).B_star
+        Bss = complementary_forms(n, Bs).B_star
         assert Bss.shape == B.shape
         stacked = np.vstack([B, Bss])
         assert np.linalg.matrix_rank(stacked, tol=1e-9) == nforms
@@ -121,9 +121,6 @@ def test_completion_green_identity(catalog):
         np.testing.assert_allclose(green, -C, atol=1e-10)
         assert forms.T.shape == (n, n)
         assert np.linalg.cond(forms.T) < 1e12
-        np.testing.assert_allclose(
-            adjoint_forms(n, np.asarray(B, dtype=complex)), forms.B_star,
-            atol=1e-12)
 
 
 def test_completed_system_transforms_green_vectors():

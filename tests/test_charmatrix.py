@@ -5,6 +5,11 @@ import pytest
 
 from halfline.charmatrix import CharMatrix, DeltaRoot
 from halfline.errors import DeltaIdenticallyZero, OnDeltaZero
+from halfline.transforms import TransformPair
+
+
+def _cm(problem) -> CharMatrix:
+    return TransformPair(problem).cm
 
 
 def _random_char(n: int, m: int, seed: int) -> CharMatrix:
@@ -14,7 +19,7 @@ def _random_char(n: int, m: int, seed: int) -> CharMatrix:
 
 def test_entry_matches_definition(catalog):
     """M[k, j](lam) = sum_r (-i alpha^(k-1) lam)^r b*[j, r]."""
-    cm = CharMatrix.from_problem(catalog["robin-4"])
+    cm = _cm(catalog["robin-4"])
     rng = np.random.default_rng(3)
     lams = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for k in range(1, cm.m + 1):
@@ -42,7 +47,7 @@ def test_cofactor_identity_catalog(catalog):
     built-in problems at random points."""
     rng = np.random.default_rng(7)
     for prob in catalog.values():
-        cm = CharMatrix.from_problem(prob)
+        cm = _cm(prob)
         lams = 3.0 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
         dl = cm.delta(lams)
         scale = np.abs(dl) + 1.0
@@ -83,7 +88,7 @@ def test_cofactor_reduces_to_one_for_single_form():
 def test_delta_roots_catalog(catalog):
     """Root sets with multiplicities for the built-in problems."""
     def root_dict(prob):
-        cm = CharMatrix.from_problem(prob)
+        cm = _cm(prob)
         return {(round(r.value.real, 6), round(r.value.imag, 6)): r.multiplicity
                 for r in cm.delta_roots}
 
@@ -98,25 +103,24 @@ def test_delta_roots_catalog(catalog):
     assert robin[(1.5, 1.5)] == 1
     assert len(robin) == 3
     # every root inside |lam| < 4
-    cmr = CharMatrix.from_problem(catalog["robin-4"])
+    cmr = _cm(catalog["robin-4"])
     assert all(abs(r.value) < 4.0 for r in cmr.delta_roots)
 
 
 def test_choose_radius(catalog):
-    """Radius clears the largest root by the safety factor, floor one."""
-    cm = CharMatrix.from_problem(catalog["robin-4"])
+    """Radius clears the largest root by the factor 1.1, floor one."""
+    cm = _cm(catalog["robin-4"])
     rmax = max(abs(r.value) for r in cm.delta_roots)
     assert cm.choose_radius() == pytest.approx(1.1 * rmax)
-    assert cm.choose_radius(1.3) == pytest.approx(1.3 * rmax)
     # rootless and root-at-origin cases hit the unit floor
     for name in ("heat-dirichlet", "heat-neumann", "lkdv-dirichlet"):
-        assert CharMatrix.from_problem(catalog[name]).choose_radius() == 1.1
+        assert _cm(catalog[name]).choose_radius() == 1.1
 
 
 def test_delta_roots_annihilate_determinant(catalog):
     """Reported roots are actual zeros of the directly evaluated Delta."""
     for name in ("lkdv-dirichlet", "robin-4", "heat-neumann"):
-        cm = CharMatrix.from_problem(catalog[name])
+        cm = _cm(catalog[name])
         for root in cm.delta_roots:
             assert isinstance(root, DeltaRoot)
             assert abs(cm.delta(np.array([root.value]))[0]) < 1e-8
@@ -124,7 +128,7 @@ def test_delta_roots_annihilate_determinant(catalog):
 
 def test_guard_delta_raises_on_zero(catalog):
     """Evaluating kernel denominators on a determinant zero is refused."""
-    cm = CharMatrix.from_problem(catalog["robin-4"])
+    cm = _cm(catalog["robin-4"])
     with pytest.raises(OnDeltaZero):
         cm.guard_delta(np.array([0.0 + 0.0j]))
     with pytest.raises(OnDeltaZero):

@@ -8,6 +8,7 @@ import pytest
 
 from halfline.cli import run
 from halfline.evolution import solve_grid
+from halfline.spectral import remainder_report
 
 
 def _csv_rows(text: str, width: int):
@@ -207,8 +208,9 @@ def test_solve_rejects_boundary_point(capsys):
     assert err.startswith("error: NonpositiveX:")
 
 
-def test_spectral_check_smoke(capsys):
-    """spectral-check passes for the dissipative baseline and emits verdicts."""
+def test_spectral_check_smoke(capsys, get_pair, get_datum):
+    """spectral-check passes for the dissipative baseline and emits verdicts;
+    its remainder rows are the deviations of the library's report."""
     assert run(["spectral-check", "--builtin", "heat-dirichlet"]) == 0
     out = capsys.readouterr().out
     rows = _csv_rows(out, 5)
@@ -220,6 +222,24 @@ def test_spectral_check_smoke(capsys):
     assert {r[2] for r in data} == {"remainder", "I", "II", "representation"}
     assert all(r[4] == "PASS" for r in data)
     assert out.splitlines()[-1] == "all spectral checks passed (14 rows)"
+    rep = remainder_report(get_pair("heat-dirichlet"), get_datum("heat-dirichlet"))
+    assert [float(r[3]) for r in data if r[2] == "remainder"] == list(rep.devs)
+
+
+def test_spectral_check_reports_a_scanned_component_that_converges(
+        capsys, tmp_path):
+    """A component with a real-axis ray is scanned even when its scan does
+    not drift (Schroedinger, Dirichlet: the remainder is a constant): the
+    CLI prints the drift as the component's one type-I row."""
+    cfg = tmp_path / "schroedinger.cfg"
+    cfg.write_text("order = 2\na = 0,1\nbc = 1,0\ndatum.kernel = 0,1\n",
+                   encoding="utf-8")
+    assert run(["spectral-check", "--problem", str(cfg)]) in (0, 1)
+    rows = [r for r in _csv_rows(capsys.readouterr().out, 5) if r[2] == "I"]
+    assert len(rows) == 1
+    k, x, _, drift, verdict = rows[0]
+    assert (k, x) == ("1", "") and float(drift) >= 0.0
+    assert verdict in ("CONVERGENT", "DIVERGENT")
 
 
 def test_verify_smoke(capsys):

@@ -1,10 +1,15 @@
 """Tests for the line-oriented configuration parser."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from halfline import config
 from halfline.config import RunConfig, load_config, parse_config, parse_grid
 from halfline.errors import ConfigError
+from halfline.quadrature import QuadratureParams
+from halfline.util import thread_count
 
 FULL = """\
 # heat conduction with a Robin-style form
@@ -232,3 +237,27 @@ def test_runconfig_is_plain_dataclass():
     assert cfg.order is None
     with pytest.raises(ConfigError):
         cfg.build_problem()
+
+
+def test_quadrature_options_are_exactly_the_config_keys():
+    """Every QuadratureParams field is settable as quad.<field>, and no key
+    names anything else: an option no caller can set fails here."""
+    fields = {f.name for f in dataclasses.fields(QuadratureParams)}
+    assert {key: name for key, (name, _) in config._QUAD_KEYS.items()} == {
+        f"quad.{name}": name for name in fields}
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_malformed_utm_threads_raises(monkeypatch, value):
+    """UTM_THREADS must be a positive integer; anything else is an error
+    naming the value, not a silent default."""
+    monkeypatch.setenv("UTM_THREADS", value)
+    with pytest.raises(ConfigError, match=f"UTM_THREADS.*'{value}'"):
+        thread_count()
+
+
+def test_utm_threads_sets_the_worker_count(monkeypatch):
+    monkeypatch.setenv("UTM_THREADS", " 3 ")
+    assert thread_count() == 3
+    monkeypatch.setenv("UTM_THREADS", "")
+    assert 1 <= thread_count() <= 8

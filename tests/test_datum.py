@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from halfline.datum import InitialDatum, bump_datum, make_datum
+from halfline.datum import InitialDatum, make_datum
 from halfline.errors import CoeffsNotInKernel
 
 _EDGE = 1e-3  # cutoff/bump regions flatten where exp(-1/s) underflows
@@ -127,7 +127,7 @@ def test_bump_datum_has_flat_boundary(catalog):
     """Pure bump data vanish to all recorded orders at the origin but are
     not identically zero."""
     for prob in catalog.values():
-        datum = bump_datum(prob, seed=2)
+        datum = make_datum(prob, (), seed=2)
         np.testing.assert_allclose(datum.boundary_derivatives(prob.order + 2),
                                    0.0, atol=0)
         xs = np.linspace(0.0, 1.0, 201)

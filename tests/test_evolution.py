@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from halfline import evolution
-from halfline.errors import DeformationRequired, NonpositiveX
+from halfline.errors import NonpositiveX
 from halfline.evolution import solve_grid
 from halfline.oracles import heat_dirichlet_solution, heat_neumann_solution
 from halfline.quadrature import ExpDecay
@@ -59,16 +59,6 @@ def test_grid_factorizes_over_times(get_pair, get_datum):
                                    rtol=1e-10, atol=1e-12)
 
 
-def test_field_at_lookup(get_pair, get_datum):
-    """at() picks the nearest grid point in each coordinate."""
-    pair = get_pair("heat-dirichlet")
-    datum = get_datum("heat-dirichlet")
-    field = solve_grid(pair, datum, [0.5, 1.0], [0.0, 0.1])
-    assert field.at(1.0, 0.1) == complex(field.values[1, 1])
-    assert field.at(0.6, 0.09) == complex(field.values[1, 0])
-    assert field.problem_label == "heat-dirichlet"
-
-
 def test_theta_fraction_invariance(get_pair, get_datum):
     """The contour rotation depth cannot change the solution value."""
     pair = get_pair("lkdv-dirichlet")
@@ -97,15 +87,6 @@ def test_argument_guards(get_pair, get_datum):
         solve_grid(pair, datum, [0.5], [-0.1])
     with pytest.raises(ValueError):
         solve_grid(pair, datum, [], [0.1])
-
-
-def test_positive_time_requires_deformed_contours(get_pair, get_datum):
-    """Passing the undeformed system for t > 0 is refused: its rays sit on
-    neutral directions of the evolution factor."""
-    pair = get_pair("heat-dirichlet")
-    datum = get_datum("heat-dirichlet")
-    with pytest.raises(DeformationRequired):
-        solve_grid(pair, datum, [0.5], [0.1], contours=pair.contours)
 
 
 def test_fourth_order_problem_hosts_growing_mode(get_pair, get_datum):
@@ -154,7 +135,7 @@ def test_grid_matches_dense_apply(get_pair, get_datum, name):
     datum = get_datum(name)
     xs, ts = _evolve_grid(pair.n)
     field = solve_grid(pair, datum, xs, ts)
-    packs = evolution._packs(pair, datum, xs, ts, 0.5, None)
+    packs = evolution._packs(pair, datum, xs, ts, 0.5)
     ref = _dense_apply(pair, xs, ts, packs)
     assert field.nodes == sum(lam.size for lam, _, _ in packs)
     err = np.abs(field.values - ref)

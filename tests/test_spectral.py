@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+from halfline.datum import make_datum
 from halfline.errors import FitResidualTooLarge, NonpositiveX
+from halfline.problems import HalfLineProblem, classify, validate
 from halfline.spectral import (
     check_type_I,
     check_type_II,
-    expected_type_I,
     remainder_closed_form,
     remainder_polynomial,
     remainder_report,
+    remainder_samples,
     spectral_representation_check,
 )
+from halfline.transforms import TransformPair
 
 XS = np.array([0.3, 0.7, 1.2])
 
@@ -36,8 +39,8 @@ def test_remainder_closed_form_on_real_line(get_pair, get_datum):
         datum = get_datum(name)
         report = remainder_report(pair, datum)
         assert report.passed, name
-        assert report.zero_dev < 1e-8
-        assert report.magnitude_dev < 1e-8
+        assert len(report.devs) == pair.N + 1
+        assert max(report.devs) < 1e-8
 
 
 def test_reverse_problem_remainder_is_constant(get_pair, get_datum):
@@ -56,13 +59,13 @@ def test_reverse_problem_remainder_is_constant(get_pair, get_datum):
 
 def test_bump_datum_has_zero_remainder(get_pair, catalog):
     """A datum vanishing to all orders at the origin leaves no remainder."""
-    from halfline.datum import bump_datum
     pair = get_pair("heat-dirichlet")
-    datum = bump_datum(catalog["heat-dirichlet"], seed=4)
+    datum = make_datum(catalog["heat-dirichlet"], (), seed=4)
     closed = remainder_closed_form(pair, datum)
     np.testing.assert_allclose(closed, 0.0, atol=1e-14)
-    beta = remainder_polynomial(pair, datum, 0, rel_tol=np.inf)
-    np.testing.assert_allclose(np.abs(beta), 0.0, atol=1e-9)
+    # the samples themselves vanish, so a fit would only match noise
+    _, vals = remainder_samples(pair, datum, 0)
+    np.testing.assert_allclose(np.abs(vals), 0.0, atol=1e-9)
 
 
 def test_underfitting_the_remainder_raises(get_pair, get_datum):
@@ -98,13 +101,17 @@ def test_sine_combination_is_degenerate_for_dirichlet(get_pair, get_datum):
                                atol=1e-10 * scale)
 
 
-def test_expected_type_I_table(catalog):
+def test_expected_type_I_table(get_pair, get_datum):
     """Sector integrals of the remainder vanish exactly when no ray lies on
-    the real axis: false only for the reversed third-order problem."""
+    the real axis: on no component of the reversed third-order problem and
+    on every component of the others."""
     want = {"lkdv-dirichlet": True, "reverse-lkdv": False,
             "heat-dirichlet": True, "heat-neumann": True, "robin-4": True}
     for name, expected in want.items():
-        assert expected_type_I(catalog[name]) == expected, name
+        pair = get_pair(name)
+        for k in range(1, pair.N + 1):
+            rep = check_type_I(pair, get_datum(name), k, XS)
+            assert rep.expected == expected, (name, k)
 
 
 def test_type_I_vanishing_components(get_pair, get_datum):
@@ -129,6 +136,25 @@ def test_type_I_divergent_components(get_pair, get_datum):
         assert rep.passed and rep.divergent and not rep.expected
         assert rep.values is None
         assert len(rep.scan) == 3
+        steps = np.abs(np.diff(rep.scan))
+        assert rep.drift == steps.max() > 10.0 * 1e-6
+
+
+@pytest.mark.parametrize("n, want", [(4, (False, True)),
+                                     (5, (False, True, False))])
+def test_type_I_expectation_is_per_component(n, want):
+    """With a = i and the first N unit rows as boundary forms, component 2
+    keeps both rays off the real axis and converges while its neighbours
+    diverge: each component is held to its own expectation."""
+    count = classify(n, 1j).count
+    problem = validate(HalfLineProblem(n, 1j, np.eye(n)[:count]))
+    pair = TransformPair(problem)
+    datum = make_datum(problem, (0.0,) * count + (1.0,) * (n - count), seed=0)
+    reports = [check_type_I(pair, datum, k, XS) for k in range(1, count + 1)]
+    assert tuple(rep.expected for rep in reports) == want
+    for rep in reports:
+        assert rep.passed, rep
+        assert rep.divergent != rep.expected
 
 
 def test_type_I_guards(get_pair, get_datum):
