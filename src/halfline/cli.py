@@ -192,7 +192,8 @@ def _cmd_solve(args) -> int:
             for i, t in enumerate(ts) for j, x in enumerate(xs)]
     _write_csv(args, "solve", ["x", "t", "re_q", "im_q"], rows)
     print(f"quadrature nodes = {field.nodes}, "
-          f"(node, time) pairs applied = {field.applied}", file=sys.stderr)
+          f"(node, time) pairs applied = {field.applied}, "
+          f"complex exponentials = {field.exponentials}", file=sys.stderr)
     return 0
 
 

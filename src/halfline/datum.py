@@ -93,7 +93,6 @@ class InitialDatum:
     support: float = 1.0
     seed: int | None = 0
     order: int = 8
-    label: str = ""
     amplitude: float = 1.0
     _bumps: tuple = field(init=False, repr=False, compare=False)
 
@@ -183,7 +182,7 @@ class InitialDatum:
 
 
 def make_datum(problem, kernel_coeffs, support: float = 1.0, seed: int | None = 0,
-               label: str = "", amplitude: float = 1.0) -> InitialDatum:
+               amplitude: float = 1.0) -> InitialDatum:
     """Build a datum compatible with the boundary forms of ``problem``.
 
     ``kernel_coeffs`` (length <= n) must satisfy every homogeneous boundary
@@ -202,5 +201,4 @@ def make_datum(problem, kernel_coeffs, support: float = 1.0, seed: int | None = 
         raise CoeffsNotInKernel(
             f"boundary forms give {resid} on the requested coefficients, expected 0")
     return InitialDatum(tuple(coeffs), float(support), seed,
-                        order=n + 2, label=label or (problem.label + "-datum"),
-                        amplitude=amplitude)
+                        order=n + 2, amplitude=amplitude)

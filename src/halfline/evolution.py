@@ -15,9 +15,13 @@ Each time needs only the ray nodes inside its own truncation radius: the
 envelope's order-n coefficient is linear in t, so every ray node gets the
 time from which its envelope is below the tail target (arcs and finite
 segments never drop out).  Each segment's nodes are walked outward in
-blocks of a fixed entry budget against the positive times in increasing
-order; a block's exp(i x lam) is built once and applied, with its decay
-factors, only to the prefix of times that still need one of its nodes.
+blocks of whole panels of one width group, within a fixed entry budget,
+against the positive times in increasing order.  A block's exp(i x lam)
+comes from the factored kernel of :mod:`halfline.quadrature`: the group's
+table of node phases, built once per segment and shared by its blocks,
+times one exponential per panel and x.  It is applied, with the block's
+decay factors, only to the prefix of times that still need one of its
+nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .contours import deform_for_time
 from .errors import DeformationRequired, NonpositiveX
-from .quadrature import ExpDecay, apply_phase, component_nodes
+from .quadrature import ExpDecay, PhaseKernel, component_nodes
 # perfbench/spans.py patches segment_nodes at this binding too
 from .quadrature import segment_nodes  # noqa: F401
 from .transforms import TransformPair
@@ -40,11 +44,11 @@ __all__ = ["SolutionField", "solve_grid"]
 _DECAY_MARGIN = 0.5
 _SCALE_MARGIN = 1.5
 # cap on the exp(i x lam) entries of one node block, len(xs) x nodes: 512 KB,
-# inside one core's L2 cache.  Budgets from 16k to 128k entries timed alike
-# on 400 x 100 grids (2-core x86); smaller blocks follow each time's radius
-# more closely.  The 5-7 xs of a finite-difference stencil keep each segment
-# of the catalog problems (at most about 3.4k nodes) in one block applied at
-# every time: the arithmetic of the dense product, bit for bit.
+# inside one core's L2 cache.  Budgets from 16k to 256k entries timed alike
+# on 400 x 100 grids (2-core x86), with the dense and with the factored
+# phases; smaller blocks follow each time's radius more closely.  A block
+# holds whole panels of one width group, so even the 5-7 xs of a
+# finite-difference stencil get one block per run of equal panels.
 _BLOCK_BUDGET = 32_768
 
 
@@ -52,9 +56,11 @@ _BLOCK_BUDGET = 32_768
 class SolutionField:
     """Solution values on a (t, x) grid; values[i, j] = q(xs[j], ts[i]).
 
-    ``nodes`` counts the quadrature nodes of all deformed segments and
-    ``applied`` the (node, positive time) pairs multiplied out; both are 0
-    when every time is 0.
+    ``nodes`` counts the quadrature nodes of all deformed segments,
+    ``applied`` the (node, positive time) pairs multiplied out and
+    ``exponentials`` the complex exponentials the apply evaluated: the
+    node-phase tables of the width groups, one per panel and x, and one
+    decay factor per applied pair.  All three are 0 when every time is 0.
     """
 
     xs: np.ndarray
@@ -62,6 +68,7 @@ class SolutionField:
     values: np.ndarray
     nodes: int = 0
     applied: int = 0
+    exponentials: int = 0
 
 
 def _ray_decay(pair: TransformPair, seg, k: int, t_min: float,
@@ -108,7 +115,8 @@ def _last_times(env: ExpDecay, r: np.ndarray, t_env: float,
 
 def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
                   t_max: float, x_min: float, x_max: float):
-    """(lam, w F_k(lam), tau) for one deformed segment, shared across times.
+    """(lam, w F_k(lam), tau, panels) for one deformed segment, shared
+    across times.
 
     Node j contributes below the tail target at every time t >= tau[j];
     arcs and finite segments have tau = inf.
@@ -134,13 +142,14 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
         scale = max(float(np.abs(pair.forward(datum, k, jun)).max()), 1e-12)
         env = _ray_decay(pair, seg, k, t_min, x_min, x_max, L, scale)
 
-    lam, w, _ = component_nodes([seg], pair.params, osc, lambda _seg: env)
+    lam, w, panels, _ = component_nodes([seg], pair.params, osc,
+                                        lambda _seg: env)
     if env is None:
         tau = np.full(lam.size, np.inf)
     else:
         tau = _last_times(env, np.abs(lam - seg.base), t_min,
                           pair.params.tail_log_target)
-    return lam, w * pair.forward(datum, k, lam), tau
+    return lam, w * pair.forward(datum, k, lam), tau, panels
 
 
 def _packs(pair: TransformPair, datum, xs, tpos, theta_fraction):
@@ -160,37 +169,42 @@ def _packs(pair: TransformPair, datum, xs, tpos, theta_fraction):
 def _apply(pair: TransformPair, xs, tpos, packs):
     """sum_j w_j F(lam_j) exp(i lam_j x - a lam_j^n t) for every (x, t > 0).
 
-    Each pack is walked in node blocks against the times in increasing
-    order, so a block is applied only to the prefix of times below its
-    largest tau; nodes outward along a ray have falling tau.  Returns the
-    (len(tpos), len(xs)) values in the order of ``tpos`` and the number of
-    (node, time) pairs applied.
+    Each pack is walked in blocks of whole panels of one width group
+    against the times in increasing order, so a block is applied only to
+    the prefix of times below its largest tau; nodes outward along a ray
+    have falling tau.  One :class:`PhaseKernel` per pack shares each
+    group's node phases across its blocks.  Returns the (len(tpos),
+    len(xs)) values in the order of ``tpos``, the number of (node, time)
+    pairs applied and the number of complex exponentials evaluated.
     """
     t_order = np.argsort(tpos, kind="stable")
     ts = tpos[t_order]
     acc = np.zeros((xs.size, ts.size), dtype=complex)
-    step = max(1, _BLOCK_BUDGET // xs.size)
-    applied = 0
-    for lam, wf, tau in packs:
+    applied = exps = 0
+    for lam, wf, tau, panels in packs:
+        kernel = PhaseKernel(xs, panels)
+        order = panels.order
+        step = max(1, _BLOCK_BUDGET // (xs.size * order))
         # the sorted times that still need node j: those below tau[j]
         need = np.searchsorted(ts, tau, side="left")
         lam_n = lam ** pair.n
-        for i in range(0, lam.size, step):
-            blk = slice(i, i + step)
-            m = int(need[blk].max())
-            if m == 0:
-                continue
-            # the operand order of the dense product, whose rounding
-            # numpy's complex multiply does not make symmetric
-            decay = np.multiply.outer(lam_n[blk], ts[:m])
-            np.multiply(-pair.a, decay, out=decay)
-            np.exp(decay, out=decay)
-            np.multiply(wf[blk, None], decay, out=decay)
-            acc[:, :m] += apply_phase(xs, lam[blk], decay)
-            applied += decay.size
+        for first, stop in panels.runs():
+            for p in range(first, stop, step):
+                q = min(stop, p + step)
+                blk = slice(p * order, q * order)
+                m = int(need[blk].max())
+                if m == 0:
+                    continue
+                decay = np.multiply.outer(lam_n[blk], ts[:m])
+                np.multiply(-pair.a, decay, out=decay)
+                np.exp(decay, out=decay)
+                np.multiply(wf[blk, None], decay, out=decay)
+                acc[:, :m] += kernel.apply(p, q, decay)
+                applied += decay.size
+        exps += kernel.exps
     values = np.empty((tpos.size, xs.size), dtype=complex)
     values[t_order] = acc.T
-    return values, applied
+    return values, applied, exps + applied
 
 
 def solve_grid(pair: TransformPair, datum, xs, ts, *,
@@ -206,16 +220,16 @@ def solve_grid(pair: TransformPair, datum, xs, ts, *,
         raise ValueError("times must be nonnegative")
 
     values = np.zeros((ts.size, xs.size), dtype=complex)
-    nodes = applied = 0
+    nodes = applied = exponentials = 0
     pos = ts > 0.0
     if pos.any():
         packs = _packs(pair, datum, xs, ts[pos], theta_fraction)
-        nodes = sum(lam.size for lam, _, _ in packs)
-        evolved, applied = _apply(pair, xs, ts[pos], packs)
+        nodes = sum(pack[0].size for pack in packs)
+        evolved, applied, exponentials = _apply(pair, xs, ts[pos], packs)
         values[pos] = evolved
 
     if (~pos).any():
         values[~pos] = pair.reconstruct(datum, xs)
 
-    return SolutionField(xs=xs, ts=ts, values=values,
-                         nodes=nodes, applied=applied)
+    return SolutionField(xs=xs, ts=ts, values=values, nodes=nodes,
+                         applied=applied, exponentials=exponentials)

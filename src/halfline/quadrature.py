@@ -2,8 +2,11 @@
 
 The integration strategy is composite Gauss-Legendre with panel lengths
 chosen from a caller-supplied bound on the local phase rate, so that each
-panel holds a fixed number of nodes per oscillation wavelength.  Infinite
-rays are truncated in one of two ways:
+panel holds a fixed number of nodes per oscillation wavelength.  Where the
+rate grows, widths are rounded down to a quarter-octave ladder, so a
+growing rate gives runs of equal panels (width groups); a constant or
+falling rate keeps the unrounded panels.  Infinite rays are truncated in
+one of two ways:
 
 * with an :class:`ExpDecay` envelope model, at the radius where the model
   guarantees the tail is below a tenth of the absolute tolerance
@@ -19,7 +22,11 @@ over the real line or a sector boundary, runs on one engine:
 off-axis infinite rays (each caller supplies its phase-rate and envelope
 models) and hands back the infinite rays on the real axis, whose tails the
 caller sums exactly or by acceleration; :func:`apply_phase` then evaluates
-exp(i x lam) @ (w F) for all x at once.
+exp(i x lam) @ (w F) for all x at once.  It runs on :class:`PhaseKernel`,
+which factors the phase as exp(i x c_p) exp(i x o_gk) over the panels'
+:class:`Panels` layout: one table of node phases per width group, shared by
+all the group's panels, and one exponential per panel and x.  The
+evolution apply and the half-line transform use the same kernel.
 
 Everything is deterministic: no randomness, and identical inputs produce
 identical node sequences.  Error estimates come from comparing each panel
@@ -42,8 +49,11 @@ __all__ = [
     "PathSegment",
     "ExpDecay",
     "IntegralResult",
+    "Panels",
+    "Nodes",
     "segment_nodes",
     "component_nodes",
+    "PhaseKernel",
     "apply_phase",
     "integrate_segment",
     "wynn_epsilon",
@@ -56,6 +66,8 @@ TWO_PI = 2.0 * math.pi
 _MAX_NODES = 400_000
 _MAX_REFINE = 4
 _MAX_BLOCKS = 400
+# panel widths are rounded down to s0 2^(j / _LADDER): quarter octaves
+_LADDER = 4
 
 
 @dataclass(frozen=True)
@@ -200,10 +212,19 @@ def _gl(order: int):
 
 def _build_panels(lo: float, hi: float, rate, order: int, density: float,
                   max_panels: int):
-    """Split [lo, hi] into panels holding >= density nodes per wavelength."""
+    """Split [lo, hi] into panels holding >= density nodes per wavelength.
+
+    Returns the panels (a, b) and their nominal widths.  Where the rate
+    grows across a panel, its width is rounded down to the ladder
+    s0 2^(j/4) (integer j) of the segment's first width s0, so a growing
+    rate gives runs of equal panels; a constant or falling rate gives the
+    unrounded widths.  The last panel stops at ``hi``; its nominal width is
+    the part it keeps.
+    """
     span = hi - lo
     floor = TWO_PI * order / (density * span)  # at least one panel
-    panels = []
+    panels, widths = [], []
+    s0 = None
     u = lo
     while u < hi - 1e-14 * max(1.0, abs(hi)):
         r = max(rate(u), floor)
@@ -212,13 +233,21 @@ def _build_panels(lo: float, hi: float, rate, order: int, density: float,
         r_end = max(rate(min(hi, u + step)), floor)
         if r_end > r:
             step = TWO_PI * order / (density * r_end)
+            if s0 is not None:
+                j = math.floor(_LADDER * math.log2(step / s0))
+                while s0 * 2.0 ** (j / _LADDER) > step:
+                    j -= 1
+                step = s0 * 2.0 ** (j / _LADDER)
+        if s0 is None:
+            s0 = step
         b = min(hi, u + step)
         panels.append((u, b))
+        widths.append(min(step, hi - u))
         if len(panels) > max_panels:
             raise ToleranceNotMet(
                 f"panel budget exceeded on [{lo:g}, {hi:g}]")
         u = b
-    return panels
+    return panels, widths
 
 
 def _panel_nodes(panels, order: int):
@@ -232,13 +261,76 @@ def _panel_nodes(panels, order: int):
     return u, wu
 
 
+class Panels:
+    """The nodes of a composite Gauss rule in factored form: node k of panel
+    p is ``center[p] + offset[group[p], k]``.
+
+    The panels of one width group along one ray share a row of ``offset``
+    (e^{i angle} h x_k, with h the group's half-width and x_k the Gauss
+    nodes); an arc panel is a group of its own, with centre 0 and its nodes
+    as the row.  Nodes are ordered panel by panel, as in ``lam``.
+    """
+
+    def __init__(self, center, offset, group):
+        self.center = np.asarray(center, dtype=complex)
+        self.offset = np.asarray(offset, dtype=complex)
+        self.group = np.asarray(group, dtype=np.intp)
+
+    @property
+    def order(self) -> int:
+        return self.offset.shape[1]
+
+    def runs(self):
+        """(first, stop) of each run of consecutive panels in one group."""
+        if self.group.size == 0:
+            return []
+        cut = np.flatnonzero(np.diff(self.group)) + 1
+        edges = [0, *cut.tolist(), self.center.size]
+        return list(zip(edges[:-1], edges[1:]))
+
+    @staticmethod
+    def concat(parts, order: int) -> "Panels":
+        """One layout of the panels of ``parts`` in turn; their groups stay
+        apart."""
+        rows = np.cumsum([0] + [p.offset.shape[0] for p in parts])
+        return Panels(
+            np.concatenate([np.zeros(0)] + [p.center for p in parts]),
+            np.concatenate([np.zeros((0, order))] + [p.offset for p in parts]),
+            np.concatenate([np.zeros(0, dtype=np.intp)]
+                           + [p.group + r for p, r in zip(parts, rows)]))
+
+
+class Nodes(tuple):
+    """Nodes and weights of a segment, unpacking as (lam, w) like a plain
+    pair; ``panels`` is the same node set in the factored form of
+    :class:`Panels`, for :func:`apply_phase`."""
+
+    def __new__(cls, lam, w, panels: Panels):
+        self = super().__new__(cls, (lam, w))
+        self.panels = panels
+        return self
+
+
+def _layout(seg: PathSegment, panels, widths, lam, order: int) -> Panels:
+    if seg.kind == "arc":
+        count = len(panels)
+        return Panels(np.zeros(count), lam.reshape(count, order),
+                      np.arange(count))
+    x, _ = _gl(order)
+    keys, group = np.unique(np.asarray(widths), return_inverse=True)
+    mid = np.array([0.5 * (a + b) for a, b in panels])
+    offset = np.multiply.outer(0.5 * keys * np.exp(1j * seg.angle), x)
+    return Panels(seg.point(mid), offset, group)
+
+
 def segment_nodes(seg: PathSegment, params: QuadratureParams, *, osc=None,
-                  decay: ExpDecay | None = None):
+                  decay: ExpDecay | None = None) -> Nodes:
     """Quadrature nodes and complex weights for a segment (fast path).
 
-    Returns (lam, w) such that integral f = sum w * f(lam).  Infinite rays
-    require a decay model.  ``osc(u)`` bounds |d phase/du| in parameter
-    units; the default assumes a slowly varying integrand.
+    Returns (lam, w) such that integral f = sum w * f(lam), with the
+    factored layout of the nodes in ``.panels``.  Infinite rays require a
+    decay model.  ``osc(u)`` bounds |d phase/du| in parameter units; the
+    default assumes a slowly varying integrand.
     """
     if osc is None:
         osc = lambda u: 1.0
@@ -250,12 +342,12 @@ def segment_nodes(seg: PathSegment, params: QuadratureParams, *, osc=None,
         seg = PathSegment.ray(seg.base, seg.angle, seg.r0, hi, seg.orientation)
     lo, hi, flip = _param_interval(seg)
     order = params.max_order
-    panels = _build_panels(lo, hi, osc, order, params.density,
-                           max_panels=max(4, _MAX_NODES // order))
+    panels, widths = _build_panels(lo, hi, osc, order, params.density,
+                                   max_panels=max(4, _MAX_NODES // order))
     u, wu = _panel_nodes(panels, order)
     lam = seg.point(u)
     w = wu * seg.dpoint(u) * (seg.orientation * flip)
-    return lam, w
+    return Nodes(lam, w, _layout(seg, panels, widths, lam, order))
 
 
 def component_nodes(segments, params: QuadratureParams, osc, decay=None):
@@ -264,33 +356,98 @@ def component_nodes(segments, params: QuadratureParams, osc, decay=None):
     ``osc(seg)`` returns the phase-rate bound of a segment (a callable of
     its parameter, as in :func:`segment_nodes`); ``decay(seg)`` returns the
     :class:`ExpDecay` envelope that truncates an infinite ray off the real
-    axis.  Returns (lam, w, axis_rays): the nodes and weights of every arc,
-    finite ray and truncated off-axis ray, in segment order, and the
-    infinite rays on the real axis unchanged, for the caller's exact or
-    accelerated tails.
+    axis.  Returns (lam, w, panels, axis_rays): the nodes, weights and
+    :class:`Panels` layout of every arc, finite ray and truncated off-axis
+    ray, in segment order, and the infinite rays on the real axis
+    unchanged, for the caller's exact or accelerated tails.
     """
     empty = np.zeros(0, dtype=complex)
-    lams, ws, axis_rays = [empty], [empty], []
+    lams, ws, layouts, axis_rays = [empty], [empty], [], []
     for seg in segments:
         if not seg.finite and seg.on_real_axis:
             axis_rays.append(seg)
             continue
         env = None if seg.finite or decay is None else decay(seg)
-        lam, w = segment_nodes(seg, params, osc=osc(seg), decay=env)
-        lams.append(lam)
-        ws.append(w)
-    return np.concatenate(lams), np.concatenate(ws), axis_rays
+        nodes = segment_nodes(seg, params, osc=osc(seg), decay=env)
+        lams.append(nodes[0])
+        ws.append(nodes[1])
+        layouts.append(nodes.panels)
+    return (np.concatenate(lams), np.concatenate(ws),
+            Panels.concat(layouts, params.max_order), axis_rays)
 
 
-def apply_phase(xs: np.ndarray, lam: np.ndarray, wf: np.ndarray) -> np.ndarray:
-    """exp(i xs (x) lam) @ wf: sum_n wf_n exp(i lam_n x) for every x.
+class PhaseKernel:
+    """Sums of exp(i x lam) wf over the nodes of a :class:`Panels` layout,
+    for one fixed set of x (real, or complex for transforms of complex
+    argument).
+
+    The phase factors panel by panel, exp(i x (c_p + o_gk)) =
+    exp(i x c_p) exp(i x o_gk): the second factor is a table per width
+    group, built on first use and shared by every panel of the group, the
+    first one exponential per panel and x.  For a 1-D ``wf`` the sum over
+    each panel's nodes is one matrix product with the table and the sum
+    over panels a row-wise dot product with the panel factors; the columns
+    of a 2-D ``wf`` meet the phase block, formed from the two factors by
+    products, in one matrix product.  ``exps`` counts the complex
+    exponentials evaluated.
+    """
+
+    def __init__(self, xs, panels: Panels):
+        self.ix = 1j * np.asarray(xs)
+        self.panels = panels
+        self.exps = 0
+        self._tables: dict[int, np.ndarray] = {}
+
+    def _table(self, g: int) -> np.ndarray:
+        table = self._tables.get(g)
+        if table is None:
+            row = self.panels.offset[g]
+            half = row.size // 2
+            # a ray's row is odd about its centre (Gauss nodes come in
+            # pairs +-x_k), and exp(-z) = 1 / exp(z) costs a division
+            odd = half > 0 and np.array_equal(row[:half], -row[::-1][:half])
+            table = np.multiply.outer(self.ix, row[:row.size - half] if odd
+                                      else row)
+            np.exp(table, out=table)
+            self.exps += table.size
+            if odd:
+                table = np.concatenate([table, 1.0 / table[:, half - 1::-1]],
+                                       axis=1)
+            self._tables[g] = table
+        return table
+
+    def apply(self, first: int, stop: int, wf: np.ndarray) -> np.ndarray:
+        """sum over the nodes of panels first..stop-1, which must share one
+        group, of exp(i x lam) wf; ``wf`` holds those nodes' rows, shape
+        (nodes,) or (nodes, columns)."""
+        count = stop - first
+        table = self._table(int(self.panels.group[first]))
+        outer = np.multiply.outer(self.ix, self.panels.center[first:stop])
+        np.exp(outer, out=outer)
+        self.exps += outer.size
+        if wf.ndim == 2:
+            phase = outer[:, :, None] * table[:, None, :]
+            return phase.reshape(outer.shape[0], -1) @ wf
+        inner = table @ wf.reshape(count, -1).T
+        inner *= outer
+        # sum() reduces rows pairwise: the rounding error grows with
+        # log(panels), not with panels as in a running sum
+        return inner.sum(axis=1)
+
+
+def apply_phase(xs: np.ndarray, panels: Panels, wf: np.ndarray) -> np.ndarray:
+    """exp(i xs (x) lam) @ wf: sum_n wf_n exp(i lam_n x) for every x, with
+    lam the nodes of ``panels``, by :class:`PhaseKernel`.
 
     ``wf`` holds weights times integrand values, shape (nodes,) or
     (nodes, columns); the result has shape (len(xs),) or (len(xs), columns).
     """
-    phase = np.multiply.outer(1j * xs, lam)
-    np.exp(phase, out=phase)
-    return phase @ wf
+    kernel = PhaseKernel(xs, panels)
+    order = panels.order
+    out = np.zeros((np.size(xs),) + wf.shape[1:], dtype=complex)
+    for first, stop in panels.runs():
+        out += kernel.apply(first, stop, wf[first * order:stop * order])
+    return out
 
 
 def _param_interval(seg: PathSegment):
@@ -334,8 +491,8 @@ def _finite_with_refinement(f, seg, params, osc):
     tol = lambda v: max(params.abs_tol, params.rel_tol * abs(v))
     lo, hi, flip = _param_interval(seg)
     order = params.max_order
-    panels = _build_panels(lo, hi, osc, order, params.density,
-                           max_panels=max(4, _MAX_NODES // order))
+    panels, _ = _build_panels(lo, hi, osc, order, params.density,
+                              max_panels=max(4, _MAX_NODES // order))
     nodes_used = 0
     for round_ in range(_MAX_REFINE + 1):
         u, wu = _panel_nodes(panels, order)

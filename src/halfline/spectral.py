@@ -187,11 +187,11 @@ def _poly_component_integral(pair, k: int, xs: np.ndarray, beta: np.ndarray,
         return _poly_ray_decay(x_min, math.sin(seg.angle), beta, seg.r0,
                                inv_power, pair.params.abs_tol)
 
-    lam, w, axis_rays = component_nodes(segs, pair.params, osc, decay)
+    lam, w, panels, axis_rays = component_nodes(segs, pair.params, osc, decay)
     vals = w * _poly_eval(beta, lam)
     if inv_power:
         vals = vals * lam ** (-float(inv_power))
-    out = apply_phase(xs, lam, vals)
+    out = apply_phase(xs, panels, vals)
     for seg in axis_rays:
         if inv_power <= 0:
             raise ValueError("real-axis ray with growing integrand "

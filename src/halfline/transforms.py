@@ -19,13 +19,14 @@ verification suite checks directly.
 
 Numerical layout: the half-line Fourier transform is evaluated by cached
 composite Gauss panels over the support, resolution chosen per batch from
-max |mu|.  The panels of a level are equal, so every node is m_p + h x_k
-(panel midpoint m_p, common half-width h, Gauss node x_k) and the phase
-factors: exp(-i mu (m_p + h x_k)) = exp(-i mu m_p) exp(-i mu h x_k).  The
-sum over the order-many nodes of each panel is then one matrix product, and
-the sum over panels a row-wise dot product, so a batch costs
-#mu (panels + order) complex exponentials instead of #mu panels order for
-the same quadrature rule.
+max |mu|.  The panels of a level are equal and their midpoints equally
+spaced, m_p = m_0 + 2hp, so S adjacent panels fold into one of S order
+nodes m_qS + 2hr + h x_k (r < S) and the phase factors:
+exp(-i mu (m_qS + 2hr + h x_k)) = exp(-i mu m_qS) exp(-i mu (2hr + h x_k)).
+The factored apply of :mod:`halfline.quadrature` then costs a batch
+#mu (S order + panels / S) complex exponentials, with S near
+sqrt(panels / order), instead of #mu panels order for the same quadrature
+rule.
 
 Every component integral runs on the engine of :mod:`halfline.quadrature`
 (``component_nodes`` plus ``apply_phase``).  The real-line component
@@ -54,14 +55,14 @@ from .charmatrix import CharMatrix
 from .contours import build_contours
 from .errors import NonpositiveX, ToleranceNotMet
 from .problems import validate
-from .quadrature import (ExpDecay, PathSegment, QuadratureParams,
+from .quadrature import (ExpDecay, Panels, PathSegment, QuadratureParams,
                          apply_phase, component_nodes, integrate_segment,
                          ray_monomial_tail, segment_nodes)
 
 __all__ = ["SupportTransform", "TransformPair"]
 
-# cap on the phase-matrix entries per chunk, mu x (panels + order): a
-# chunk's two complex temporaries stay near 16 MB each; 4M-entry chunks ran
+# cap on the phase entries per chunk, mu x (folded panels + S order): a
+# chunk's complex temporaries stay near 16 MB each; 4M-entry chunks ran
 # about 10% slower on a 2-core x86 machine
 _CHUNK_BUDGET = 1_000_000
 # highest resolution level: |mu| up to base * 2**_MAX_LEVEL is resolved
@@ -77,15 +78,18 @@ class SupportTransform:
     support, vectorized over mu with resolution levels in powers of two.
 
     Level l splits [0, L] into equal Gauss-Legendre panels, enough for
-    |mu| <= base * 2**l.  Because the panels are equal, the rule factors
-    per panel p with midpoint m_p and common half-width h:
+    |mu| <= base * 2**l.  Because the panels are equal and equally spaced,
+    S of them fold into one panel of the factored apply, with midpoint m_q
+    of its first panel, common half-width h and nodes m_q + y_j,
+    y = 2hr + h x_k:
 
-        fhat(mu) = sum_p exp(-i mu m_p) sum_k exp(-i mu h x_k) w_k h g(m_p + h x_k).
+        fhat(mu) = sum_q exp(-i mu m_q) sum_j exp(-i mu y_j) w_j g(m_q + y_j).
 
-    The inner sum is one matrix product over the Gauss nodes x_k and the
-    outer one a row-wise dot product over panels.  The equal-panel
-    invariant is what makes the node phases exp(-i mu h x_k) common to all
-    panels; a non-uniform panel layout would break the factorization.
+    The inner sum is one matrix product over the S order node phases, the
+    outer one a row-wise dot product over the folded panels, and the last
+    fold is padded with zero weights.  The equal-panel invariant is what
+    makes the node phases common to all panels; a non-uniform panel layout
+    would break the factorization.
 
     ``base_rate`` sets the level-0 resolution floor in rad per unit x, so
     integrands with internal structure sharper than the lowest mu (a narrow
@@ -116,8 +120,8 @@ class SupportTransform:
         return level
 
     def _nodes(self, level: int):
-        """(panel midpoints, scaled Gauss nodes h x_k, weights w_k h g as
-        panels x order) for one level."""
+        """(:class:`Panels` layout, weights w_k h g) of one level, with S
+        adjacent panels folded into each layout panel."""
         with self._lock:
             if level not in self._levels:
                 cap = self.base * 2 ** level
@@ -129,27 +133,30 @@ class SupportTransform:
                 mid = 0.5 * (edges[:-1] + edges[1:])
                 nodes = (mid[:, None] + half * x[None, :]).ravel()
                 wg = (half * w)[None, :] * self.g(nodes).reshape(panels, self.order)
-                self._levels[level] = (mid, half * x, wg)
+                # S = sqrt(panels / order) balances the S order node phases
+                # against the panels / S folded midpoints; the last fold is
+                # padded with zero weights
+                fold = max(1, round(math.sqrt(panels / self.order)))
+                rows = -(-panels // fold)
+                wg = np.concatenate(
+                    [wg, np.zeros((rows * fold - panels, self.order))])
+                offset = (2.0 * half * np.arange(fold)[:, None] + half * x).ravel()
+                layout = Panels(mid[::fold], offset[None, :],
+                                np.zeros(rows, dtype=np.intp))
+                self._levels[level] = (layout, wg.ravel())
             return self._levels[level]
 
     def __call__(self, mu) -> np.ndarray:
         mu = np.atleast_1d(np.asarray(mu, dtype=complex))
         if mu.size == 0:
             return np.zeros(0, dtype=complex)
-        mid, hx, wg = self._nodes(self._level_for(float(np.abs(mu).max())))
+        layout, wg = self._nodes(self._level_for(float(np.abs(mu).max())))
         out = np.empty(mu.shape, dtype=complex)
         flat = mu.ravel()
         res = out.ravel()
-        chunk = max(64, _CHUNK_BUDGET // (mid.size + hx.size))
+        chunk = max(64, _CHUNK_BUDGET // (layout.center.size + layout.order))
         for i in range(0, flat.size, chunk):
-            blk = -1j * flat[i:i + chunk]
-            inner = np.exp(np.multiply.outer(blk, hx)) @ wg.T
-            outer = np.multiply.outer(blk, mid)
-            np.exp(outer, out=outer)
-            outer *= inner
-            # sum() reduces rows pairwise: the rounding error grows with
-            # log(panels), not with panels as in a running sum
-            res[i:i + chunk] = outer.sum(axis=1)
+            res[i:i + chunk] = apply_phase(-flat[i:i + chunk], layout, wg)
         return out
 
 
@@ -271,8 +278,9 @@ class TransformPair:
         a = self.lambda_center
         for _ in range(18):
             seg = PathSegment.ray(0.0, 0.0, a, 2.0 * a)
-            lam, w = segment_nodes(seg, self.params, osc=lambda u: rate)
-            block = apply_phase(xs, lam, w * G(lam))
+            nodes = segment_nodes(seg, self.params, osc=lambda u: rate)
+            lam, w = nodes
+            block = apply_phase(xs, nodes.panels, w * G(lam))
             block = block + np.conj(block)
             out += block
             mag = float(np.abs(block).max())
@@ -310,12 +318,13 @@ class TransformPair:
         else:
             segs = (PathSegment.ray(-lc, 0.0, 0.0, 2.0 * lc),)
             central = rate
-        lam, w, _ = component_nodes(segs, self.params, lambda seg: lambda u: central)
+        lam, w, panels, _ = component_nodes(
+            segs, self.params, lambda seg: lambda u: central)
 
         def mono(lam):
             return sum(b * lam ** (-float(p)) for p, b in monomials)
 
-        vals = apply_phase(xs, lam, w * (mono if G is None else G)(lam))
+        vals = apply_phase(xs, panels, w * (mono if G is None else G)(lam))
         if G is not None:
             vals += self.gamma0_tail_scan(lambda lam: G(lam) - mono(lam), xs, rate)
         for p, b in monomials:
@@ -378,10 +387,10 @@ class TransformPair:
             return ExpDecay.linear(x_min * math.sin(seg.angle), seg.r0,
                                    math.log(scale))
 
-        lam, w, axis_rays = component_nodes(
+        lam, w, panels, axis_rays = component_nodes(
             self.contours.gammas[k - 1], self.params,
             lambda seg: self.junction_osc(seg, rate), decay)
-        vals = apply_phase(xs, lam, w * F(lam))
+        vals = apply_phase(xs, panels, w * F(lam))
         for seg in axis_rays:
             for i, x in enumerate(xs):
                 g = lambda lam: np.exp(1j * lam * x) * F(lam)

@@ -94,9 +94,9 @@ def data_trio(problem, seed: int = 0):
     kernel = _maximal_kernel(problem)
     mixed = tuple(0.5 * c for c in kernel)
     return (
-        make_datum(problem, kernel, seed=seed, label=problem.label + "-max"),
-        make_datum(problem, (), seed=seed, label=problem.label + "-bump"),
-        make_datum(problem, mixed, seed=seed + 1, label=problem.label + "-mixed"),
+        make_datum(problem, kernel, seed=seed),
+        make_datum(problem, (), seed=seed),
+        make_datum(problem, mixed, seed=seed + 1),
     )
 
 
@@ -214,8 +214,7 @@ def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
     # evolution: PDE residual, convergence order, boundary forms, datum row
     ts_res, ts_bnd, h, amp = _EVOLUTION.get(problem.order, _EVOLUTION[4])
     evo = datum if amp == 1.0 else make_datum(
-        problem, _maximal_kernel(problem), seed=seed,
-        label=problem.label + "-evo", amplitude=amp)
+        problem, _maximal_kernel(problem), seed=seed, amplitude=amp)
     grid = lambda xs, ts: solve_grid(pair, evo, xs, ts).values
     points = [(x, t) for x in (0.3 * L, 0.55 * L, 0.8 * L) for t in ts_res]
     results = parallel_map(

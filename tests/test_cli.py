@@ -135,11 +135,13 @@ def test_solve_csv_matches_library(tmp_path, capsys, get_pair, get_datum):
     got = np.array([complex(float(r[2]), float(r[3])) for r in data])
     want = np.array([field.values[i, j] for i in range(2) for j in range(2)])
     np.testing.assert_array_equal(got, want)
-    # the quadrature's node counts go to stderr, one line
+    # the quadrature's node and exponential counts go to stderr, one line
     assert field.nodes > 0 and 0 < field.applied <= field.nodes
+    assert field.exponentials > field.applied
     assert err.splitlines() == [
         f"quadrature nodes = {field.nodes}, "
-        f"(node, time) pairs applied = {field.applied}"]
+        f"(node, time) pairs applied = {field.applied}, "
+        f"complex exponentials = {field.exponentials}"]
 
 
 def test_reconstruct_pass_and_fail(capsys):

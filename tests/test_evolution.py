@@ -117,7 +117,7 @@ def _evolve_grid(order: int):
 def _dense_apply(pair, xs, ts, packs):
     """Every node at every time, in one product per pack."""
     values = np.zeros((ts.size, xs.size), dtype=complex)
-    for lam, wf, _ in packs:
+    for lam, wf, *_ in packs:
         decay = np.exp(-pair.a * np.multiply.outer(lam ** pair.n, ts))
         values += (np.exp(1j * np.multiply.outer(xs, lam))
                    @ (wf[:, None] * decay)).T
@@ -137,7 +137,7 @@ def test_grid_matches_dense_apply(get_pair, get_datum, name):
     field = solve_grid(pair, datum, xs, ts)
     packs = evolution._packs(pair, datum, xs, ts, 0.5)
     ref = _dense_apply(pair, xs, ts, packs)
-    assert field.nodes == sum(lam.size for lam, _, _ in packs)
+    assert field.nodes == sum(pack[0].size for pack in packs)
     err = np.abs(field.values - ref)
     assert (err <= 1e-11 + 1e-12 * np.abs(ref)).all(), err.max()
 
@@ -160,13 +160,18 @@ def test_grid_is_independent_of_time_order(get_pair, get_datum):
 
 def test_each_time_applies_only_its_own_nodes(get_pair, get_datum):
     """Later times drop the ray nodes past their truncation radius, so far
-    fewer (node, time) pairs are applied than the dense nodes x times."""
+    fewer (node, time) pairs are applied than the dense nodes x times; the
+    factored phases take far fewer exponentials than one per node and x."""
     pair = get_pair("heat-dirichlet")
     datum = get_datum("heat-dirichlet")
     xs, ts = _evolve_grid(pair.n)
     field = solve_grid(pair, datum, xs, ts)
     assert field.nodes > 0
     assert field.applied < 0.5 * field.nodes * len(ts)
+    # one decay factor per applied pair, the rest are phases
+    phases = field.exponentials - field.applied
+    assert 0 < phases < 0.25 * field.nodes * len(xs)
+    assert solve_grid(pair, datum, xs, [0.0]).exponentials == 0
 
 
 def test_node_last_times_match_decay_radius():

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from halfline import quadrature
 from halfline.errors import NonpositiveX, TailBoundUnavailable, ToleranceNotMet
 from halfline.quadrature import (
     ExpDecay,
@@ -117,13 +118,15 @@ def test_component_nodes_split_and_apply_phase():
 
     osc = lambda seg: (lambda u: 3.0)
     decay = lambda seg: ExpDecay.linear(1.0, seg.r0)
-    lam, w, axis_rays = component_nodes([arc, axis, upper], PARAMS, osc, decay)
+    lam, w, panels, axis_rays = component_nodes([arc, axis, upper], PARAMS,
+                                                osc, decay)
     assert axis_rays == [axis]
     lam_arc, w_arc = segment_nodes(arc, PARAMS, osc=osc(arc))
     lam_up, w_up = segment_nodes(upper, PARAMS, osc=osc(upper),
                                  decay=decay(upper))
     np.testing.assert_array_equal(lam, np.concatenate([lam_arc, lam_up]))
     np.testing.assert_array_equal(w, np.concatenate([w_arc, w_up]))
+    assert panels.center.size * panels.order == lam.size
     # the arc from 2 to 2i, then up the imaginary axis: the integral of
     # exp(i lam) from 2 to i infinity
     assert abs(np.sum(w * np.exp(1j * lam)) + np.exp(2j) / 1j) < 1e-10
@@ -131,11 +134,100 @@ def test_component_nodes_split_and_apply_phase():
     xs = np.array([0.5, 1.0, 2.0])
     wf = w * np.exp(-lam ** 2 / 50.0)
     loop = np.array([np.sum(wf * np.exp(1j * lam * x)) for x in xs])
-    np.testing.assert_allclose(apply_phase(xs, lam, wf), loop, rtol=1e-12)
+    np.testing.assert_allclose(apply_phase(xs, panels, wf), loop, rtol=1e-12)
     cols = np.stack([wf, 2.0 * wf], axis=1)
-    np.testing.assert_allclose(apply_phase(xs, lam, cols),
+    np.testing.assert_allclose(apply_phase(xs, panels, cols),
                                np.stack([loop, 2.0 * loop], axis=1), rtol=1e-12)
     assert component_nodes([axis], PARAMS, osc, decay)[0].size == 0
+
+
+def _unladdered_panels(lo, hi, rate, order, density):
+    """The panel rule without the width ladder: each width from the rate at
+    its start, shrunk to the rate at its far end when that is larger."""
+    floor = 2.0 * math.pi * order / (density * (hi - lo))
+    panels, u = [], lo
+    while u < hi - 1e-14 * max(1.0, abs(hi)):
+        r = max(rate(u), floor)
+        step = 2.0 * math.pi * order / (density * r)
+        r_end = max(rate(min(hi, u + step)), floor)
+        if r_end > r:
+            step = 2.0 * math.pi * order / (density * r_end)
+        panels.append((u, min(hi, u + step)))
+        u = min(hi, u + step)
+    return panels
+
+
+# phase-rate bounds of the shapes the library builds: constant (the central
+# line, tail-scan blocks, arcs), growing like n t lam^(n-1) (evolution
+# rays), falling from a pole just inside the junction (sector rays), and
+# both at once
+_RATES = {
+    "constant": lambda u: 3.0,
+    "growing": lambda u: 2.5 + 3 * 0.3 * (1.0 + u) ** 2,
+    "pole": lambda u: 2.5 + 8.0 / (0.05 + u),
+    "pole-growing": lambda u: 2.5 + 8.0 / (0.05 + u) + 4 * 0.02 * (1.0 + u) ** 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RATES))
+def test_panels_resolve_the_rate_at_both_ends(name):
+    """Every panel holds at least ``density`` nodes per wavelength of the
+    rate at both of its ends.  Where the rate grows, widths lie on the
+    quarter-octave ladder of the first width (the cut last panel aside),
+    in runs of equal panels; a constant or falling rate gives the
+    unladdered panels bit for bit."""
+    rate = _RATES[name]
+    order, density, lo, hi = PARAMS.max_order, PARAMS.density, 0.0, 40.0
+    panels, widths = quadrature._build_panels(lo, hi, rate, order, density,
+                                              max_panels=10_000)
+    cap = 2.0 * math.pi * order / density
+    for a, b in panels:
+        assert (b - a) * max(rate(a), rate(b)) <= cap * (1.0 + 1e-12), (a, b)
+    assert panels[0][0] == lo and panels[-1][1] == hi
+    assert all(p[1] == q[0] for p, q in zip(panels, panels[1:]))
+    if name in ("constant", "pole"):
+        assert panels == _unladdered_panels(lo, hi, rate, order, density)
+    grows = [width for (a, b), width in zip(panels[1:-1], widths[1:-1])
+             if rate(b) > rate(a)]
+    for width in grows:
+        j = 4.0 * math.log2(width / widths[0])
+        assert abs(j - round(j)) < 1e-9
+    if name in ("growing", "pole-growing"):
+        # far fewer widths than growing panels: runs of equal panels
+        assert len(set(grows)) < len(grows) / 4
+
+
+def test_factored_apply_equals_dense_product():
+    """apply_phase equals exp(i xs (x) lam) @ wf on an arc, a finite ray
+    and a truncated ray with several width groups and a partial last panel,
+    for 1-D and (nodes, times) weights, to the rounding of the phases."""
+    arc = PathSegment.arc(0.5, 1.5, math.pi, 0.3)
+    finite = PathSegment.ray(-1.0 + 0.2j, 0.4, 0.0, 3.3)
+    tail = PathSegment.ray(1.5j, 2.2, 0.5, math.inf, orientation=-1)
+    growing = lambda u: 2.0 + 0.9 * (1.0 + u) ** 2
+    osc = lambda seg: (lambda u: 4.0) if seg.finite else growing
+    decay = lambda seg: ExpDecay([(0.2, 3.0)], seg.r0)
+    lam, w, panels, _ = component_nodes([arc, finite, tail], PARAMS, osc,
+                                        decay)
+    ray = segment_nodes(tail, PARAMS, osc=growing, decay=decay(tail)).panels
+    assert ray.offset.shape[0] >= 4
+    assert np.bincount(ray.group).max() >= 2
+    # the truncation radius cuts the last panel short: a group of its own
+    assert np.sum(ray.group == ray.group[-1]) == 1
+    points = panels.center[:, None] + panels.offset[panels.group]
+    np.testing.assert_allclose(points.ravel(), lam, rtol=0, atol=1e-13)
+
+    xs = np.linspace(0.05, 1.5, 7)
+    ts = np.array([0.0, 0.01, 0.04])
+    wf = w * np.exp(-0.1 * lam ** 2)
+    cols = wf[:, None] * np.exp(-np.multiply.outer(lam ** 3, ts))
+    for weights in (wf, cols):
+        terms = np.exp(1j * np.multiply.outer(xs, lam))
+        dense = terms @ weights
+        scale = np.abs(terms) @ np.abs(weights)
+        got = apply_phase(xs, panels, weights)
+        assert got.shape == dense.shape
+        assert (np.abs(got - dense) <= 1e-13 * scale).all()
 
 
 def test_infinite_ray_with_block_acceleration():

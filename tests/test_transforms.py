@@ -96,9 +96,9 @@ def _dense_fhat(st, mu):
     """Dense evaluation of the support rule at one resolution level:
     exp(-i mu x_j) @ (w_j g(x_j)) over the same panels, with the absolute
     sum of its terms."""
-    mid, hx, wg = st._nodes(st._level_for(float(np.abs(mu).max())))
-    nodes = (mid[:, None] + hx[None, :]).ravel()
-    terms = np.exp(-1j * mu[:, None] * nodes[None, :]) * wg.ravel()[None, :]
+    panels, wg = st._nodes(st._level_for(float(np.abs(mu).max())))
+    nodes = (panels.center[:, None] + panels.offset[panels.group]).ravel()
+    terms = np.exp(-1j * mu[:, None] * nodes[None, :]) * wg[None, :]
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
