@@ -21,7 +21,9 @@ comes from the factored kernel of :mod:`halfline.quadrature`: the group's
 table of node phases, built once per segment and shared by its blocks,
 times one exponential per panel and x.  It is applied, with the block's
 decay factors, only to the prefix of times that still need one of its
-nodes.
+nodes.  The packs are built, and then applied, on the ``parallel_map``
+workers; each pack is applied into sums of its own, and those are added
+in pack order, so the values do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -166,6 +168,35 @@ def _packs(pair: TransformPair, datum, xs, tpos, theta_fraction):
         jobs)
 
 
+def _pack_apply(pair: TransformPair, xs, ts, pack):
+    """One pack's share of :func:`_apply` for the sorted times ``ts``:
+    the (len(xs), len(ts)) sums, the (node, time) pairs applied and the
+    complex exponentials evaluated."""
+    lam, wf, tau, panels = pack
+    acc = np.zeros((xs.size, ts.size), dtype=complex)
+    applied = 0
+    kernel = PhaseKernel(xs, panels)
+    order = panels.order
+    step = max(1, _BLOCK_BUDGET // (xs.size * order))
+    # the sorted times that still need node j: those below tau[j]
+    need = np.searchsorted(ts, tau, side="left")
+    lam_n = lam ** pair.n
+    for first, stop in panels.runs():
+        for p in range(first, stop, step):
+            q = min(stop, p + step)
+            blk = slice(p * order, q * order)
+            m = int(need[blk].max())
+            if m == 0:
+                continue
+            decay = np.multiply.outer(lam_n[blk], ts[:m])
+            np.multiply(-pair.a, decay, out=decay)
+            np.exp(decay, out=decay)
+            np.multiply(wf[blk, None], decay, out=decay)
+            acc[:, :m] += kernel.apply(p, q, decay)
+            applied += decay.size
+    return acc, applied, kernel.exps + applied
+
+
 def _apply(pair: TransformPair, xs, tpos, packs):
     """sum_j w_j F(lam_j) exp(i lam_j x - a lam_j^n t) for every (x, t > 0).
 
@@ -173,38 +204,25 @@ def _apply(pair: TransformPair, xs, tpos, packs):
     against the times in increasing order, so a block is applied only to
     the prefix of times below its largest tau; nodes outward along a ray
     have falling tau.  One :class:`PhaseKernel` per pack shares each
-    group's node phases across its blocks.  Returns the (len(tpos),
-    len(xs)) values in the order of ``tpos``, the number of (node, time)
-    pairs applied and the number of complex exponentials evaluated.
+    group's node phases across its blocks.  The packs are applied on the
+    ``parallel_map`` workers, each into its own sums, which are added in
+    pack order, so the values do not depend on the thread count.  Returns
+    the (len(tpos), len(xs)) values in the order of ``tpos``, the number
+    of (node, time) pairs applied and the number of complex exponentials
+    evaluated.
     """
     t_order = np.argsort(tpos, kind="stable")
     ts = tpos[t_order]
     acc = np.zeros((xs.size, ts.size), dtype=complex)
     applied = exps = 0
-    for lam, wf, tau, panels in packs:
-        kernel = PhaseKernel(xs, panels)
-        order = panels.order
-        step = max(1, _BLOCK_BUDGET // (xs.size * order))
-        # the sorted times that still need node j: those below tau[j]
-        need = np.searchsorted(ts, tau, side="left")
-        lam_n = lam ** pair.n
-        for first, stop in panels.runs():
-            for p in range(first, stop, step):
-                q = min(stop, p + step)
-                blk = slice(p * order, q * order)
-                m = int(need[blk].max())
-                if m == 0:
-                    continue
-                decay = np.multiply.outer(lam_n[blk], ts[:m])
-                np.multiply(-pair.a, decay, out=decay)
-                np.exp(decay, out=decay)
-                np.multiply(wf[blk, None], decay, out=decay)
-                acc[:, :m] += kernel.apply(p, q, decay)
-                applied += decay.size
-        exps += kernel.exps
+    for part, count, evaluated in parallel_map(
+            lambda pack: _pack_apply(pair, xs, ts, pack), packs):
+        acc += part
+        applied += count
+        exps += evaluated
     values = np.empty((tpos.size, xs.size), dtype=complex)
     values[t_order] = acc.T
-    return values, applied, exps + applied
+    return values, applied, exps
 
 
 def solve_grid(pair: TransformPair, datum, xs, ts, *,

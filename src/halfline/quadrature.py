@@ -215,29 +215,55 @@ def _build_panels(lo: float, hi: float, rate, order: int, density: float,
     """Split [lo, hi] into panels holding >= density nodes per wavelength.
 
     Returns the panels (a, b) and their nominal widths.  Where the rate
-    grows across a panel, its width is rounded down to the ladder
-    s0 2^(j/4) (integer j) of the segment's first width s0, so a growing
-    rate gives runs of equal panels; a constant or falling rate gives the
-    unrounded widths.  The last panel stops at ``hi``; its nominal width is
-    the part it keeps.
+    grows across a panel, its width is the widest that the rates at both
+    of its ends admit, rounded down to the ladder s0 2^(j/4) (integer j)
+    of the segment's first width s0, so a growing rate gives runs of equal
+    panels; a constant or falling rate gives the unrounded widths.  The
+    last panel stops at ``hi``; its nominal width is the part it keeps.
     """
-    span = hi - lo
-    floor = TWO_PI * order / (density * span)  # at least one panel
+    def allowed(r):
+        """The width that holds density nodes per wavelength at rate r (and
+        the rate that width r resolves)."""
+        return TWO_PI * order / (density * r)
+
+    floor = allowed(hi - lo)  # the rate of one panel over [lo, hi]
+
+    def rate_at(u):
+        return max(rate(min(hi, u)), floor)
+
+    def rung(width):
+        """The largest j with s0 2^(j/4) <= width."""
+        j = math.floor(_LADDER * math.log2(width / s0))
+        while s0 * 2.0 ** (j / _LADDER) > width:
+            j -= 1
+        return j
+
     panels, widths = [], []
     s0 = None
     u = lo
     while u < hi - 1e-14 * max(1.0, abs(hi)):
-        r = max(rate(u), floor)
-        step = TWO_PI * order / (density * r)
-        # re-check at the far end for growing rates
-        r_end = max(rate(min(hi, u + step)), floor)
+        r = rate_at(u)
+        step = allowed(r)
+        r_end = rate_at(u + step)
         if r_end > r:
-            step = TWO_PI * order / (density * r_end)
-            if s0 is not None:
-                j = math.floor(_LADDER * math.log2(step / s0))
-                while s0 * 2.0 ** (j / _LADDER) > step:
-                    j -= 1
+            # the widest width w <= step that the rate at u + w allows
+            # lies between the widths the rates at u + step and at u allow
+            short = allowed(r_end)
+            if s0 is None:
+                for _ in range(40):
+                    mid = 0.5 * (short + step)
+                    if mid <= allowed(rate_at(u + mid)):
+                        short = mid
+                    else:
+                        step = mid
+                step = short
+            else:
+                # the widest rung below it: the first rung down that fits
+                j, j_min = rung(step), rung(short)
                 step = s0 * 2.0 ** (j / _LADDER)
+                while j > j_min and step > allowed(rate_at(u + step)):
+                    j -= 1
+                    step = s0 * 2.0 ** (j / _LADDER)
         if s0 is None:
             s0 = step
         b = min(hi, u + step)

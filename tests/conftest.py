@@ -12,23 +12,34 @@ import pytest
 from halfline.datum import make_datum
 from halfline.problems import builtin_catalog
 from halfline.transforms import TransformPair
+from halfline.util import _openblas
 
 _pairs: dict = {}
 _data: dict = {}
 _SESSION_DPS = mpmath.mp.dps
+_BLAS = _openblas()
+_SESSION_BLAS_THREADS = _BLAS[0]() if _BLAS else None
 
 
 @pytest.fixture(autouse=True)
-def _mpmath_precision_is_restored():
-    """Fail a test that leaves mpmath's working precision changed: the
-    library's exponential-integral tails run at that precision, and users
-    get mpmath's default.  Reference computations scope theirs with
-    ``mpmath.workdps``."""
+def _process_settings_are_restored():
+    """Fail a test that leaves mpmath's working precision or the BLAS
+    thread count changed.  The library's exponential-integral tails run at
+    that precision, and users get mpmath's default; reference computations
+    scope theirs with ``mpmath.workdps``.  ``parallel_map`` holds BLAS at
+    one thread only while its workers run."""
     yield
     left = mpmath.mp.dps
     mpmath.mp.dps = _SESSION_DPS  # later tests start clean
+    threads = _SESSION_BLAS_THREADS
+    if _BLAS:
+        threads = _BLAS[0]()
+        _BLAS[1](_SESSION_BLAS_THREADS)
     assert left == _SESSION_DPS, (
         f"mpmath.mp.dps left at {left}, session started at {_SESSION_DPS}")
+    assert threads == _SESSION_BLAS_THREADS, (
+        f"BLAS threads left at {threads}, session started at "
+        f"{_SESSION_BLAS_THREADS}")
 
 
 @pytest.fixture(scope="session")

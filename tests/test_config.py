@@ -1,6 +1,8 @@
 """Tests for the line-oriented configuration parser."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from halfline import config
 from halfline.config import RunConfig, load_config, parse_config, parse_grid
 from halfline.errors import ConfigError
 from halfline.quadrature import QuadratureParams
-from halfline.util import thread_count
+from halfline.util import _openblas, parallel_map, thread_count
 
 FULL = """\
 # heat conduction with a Robin-style form
@@ -261,3 +263,59 @@ def test_utm_threads_sets_the_worker_count(monkeypatch):
     assert thread_count() == 3
     monkeypatch.setenv("UTM_THREADS", "")
     assert 1 <= thread_count() <= 8
+
+
+def test_parallel_map_holds_blas_at_one_thread(monkeypatch):
+    """While threaded workers run, BLAS reports one thread, and a call made
+    on a worker runs its items in turn on that worker.  The count from
+    before is back after the last of several concurrent calls returns and
+    after a worker raises.  With UTM_THREADS=1 nothing threads and BLAS is
+    left alone.  Switching threads every microsecond, a lost update of the
+    holders' count would restore BLAS under a running call or leave it
+    pinned."""
+    blas = _openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread count")
+    get, set_ = blas
+    session = get()
+    switch = sys.getswitchinterval()
+    set_(2)
+    try:
+        sys.setswitchinterval(1e-6)
+        monkeypatch.setenv("UTM_THREADS", "4")
+        me = threading.get_ident
+        nested = parallel_map(
+            lambda _: (me(), get(), parallel_map(lambda _: (me(), get()),
+                                                 range(3))),
+            range(8))
+        for worker, threads, inner in nested:
+            assert threads == 1 and inner == [(worker, 1)] * 3
+        assert get() == 2
+
+        seen = []
+        callers = [threading.Thread(
+            target=lambda: seen.extend(
+                parallel_map(lambda _: get(), range(4)) for _ in range(20)))
+            for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        assert seen == [[1] * 4] * 80
+        assert get() == 2
+
+        def fail_one(i):
+            if i == 3:
+                raise ValueError("worker failed")
+            return get()
+
+        with pytest.raises(ValueError, match="worker failed"):
+            parallel_map(fail_one, range(8))
+        assert get() == 2
+
+        monkeypatch.setenv("UTM_THREADS", "1")
+        assert parallel_map(lambda _: get(), range(3)) == [2, 2, 2]
+    finally:
+        sys.setswitchinterval(switch)
+        set_(session)

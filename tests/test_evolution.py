@@ -158,6 +158,24 @@ def test_grid_is_independent_of_time_order(get_pair, get_datum):
             1e-13 * np.abs(want).max()), t
 
 
+@pytest.mark.parametrize("name", ["lkdv-dirichlet", "robin-4"])
+def test_grid_does_not_depend_on_threads(get_pair, get_datum, monkeypatch,
+                                         name):
+    """Packs applied on two workers and summed in pack order give the
+    serial call's values to rounding, and the same work counts."""
+    pair = get_pair(name)
+    datum = get_datum(name)
+    xs, ts = _evolve_grid(pair.n)
+    monkeypatch.setenv("UTM_THREADS", "2")
+    threaded = solve_grid(pair, datum, xs, ts)
+    monkeypatch.setenv("UTM_THREADS", "1")
+    serial = solve_grid(pair, datum, xs, ts)
+    assert ((threaded.nodes, threaded.applied, threaded.exponentials)
+            == (serial.nodes, serial.applied, serial.exponentials))
+    err = np.abs(threaded.values - serial.values).max()
+    assert err <= 1e-14 * np.abs(serial.values).max(), err
+
+
 def test_each_time_applies_only_its_own_nodes(get_pair, get_datum):
     """Later times drop the ray nodes past their truncation radius, so far
     fewer (node, time) pairs are applied than the dense nodes x times; the

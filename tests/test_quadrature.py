@@ -197,6 +197,34 @@ def test_panels_resolve_the_rate_at_both_ends(name):
         assert len(set(grows)) < len(grows) / 4
 
 
+@pytest.mark.parametrize("lo, hi, rate", [
+    (0.5, 5.17, lambda u: 2.0 + 0.9 * (1.0 + u) ** 2),
+    (0.0, 40.0, _RATES["growing"]),
+])
+def test_growing_rate_panels_are_as_wide_as_their_far_end_allows(lo, hi,
+                                                                  rate):
+    """On a growing rate the widths do not increase, and each panel (the
+    cut last one aside) is within one ladder step of the widest width w
+    whose far end admits it, w rate(a + w) <= 2 pi order / density; the
+    rate several-fold larger at the end of the segment does not size the
+    first panels."""
+    order, density = PARAMS.max_order, PARAMS.density
+    cap = 2.0 * math.pi * order / density
+    panels, widths = quadrature._build_panels(lo, hi, rate, order, density,
+                                              max_panels=10_000)
+    assert len(panels) >= 4
+    assert all(a >= b for a, b in zip(widths, widths[1:]))
+    for (a, _), width in zip(panels[:-1], widths[:-1]):
+        fits, wide = 0.0, cap / rate(a)
+        for _ in range(60):
+            mid = 0.5 * (fits + wide)
+            if mid * rate(min(hi, a + mid)) <= cap:
+                fits = mid
+            else:
+                wide = mid
+        assert fits / 2.0 ** 0.25 < width <= fits * (1.0 + 1e-12), (a, width)
+
+
 def test_factored_apply_equals_dense_product():
     """apply_phase equals exp(i xs (x) lam) @ wf on an arc, a finite ray
     and a truncated ray with several width groups and a partial last panel,
@@ -206,7 +234,7 @@ def test_factored_apply_equals_dense_product():
     tail = PathSegment.ray(1.5j, 2.2, 0.5, math.inf, orientation=-1)
     growing = lambda u: 2.0 + 0.9 * (1.0 + u) ** 2
     osc = lambda seg: (lambda u: 4.0) if seg.finite else growing
-    decay = lambda seg: ExpDecay([(0.2, 3.0)], seg.r0)
+    decay = lambda seg: ExpDecay([(0.05, 3.0)], seg.r0)
     lam, w, panels, _ = component_nodes([arc, finite, tail], PARAMS, osc,
                                         decay)
     ray = segment_nodes(tail, PARAMS, osc=growing, decay=decay(tail)).panels
