@@ -8,8 +8,9 @@ the integrands are entire and decay between the old and new rays, so the
 values are unchanged while the factor becomes exponentially small along the
 new rays.  Node sets are built once per (datum, xs, ts) batch: rays are cut
 where the envelope of the smallest positive time falls below the tail
-target, oscillation rates come from the largest, and the cached transform
-values are reused for every t.
+target, each ray node is resolved for the largest time that still needs
+it (rates rounded up to a quarter-octave ladder, so the panels keep few
+distinct widths), and the cached transform values are reused for every t.
 
 Each time needs only the ray nodes inside its own truncation radius: the
 envelope's order-n coefficient is linear in t, so every ray node gets the
@@ -122,12 +123,31 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
 
     Node j contributes below the tail target at every time t >= tau[j];
     arcs and finite segments have tau = inf.
+
+    A rotated ray is resolved, at each radius u, for the largest time that
+    still needs its nodes there, t_top(u) = min(t_max, max(t_min, tau(u))):
+    its rate is (x_max + L) + n t_top(u) (|base| + u)^(n-1) + pole(u),
+    rounded up to the quarter-octave ladder 2^(j/4) so that falling rates
+    give few distinct panel widths and so few phase tables.  Rounding up
+    only narrows panels.  Arcs and finite segments keep the rate of t_max.
+    This is sound because a (node, t) pair with t >= tau is below
+    the tail target: a panel resolves every time that needs its first
+    node, and where the apply takes a block's prefix of times past a later
+    panel's own tau, that panel's under-resolved share is an integrand
+    below the tail target, so it adds error of the truncation's size.
     """
     n = pair.n
     L = datum.support
     if not seg.finite and seg.on_real_axis:
         raise DeformationRequired(
             "positive times need contours rotated off the real axis")
+
+    env = None
+    if not seg.finite:
+        jun = np.array([seg.point(seg.r0)], dtype=complex)
+        scale = max(float(np.abs(pair.forward(datum, k, jun)).max()), 1e-12)
+        env = _ray_decay(pair, seg, k, t_min, x_min, x_max, L, scale)
+    log_target = pair.params.tail_log_target
 
     def osc(seg):
         pole = pair.junction_osc(seg, 0.0) if k >= 1 else (lambda u: 0.0)
@@ -136,21 +156,25 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
             rate = r * (x_max + L) + n * t_max * r ** n
             return lambda u: rate + pole(u)
         base = abs(seg.base)
-        return lambda u: (x_max + L) + n * t_max * (base + u) ** (n - 1) + pole(u)
+        if env is None:
+            return lambda u: ((x_max + L) + n * t_max * (base + u) ** (n - 1)
+                              + pole(u))
 
-    env = None
-    if not seg.finite:
-        jun = np.array([seg.point(seg.r0)], dtype=complex)
-        scale = max(float(np.abs(pair.forward(datum, k, jun)).max()), 1e-12)
-        env = _ray_decay(pair, seg, k, t_min, x_min, x_max, L, scale)
+        def ray_rate(u):
+            t_top = t_max
+            if u > env.r0:
+                tau = _last_times(env, u, t_min, log_target)
+                t_top = min(t_max, max(t_min, tau))
+            rate = (x_max + L) + n * t_top * (base + u) ** (n - 1) + pole(u)
+            return 2.0 ** (math.ceil(4.0 * math.log2(rate)) / 4.0)
+        return ray_rate
 
     lam, w, panels, _ = component_nodes([seg], pair.params, osc,
                                         lambda _seg: env)
     if env is None:
         tau = np.full(lam.size, np.inf)
     else:
-        tau = _last_times(env, np.abs(lam - seg.base), t_min,
-                          pair.params.tail_log_target)
+        tau = _last_times(env, np.abs(lam - seg.base), t_min, log_target)
     return lam, w * pair.forward(datum, k, lam), tau, panels
 
 

@@ -400,12 +400,17 @@ class TransformPair:
         return vals
 
     # -- public inversion --------------------------------------------------
-    def reconstruct(self, datum, xs) -> np.ndarray:
-        """Invert the forward transforms of ``datum`` at the points xs > 0."""
+    def components(self, datum, xs) -> list[np.ndarray]:
+        """The pieces of the inversion of ``datum`` at the points xs > 0:
+        the real-line component of F_0, then the sector components
+        k = 1..N, which vanish for x > 0."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if xs.min() <= 0.0:
             raise NonpositiveX("reconstruction requires x > 0")
-        vals = self._gamma0_piece(datum, xs)
-        for k in range(1, self.N + 1):
-            vals += self.sector_component(datum, k, xs)
-        return vals
+        return [self._gamma0_piece(datum, xs)] + [
+            self.sector_component(datum, k, xs) for k in range(1, self.N + 1)]
+
+    def reconstruct(self, datum, xs) -> np.ndarray:
+        """Invert the forward transforms of ``datum`` at the points xs > 0."""
+        parts = self.components(datum, xs)
+        return sum(parts[1:], parts[0])

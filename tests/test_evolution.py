@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from halfline import evolution
+from halfline.contours import deform_for_time
 from halfline.errors import NonpositiveX
 from halfline.evolution import solve_grid
 from halfline.oracles import heat_dirichlet_solution, heat_neumann_solution
-from halfline.quadrature import ExpDecay
+from halfline.quadrature import ExpDecay, component_nodes
+
+_CATALOG = ["lkdv-dirichlet", "reverse-lkdv", "heat-dirichlet",
+            "heat-neumann", "robin-4"]
 
 
 def test_heat_dirichlet_matches_sine_oracle(get_pair, get_datum):
@@ -124,9 +128,45 @@ def _dense_apply(pair, xs, ts, packs):
     return values
 
 
-@pytest.mark.parametrize("name", ["lkdv-dirichlet", "reverse-lkdv",
-                                  "heat-dirichlet", "heat-neumann",
-                                  "robin-4"])
+def _rate(pair, datum, xs, seg, k, t):
+    """The phase-rate bound of a deformed segment at time t: the x and
+    support term, n t |lam|^(n-1) (per unit angle on an arc) and the
+    junction poles."""
+    pole = pair.junction_osc(seg, 0.0) if k else (lambda u: 0.0)
+    x_rate = xs.max() + datum.support
+    if seg.kind == "arc":
+        r = seg.radius
+        return lambda u: r * x_rate + pair.n * t * r ** pair.n + pole(u)
+    base = abs(seg.base)
+    return lambda u: (x_rate + pair.n * t * (base + u) ** (pair.n - 1)
+                      + pole(u))
+
+
+def _t_max_packs(pair, datum, xs, ts):
+    """The packs with every ray resolved for the largest time all the way
+    out (the layout before rays were resolved per time), as an oracle."""
+    dcs = deform_for_time(pair.contours, theta_fraction=0.5)
+    t_min, t_max = ts.min(), ts.max()
+    packs = []
+    for k, segs in enumerate([dcs.gamma0, *dcs.gammas]):
+        for seg in segs:
+            env, rate = None, _rate(pair, datum, xs, seg, k, t_max)
+            if not seg.finite:
+                jun = np.array([seg.point(seg.r0)])
+                scale = max(float(np.abs(pair.forward(datum, k, jun)).max()),
+                            1e-12)
+                env = evolution._ray_decay(pair, seg, k, t_min, xs.min(),
+                                           xs.max(), datum.support, scale)
+            lam, w, panels, _ = component_nodes(
+                [seg], pair.params, lambda _seg: rate, lambda _seg: env)
+            tau = (np.full(lam.size, np.inf) if env is None else
+                   evolution._last_times(env, np.abs(lam - seg.base), t_min,
+                                         pair.params.tail_log_target))
+            packs.append((lam, w * pair.forward(datum, k, lam), tau, panels))
+    return packs
+
+
+@pytest.mark.parametrize("name", _CATALOG)
 def test_grid_matches_dense_apply(get_pair, get_datum, name):
     """Dropping each time's nodes past its own truncation radius changes no
     value beyond the tail target: solve_grid equals the dense product of
@@ -140,6 +180,74 @@ def test_grid_matches_dense_apply(get_pair, get_datum, name):
     assert field.nodes == sum(pack[0].size for pack in packs)
     err = np.abs(field.values - ref)
     assert (err <= 1e-11 + 1e-12 * np.abs(ref)).all(), err.max()
+
+
+@pytest.mark.parametrize("t_lo", [0.1, 0.01])
+@pytest.mark.parametrize("name", _CATALOG)
+def test_rays_resolved_per_time_match_t_max_layout(get_pair, get_datum,
+                                                   name, t_lo):
+    """Rays resolved for the largest time that still needs their nodes give
+    the values of rays resolved for t_max all the way out, with at most
+    half the nodes.
+
+    The values agree within 1e-13 of the largest, or within 1e-14 of the
+    sum of the terms' moduli where that is larger: at the heat problems'
+    smallest time, exp(i lam x) fhat(lam) grows along the rays before
+    exp(-lam^2 t) cuts it off, and the terms sum to 7e3 at x = 0.0375.
+    There the values move by 7e-13 to 1.1e-11, in no order, as the density
+    goes from 8 to 32: rounding, where a resolution error would fall
+    geometrically.
+    """
+    pair = get_pair(name)
+    datum = get_datum(name)
+    xs, ts = _evolve_grid(pair.n)
+    ts = ts.max() * np.linspace(t_lo, 1.0, ts.size)
+    field = solve_grid(pair, datum, xs, ts)
+    packs = _t_max_packs(pair, datum, xs, ts)
+    ref, applied, _ = evolution._apply(pair, xs, ts, packs)
+    nodes = sum(pack[0].size for pack in packs)
+    assert field.nodes <= 0.5 * nodes, (field.nodes, nodes)
+    assert field.applied < applied
+    moduli = np.zeros(ref.shape)
+    for lam, wf, *_ in evolution._packs(pair, datum, xs, ts, 0.5):
+        decay = np.exp(-np.multiply.outer((pair.a * lam ** pair.n).real, ts))
+        moduli += (np.exp(-np.multiply.outer(xs, lam.imag))
+                   @ (np.abs(wf)[:, None] * decay)).T
+    err = np.abs(field.values - ref)
+    assert (err <= np.maximum(1e-13 * np.abs(ref).max(),
+                              1e-14 * moduli)).all(), err.max()
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_ray_panels_resolve_the_largest_time_needing_them(get_pair,
+                                                          get_datum, name):
+    """Every rotated-ray panel holds ``density`` nodes per wavelength at the
+    rate of the largest time that still needs its first node."""
+    pair = get_pair(name)
+    datum = get_datum(name)
+    xs, ts = _evolve_grid(pair.n)
+    ts = ts.max() * np.linspace(0.01, 1.0, ts.size)
+    params = pair.params
+    order = params.max_order
+    edge = np.polynomial.legendre.leggauss(order)[0][-1]
+    dcs = deform_for_time(pair.contours, theta_fraction=0.5)
+    rays = 0
+    for k, segs in enumerate([dcs.gamma0, *dcs.gammas]):
+        for seg in segs:
+            if seg.finite:
+                continue
+            lam, _, tau, _ = evolution._segment_pack(
+                pair, datum, seg, k, ts.min(), ts.max(), xs.min(), xs.max())
+            first = lam[::order]
+            width = np.abs(lam[order - 1::order] - first) / edge
+            u = np.abs(first - seg.base)
+            t = ts[np.maximum(np.searchsorted(ts, tau[::order]) - 1, 0)]
+            rate = np.array([_rate(pair, datum, xs, seg, k, ti)(ui)
+                             for ti, ui in zip(t, u)])
+            assert (width * rate <= 2 * np.pi * order / params.density
+                    * (1 + 1e-9)).all()
+            rays += 1
+    assert rays > 0
 
 
 def test_grid_is_independent_of_time_order(get_pair, get_datum):
@@ -177,15 +285,20 @@ def test_grid_does_not_depend_on_threads(get_pair, get_datum, monkeypatch,
 
 
 def test_each_time_applies_only_its_own_nodes(get_pair, get_datum):
-    """Later times drop the ray nodes past their truncation radius, so far
-    fewer (node, time) pairs are applied than the dense nodes x times; the
-    factored phases take far fewer exponentials than one per node and x."""
+    """Later times drop the ray nodes past their truncation radius, so fewer
+    (node, time) pairs are applied than the dense nodes x times, and both
+    nodes and pairs are fewer than with rays resolved for t_max all the
+    way out; the factored phases take far fewer exponentials than one per
+    node and x."""
     pair = get_pair("heat-dirichlet")
     datum = get_datum("heat-dirichlet")
     xs, ts = _evolve_grid(pair.n)
     field = solve_grid(pair, datum, xs, ts)
     assert field.nodes > 0
-    assert field.applied < 0.5 * field.nodes * len(ts)
+    assert field.applied < field.nodes * len(ts)
+    packs = _t_max_packs(pair, datum, xs, ts)
+    assert field.nodes < sum(pack[0].size for pack in packs)
+    assert field.applied < evolution._apply(pair, xs, ts, packs)[1]
     # one decay factor per applied pair, the rest are phases
     phases = field.exponentials - field.applied
     assert 0 < phases < 0.25 * field.nodes * len(xs)

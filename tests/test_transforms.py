@@ -11,9 +11,10 @@ from halfline import quadrature, transforms
 from halfline.datum import make_datum
 from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.oracles import adaptive_reference
-from halfline.quadrature import QuadratureParams, ray_monomial_tail
+from halfline.quadrature import (QuadratureParams, integrate_segment,
+                                 ray_monomial_tail)
 from halfline.transforms import SupportTransform, TransformPair
-from halfline.verify import all_passed, verify_problem
+from halfline.verify import all_passed, data_trio, verify_problem
 
 
 def _random_lams(rng, count, rmin=0.5, rmax=3.0):
@@ -372,6 +373,36 @@ def test_unconverged_real_axis_ray_raises(catalog, get_datum, monkeypatch):
         assert any(seg.on_real_axis for seg in pair.contours.gammas[k - 1])
         with pytest.raises(ToleranceNotMet, match="did not converge"):
             pair.sector_component(datum, k, xs)
+
+
+def test_accelerated_ray_estimate_bounds_its_error(catalog):
+    """reverse-lkdv's k = 1 real-axis ray at x = 0.05 for the mixed datum:
+    at rel_tol 1e-8, abs_tol 1e-9 Wynn's own estimate read 4.4e-10 on an
+    error of 3.0e-5, so verify's sector-vanishing read 3e-5.  The spread of
+    the last three extrapolated limits joins the estimate, which then
+    bounds the error at both tolerances."""
+    problem = catalog["reverse-lkdv"]
+    datum = data_trio(problem, 0)[2]
+    x = 0.05
+
+    def ray_integrals(params):
+        pair = TransformPair(problem, params)
+        rays = [seg for seg in pair.contours.gammas[0] if seg.on_real_axis
+                and not seg.finite]
+        assert rays
+        return [integrate_segment(
+            lambda lam: np.exp(1j * lam * x) * pair.forward(datum, 1, lam),
+            seg, params, osc=pair.junction_osc(seg, x + datum.support))
+            for seg in rays]
+
+    refs = ray_integrals(QuadratureParams(rel_tol=1e-12, abs_tol=1e-14))
+    for params in (QuadratureParams(rel_tol=1e-8, abs_tol=1e-9),
+                   QuadratureParams()):
+        for got, ref in zip(ray_integrals(params), refs):
+            assert got.converged and ref.converged
+            err = abs(got.value - ref.value)
+            assert err <= got.est_error, (params, err, got.est_error)
+            assert err < max(params.abs_tol, params.rel_tol * abs(ref.value))
 
 
 @pytest.mark.parametrize("name", ["heat-dirichlet", "robin-4"])
