@@ -9,18 +9,19 @@ values are unchanged while the factor becomes exponentially small along the
 new rays.  Node sets are built once per (datum, xs, ts) batch: rays are cut
 where the envelope of the smallest positive time falls below the tail
 target, each ray node is resolved for the largest time that still needs
-it (rates rounded up to a quarter-octave ladder, so the panels keep few
-distinct widths), and the cached transform values are reused for every t.
+it (rates rounded up to the quadrature's one quarter-octave ladder, so
+the panels keep few distinct widths), and the cached transform values are
+reused for every t.
 
 Each time needs only the ray nodes inside its own truncation radius: the
 envelope's order-n coefficient is linear in t, so every ray node gets the
-time from which its envelope is below the tail target (arcs and finite
-segments never drop out).  Each segment's nodes are walked outward in
-blocks of whole panels of one width group, within a fixed entry budget,
-against the positive times in increasing order.  A block's exp(i x lam)
-comes from the factored kernel of :mod:`halfline.quadrature`: the group's
-table of node phases, built once per segment and shared by its blocks,
-times one exponential per panel and x.  It is applied, with the block's
+time from which its envelope is below the tail target (arcs never drop
+out).  Each segment's nodes are walked outward in blocks of whole panels
+of one width group, within a fixed entry budget, against the positive
+times in increasing order.  A block's exp(i x lam) comes from the
+factored kernel of :mod:`halfline.quadrature`: the group's table of node
+phases, built once per segment and shared by its blocks, times one
+exponential per panel and x.  It is applied, with the block's
 decay factors, only to the prefix of times that still need one of its
 nodes.  The packs are built, and then applied, on the ``parallel_map``
 workers; each pack is applied into sums of its own, and those are added
@@ -35,10 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contours import deform_for_time
-from .errors import DeformationRequired, NonpositiveX
-from .quadrature import ExpDecay, PhaseKernel, component_nodes
-# perfbench/spans.py patches segment_nodes at this binding too
-from .quadrature import segment_nodes  # noqa: F401
+from .errors import DeformationRequired, NonpositiveX, ToleranceNotMet
+from .quadrature import ExpDecay, PhaseKernel, ladder_rate, segment_nodes
 from .transforms import TransformPair
 from .util import parallel_map
 
@@ -118,18 +117,19 @@ def _last_times(env: ExpDecay, r: np.ndarray, t_env: float,
 
 def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
                   t_max: float, x_min: float, x_max: float):
-    """(lam, w F_k(lam), tau, panels) for one deformed segment, shared
-    across times.
+    """(lam, w F_k(lam), tau, panels) for one deformed segment (a rotated
+    infinite ray or an arc), shared across times.
 
     Node j contributes below the tail target at every time t >= tau[j];
-    arcs and finite segments have tau = inf.
+    arcs have tau = inf.
 
     A rotated ray is resolved, at each radius u, for the largest time that
     still needs its nodes there, t_top(u) = min(t_max, max(t_min, tau(u))):
     its rate is (x_max + L) + n t_top(u) (|base| + u)^(n-1) + pole(u),
-    rounded up to the quarter-octave ladder 2^(j/4) so that falling rates
-    give few distinct panel widths and so few phase tables.  Rounding up
-    only narrows panels.  Arcs and finite segments keep the rate of t_max.
+    rounded up by :func:`halfline.quadrature.ladder_rate` to the ladder
+    that growing rates' panels use too, so that the panels keep few
+    distinct widths and so few phase tables.  Rounding up only narrows
+    panels.  Arcs keep the rate of t_max.
     This is sound because a (node, t) pair with t >= tau is below
     the tail target: a panel resolves every time that needs its first
     node, and where the apply takes a block's prefix of times past a later
@@ -142,45 +142,37 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
         raise DeformationRequired(
             "positive times need contours rotated off the real axis")
 
-    env = None
-    if not seg.finite:
+    log_target = pair.params.tail_log_target
+    pole = pair.junction_osc(seg, 0.0) if k >= 1 else (lambda u: 0.0)
+    if seg.kind == "arc":
+        r = seg.radius
+        arc_rate = r * (x_max + L) + n * t_max * r ** n
+        nodes = segment_nodes(seg, pair.params,
+                              osc=lambda u: arc_rate + pole(u))
+        tau = np.full(nodes[0].size, np.inf)
+    else:
         jun = np.array([seg.point(seg.r0)], dtype=complex)
         scale = max(float(np.abs(pair.forward(datum, k, jun)).max()), 1e-12)
         env = _ray_decay(pair, seg, k, t_min, x_min, x_max, L, scale)
-    log_target = pair.params.tail_log_target
-
-    def osc(seg):
-        pole = pair.junction_osc(seg, 0.0) if k >= 1 else (lambda u: 0.0)
-        if seg.kind == "arc":
-            r = seg.radius
-            rate = r * (x_max + L) + n * t_max * r ** n
-            return lambda u: rate + pole(u)
         base = abs(seg.base)
-        if env is None:
-            return lambda u: ((x_max + L) + n * t_max * (base + u) ** (n - 1)
-                              + pole(u))
 
         def ray_rate(u):
             t_top = t_max
             if u > env.r0:
                 tau = _last_times(env, u, t_min, log_target)
                 t_top = min(t_max, max(t_min, tau))
-            rate = (x_max + L) + n * t_top * (base + u) ** (n - 1) + pole(u)
-            return 2.0 ** (math.ceil(4.0 * math.log2(rate)) / 4.0)
-        return ray_rate
+            return ladder_rate((x_max + L) + n * t_top * (base + u) ** (n - 1)
+                               + pole(u))
 
-    lam, w, panels, _ = component_nodes([seg], pair.params, osc,
-                                        lambda _seg: env)
-    if env is None:
-        tau = np.full(lam.size, np.inf)
-    else:
-        tau = _last_times(env, np.abs(lam - seg.base), t_min, log_target)
-    return lam, w * pair.forward(datum, k, lam), tau, panels
+        nodes = segment_nodes(seg, pair.params, osc=ray_rate, decay=env)
+        tau = _last_times(env, np.abs(nodes[0] - seg.base), t_min, log_target)
+    lam, w = nodes
+    return lam, w * pair.forward(datum, k, lam), tau, nodes.panels
 
 
-def _packs(pair: TransformPair, datum, xs, tpos, theta_fraction):
+def _packs(pair: TransformPair, datum, xs, tpos):
     """The :func:`_segment_pack` of every deformed segment, for times tpos."""
-    dcs = deform_for_time(pair.contours, theta_fraction=theta_fraction)
+    dcs = deform_for_time(pair.contours)
     t_min, t_max = float(tpos.min()), float(tpos.max())
     x_min, x_max = float(xs.min()), float(xs.max())
     jobs = [(seg, 0) for seg in dcs.gamma0]
@@ -249,9 +241,12 @@ def _apply(pair: TransformPair, xs, tpos, packs):
     return values, applied, exps
 
 
-def solve_grid(pair: TransformPair, datum, xs, ts, *,
-               theta_fraction: float = 0.5) -> SolutionField:
-    """Evaluate the solution on the grid xs x ts (xs > 0, ts >= 0)."""
+def solve_grid(pair: TransformPair, datum, xs, ts) -> SolutionField:
+    """Evaluate the solution on the grid xs x ts (xs > 0, ts >= 0).
+
+    Raises :class:`ToleranceNotMet` naming the times whose values are not
+    finite (the apply overflowed), rather than returning them.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if xs.size == 0 or ts.size == 0:
@@ -265,10 +260,14 @@ def solve_grid(pair: TransformPair, datum, xs, ts, *,
     nodes = applied = exponentials = 0
     pos = ts > 0.0
     if pos.any():
-        packs = _packs(pair, datum, xs, ts[pos], theta_fraction)
+        packs = _packs(pair, datum, xs, ts[pos])
         nodes = sum(pack[0].size for pack in packs)
         evolved, applied, exponentials = _apply(pair, xs, ts[pos], packs)
         values[pos] = evolved
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            raise ToleranceNotMet(
+                f"solution not finite at times {ts[bad].tolist()}")
 
     if (~pos).any():
         values[~pos] = pair.reconstruct(datum, xs)

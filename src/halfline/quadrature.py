@@ -3,7 +3,8 @@
 The integration strategy is composite Gauss-Legendre with panel lengths
 chosen from a caller-supplied bound on the local phase rate, so that each
 panel holds a fixed number of nodes per oscillation wavelength.  Where the
-rate grows, widths are rounded down to a quarter-octave ladder, so a
+rate grows, each width is the one that resolves a rate of the absolute
+quarter-octave ladder 2^(j/4), integer j (:func:`ladder_rate`), so a
 growing rate gives runs of equal panels (width groups); a constant or
 falling rate keeps the unrounded panels.  Infinite rays are truncated in
 one of two ways:
@@ -66,7 +67,7 @@ TWO_PI = 2.0 * math.pi
 _MAX_NODES = 400_000
 _MAX_REFINE = 4
 _MAX_BLOCKS = 400
-# panel widths are rounded down to s0 2^(j / _LADDER): quarter octaves
+# laddered panel widths resolve the rates 2^(j / _LADDER): quarter octaves
 _LADDER = 4
 
 
@@ -210,16 +211,29 @@ def _gl(order: int):
     return x, w
 
 
+def ladder_rate(rate: float) -> float:
+    """A phase rate rounded up to its rung of the ladder 2^(j / _LADDER),
+    integer j.
+
+    A laddered panel is as wide as its rung's rate admits, and rungs are
+    computed from their integer j, so equal rungs give bit-equal widths.
+    """
+    j = math.ceil(_LADDER * math.log2(rate))
+    if 2.0 ** ((j - 1) / _LADDER) >= rate:
+        j -= 1
+    return 2.0 ** (j / _LADDER)
+
+
 def _build_panels(lo: float, hi: float, rate, order: int, density: float,
                   max_panels: int):
     """Split [lo, hi] into panels holding >= density nodes per wavelength.
 
     Returns the panels (a, b) and their nominal widths.  Where the rate
-    grows across a panel, its width is the widest that the rates at both
-    of its ends admit, rounded down to the ladder s0 2^(j/4) (integer j)
-    of the segment's first width s0, so a growing rate gives runs of equal
-    panels; a constant or falling rate gives the unrounded widths.  The
-    last panel stops at ``hi``; its nominal width is the part it keeps.
+    grows across a panel, its width is the widest rung of the ladder
+    (:func:`ladder_rate`) that the rates at both of its ends admit, so a
+    growing rate gives runs of equal panels; a constant or falling rate
+    gives the unrounded widths.  The last panel stops at ``hi``; its
+    nominal width is the part it keeps.
     """
     def allowed(r):
         """The width that holds density nodes per wavelength at rate r (and
@@ -231,41 +245,19 @@ def _build_panels(lo: float, hi: float, rate, order: int, density: float,
     def rate_at(u):
         return max(rate(min(hi, u)), floor)
 
-    def rung(width):
-        """The largest j with s0 2^(j/4) <= width."""
-        j = math.floor(_LADDER * math.log2(width / s0))
-        while s0 * 2.0 ** (j / _LADDER) > width:
-            j -= 1
-        return j
-
     panels, widths = [], []
-    s0 = None
     u = lo
     while u < hi - 1e-14 * max(1.0, abs(hi)):
         r = rate_at(u)
         step = allowed(r)
-        r_end = rate_at(u + step)
-        if r_end > r:
-            # the widest width w <= step that the rate at u + w allows
-            # lies between the widths the rates at u + step and at u allow
-            short = allowed(r_end)
-            if s0 is None:
-                for _ in range(40):
-                    mid = 0.5 * (short + step)
-                    if mid <= allowed(rate_at(u + mid)):
-                        short = mid
-                    else:
-                        step = mid
-                step = short
-            else:
-                # the widest rung below it: the first rung down that fits
-                j, j_min = rung(step), rung(short)
-                step = s0 * 2.0 ** (j / _LADDER)
-                while j > j_min and step > allowed(rate_at(u + step)):
-                    j -= 1
-                    step = s0 * 2.0 ** (j / _LADDER)
-        if s0 is None:
-            s0 = step
+        if rate_at(u + step) > r:
+            # the widest rung, from the rate at u down, whose far end
+            # admits it; 1.1 rung lies below the next rung, 2^(1/4) rung
+            rung = ladder_rate(r)
+            step = allowed(rung)
+            while step > allowed(rate_at(u + step)):
+                rung = ladder_rate(1.1 * rung)
+                step = allowed(rung)
         b = min(hi, u + step)
         panels.append((u, b))
         widths.append(min(step, hi - u))

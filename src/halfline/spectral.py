@@ -135,13 +135,6 @@ def remainder_report(pair, datum, *, tol: float = 1e-8) -> RemainderReport:
 # remainder contour integrals
 
 
-def _poly_eval(beta: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    out = np.zeros(lam.shape, dtype=complex)
-    for b in beta[::-1]:
-        out = out * lam + b
-    return out
-
-
 def _poly_ray_decay(x_min: float, s: float, beta: np.ndarray, r0: float,
                     inv_power: int, tol: float) -> ExpDecay:
     """Envelope for exp(i lam x) lam^(-inv_power) P(lam) on an off-axis ray.
@@ -188,7 +181,7 @@ def _poly_component_integral(pair, k: int, xs: np.ndarray, beta: np.ndarray,
                                inv_power, pair.params.abs_tol)
 
     lam, w, panels, axis_rays = component_nodes(segs, pair.params, osc, decay)
-    vals = w * _poly_eval(beta, lam)
+    vals = w * np.polynomial.polynomial.polyval(lam, beta)
     if inv_power:
         vals = vals * lam ** (-float(inv_power))
     out = apply_phase(xs, panels, vals)

@@ -7,7 +7,7 @@ import pytest
 
 from halfline import evolution
 from halfline.contours import deform_for_time
-from halfline.errors import NonpositiveX
+from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.evolution import solve_grid
 from halfline.oracles import heat_dirichlet_solution, heat_neumann_solution
 from halfline.quadrature import ExpDecay, component_nodes
@@ -63,14 +63,35 @@ def test_grid_factorizes_over_times(get_pair, get_datum):
                                    rtol=1e-10, atol=1e-12)
 
 
-def test_theta_fraction_invariance(get_pair, get_datum):
+def test_theta_fraction_invariance(get_pair, get_datum, monkeypatch):
     """The contour rotation depth cannot change the solution value."""
     pair = get_pair("lkdv-dirichlet")
     datum = get_datum("lkdv-dirichlet")
-    vals = [solve_grid(pair, datum, [0.5], [0.2],
-                       theta_fraction=f).values[0, 0]
-            for f in (0.5, 0.25)]
+    vals = []
+    for f in (0.5, 0.25):
+        monkeypatch.setattr(evolution, "deform_for_time",
+                            lambda cs, f=f: deform_for_time(cs, f))
+        vals.append(solve_grid(pair, datum, [0.5], [0.2]).values[0, 0])
     assert abs(vals[0] - vals[1]) < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_times_raise(get_pair, get_datum):
+    """At small heat times exp(i lam x) fhat(lam) overflows along the
+    rotated rays before exp(-lam^2 t) cuts it off: the call raises, naming
+    the times whose values are not finite, instead of returning NaN."""
+    pair = get_pair("heat-dirichlet")
+    datum = get_datum("heat-dirichlet")
+    xs = [0.05, 0.2, 0.5]
+    with pytest.raises(ToleranceNotMet, match="0.0003"):
+        solve_grid(pair, datum, xs, [3e-4])
+    with pytest.raises(ToleranceNotMet, match=r"0\.003\b.*0\.0001"):
+        solve_grid(pair, datum, xs, [1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
+    # alone, the first of those times is resolved
+    got = solve_grid(pair, datum, xs, [3e-3]).values[0]
+    for x, value in zip(xs, got):
+        ref = heat_dirichlet_solution(datum, x, 3e-3)
+        assert abs(value - ref.value) < 1e-8, x
 
 
 def test_deterministic_repeat(get_pair, get_datum):
@@ -175,7 +196,7 @@ def test_grid_matches_dense_apply(get_pair, get_datum, name):
     datum = get_datum(name)
     xs, ts = _evolve_grid(pair.n)
     field = solve_grid(pair, datum, xs, ts)
-    packs = evolution._packs(pair, datum, xs, ts, 0.5)
+    packs = evolution._packs(pair, datum, xs, ts)
     ref = _dense_apply(pair, xs, ts, packs)
     assert field.nodes == sum(pack[0].size for pack in packs)
     err = np.abs(field.values - ref)
@@ -209,7 +230,7 @@ def test_rays_resolved_per_time_match_t_max_layout(get_pair, get_datum,
     assert field.nodes <= 0.5 * nodes, (field.nodes, nodes)
     assert field.applied < applied
     moduli = np.zeros(ref.shape)
-    for lam, wf, *_ in evolution._packs(pair, datum, xs, ts, 0.5):
+    for lam, wf, *_ in evolution._packs(pair, datum, xs, ts):
         decay = np.exp(-np.multiply.outer((pair.a * lam ** pair.n).real, ts))
         moduli += (np.exp(-np.multiply.outer(xs, lam.imag))
                    @ (np.abs(wf)[:, None] * decay)).T
@@ -248,6 +269,34 @@ def test_ray_panels_resolve_the_largest_time_needing_them(get_pair,
                     * (1 + 1e-9)).all()
             rays += 1
     assert rays > 0
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_ray_panel_widths_lie_on_one_ladder(get_pair, get_datum, name):
+    """Every rotated-ray panel of the evolve-grid packs (each ray's cut
+    last panel aside) is as wide as one rate 2^(j/4), integer j, admits:
+    falling rates rounded up and growing rates stepped down share the one
+    absolute ladder of :mod:`halfline.quadrature`."""
+    pair = get_pair(name)
+    datum = get_datum(name)
+    xs, ts = _evolve_grid(pair.n)
+    order = pair.params.max_order
+    cap = 2 * np.pi * order / pair.params.density
+    edge = np.polynomial.legendre.leggauss(order)[0][-1]
+    dcs = deform_for_time(pair.contours)
+    widths = []
+    for k, segs in enumerate([dcs.gamma0, *dcs.gammas]):
+        for seg in segs:
+            if seg.finite:
+                continue
+            panels = evolution._segment_pack(
+                pair, datum, seg, k, ts.min(), ts.max(), xs.min(),
+                xs.max())[3]
+            groups = np.unique(panels.group[:-1])
+            widths += (2 * np.abs(panels.offset[groups, -1]) / edge).tolist()
+    assert len(widths) > 0
+    j = 4.0 * np.log2(cap / np.array(widths))
+    assert (np.abs(j - np.round(j)) < 1e-9).all(), j
 
 
 def test_grid_is_independent_of_time_order(get_pair, get_datum):

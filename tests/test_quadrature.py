@@ -173,9 +173,9 @@ _RATES = {
 def test_panels_resolve_the_rate_at_both_ends(name):
     """Every panel holds at least ``density`` nodes per wavelength of the
     rate at both of its ends.  Where the rate grows, widths lie on the
-    quarter-octave ladder of the first width (the cut last panel aside),
-    in runs of equal panels; a constant or falling rate gives the
-    unladdered panels bit for bit."""
+    absolute quarter-octave ladder 2 pi order / (density 2^(j/4)), integer
+    j (the cut last panel aside), in runs of equal panels; a constant or
+    falling rate gives the unladdered panels bit for bit."""
     rate = _RATES[name]
     order, density, lo, hi = PARAMS.max_order, PARAMS.density, 0.0, 40.0
     panels, widths = quadrature._build_panels(lo, hi, rate, order, density,
@@ -187,10 +187,10 @@ def test_panels_resolve_the_rate_at_both_ends(name):
     assert all(p[1] == q[0] for p, q in zip(panels, panels[1:]))
     if name in ("constant", "pole"):
         assert panels == _unladdered_panels(lo, hi, rate, order, density)
-    grows = [width for (a, b), width in zip(panels[1:-1], widths[1:-1])
+    grows = [width for (a, b), width in zip(panels[:-1], widths[:-1])
              if rate(b) > rate(a)]
     for width in grows:
-        j = 4.0 * math.log2(width / widths[0])
+        j = 4.0 * math.log2(cap / width)
         assert abs(j - round(j)) < 1e-9
     if name in ("growing", "pole-growing"):
         # far fewer widths than growing panels: runs of equal panels
@@ -223,6 +223,16 @@ def test_growing_rate_panels_are_as_wide_as_their_far_end_allows(lo, hi,
             else:
                 wide = mid
         assert fits / 2.0 ** 0.25 < width <= fits * (1.0 + 1e-12), (a, width)
+
+
+def test_ladder_rate_rounds_up_to_the_least_rung():
+    """ladder_rate returns the least rung 2^(j/4) at or above the rate: a
+    rung maps to itself (4 log2 of 2^(1/2) reads just above 2), and 1.1
+    times a rung to the next one, as ``_build_panels`` steps."""
+    for j in range(-40, 80):
+        rung = 2.0 ** (j / 4)
+        assert quadrature.ladder_rate(rung) == rung, j
+        assert quadrature.ladder_rate(1.1 * rung) == 2.0 ** ((j + 1) / 4), j
 
 
 def test_factored_apply_equals_dense_product():
