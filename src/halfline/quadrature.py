@@ -6,28 +6,25 @@ panel holds a fixed number of nodes per oscillation wavelength.  Where the
 rate grows, each width is the one that resolves a rate of the absolute
 quarter-octave ladder 2^(j/4), integer j (:func:`ladder_rate`), so a
 growing rate gives runs of equal panels (width groups); a constant or
-falling rate keeps the unrounded panels.  Infinite rays are truncated in
-one of two ways:
-
-* with an :class:`ExpDecay` envelope model, at the radius where the model
-  guarantees the tail is below a tenth of the absolute tolerance
-  (:func:`segment_nodes`);
-* without one, by summing half-period blocks of the dominant oscillation
-  and accelerating the partial sums with Wynn's epsilon algorithm, which
-  converges for integrands with algebraically decaying envelopes
-  (:func:`integrate_segment`).
+falling rate keeps the unrounded panels.  An infinite ray is truncated
+with an :class:`ExpDecay` envelope model, at the radius where the model
+guarantees the tail is below a tenth of the absolute tolerance
+(:func:`segment_nodes`); without a model it raises
+:class:`TailBoundUnavailable`.
 
 Every component integral of the transform pair, int exp(i lam x) F(lam)
 over the real line or a sector boundary, runs on one engine:
 :func:`component_nodes` discretizes a component's arcs, finite rays and
 off-axis infinite rays (each caller supplies its phase-rate and envelope
 models) and hands back the infinite rays on the real axis, whose tails the
-caller sums exactly or by acceleration; :func:`apply_phase` then evaluates
-exp(i x lam) @ (w F) for all x at once.  It runs on :class:`PhaseKernel`,
-which factors the phase as exp(i x c_p) exp(i x o_gk) over the panels'
-:class:`Panels` layout: one table of node phases per width group, shared by
-all the group's panels, and one exponential per panel and x.  The
-evolution apply and the half-line transform use the same kernel.
+caller moves off the axis or sums exactly; :func:`apply_phase` then
+evaluates exp(i x lam) @ (w F) for all x at once.  It runs on
+:class:`PhaseKernel`, which factors the phase as exp(i x c_p) exp(i x o_gk)
+over the panels' :class:`Panels` layout: one table of node phases per
+width group, shared by all the group's panels, and one exponential per
+panel and x.  The evolution apply and the half-line transform use the same
+kernel.  :func:`integrate_segment` integrates one finite segment of a
+callable with error control, for references and checks.
 
 Everything is deterministic: no randomness, and identical inputs produce
 identical node sequences.  Error estimates come from comparing each panel
@@ -57,16 +54,13 @@ __all__ = [
     "PhaseKernel",
     "apply_phase",
     "integrate_segment",
-    "wynn_epsilon",
     "ray_monomial_tail",
 ]
 
 TWO_PI = 2.0 * math.pi
-# node budget of one segment, refinement rounds of a finite segment, and
-# half-period blocks of an accelerated infinite ray
+# node budget of one segment, and refinement rounds of a finite segment
 _MAX_NODES = 400_000
 _MAX_REFINE = 4
-_MAX_BLOCKS = 400
 # laddered panel widths resolve the rates 2^(j / _LADDER): quarter octaves
 _LADDER = 4
 
@@ -377,7 +371,7 @@ def component_nodes(segments, params: QuadratureParams, osc, decay=None):
     axis.  Returns (lam, w, panels, axis_rays): the nodes, weights and
     :class:`Panels` layout of every arc, finite ray and truncated off-axis
     ray, in segment order, and the infinite rays on the real axis
-    unchanged, for the caller's exact or accelerated tails.
+    unchanged, for the caller to move off the axis or sum exactly.
     """
     empty = np.zeros(0, dtype=complex)
     lams, ws, layouts, axis_rays = [empty], [empty], [], []
@@ -476,35 +470,6 @@ def _param_interval(seg: PathSegment):
     return seg.a1, seg.a0, -1.0
 
 
-def wynn_epsilon(partial_sums):
-    """Accelerate a complex sequence; returns (limit, error_estimate)."""
-    s = [complex(v) for v in partial_sums]
-    n = len(s)
-    if n < 3:
-        return s[-1], abs(s[-1] - s[0]) if n > 1 else abs(s[-1])
-    eps_prev = [0.0 + 0.0j] * (n + 1)
-    eps_curr = list(s)
-    best = s[-1]
-    prev_best = s[-2]
-    col = 0
-    while len(eps_curr) >= 2:
-        nxt = []
-        for i in range(len(eps_curr) - 1):
-            diff = eps_curr[i + 1] - eps_curr[i]
-            if abs(diff) < 1e-300:
-                nxt = []
-                break
-            nxt.append(eps_prev[i + 1] + 1.0 / diff)
-        if not nxt:
-            break
-        eps_prev = eps_curr
-        eps_curr = nxt
-        col += 1
-        if col % 2 == 0 and len(eps_curr) >= 1:
-            prev_best, best = best, eps_curr[-1]
-    return best, abs(best - prev_best)
-
-
 def _finite_with_refinement(f, seg, params, osc):
     tol = lambda v: max(params.abs_tol, params.rel_tol * abs(v))
     lo, hi, flip = _param_interval(seg)
@@ -531,69 +496,22 @@ def _finite_with_refinement(f, seg, params, osc):
     return IntegralResult(scaled, est, nodes_used, False, "refinement limit reached")
 
 
-def _blocks_with_acceleration(f, seg, params, osc):
-    """Infinite ray: half-period blocks plus epsilon acceleration.
-
-    The error estimate is the larger of Wynn's own and the spread of the
-    last three extrapolated limits, as in QUADPACK's qelg: the table's
-    last two diagonal entries can agree while successive extrapolations
-    still move, so convergence needs three limits that agree.
-    """
-    rate0 = osc(seg.r0)
-    if rate0 <= 0.0:
-        raise TailBoundUnavailable(
-            "infinite ray without decay model needs a positive oscillation rate")
-    edges = [seg.r0]
-    partial = []
-    limits = []
-    total = 0.0 + 0.0j
-    nodes_used = 0
-    small = 0
-    for m in range(_MAX_BLOCKS):
-        a = edges[-1]
-        b = a + math.pi / max(osc(a), 1e-12)
-        edges.append(b)
-        piece = PathSegment.ray(seg.base, seg.angle, a, b, 1)
-        res = _finite_with_refinement(f, piece, params, osc)
-        nodes_used += res.nodes
-        total += res.value
-        partial.append(total)
-        if abs(res.value) < params.abs_tol / 4.0:
-            small += 1
-            if small >= 2:
-                return IntegralResult(total * seg.orientation,
-                                      abs(res.value) + res.est_error,
-                                      nodes_used, True)
-        else:
-            small = 0
-        if len(partial) >= 8:
-            value, est = wynn_epsilon(partial)
-            limits.append(value)
-            if len(limits) >= 3:
-                last = limits[-3:]
-                est = max(est, max(abs(p - q) for p in last for q in last))
-                if est < max(params.abs_tol, params.rel_tol * abs(value)):
-                    return IntegralResult(value * seg.orientation, est,
-                                          nodes_used, True)
-    value, est = wynn_epsilon(partial)
-    return IntegralResult(value * seg.orientation, est, nodes_used, False,
-                          "tail acceleration did not converge")
-
-
 def integrate_segment(f, seg: PathSegment, params: QuadratureParams | None = None, *,
                       osc=None) -> IntegralResult:
-    """Integrate a vectorized callable along one segment with error control.
+    """Integrate a vectorized callable along one finite segment with error
+    control: panels are halved until the working Gauss order and half that
+    order agree.
 
     ``osc(u)`` bounds the local phase rate per parameter unit (radius or
-    angle).  Infinite rays are summed in oscillation blocks with epsilon
-    acceleration; :func:`segment_nodes` truncates them with a decay model
-    instead.
+    angle).  An infinite ray raises :class:`TailBoundUnavailable`, as in
+    :func:`segment_nodes` without a decay model.
     """
     params = params or QuadratureParams()
     if osc is None:
         osc = lambda u: 1.0
     if not seg.finite:
-        return _blocks_with_acceleration(f, seg, params, osc)
+        raise TailBoundUnavailable(
+            "infinite ray needs a decay model; integrate it with segment_nodes")
     return _finite_with_refinement(f, seg, params, osc)
 
 

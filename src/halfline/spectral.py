@@ -16,7 +16,8 @@ Three families of checks:
   expects it of exactly those components.  The
   type II integral is computed on every component, the real line included:
   there the integrand is a sum of monomials lam^(-p), integrated around the
-  indentation above their pole and restored exactly beyond it;
+  indentation above their pole and, beyond it, on vertical rays where
+  exp(i lam x) decays;
 * representation identity: inverting lam^(-n) F_k[Sf] over the components,
   with the real-line contour genuinely indented above the origin, must
   reproduce the same values as inverting F_k[f].
@@ -262,9 +263,8 @@ def check_type_II(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIIReport
 
     For k = 0 the integrand is a sum of monomials whose only pole sits below
     the indented real contour: the central segment runs around the
-    indentation by quadrature and the tails are summed exactly with
-    exponential integrals, so the value measures how well both vanish
-    together.  For sectors the real-axis rays are summed exactly with
+    indentation and the tails on vertical rays, both by quadrature, so the
+    value measures how well both vanish together.  For sectors the real-axis rays are summed exactly with
     exponential integrals and the rest by quadrature."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.min() <= 0.0:

@@ -36,10 +36,11 @@ power-subtracted tails: the leading monomials of the integrand's
 large-lambda expansion, for the inversion the first n+1 terms of
 fhat ~ sum_j f(j)(0) / (i lam)^(j+1), are removed, the subtracted remainder
 decays faster than any power and is summed in doubling blocks, and the
-removed terms are restored exactly with generalized exponential integrals.
-Sector rays off the real axis are truncated with exponential decay models;
-rays on the real axis (reverse-time problems) are summed per evaluation
-point in oscillation blocks with epsilon acceleration, which must converge.
+removed terms are restored to rounding on the vertical rays +-r0 + i s,
+s >= 0, where exp(i lam x) decays.  A sector ray on the real axis
+(reverse-time problems) pivots about its junction point +-R into its
+sector, which by Cauchy's theorem keeps the integral; every sector ray is
+then truncated with an exponential decay model.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ from .contours import build_contours
 from .errors import NonpositiveX, ToleranceNotMet
 from .problems import validate
 from .quadrature import (ExpDecay, Panels, PathSegment, QuadratureParams,
-                         apply_phase, component_nodes, integrate_segment,
-                         ray_monomial_tail, segment_nodes)
+                         apply_phase, component_nodes, segment_nodes)
 
 __all__ = ["SupportTransform", "TransformPair"]
 
@@ -71,6 +71,9 @@ _MAX_LEVEL = 16
 # evicted first; a verify_problem uses up to eight (four data, derivatives
 # 0 and n)
 _HATS_MAX = 32
+# at t = 0 a sector ray on the real axis turns about its junction into the
+# sector by this fraction of the sector's width
+_AXIS_RAY_TURN = 0.5
 
 
 class SupportTransform:
@@ -160,16 +163,29 @@ class SupportTransform:
         return out
 
 
-def _real_axis_monomial_tails(r0: float, xs: np.ndarray, power: int) -> np.ndarray:
-    """int exp(i lam x) lam^(-power) over the real line outside [-r0, r0],
-    one exponential integral per x.
+def _real_axis_monomial_tails(r0: float, xs: np.ndarray, powers,
+                              params: QuadratureParams) -> np.ndarray:
+    """int exp(i lam x) lam^(-p) over the real line outside [-r0, r0], for
+    every x of xs (rows) and p of ``powers`` (columns).
 
-    The left ray is the mirror of the right one: for real x > 0,
-    E_p(conj z) = conj E_p(z), so the outward tail along theta = pi equals
-    (-1)^(1-p) conj of the tail along theta = 0.
+    The right tail closes in the first quadrant onto the vertical ray
+    lam = r0 + i s, s >= 0, where exp(i lam x) = exp(i r0 x) exp(-s x), and
+    one set of nodes serves every x and p.  The panels resolve the decay
+    rate x_max and the pole at lam = 0, r0 from the path.  The ray stops
+    where the integrated envelope r0^-p exp(-s x_min) / x_min falls to the
+    rounding of a tail, whose size is near r0^-p / (x + p / r0).  The left
+    tail is the mirror of the right one: for real x > 0 it equals
+    (-1)^p conj of the right tail.
     """
-    right = np.array([ray_monomial_tail(0.0, r0, float(x), power) for x in xs])
-    return right - (-1.0) ** (1 - power) * np.conj(right)
+    x_min, x_max = float(xs.min()), float(xs.max())
+    p = np.asarray(powers, dtype=float)
+    scale = x_max + p.max() / r0
+    stop = math.log(scale / (np.finfo(float).eps * x_min)) / x_min
+    nodes = segment_nodes(PathSegment.ray(r0, math.pi / 2, 0.0, stop), params,
+                          osc=lambda s: x_max + 8.0 / (r0 + s))
+    lam, w = nodes
+    right = apply_phase(xs, nodes.panels, w[:, None] * lam[:, None] ** -p)
+    return right + (-1.0) ** p * np.conj(right)
 
 
 class TransformPair:
@@ -304,22 +320,28 @@ class TransformPair:
         I(-lam) = conj(I(lam)).  ``rate`` bounds the phase rate.  The
         central segment |lam| < lambda_center runs along the axis, or around
         the semicircular indentation above the origin when ``indented`` (I
-        has a pole there).  Beyond it, the rest of I is summed by
-        :meth:`gamma0_tail_scan` and the monomials exactly with exponential
-        integrals.
+        has a pole there).  The indentation has radius lambda_center / 2,
+        at least 1, where lam^-p stays small and so does its rounding; this
+        needs I analytic in the upper half-disc |lam| < lambda_center / 2
+        except at 0.  Beyond the central segment, the rest of I is summed
+        by :meth:`gamma0_tail_scan` and the monomials to rounding by
+        :func:`_real_axis_monomial_tails`.
         """
         lc = self.lambda_center
         if indented:
-            d = self.contours.delta
+            d = 0.5 * lc
             segs = (PathSegment.ray(-lc, 0.0, 0.0, lc - d),
                     PathSegment.arc(0.0, d, math.pi, 0.0),
                     PathSegment.ray(d, 0.0, 0.0, lc - d))
-            central = max(rate, 4.0 / d)
+            # an arc's parameter is its angle: the phase turns d rate per
+            # radian, and the pole at the centre, d from every node, adds
+            # a term
+            central = {"arc": d * rate + 8.0, "ray": rate + 8.0 / d}
         else:
             segs = (PathSegment.ray(-lc, 0.0, 0.0, 2.0 * lc),)
-            central = rate
+            central = {"ray": rate}
         lam, w, panels, _ = component_nodes(
-            segs, self.params, lambda seg: lambda u: central)
+            segs, self.params, lambda seg: lambda u: central[seg.kind])
 
         def mono(lam):
             return sum(b * lam ** (-float(p)) for p, b in monomials)
@@ -327,8 +349,10 @@ class TransformPair:
         vals = apply_phase(xs, panels, w * (mono if G is None else G)(lam))
         if G is not None:
             vals += self.gamma0_tail_scan(lambda lam: G(lam) - mono(lam), xs, rate)
-        for p, b in monomials:
-            vals += b * _real_axis_monomial_tails(lc, xs, p)
+        if monomials:
+            powers, coeffs = zip(*monomials)
+            vals += _real_axis_monomial_tails(lc, xs, powers,
+                                              self.params) @ np.array(coeffs)
         return vals
 
     def _gamma0_piece(self, datum, xs: np.ndarray) -> np.ndarray:
@@ -367,19 +391,31 @@ class TransformPair:
                          applied: bool = False, inv_power: int = 0) -> np.ndarray:
         """Integral of exp(i lam x) lam^(-inv_power) F_k over component k.
 
-        ``applied=True`` replaces F_k[f] with F_k[Sf].  Rays off the real
-        axis are truncated where an exponential envelope from the junction
-        value falls below tolerance; rays on the real axis are summed per
-        point with oscillation blocks and epsilon acceleration, and raise
-        ToleranceNotMet when the acceleration does not converge.
+        ``applied=True`` replaces F_k[f] with F_k[Sf].  A ray on the real
+        axis pivots about its junction point +-R into the sector, by
+        ``_AXIS_RAY_TURN`` of the sector's width.  F_k is analytic in the
+        sector outside |lam| = R, and it and exp(i lam x) decay there, so by
+        Cauchy's theorem the turned ray keeps the integral; the swept wedge
+        stays in |lam| >= R.  Every infinite ray is truncated where an
+        exponential envelope from the junction value falls below tolerance,
+        and one apply covers every x.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         x_min = float(xs.min())
         rate = float(xs.max()) + datum.support
+        lo, hi = self.contours.sectors[k - 1]
+        turn = _AXIS_RAY_TURN * (hi - lo)
 
         def F(lam):
             out = self.forward(datum, k, lam, applied=applied)
             return out * lam ** (-float(inv_power)) if inv_power else out
+
+        def off_axis(seg):
+            if seg.finite or not seg.on_real_axis:
+                return seg
+            angle = lo + turn if math.cos(seg.angle) > 0.0 else hi - turn
+            return PathSegment.ray(seg.point(seg.r0), angle, 0.0, math.inf,
+                                   seg.orientation)
 
         def decay(seg):
             jun = np.array([seg.point(seg.r0)], dtype=complex)
@@ -387,17 +423,10 @@ class TransformPair:
             return ExpDecay.linear(x_min * math.sin(seg.angle), seg.r0,
                                    math.log(scale))
 
-        lam, w, panels, axis_rays = component_nodes(
-            self.contours.gammas[k - 1], self.params,
-            lambda seg: self.junction_osc(seg, rate), decay)
-        vals = apply_phase(xs, panels, w * F(lam))
-        for seg in axis_rays:
-            for i, x in enumerate(xs):
-                g = lambda lam: np.exp(1j * lam * x) * F(lam)
-                vals[i] += integrate_segment(
-                    g, seg, self.params,
-                    osc=self.junction_osc(seg, x + datum.support)).require()
-        return vals
+        lam, w, panels, _ = component_nodes(
+            [off_axis(seg) for seg in self.contours.gammas[k - 1]],
+            self.params, lambda seg: self.junction_osc(seg, rate), decay)
+        return apply_phase(xs, panels, w * F(lam))
 
     # -- public inversion --------------------------------------------------
     def components(self, datum, xs) -> list[np.ndarray]:

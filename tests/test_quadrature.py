@@ -19,7 +19,6 @@ from halfline.quadrature import (
     integrate_segment,
     ray_monomial_tail,
     segment_nodes,
-    wynn_epsilon,
 )
 
 PARAMS = QuadratureParams()
@@ -268,15 +267,13 @@ def test_factored_apply_equals_dense_product():
         assert (np.abs(got - dense) <= 1e-13 * scale).all()
 
 
-def test_infinite_ray_with_block_acceleration():
-    """Without a decay model, oscillation blocks plus epsilon acceleration
-    evaluate int_0^inf exp((i - 0.2) r) dr = 1 / (0.2 - i)."""
+def test_integrate_segment_refuses_infinite_ray():
+    """integrate_segment has no tail model: an infinite ray raises, as
+    segment_nodes does without a decay model."""
     seg = PathSegment.ray(0.0, 0.0, 0.0, math.inf)
-    res = integrate_segment(lambda z: np.exp((1j - 0.2) * z), seg, PARAMS,
-                            osc=lambda u: 1.0)
-    want = 1.0 / (0.2 - 1j)
-    assert res.converged
-    assert abs(res.value - want) < 1e-8
+    with pytest.raises(TailBoundUnavailable):
+        integrate_segment(lambda z: np.exp((1j - 0.2) * z), seg, PARAMS,
+                          osc=lambda u: 1.0)
 
 
 def test_infinite_ray_nodes_need_decay():
@@ -308,23 +305,6 @@ def test_exp_decay_radius_general_property():
 def test_exp_decay_requires_positive_dominant_term():
     with pytest.raises(ValueError):
         ExpDecay([(1.0, 1.0), (-0.2, 2.0)], r0=0.0)
-
-
-def test_wynn_epsilon_alternating_harmonic():
-    """Twelve partial sums of the alternating harmonic series accelerate
-    to log 2 far beyond their raw accuracy."""
-    partial = np.cumsum([(-1.0) ** (k + 1) / k for k in range(1, 13)])
-    val, est = wynn_epsilon(partial)
-    assert abs(val - math.log(2.0)) < 1e-8
-    assert abs(partial[-1] - math.log(2.0)) > 1e-2  # acceleration did the work
-    assert est < 1e-6
-
-
-def test_wynn_epsilon_short_sequences():
-    v, e = wynn_epsilon([3.0 + 0.0j])
-    assert v == 3.0 and e == 3.0
-    v, e = wynn_epsilon([1.0, 1.5])
-    assert v == 1.5 and e == pytest.approx(0.5)
 
 
 def test_ray_monomial_tail_against_mpmath_quad():

@@ -1,20 +1,23 @@
 """Forward transforms, inverse kernels, and reconstruction round trips."""
 
+import copy
+import dataclasses
 import sys
 import threading
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from halfline import quadrature, transforms
 from halfline.datum import make_datum
 from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.oracles import adaptive_reference
-from halfline.quadrature import (QuadratureParams, integrate_segment,
-                                 ray_monomial_tail)
+from halfline.problems import HalfLineProblem, validate
+from halfline.quadrature import QuadratureParams, ray_monomial_tail
 from halfline.transforms import SupportTransform, TransformPair
-from halfline.verify import all_passed, data_trio, verify_problem
+from halfline.verify import all_passed, verify_problem
 
 
 def _random_lams(rng, count, rmin=0.5, rmax=3.0):
@@ -249,16 +252,19 @@ def test_verify_problem_never_rebuilds_a_transform(catalog, monkeypatch):
 
 def test_real_axis_tails_mirror_identity():
     """The left-ray tail is the mirrored conjugate of the right one, to
-    1e-14 relative, so one exponential integral per point gives the
-    two-ray real-axis tail."""
+    1e-14 relative, so the right ray alone gives the two-ray real-axis
+    tail; summed on its vertical path for all points and powers at once,
+    it matches mpmath's exponential integrals to 1e-14 of a ray tail."""
     xs = np.linspace(0.05, 1.0, 12)
+    powers = range(1, 6)
     for r0 in (2.0, 3.7):
-        for p in range(1, 6):
+        tails = transforms._real_axis_monomial_tails(r0, xs, powers,
+                                                     QuadratureParams())
+        for p, got in zip(powers, tails.T):
             right = np.array([ray_monomial_tail(0.0, r0, x, p) for x in xs])
             left = np.array([ray_monomial_tail(np.pi, r0, x, p) for x in xs])
             np.testing.assert_allclose(left, (-1.0) ** (1 - p) * np.conj(right),
                                        rtol=1e-14, atol=0)
-            got = transforms._real_axis_monomial_tails(r0, xs, p)
             # right - left cancels to one real or imaginary part, so the
             # comparison is relative to the size of a ray tail
             np.testing.assert_allclose(got, right - left, rtol=0,
@@ -362,56 +368,115 @@ def test_sector_component_vanishes_for_positive_x(get_pair, get_datum):
     assert vals.max() < 1e-6
 
 
-def test_unconverged_real_axis_ray_raises(catalog, get_datum, monkeypatch):
-    """A real-axis sector ray whose tail acceleration does not converge
-    within the block budget raises instead of returning its partial sum."""
-    monkeypatch.setattr(quadrature, "_MAX_BLOCKS", 3)
+def _axis_ray_alone(pair, k):
+    """A copy of ``pair`` whose component k is its infinite real-axis ray
+    alone."""
+    (ray,) = [seg for seg in pair.contours.gammas[k - 1]
+              if seg.on_real_axis and not seg.finite]
+    alone = copy.copy(pair)
+    gammas = list(pair.contours.gammas)
+    gammas[k - 1] = (ray,)
+    alone.contours = dataclasses.replace(pair.contours, gammas=tuple(gammas))
+    return alone, ray
+
+
+def test_turned_axis_ray_matches_qawf(get_pair, get_datum):
+    """reverse-lkdv's k = 1 ray along [R, inf), turned into its sector,
+    integrates exp(i lam x) F_1 as QUADPACK's Fourier integral (QAWF) does
+    on the axis itself."""
+    pair, ray = _axis_ray_alone(get_pair("reverse-lkdv"), 1)
+    datum = get_datum("reverse-lkdv")
+    x = 0.4
+    F = lambda lam: pair.forward(datum, 1, np.array([lam + 0j]))[0]
+    part = {}
+    for weight in ("cos", "sin"):
+        for name, f in (("re", lambda lam: F(lam).real),
+                        ("im", lambda lam: F(lam).imag)):
+            part[weight, name] = integrate.quad(
+                f, ray.r0, np.inf, weight=weight, wvar=x, epsabs=1e-13,
+                limlst=100)[0]
+    want = ray.orientation * (part["cos", "re"] - part["sin", "im"]
+                              + 1j * (part["sin", "re"] + part["cos", "im"]))
+    got = pair.sector_component(datum, 1, np.array([x]))[0]
+    assert abs(want) > 1e-2
+    assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("turn", [0.25, 0.75])
+def test_axis_ray_turn_leaves_sector_values(get_pair, get_datum, monkeypatch,
+                                            turn):
+    """Turning the real-axis rays by a quarter or three quarters of the
+    sector's width instead of half gives the same integrals (Cauchy's
+    theorem), for F_k[f] and for lam^-n F_k[Sf], on the ray alone and on
+    the whole component."""
+    pair = get_pair("reverse-lkdv")
+    datum = get_datum("reverse-lkdv")
+    xs = np.array([0.05, 0.4, 1.3])
+    forms = ({}, {"applied": True, "inv_power": pair.n})
+    cases = [(p, k, form) for k in (1, 2)
+             for p in (pair, _axis_ray_alone(pair, k)[0]) for form in forms]
+    half = [p.sector_component(datum, k, xs, **form) for p, k, form in cases]
+    monkeypatch.setattr(transforms, "_AXIS_RAY_TURN", turn)
+    for (p, k, form), want in zip(cases, half):
+        got = p.sector_component(datum, k, xs, **form)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-14)
+
+
+def test_sector_forward_calls_do_not_grow_with_points(catalog, get_datum,
+                                                      monkeypatch):
+    """A reverse-lkdv reconstruction evaluates the transforms at one node
+    set per sector component, whatever the number of points."""
+    calls = Counter()
+    forward = TransformPair.forward
+
+    def counting(self, *args, **kwargs):
+        calls["forward"] += 1
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransformPair, "forward", counting)
     pair = TransformPair(catalog["reverse-lkdv"])
     datum = get_datum("reverse-lkdv")
-    xs = np.array([0.3, 0.7])
+    counts = []
+    for size in (20, 40):
+        calls.clear()
+        pair.reconstruct(datum, np.linspace(0.1, 1.5, size))
+        counts.append(calls["forward"])
+    assert counts[0] == counts[1] <= 3 * pair.N
+
+
+def test_sector_component_over_node_budget_raises(catalog, get_datum,
+                                                  monkeypatch):
+    """A sector ray that needs more nodes than the budget raises instead of
+    returning a truncated sum."""
+    monkeypatch.setattr(quadrature, "_MAX_NODES", 100)
+    pair = TransformPair(catalog["reverse-lkdv"])
+    datum = get_datum("reverse-lkdv")
     for k in (1, 2):
-        assert any(seg.on_real_axis for seg in pair.contours.gammas[k - 1])
-        with pytest.raises(ToleranceNotMet, match="did not converge"):
-            pair.sector_component(datum, k, xs)
+        with pytest.raises(ToleranceNotMet, match="panel budget"):
+            pair.sector_component(datum, k, np.array([0.3, 0.7]))
 
 
-def test_accelerated_ray_estimate_bounds_its_error(catalog):
-    """reverse-lkdv's k = 1 real-axis ray at x = 0.05 for the mixed datum:
-    at rel_tol 1e-8, abs_tol 1e-9 Wynn's own estimate read 4.4e-10 on an
-    error of 3.0e-5, so verify's sector-vanishing read 3e-5.  The spread of
-    the last three extrapolated limits joins the estimate, which then
-    bounds the error at both tolerances."""
-    problem = catalog["reverse-lkdv"]
-    datum = data_trio(problem, 0)[2]
-    x = 0.05
-
-    def ray_integrals(params):
-        pair = TransformPair(problem, params)
-        rays = [seg for seg in pair.contours.gammas[0] if seg.on_real_axis
-                and not seg.finite]
-        assert rays
-        return [integrate_segment(
-            lambda lam: np.exp(1j * lam * x) * pair.forward(datum, 1, lam),
-            seg, params, osc=pair.junction_osc(seg, x + datum.support))
-            for seg in rays]
-
-    refs = ray_integrals(QuadratureParams(rel_tol=1e-12, abs_tol=1e-14))
-    for params in (QuadratureParams(rel_tol=1e-8, abs_tol=1e-9),
-                   QuadratureParams()):
-        for got, ref in zip(ray_integrals(params), refs):
-            assert got.converged and ref.converged
-            err = abs(got.value - ref.value)
-            assert err <= got.est_error, (params, err, got.est_error)
-            assert err < max(params.abs_tol, params.rel_tol * abs(ref.value))
+def test_schroedinger_dirichlet_reconstructs():
+    """Schroedinger with a Dirichlet condition (n = 2, a = i): the sector
+    (0, pi/2) has a real-axis ray, and the inversion reproduces the datum
+    while the sector component vanishes."""
+    problem = validate(HalfLineProblem(2, 1j, [[1.0, 0.0]]))
+    pair = TransformPair(problem)
+    datum = make_datum(problem, (0.0, 1.0), seed=0)
+    assert any(seg.on_real_axis for seg in pair.contours.gammas[0])
+    xs = np.linspace(0.1, 1.5, 20)
+    real_line, sector = pair.components(datum, xs)
+    assert np.abs(sector).max() < 1e-12
+    assert np.abs(real_line + sector - datum.value(xs)).max() < 1e-9
 
 
 @pytest.mark.parametrize("name", ["heat-dirichlet", "robin-4"])
 def test_real_line_component_monomials_below_indentation_vanish(get_pair, name):
     """int exp(i lam x) lam^-p over the real line indented above its pole
     is zero (close the contour upward).  Central nodes and exact tails
-    reproduce that; rounding around the indentation, where |lam^-p| is
-    delta^-p, sets the floor 1e-15 delta^-p (1e-12 for p <= 3 at
-    delta = 0.1)."""
+    reproduce that to 1e-13: the indentation's radius lambda_center / 2
+    keeps |lam^-p| at most 1 on it, so its rounding stays near 1e-15, far
+    below the 1e-15 delta^-p of an indentation at the contours' delta."""
     pair = get_pair(name)
     delta = pair.contours.delta
     xs = np.array([0.1, 1.0, 7.5])
@@ -419,18 +484,21 @@ def test_real_line_component_monomials_below_indentation_vanish(get_pair, name):
         got = pair.real_line_component(None, xs, float(xs.max()) + 1.0,
                                        monomials=[(p, 1.0)], indented=True)
         assert np.abs(got).max() < 1e-15 * delta ** -p, p
+        assert np.abs(got).max() < 1e-13, p
 
 
 def test_real_line_component_restores_residue_above_indentation(get_pair):
-    """i / (lam - i/2) keeps the real-data symmetry and its pole lies above
-    the contour, so the integral is the residue -2 pi exp(-x/2); its first
-    four powers i (i/2)^k lam^-(k+1) are subtracted for the tail scan and
-    restored exactly."""
+    """i / (lam - ic) keeps the real-data symmetry and its pole lies above
+    the contour, and above the indentation of radius lambda_center / 2, so
+    the integral is the residue -2 pi exp(-c x); its first four powers
+    i (ic)^k lam^-(k+1) are subtracted for the tail scan and restored
+    exactly."""
     pair = get_pair("heat-dirichlet")
+    c = 0.75 * pair.lambda_center
     xs = np.array([0.5, 1.0, 2.0])
-    monomials = [(k + 1, 1j * (0.5j) ** k) for k in range(4)]
-    got = pair.real_line_component(lambda lam: 1j / (lam - 0.5j), xs,
+    monomials = [(k + 1, 1j * (1j * c) ** k) for k in range(4)]
+    got = pair.real_line_component(lambda lam: 1j / (lam - 1j * c), xs,
                                    float(xs.max()) + 1.0,
                                    monomials=monomials, indented=True)
-    np.testing.assert_allclose(got, -2.0 * np.pi * np.exp(-xs / 2.0),
+    np.testing.assert_allclose(got, -2.0 * np.pi * np.exp(-c * xs),
                                rtol=0, atol=1e-10)
