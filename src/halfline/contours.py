@@ -11,16 +11,18 @@ anticlockwise along the arc |lam| = R, back out along the upper-angle ray.
 For an admissible problem the number of sectors always equals the
 boundary-condition count.
 
-``deform_for_time`` prepares a system for t > 0 quadrature: every ray is
-rotated, about its finite endpoint, into the adjacent sector where the
-evolution factor exp(-a lam^n t) decays.  Rays on the real axis must move
-off it (their angle-0 neighborhood is neutral or growing for the
-exponential); rays already on sector boundaries are rotated outward so the
-quadrature gains the exp(-c r^n t) envelope instead of relying on the
-marginal exp(i lam x) factor.  Arc endpoints at |lam| = R are preserved.
-The integral values are unchanged by Cauchy's theorem: the swept sectors
-contain no singularities of the integrands and the evolution factor decays
-in their interior.
+This module decides where every ray goes.  A ray pivots about its finite
+endpoint by ``_TURN`` of the width it turns through, so arcs and junction
+points stay put, and Cauchy's theorem keeps the integrals: the swept
+wedges hold no singularity of the integrands, which decay inside them.
+``turn_axis_rays`` gives the t = 0 system (inversion, type II,
+representation): a sector ray on the real axis (reverse-time problems)
+turns about its junction +-R into its own sector, where exp(i lam x)
+decays.  ``deform_for_time`` turns every ray, for t > 0, into the adjacent
+sector where exp(-a lam^n t) decays; rays on sector boundaries turn
+outward, so the quadrature gains the exp(-c r^n t) envelope instead of
+the marginal exp(i lam x).  The type-I truncation scan keeps the system of
+``build_contours``: the divergence on the real axis is what it certifies.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ from .errors import NoComponents, NoDecaySector
 from .problems import HalfLineProblem, classify, validate
 from .quadrature import PathSegment
 
-__all__ = ["ContourSystem", "decay_sectors", "build_contours", "deform_for_time"]
+__all__ = ["ContourSystem", "decay_sectors", "build_contours", "turn_axis_rays",
+           "deform_for_time"]
 
 _ANGLE_SNAP = 1e-12
+# a turned ray turns by this fraction of the width it turns through
+_TURN = 0.5
 
 
 def _sign_edges(n: int, a: complex):
@@ -45,18 +50,6 @@ def _sign_edges(n: int, a: complex):
     first = (math.pi / 2.0 - phi) / n
     step = math.pi / n
     return first, step
-
-
-def _edge_below(angle: float, n: int, a: complex) -> float:
-    first, step = _sign_edges(n, a)
-    k = math.floor((angle - first) / step - 1e-9)
-    return first + k * step
-
-
-def _edge_above(angle: float, n: int, a: complex) -> float:
-    first, step = _sign_edges(n, a)
-    k = math.ceil((angle - first) / step + 1e-9)
-    return first + k * step
 
 
 def _evo_decays(theta: float, n: int, a: complex) -> bool:
@@ -129,9 +122,28 @@ def build_contours(problem: HalfLineProblem, R: float) -> ContourSystem:
                          gamma0=gamma0, gammas=tuple(gammas))
 
 
-def _rotation_target(angle: float, n: int, a: complex, frac: float,
-                     side: str) -> float:
-    """Rotated direction for a ray currently pointing along ``angle``.
+def _pivot(seg: PathSegment, angle: float) -> PathSegment:
+    """The infinite ray ``seg`` turned about its finite endpoint to ``angle``."""
+    return PathSegment.ray(complex(seg.point(seg.r0)), angle, 0.0, math.inf,
+                           orientation=seg.orientation)
+
+
+def turn_axis_rays(cs: ContourSystem) -> ContourSystem:
+    """The t = 0 system: an infinite sector ray on the real axis turns about
+    its junction +-R into its own sector, by ``_TURN`` of the sector's
+    width.  Arcs and off-axis rays are unchanged."""
+    gammas = []
+    for (lo, hi), segs in zip(cs.sectors, cs.gammas):
+        turn = _TURN * (hi - lo)
+        gammas.append(tuple(
+            _pivot(seg, lo + turn if math.cos(seg.angle) > 0.0 else hi - turn)
+            if not seg.finite and seg.on_real_axis else seg for seg in segs))
+    return replace(cs, gammas=tuple(gammas))
+
+
+def _rotation_target(angle: float, n: int, a: complex, side: str) -> float:
+    """Rotated direction for a ray currently pointing along ``angle``, by
+    ``_TURN`` of the way to the next sign edge.
 
     ``side`` picks the preferred rotation sense when both neighbors decay:
     "up" favors increasing angle, "down" decreasing.  Raises
@@ -143,36 +155,26 @@ def _rotation_target(angle: float, n: int, a: complex, frac: float,
     if not up_ok and not down_ok:
         raise NoDecaySector(
             f"no adjacent decay sector at angle {angle:.6f} for (n={n}, a={a})")
-    go_up = up_ok if (up_ok != down_ok) else (side == "up")
-    if go_up:
-        width = _edge_above(angle, n, a) - angle
-        return angle + frac * width
-    width = angle - _edge_below(angle, n, a)
-    return angle - frac * width
+    first, step = _sign_edges(n, a)
+    if up_ok if (up_ok != down_ok) else (side == "up"):
+        above = first + math.ceil((angle - first) / step + 1e-9) * step
+        return angle + _TURN * (above - angle)
+    below = first + math.floor((angle - first) / step - 1e-9) * step
+    return angle - _TURN * (angle - below)
 
 
-def deform_for_time(cs: ContourSystem, theta_fraction: float = 0.5) -> ContourSystem:
+def deform_for_time(cs: ContourSystem) -> ContourSystem:
     """Rotate every ray into an adjacent evolution-decay sector.
 
     Rays pivot about their finite endpoint (the indentation endpoints
     +-delta for the real-line component, the arc junctions |lam| = R for
     the sector components), so arcs and junction points are unchanged.
     """
-    if not (0.0 < theta_fraction < 1.0):
-        raise ValueError("theta_fraction must be in (0, 1)")
-    n, a = cs.n, cs.a
-
     def rotate(seg: PathSegment, side: str) -> PathSegment:
-        target = _rotation_target(seg.angle, n, a, theta_fraction, side)
-        pivot = seg.point(seg.r0)
-        return PathSegment.ray(complex(pivot), target, 0.0, math.inf,
-                               orientation=seg.orientation)
+        return _pivot(seg, _rotation_target(seg.angle, cs.n, cs.a, side))
 
-    left, semi, right = cs.gamma0
     # prefer rotating toward the upper half plane when both sides decay
-    gamma0 = (rotate(left, "down"), semi, rotate(right, "up"))
-    gammas = []
-    for segs in cs.gammas:
-        inward, arc, outward = segs
-        gammas.append((rotate(inward, "down"), arc, rotate(outward, "up")))
-    return replace(cs, gamma0=gamma0, gammas=tuple(gammas))
+    left, semi, right = cs.gamma0
+    return replace(cs, gamma0=(rotate(left, "down"), semi, rotate(right, "up")),
+                   gammas=tuple((rotate(inward, "down"), arc, rotate(out, "up"))
+                                for inward, arc, out in cs.gammas))

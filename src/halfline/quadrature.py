@@ -16,15 +16,17 @@ Every component integral of the transform pair, int exp(i lam x) F(lam)
 over the real line or a sector boundary, runs on one engine:
 :func:`component_nodes` discretizes a component's arcs, finite rays and
 off-axis infinite rays (each caller supplies its phase-rate and envelope
-models) and hands back the infinite rays on the real axis, whose tails the
-caller moves off the axis or sums exactly; :func:`apply_phase` then
+models; :mod:`halfline.contours` has already turned every infinite ray off
+the real axis, where no envelope decays) and :func:`apply_phase` then
 evaluates exp(i x lam) @ (w F) for all x at once.  It runs on
 :class:`PhaseKernel`, which factors the phase as exp(i x c_p) exp(i x o_gk)
 over the panels' :class:`Panels` layout: one table of node phases per
 width group, shared by all the group's panels, and one exponential per
 panel and x.  The evolution apply and the half-line transform use the same
 kernel.  :func:`integrate_segment` integrates one finite segment of a
-callable with error control, for references and checks.
+callable with error control, and :func:`ray_monomial_tail` sums a monomial
+ray tail by mpmath's exponential integral; no library path calls either,
+they are references for checks.
 
 Everything is deterministic: no randomness, and identical inputs produce
 identical node sequences.  Error estimates come from comparing each panel
@@ -234,6 +236,8 @@ def _build_panels(lo: float, hi: float, rate, order: int, density: float,
         the rate that width r resolves)."""
         return TWO_PI * order / (density * r)
 
+    if hi <= lo:  # a ray cut at its start: no panels
+        return [], []
     floor = allowed(hi - lo)  # the rate of one panel over [lo, hi]
 
     def rate_at(u):
@@ -313,9 +317,9 @@ class Panels:
 
 
 class Nodes(tuple):
-    """Nodes and weights of a segment, unpacking as (lam, w) like a plain
-    pair; ``panels`` is the same node set in the factored form of
-    :class:`Panels`, for :func:`apply_phase`."""
+    """Nodes and weights of a segment or component, unpacking as (lam, w)
+    like a plain pair; ``panels`` is the same node set in the factored form
+    of :class:`Panels`, for :func:`apply_phase`."""
 
     def __new__(cls, lam, w, panels: Panels):
         self = super().__new__(cls, (lam, w))
@@ -362,30 +366,28 @@ def segment_nodes(seg: PathSegment, params: QuadratureParams, *, osc=None,
     return Nodes(lam, w, _layout(seg, panels, widths, lam, order))
 
 
-def component_nodes(segments, params: QuadratureParams, osc, decay=None):
-    """Quadrature nodes and weights for the segments of one contour component.
+def component_nodes(segments, params: QuadratureParams, osc, decay=None) -> Nodes:
+    """The :class:`Nodes` of the segments of one contour component, in turn.
 
     ``osc(seg)`` returns the phase-rate bound of a segment (a callable of
     its parameter, as in :func:`segment_nodes`); ``decay(seg)`` returns the
-    :class:`ExpDecay` envelope that truncates an infinite ray off the real
-    axis.  Returns (lam, w, panels, axis_rays): the nodes, weights and
-    :class:`Panels` layout of every arc, finite ray and truncated off-axis
-    ray, in segment order, and the infinite rays on the real axis
-    unchanged, for the caller to move off the axis or sum exactly.
+    :class:`ExpDecay` envelope that truncates an infinite ray.  An infinite
+    ray on the real axis, where exp(i lam x) does not decay, raises
+    :class:`TailBoundUnavailable`.
     """
     empty = np.zeros(0, dtype=complex)
-    lams, ws, layouts, axis_rays = [empty], [empty], [], []
+    lams, ws, layouts = [empty], [empty], []
     for seg in segments:
         if not seg.finite and seg.on_real_axis:
-            axis_rays.append(seg)
-            continue
+            raise TailBoundUnavailable(
+                "an infinite ray on the real axis has no decaying envelope")
         env = None if seg.finite or decay is None else decay(seg)
         nodes = segment_nodes(seg, params, osc=osc(seg), decay=env)
         lams.append(nodes[0])
         ws.append(nodes[1])
         layouts.append(nodes.panels)
-    return (np.concatenate(lams), np.concatenate(ws),
-            Panels.concat(layouts, params.max_order), axis_rays)
+    return Nodes(np.concatenate(lams), np.concatenate(ws),
+                 Panels.concat(layouts, params.max_order))
 
 
 class PhaseKernel:
@@ -521,7 +523,8 @@ def integrate_segment(f, seg: PathSegment, params: QuadratureParams | None = Non
 
 def ray_monomial_tail(theta: float, r0: float, x: float, power: int) -> complex:
     """Outward integral of exp(i lam x) lam^(-power) over the ray
-    lam = r e^{i theta}, r >= r0, for x > 0 and theta in [0, pi].
+    lam = r e^{i theta}, r >= r0, for x > 0 and theta in [0, pi]: a
+    reference for the turned rays and vertical tails, one point at a time.
 
     Substituting r = r0 t gives r0^(1-power) E_power(-i r0 e^{i theta} x)
     with E the generalized exponential integral, which mpmath evaluates for

@@ -13,14 +13,17 @@ Three families of checks:
   division by lam^n (type II).  Components with a ray on the real axis
   carry a polynomially growing oscillatory integrand there, so the type I
   integral diverges; the check detects that by a truncation scan and
-  expects it of exactly those components.  The
-  type II integral is computed on every component, the real line included:
-  there the integrand is a sum of monomials lam^(-p), integrated around the
+  expects it of exactly those components; the scan runs on the contours
+  of ``build_contours``, the real-axis rays included.  The type II integral
+  is computed on every component, the real line included: there the
+  integrand is a sum of monomials lam^(-p), integrated around the
   indentation above their pole and, beyond it, on vertical rays where
-  exp(i lam x) decays;
+  exp(i lam x) decays; on a sector component it decays in the sector, so
+  the t = 0 system of :func:`halfline.contours.turn_axis_rays`, with its
+  real-axis rays turned into their sector, keeps the integral;
 * representation identity: inverting lam^(-n) F_k[Sf] over the components,
   with the real-line contour genuinely indented above the origin, must
-  reproduce the same values as inverting F_k[f].
+  reproduce f.
 
 Every component integral runs on the contour engine of
 :mod:`halfline.quadrature`; the real-line ones go through
@@ -34,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contours import turn_axis_rays
 from .errors import FitResidualTooLarge, NonpositiveX
-from .quadrature import (ExpDecay, PathSegment, apply_phase, component_nodes,
-                         ray_monomial_tail)
+from .quadrature import ExpDecay, PathSegment, apply_phase, component_nodes
 # perfbench/spans.py patches segment_nodes at this binding too
 from .quadrature import segment_nodes  # noqa: F401
 
@@ -136,21 +139,26 @@ def remainder_report(pair, datum, *, tol: float = 1e-8) -> RemainderReport:
 # remainder contour integrals
 
 
-def _poly_ray_decay(x_min: float, s: float, beta: np.ndarray, r0: float,
+def _poly_ray_decay(x_min: float, seg: PathSegment, beta: np.ndarray,
                     inv_power: int, tol: float) -> ExpDecay:
-    """Envelope for exp(i lam x) lam^(-inv_power) P(lam) on an off-axis ray.
+    """Envelope for exp(i lam x) lam^(-inv_power) P(lam) on an off-axis ray
+    from a real base.
 
-    The polynomial growth is folded into the log scale at the eventual
-    truncation radius, iterating until the radius stabilizes."""
-    mag = sum(abs(b) * r0 ** max(j - inv_power, 0) for j, b in enumerate(beta))
-    log_scale = math.log(max(mag, 1e-300))
+    The polynomial growth, bounded with |lam| <= |base| + r, is folded into
+    the log scale at the eventual truncation radius, iterating until the
+    radius stabilizes."""
+    def mag(r):
+        lam = abs(seg.base) + r
+        return sum(abs(b) * lam ** max(j - inv_power, 0)
+                   for j, b in enumerate(beta))
+
+    s, r0 = math.sin(seg.angle), seg.r0
+    log_scale = math.log(max(mag(r0), 1e-300))
     target = math.log(tol / 10.0)
     for _ in range(6):
         d = ExpDecay.linear(x_min * s, r0, log_scale)
         r1 = d.radius(target)
-        mag1 = sum(abs(b) * max(r1, r0) ** max(j - inv_power, 0)
-                   for j, b in enumerate(beta))
-        new = math.log(max(mag1, 1e-300))
+        new = math.log(max(mag(max(r1, r0)), 1e-300))
         if new <= log_scale + 1e-9:
             break
         log_scale = new
@@ -161,43 +169,34 @@ def _poly_component_integral(pair, k: int, xs: np.ndarray, beta: np.ndarray,
                              inv_power: int, truncate: float | None = None):
     """Integral over component k of exp(i lam x) lam^(-inv_power) P(lam).
 
-    With ``truncate`` every infinite ray stops at that radius.  Otherwise
-    off-axis rays use decay models sized for the polynomial growth, and
-    real-axis rays exact exponential-integral tails, which need
-    inv_power > 0."""
+    With ``truncate`` every infinite ray of the ``build_contours`` component
+    stops at that radius.  Otherwise the component is that of the t = 0
+    system, its rays truncated by decay models sized for the polynomial
+    growth; a real-axis ray turned into the sector keeps the integral when
+    it converges there, deg P < inv_power."""
     n = pair.n
     x_min, x_max = float(xs.min()), float(xs.max())
-    segs = pair.contours.gammas[k - 1]
-    if truncate is not None:
+    if truncate is None:
+        segs = turn_axis_rays(pair.contours).gammas[k - 1]
+    else:
         segs = [seg if seg.finite else PathSegment.ray(
                     seg.base, seg.angle, seg.r0, truncate, seg.orientation)
-                for seg in segs]
+                for seg in pair.contours.gammas[k - 1]]
 
     def osc(seg):
         rate = seg.radius * (x_max + 1.0) + n if seg.kind == "arc" else x_max + 1.0
         return lambda u: rate
 
     def decay(seg):
-        return _poly_ray_decay(x_min, math.sin(seg.angle), beta, seg.r0,
-                               inv_power, pair.params.abs_tol)
+        return _poly_ray_decay(x_min, seg, beta, inv_power,
+                               pair.params.abs_tol)
 
-    lam, w, panels, axis_rays = component_nodes(segs, pair.params, osc, decay)
+    nodes = component_nodes(segs, pair.params, osc, decay)
+    lam, w = nodes
     vals = w * np.polynomial.polynomial.polyval(lam, beta)
     if inv_power:
         vals = vals * lam ** (-float(inv_power))
-    out = apply_phase(xs, panels, vals)
-    for seg in axis_rays:
-        if inv_power <= 0:
-            raise ValueError("real-axis ray with growing integrand "
-                             "needs a truncation radius")
-        for i, x in enumerate(xs):
-            acc = 0.0 + 0.0j
-            for j, b in enumerate(beta):
-                if b != 0.0:
-                    acc += b * ray_monomial_tail(seg.angle, seg.r0,
-                                                 float(x), inv_power - j)
-            out[i] += seg.orientation * acc
-    return out
+    return apply_phase(xs, nodes.panels, vals)
 
 
 @dataclass(frozen=True)
@@ -264,8 +263,9 @@ def check_type_II(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIIReport
     For k = 0 the integrand is a sum of monomials whose only pole sits below
     the indented real contour: the central segment runs around the
     indentation and the tails on vertical rays, both by quadrature, so the
-    value measures how well both vanish together.  For sectors the real-axis rays are summed exactly with
-    exponential integrals and the rest by quadrature."""
+    value measures how well both vanish together.  A sector component is
+    integrated on the t = 0 system, its real-axis rays turned into the
+    sector, where exp(i lam x) lam^(-n) P(lam) decays."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.min() <= 0.0:
         raise NonpositiveX("type II check requires x > 0")
@@ -298,12 +298,13 @@ class RepresentationReport:
 def spectral_representation_check(pair, datum, xs, *,
                                   tol: float = 1e-6) -> RepresentationReport:
     """Invert lam^(-n) F_k[Sf] over all components (real line indented above
-    the origin) and compare with the inversion of F_k[f]."""
+    the origin) and compare with f itself; the reconstruction check covers
+    the inversion of F_k[f]."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.min() <= 0.0:
         raise NonpositiveX("representation check requires x > 0")
     n = pair.n
-    rhs = pair.reconstruct(datum, xs)
+    rhs = datum.value(xs)
 
     # lam^(-n) F_0[Sf] keeps the real-data symmetry: the parity of lam^(-n)
     # cancels against that of the transform of Sf

@@ -37,10 +37,10 @@ large-lambda expansion, for the inversion the first n+1 terms of
 fhat ~ sum_j f(j)(0) / (i lam)^(j+1), are removed, the subtracted remainder
 decays faster than any power and is summed in doubling blocks, and the
 removed terms are restored to rounding on the vertical rays +-r0 + i s,
-s >= 0, where exp(i lam x) decays.  A sector ray on the real axis
-(reverse-time problems) pivots about its junction point +-R into its
-sector, which by Cauchy's theorem keeps the integral; every sector ray is
-then truncated with an exponential decay model.
+s >= 0, where exp(i lam x) decays.  The sector components run on the t = 0
+contour system of :func:`halfline.contours.turn_axis_rays`, where a sector
+ray on the real axis (reverse-time problems) has turned into its sector;
+every sector ray is truncated with an exponential decay model.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 
 from .boundary import complementary_forms
 from .charmatrix import CharMatrix
-from .contours import build_contours
+from .contours import build_contours, turn_axis_rays
 from .errors import NonpositiveX, ToleranceNotMet
 from .problems import validate
 from .quadrature import (ExpDecay, Panels, PathSegment, QuadratureParams,
@@ -71,9 +71,6 @@ _MAX_LEVEL = 16
 # evicted first; a verify_problem uses up to eight (four data, derivatives
 # 0 and n)
 _HATS_MAX = 32
-# at t = 0 a sector ray on the real axis turns about its junction into the
-# sector by this fraction of the sector's width
-_AXIS_RAY_TURN = 0.5
 
 
 class SupportTransform:
@@ -340,13 +337,15 @@ class TransformPair:
         else:
             segs = (PathSegment.ray(-lc, 0.0, 0.0, 2.0 * lc),)
             central = {"ray": rate}
-        lam, w, panels, _ = component_nodes(
+        nodes = component_nodes(
             segs, self.params, lambda seg: lambda u: central[seg.kind])
+        lam, w = nodes
 
         def mono(lam):
             return sum(b * lam ** (-float(p)) for p, b in monomials)
 
-        vals = apply_phase(xs, panels, w * (mono if G is None else G)(lam))
+        vals = apply_phase(xs, nodes.panels,
+                           w * (mono if G is None else G)(lam))
         if G is not None:
             vals += self.gamma0_tail_scan(lambda lam: G(lam) - mono(lam), xs, rate)
         if monomials:
@@ -391,31 +390,21 @@ class TransformPair:
                          applied: bool = False, inv_power: int = 0) -> np.ndarray:
         """Integral of exp(i lam x) lam^(-inv_power) F_k over component k.
 
-        ``applied=True`` replaces F_k[f] with F_k[Sf].  A ray on the real
-        axis pivots about its junction point +-R into the sector, by
-        ``_AXIS_RAY_TURN`` of the sector's width.  F_k is analytic in the
-        sector outside |lam| = R, and it and exp(i lam x) decay there, so by
-        Cauchy's theorem the turned ray keeps the integral; the swept wedge
-        stays in |lam| >= R.  Every infinite ray is truncated where an
-        exponential envelope from the junction value falls below tolerance,
-        and one apply covers every x.
+        ``applied=True`` replaces F_k[f] with F_k[Sf].  The component is
+        that of :func:`halfline.contours.turn_axis_rays`: a ray on the real
+        axis has turned into the sector, where F_k is analytic outside
+        |lam| = R and it and exp(i lam x) decay, so the integral is kept.
+        Every infinite ray is truncated where an exponential envelope from
+        the junction value falls below tolerance, and one apply covers
+        every x.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         x_min = float(xs.min())
         rate = float(xs.max()) + datum.support
-        lo, hi = self.contours.sectors[k - 1]
-        turn = _AXIS_RAY_TURN * (hi - lo)
 
         def F(lam):
             out = self.forward(datum, k, lam, applied=applied)
             return out * lam ** (-float(inv_power)) if inv_power else out
-
-        def off_axis(seg):
-            if seg.finite or not seg.on_real_axis:
-                return seg
-            angle = lo + turn if math.cos(seg.angle) > 0.0 else hi - turn
-            return PathSegment.ray(seg.point(seg.r0), angle, 0.0, math.inf,
-                                   seg.orientation)
 
         def decay(seg):
             jun = np.array([seg.point(seg.r0)], dtype=complex)
@@ -423,10 +412,11 @@ class TransformPair:
             return ExpDecay.linear(x_min * math.sin(seg.angle), seg.r0,
                                    math.log(scale))
 
-        lam, w, panels, _ = component_nodes(
-            [off_axis(seg) for seg in self.contours.gammas[k - 1]],
-            self.params, lambda seg: self.junction_osc(seg, rate), decay)
-        return apply_phase(xs, panels, w * F(lam))
+        nodes = component_nodes(
+            turn_axis_rays(self.contours).gammas[k - 1], self.params,
+            lambda seg: self.junction_osc(seg, rate), decay)
+        lam, w = nodes
+        return apply_phase(xs, nodes.panels, w * F(lam))
 
     # -- public inversion --------------------------------------------------
     def components(self, datum, xs) -> list[np.ndarray]:

@@ -24,10 +24,10 @@ _SESSION_BLAS_THREADS = _BLAS[0]() if _BLAS else None
 @pytest.fixture(autouse=True)
 def _process_settings_are_restored():
     """Fail a test that leaves mpmath's working precision or the BLAS
-    thread count changed.  The library's exponential-integral tails run at
-    that precision, and users get mpmath's default; reference computations
-    scope theirs with ``mpmath.workdps``.  ``parallel_map`` holds BLAS at
-    one thread only while its workers run."""
+    thread count changed.  No library path calls mpmath: the tests'
+    references (``quadrature.ray_monomial_tail``, ``mpmath.quad``) run at
+    that precision and scope any other with ``mpmath.workdps``.
+    ``parallel_map`` holds BLAS at one thread only while its workers run."""
     yield
     left = mpmath.mp.dps
     mpmath.mp.dps = _SESSION_DPS  # later tests start clean

@@ -161,6 +161,25 @@ def test_reconstruct_pass_and_fail(capsys):
     assert "(FAIL at tol 1e-30)" in capsys.readouterr().out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("problem", [
+    "order = 2\na = 1,0\nbc = 1,0\n",
+    "order = 3\na = 0,1\nbc = 1,0,0\nbc = 0,1,0\n"])
+def test_reconstruct_zero_datum(tmp_path, capsys, problem):
+    """A zero datum (heat-dirichlet and reverse-lkdv forms) reconstructs to
+    zero and passes, at the default and at looser quadrature tolerances."""
+    for quad in ("", "quad.rel_tol = 1e-8\nquad.abs_tol = 1e-9\n"):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(problem + quad + "datum.kernel = 0,0\ndatum.seed = none\n",
+                       encoding="utf-8")
+        assert run(["reconstruct", "--problem", str(cfg),
+                    "--xs", "0.3,0.8"]) == 0
+        out = capsys.readouterr().out
+        assert [row[2:] for row in _csv_rows(out, 5)[1:]] == [
+            ["0.0", "0.0", "0.0"]] * 2
+        assert out.splitlines()[-1].startswith(
+            "max reconstruction error = 0.000e+00 (PASS")
+
+
 def test_seed_override_changes_datum(capsys):
     """--seed picks different random bumps, changing the sampled datum."""
     assert run(["reconstruct", "--builtin", "heat-dirichlet",

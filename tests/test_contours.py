@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from halfline.contours import build_contours, decay_sectors, deform_for_time
-from halfline.errors import NonpositiveX  # noqa: F401  (imported for symmetry)
+from halfline import contours
+from halfline.contours import (build_contours, decay_sectors, deform_for_time,
+                               turn_axis_rays)
 
 
 def _growing(theta: float, n: int, a: complex) -> bool:
@@ -88,13 +89,14 @@ def test_build_contours_structure(catalog):
     assert len(cs.gamma0) == 3 and all(len(segs) == 3 for segs in cs.gammas)
 
 
-def test_deform_moves_every_ray_into_decay(catalog):
+def test_deform_moves_every_ray_into_decay(catalog, monkeypatch):
     """After deformation every ray direction makes exp(-a lam^n t) decay,
-    at both tested interior fractions."""
+    at both tested turn fractions."""
     for prob in catalog.values():
         cs = build_contours(prob, 2.0)
         for frac in (0.5, 0.25):
-            d = deform_for_time(cs, theta_fraction=frac)
+            monkeypatch.setattr(contours, "_TURN", frac)
+            d = deform_for_time(cs)
             for seg in _segments(d):
                 if seg.kind != "ray":
                     continue
@@ -127,16 +129,46 @@ def test_deform_keeps_rotations_within_one_sign_edge(catalog):
     one sign-edge step (pi/n) of the original angle."""
     prob = catalog["reverse-lkdv"]
     cs = build_contours(prob, 1.2)
-    d = deform_for_time(cs, theta_fraction=0.5)
+    d = deform_for_time(cs)
     for old, new in zip((s for s in _segments(cs) if s.kind == "ray"),
                         (s for s in _segments(d) if s.kind == "ray")):
         assert abs(math.sin(new.angle)) > 1e-9  # off the real axis
         assert abs(new.angle - old.angle) <= 0.5 * math.pi / prob.order + 1e-9
 
 
-def test_deform_rejects_bad_fraction(catalog):
-    cs = build_contours(catalog["heat-dirichlet"], 1.1)
-    with pytest.raises(ValueError):
-        deform_for_time(cs, theta_fraction=0.0)
-    with pytest.raises(ValueError):
-        deform_for_time(cs, theta_fraction=1.0)
+def _axis_rays(cs):
+    return [seg for segs in cs.gammas for seg in segs
+            if not seg.finite and seg.on_real_axis]
+
+
+def test_turn_axis_rays_pivots_into_own_sector(catalog):
+    """At t = 0 each real-axis sector ray pivots about its junction +-R to
+    an angle strictly inside its own sector, by half the sector's width;
+    arcs, off-axis rays and the real-line component are unchanged."""
+    cs = build_contours(catalog["reverse-lkdv"], 1.2)
+    assert len(_axis_rays(cs)) == 2
+    t = turn_axis_rays(cs)
+    assert t.gamma0 == cs.gamma0 and t.sectors == cs.sectors
+    turned = 0
+    for (lo, hi), old, new in zip(cs.sectors, cs.gammas, t.gammas):
+        for a, b in zip(old, new):
+            if a.finite or not a.on_real_axis:
+                assert b == a
+                continue
+            turned += 1
+            assert b.point(0.0) == pytest.approx(math.copysign(cs.R, math.cos(a.angle)))
+            assert b.r0 == 0.0 and not b.finite
+            assert b.orientation == a.orientation
+            assert lo < b.angle < hi
+            assert b.angle == pytest.approx(0.5 * (lo + hi))
+    assert turned == 2 and not _axis_rays(t)
+
+
+def test_turn_axis_rays_leaves_systems_without_axis_rays(catalog):
+    """Problems whose sector rays all leave the real axis keep the system of
+    build_contours."""
+    for name in ("lkdv-dirichlet", "heat-dirichlet", "heat-neumann",
+                 "robin-4"):
+        cs = build_contours(catalog[name], 2.0)
+        assert not _axis_rays(cs)
+        assert turn_axis_rays(cs) == cs, name

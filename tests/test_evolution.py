@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from halfline import evolution
+from halfline import contours, evolution
 from halfline.contours import deform_for_time
 from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.evolution import solve_grid
@@ -39,11 +39,14 @@ def test_heat_neumann_matches_cosine_oracle(get_pair, get_datum):
 
 
 def test_time_zero_row_is_reconstruction(get_pair, get_datum):
-    """t = 0 rows come from the transform round trip and match the datum."""
+    """t = 0 rows are the transform round trip, bit for bit (verify_problem
+    reads its evolution-initial value from the reconstruction), and match
+    the datum."""
     pair = get_pair("lkdv-dirichlet")
     datum = get_datum("lkdv-dirichlet")
     xs = np.array([0.3, 0.7])
     field = solve_grid(pair, datum, xs, [0.0, 0.05])
+    np.testing.assert_array_equal(field.values[0], pair.reconstruct(datum, xs))
     np.testing.assert_allclose(field.values[0].real, datum.value(xs), atol=1e-6)
     np.testing.assert_allclose(field.values[0].imag, 0.0, atol=1e-6)
     # and the positive-time row moved away from it
@@ -64,13 +67,13 @@ def test_grid_factorizes_over_times(get_pair, get_datum):
 
 
 def test_theta_fraction_invariance(get_pair, get_datum, monkeypatch):
-    """The contour rotation depth cannot change the solution value."""
+    """The contour rotation depth, the turn fraction of
+    :mod:`halfline.contours`, cannot change the solution value."""
     pair = get_pair("lkdv-dirichlet")
     datum = get_datum("lkdv-dirichlet")
     vals = []
     for f in (0.5, 0.25):
-        monkeypatch.setattr(evolution, "deform_for_time",
-                            lambda cs, f=f: deform_for_time(cs, f))
+        monkeypatch.setattr(contours, "_TURN", f)
         vals.append(solve_grid(pair, datum, [0.5], [0.2]).values[0, 0])
     assert abs(vals[0] - vals[1]) < 1e-8
 
@@ -166,7 +169,7 @@ def _rate(pair, datum, xs, seg, k, t):
 def _t_max_packs(pair, datum, xs, ts):
     """The packs with every ray resolved for the largest time all the way
     out (the layout before rays were resolved per time), as an oracle."""
-    dcs = deform_for_time(pair.contours, theta_fraction=0.5)
+    dcs = deform_for_time(pair.contours)
     t_min, t_max = ts.min(), ts.max()
     packs = []
     for k, segs in enumerate([dcs.gamma0, *dcs.gammas]):
@@ -178,12 +181,14 @@ def _t_max_packs(pair, datum, xs, ts):
                             1e-12)
                 env = evolution._ray_decay(pair, seg, k, t_min, xs.min(),
                                            xs.max(), datum.support, scale)
-            lam, w, panels, _ = component_nodes(
+            nodes = component_nodes(
                 [seg], pair.params, lambda _seg: rate, lambda _seg: env)
+            lam, w = nodes
             tau = (np.full(lam.size, np.inf) if env is None else
                    evolution._last_times(env, np.abs(lam - seg.base), t_min,
                                          pair.params.tail_log_target))
-            packs.append((lam, w * pair.forward(datum, k, lam), tau, panels))
+            packs.append((lam, w * pair.forward(datum, k, lam), tau,
+                          nodes.panels))
     return packs
 
 
@@ -251,7 +256,7 @@ def test_ray_panels_resolve_the_largest_time_needing_them(get_pair,
     params = pair.params
     order = params.max_order
     edge = np.polynomial.legendre.leggauss(order)[0][-1]
-    dcs = deform_for_time(pair.contours, theta_fraction=0.5)
+    dcs = deform_for_time(pair.contours)
     rays = 0
     for k, segs in enumerate([dcs.gamma0, *dcs.gammas]):
         for seg in segs:

@@ -104,9 +104,9 @@ def test_infinite_ray_with_decay_model():
 
 def test_component_nodes_split_and_apply_phase():
     """component_nodes discretizes arcs, finite rays and off-axis infinite
-    rays (truncated by the caller's envelope) in segment order, and hands
-    back the infinite real-axis rays untouched; apply_phase is the direct
-    sum over nodes for 1-D and 2-D weights."""
+    rays (truncated by the caller's envelope) in segment order, and refuses
+    an infinite real-axis ray, whose exp(i lam x) does not decay;
+    apply_phase is the direct sum over nodes for 1-D and 2-D weights."""
     axis = PathSegment.ray(0.0, 0.0, 2.0, math.inf)
     upper = PathSegment.ray(0.0, math.pi / 2, 2.0, math.inf)
     arc = PathSegment.arc(0.0, 2.0, 0.0, math.pi / 2)
@@ -117,9 +117,12 @@ def test_component_nodes_split_and_apply_phase():
 
     osc = lambda seg: (lambda u: 3.0)
     decay = lambda seg: ExpDecay.linear(1.0, seg.r0)
-    lam, w, panels, axis_rays = component_nodes([arc, axis, upper], PARAMS,
-                                                osc, decay)
-    assert axis_rays == [axis]
+    for segs in ([axis], [arc, axis, upper]):
+        with pytest.raises(TailBoundUnavailable):
+            component_nodes(segs, PARAMS, osc, decay)
+    nodes = component_nodes([arc, upper], PARAMS, osc, decay)
+    lam, w = nodes
+    panels = nodes.panels
     lam_arc, w_arc = segment_nodes(arc, PARAMS, osc=osc(arc))
     lam_up, w_up = segment_nodes(upper, PARAMS, osc=osc(upper),
                                  decay=decay(upper))
@@ -137,7 +140,22 @@ def test_component_nodes_split_and_apply_phase():
     cols = np.stack([wf, 2.0 * wf], axis=1)
     np.testing.assert_allclose(apply_phase(xs, panels, cols),
                                np.stack([loop, 2.0 * loop], axis=1), rtol=1e-12)
-    assert component_nodes([axis], PARAMS, osc, decay)[0].size == 0
+
+
+def test_ray_cut_at_its_start_has_no_nodes():
+    """A ray whose envelope starts below the tail target (a zero datum's)
+    is cut at its start: no nodes, and its apply is zero, alone or in a
+    component."""
+    seg = PathSegment.ray(1.0, math.pi / 3, 0.0, math.inf)
+    below = ExpDecay.linear(1.0, 0.0, log_scale=math.log(1e-30))
+    lam, w = nodes = segment_nodes(seg, PARAMS, decay=below)
+    assert lam.size == w.size == nodes.panels.center.size == 0
+    xs = np.array([0.5, 1.0])
+    np.testing.assert_array_equal(apply_phase(xs, nodes.panels, w), 0.0)
+    arc = PathSegment.arc(0.0, 1.0, 0.0, math.pi / 3)
+    both = component_nodes([arc, seg], PARAMS, lambda s: (lambda u: 1.0),
+                           lambda s: below)
+    np.testing.assert_array_equal(both[0], segment_nodes(arc, PARAMS)[0])
 
 
 def _unladdered_panels(lo, hi, rate, order, density):
@@ -244,8 +262,9 @@ def test_factored_apply_equals_dense_product():
     growing = lambda u: 2.0 + 0.9 * (1.0 + u) ** 2
     osc = lambda seg: (lambda u: 4.0) if seg.finite else growing
     decay = lambda seg: ExpDecay([(0.05, 3.0)], seg.r0)
-    lam, w, panels, _ = component_nodes([arc, finite, tail], PARAMS, osc,
-                                        decay)
+    nodes = component_nodes([arc, finite, tail], PARAMS, osc, decay)
+    lam, w = nodes
+    panels = nodes.panels
     ray = segment_nodes(tail, PARAMS, osc=growing, decay=decay(tail)).panels
     assert ray.offset.shape[0] >= 4
     assert np.bincount(ray.group).max() >= 2

@@ -1,8 +1,14 @@
 """Polynomial remainders of the transform pair and their contour integrals."""
 
+import importlib
+import pkgutil
+
+import mpmath
 import numpy as np
 import pytest
 
+import halfline
+from halfline.cli import run
 from halfline.datum import make_datum
 from halfline.errors import FitResidualTooLarge, NonpositiveX
 from halfline.problems import HalfLineProblem, classify, validate
@@ -16,6 +22,7 @@ from halfline.spectral import (
     spectral_representation_check,
 )
 from halfline.transforms import TransformPair
+from halfline.verify import all_passed, verify_problem
 
 XS = np.array([0.3, 0.7, 1.2])
 
@@ -186,3 +193,22 @@ def test_representation_identity(get_pair, get_datum):
     rep = spectral_representation_check(pair, datum, np.array([0.4, 0.9]))
     assert rep.passed
     assert rep.max_diff < 1e-6
+
+
+def test_no_library_path_calls_mpmath(catalog, monkeypatch, capsys):
+    """reverse-lkdv has real-axis sector rays, yet its verification and
+    spectral checks never call mpmath: with every binding of
+    ray_monomial_tail, and mpmath's exponential integral, made to raise,
+    verify_problem and ``halfline spectral-check`` still pass."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a library path called mpmath")
+
+    monkeypatch.setattr(mpmath, "expint", forbidden)
+    for info in pkgutil.iter_modules(halfline.__path__):
+        module = importlib.import_module(f"halfline.{info.name}")
+        if hasattr(module, "ray_monomial_tail"):
+            monkeypatch.setattr(module, "ray_monomial_tail", forbidden)
+    assert all_passed(verify_problem(catalog["reverse-lkdv"]))
+    assert run(["spectral-check", "--builtin", "reverse-lkdv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "all spectral checks passed")

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from halfline import quadrature, transforms
+from halfline import contours, quadrature, transforms
 from halfline.datum import make_datum
 from halfline.errors import NonpositiveX, ToleranceNotMet
+from halfline.evolution import solve_grid
 from halfline.oracles import adaptive_reference
 from halfline.problems import HalfLineProblem, validate
 from halfline.quadrature import QuadratureParams, ray_monomial_tail
+from halfline.spectral import check_type_II
 from halfline.transforms import SupportTransform, TransformPair
 from halfline.verify import all_passed, verify_problem
 
@@ -408,18 +410,49 @@ def test_axis_ray_turn_leaves_sector_values(get_pair, get_datum, monkeypatch,
     """Turning the real-axis rays by a quarter or three quarters of the
     sector's width instead of half gives the same integrals (Cauchy's
     theorem), for F_k[f] and for lam^-n F_k[Sf], on the ray alone and on
-    the whole component."""
+    the whole component; the type-II integrals of reverse-lkdv and of
+    Schroedinger-Dirichlet (n = 2, a = i), which run on the same turned
+    rays, stay below the absolute tolerance."""
     pair = get_pair("reverse-lkdv")
     datum = get_datum("reverse-lkdv")
+    schr = validate(HalfLineProblem(2, 1j, [[1.0, 0.0]]))
+    type_ii = [(pair, datum, k) for k in (1, 2)] + [
+        (TransformPair(schr), make_datum(schr, (0.0, 1.0), seed=0), 1)]
     xs = np.array([0.05, 0.4, 1.3])
     forms = ({}, {"applied": True, "inv_power": pair.n})
     cases = [(p, k, form) for k in (1, 2)
              for p in (pair, _axis_ray_alone(pair, k)[0]) for form in forms]
     half = [p.sector_component(datum, k, xs, **form) for p, k, form in cases]
-    monkeypatch.setattr(transforms, "_AXIS_RAY_TURN", turn)
+    monkeypatch.setattr(contours, "_TURN", turn)
     for (p, k, form), want in zip(cases, half):
         got = p.sector_component(datum, k, xs, **form)
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-14)
+    for p, d, k in type_ii:
+        residuals = check_type_II(p, d, k, np.array([0.3, 0.7, 1.2])).residuals
+        assert residuals.max() < p.params.abs_tol, (p.problem.label, k)
+
+
+@pytest.mark.parametrize("name", ["heat-dirichlet", "reverse-lkdv"])
+@pytest.mark.parametrize("params", [QuadratureParams(),
+                                    QuadratureParams(rel_tol=1e-8,
+                                                     abs_tol=1e-9)])
+def test_zero_datum_inverts_to_zero(catalog, name, params):
+    """A zero datum (no boundary jet, no bump) cuts every sector ray at its
+    junction, where its envelope already starts below the tail target: the
+    inversion and the evolution are zero instead of failing on an empty
+    ray.  A heat datum of amplitude 1e-12 cuts its rays likewise and still
+    reconstructs."""
+    problem = catalog[name]
+    pair = TransformPair(problem, params)
+    xs = np.linspace(0.1, 1.0, 7)
+    zero = make_datum(problem, (), seed=None)
+    np.testing.assert_array_equal(pair.reconstruct(zero, xs), 0.0)
+    np.testing.assert_array_equal(solve_grid(pair, zero, xs, [0.1]).values,
+                                  0.0)
+    if name == "heat-dirichlet":
+        tiny = make_datum(problem, (), seed=0, amplitude=1e-12)
+        err = np.abs(pair.reconstruct(tiny, xs) - tiny.value(xs)).max()
+        assert err <= params.abs_tol
 
 
 def test_sector_forward_calls_do_not_grow_with_points(catalog, get_datum,
