@@ -8,6 +8,10 @@ panels doubled until two rules agree; complex line integrals use a
 hand-rolled adaptive Simpson rule, and PDE residuals use finite-difference
 stencils.  Agreement between these oracles and the transform pipeline is
 therefore evidence, not tautology.
+
+scipy's ``quad_vec`` is imported inside the heat baselines' shared
+``_heat_solution``, on the first call in a process, so importing this module
+loads only numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import ToleranceNotMet
 
@@ -74,6 +77,8 @@ def _heat_solution(datum, xs: np.ndarray, ts: np.ndarray, kernel: str,
     adaptive Gauss-Kronrod pass over the support, accurate enough that its
     error moves a value by at most tol / 10.
     """
+    from scipy.integrate import quad_vec
+
     trig = np.sin if kernel == "sin" else np.cos
     L = float(datum.support)
     omega = float(np.abs(xs).max()) + L

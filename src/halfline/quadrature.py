@@ -26,7 +26,8 @@ panel and x.  The evolution apply and the half-line transform use the same
 kernel.  :func:`integrate_segment` integrates one finite segment of a
 callable with error control, and :func:`ray_monomial_tail` sums a monomial
 ray tail by mpmath's exponential integral; no library path calls either,
-they are references for checks.
+they are references for checks.  mpmath is imported inside
+:func:`ray_monomial_tail`, so importing this module loads only numpy.
 
 Everything is deterministic: no randomness, and identical inputs produce
 identical node sequences.  Error estimates come from comparing each panel
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import NonpositiveX, TailBoundUnavailable, ToleranceNotMet
@@ -530,6 +530,8 @@ def ray_monomial_tail(theta: float, r0: float, x: float, power: int) -> complex:
     with E the generalized exponential integral, which mpmath evaluates for
     complex arguments.
     """
+    import mpmath
+
     if not (x > 0.0):
         raise NonpositiveX(f"requires x > 0, got {x}")
     if power < 1:

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import oracles, spectral
 from .datum import make_datum
@@ -57,7 +56,9 @@ _ORDER_BAND = (2.5, 6.0)
 class CheckResult:
     """One certified claim: its measured value against its tolerance, and
     the seconds ``verify_problem`` spent on it (work shared by several
-    checks is charged to the first of them)."""
+    checks is charged to the first of them).  The first ``heat-oracle``
+    check of a process also counts the import of ``scipy.integrate``,
+    which the oracle loads on its first call."""
 
     name: str
     passed: bool
@@ -81,6 +82,8 @@ def _maximal_kernel(problem) -> tuple:
     """Boundary coefficients with every admissible derivative nonzero."""
     if problem.datum_kernel:
         return tuple(problem.datum_kernel)
+    from scipy.linalg import null_space
+
     basis = null_space(np.asarray(problem.boundary_matrix, dtype=complex))
     vec = basis.sum(axis=1)
     if np.abs(vec.imag).max() < 1e-12:

@@ -1,9 +1,19 @@
-"""Every name a library module imports is used there or exported."""
+"""Every name a library module imports is used there or exported, and
+``import halfline`` loads neither scipy nor mpmath."""
 
 import ast
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import halfline
+from halfline.datum import make_datum
+from halfline.oracles import heat_neumann_solution
+from halfline.problems import builtin_catalog
+from halfline.quadrature import ray_monomial_tail
 
 SOURCE = Path(halfline.__file__).parent
 # imports kept on purpose, each marked ``# noqa: F401`` on its line: the
@@ -55,3 +65,53 @@ def test_library_modules_import_only_what_they_use():
         kept |= {(path.name, name) for _, name in marked}
     assert not found, found
     assert kept == KEPT
+
+
+# run in a fresh interpreter: the library paths first, then the two
+# functions that load a package on their first call
+_FRESH = """
+import json, math, sys
+import halfline, halfline.cli
+from halfline.datum import make_datum
+from halfline.evolution import solve_grid
+from halfline.oracles import heat_neumann_solution
+from halfline.problems import builtin_catalog
+from halfline.quadrature import ray_monomial_tail
+from halfline.transforms import TransformPair
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "mpmath"))
+
+def problem_and_datum(name):
+    p = builtin_catalog()[name]
+    return p, make_datum(p, p.datum_kernel, seed=0)
+
+p, f = problem_and_datum("reverse-lkdv")
+TransformPair(p).reconstruct(f, [0.2, 0.5])
+p, f = problem_and_datum("heat-dirichlet")
+solve_grid(TransformPair(p), f, [0.2, 0.5], [0.1])
+out = {"library": loaded()}
+v = heat_neumann_solution(problem_and_datum("heat-neumann")[1], 0.3, 0.1).value
+out["neumann"] = repr(complex(v))
+out["tail"] = repr(complex(ray_monomial_tail(math.pi / 2, 1.0, 0.5, 2)))
+out["after"] = sorted({m.split(".")[0] for m in loaded()})
+print(json.dumps(out))
+"""
+
+
+def test_fresh_interpreter_loads_neither_scipy_nor_mpmath():
+    """``import halfline``, the CLI, a reconstruction and an evolution load
+    no scipy or mpmath module; the heat oracle and ``ray_monomial_tail``
+    load theirs on the first call and return the values of this process."""
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    run = subprocess.run([sys.executable, "-c", _FRESH], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out["library"] == []
+    assert out["after"] == ["mpmath", "scipy"]
+    p = builtin_catalog()["heat-neumann"]
+    v = heat_neumann_solution(make_datum(p, p.datum_kernel, seed=0), 0.3, 0.1)
+    assert out["neumann"] == repr(complex(v.value))
+    assert out["tail"] == repr(complex(ray_monomial_tail(math.pi / 2, 1.0, 0.5, 2)))

@@ -1,5 +1,7 @@
 """Problem classification, admissibility, validation, and the catalog."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from halfline.errors import (
     WrongConditionCount,
 )
 from halfline.problems import HalfLineProblem, classify, validate
+from halfline.verify import _maximal_kernel, data_trio
 
 
 def test_classify_counts_follow_order_parity():
@@ -104,7 +107,24 @@ def test_catalog_contents(catalog):
     assert catalog["robin-4"].order == 4
     assert catalog["robin-4"].a == pytest.approx(np.exp(-1j * np.pi / 6))
     for prob in catalog.values():
-        # datum kernel coefficients satisfy the boundary forms
+        # datum kernel coefficients satisfy the boundary forms exactly
         u = np.asarray(prob.datum_kernel, dtype=complex)
         assert u.size == prob.order
-        np.testing.assert_allclose(prob.boundary_matrix @ u, 0.0, atol=1e-12)
+        assert np.all(prob.boundary_matrix @ u == 0.0), prob.label
+
+
+def test_maximal_kernel_null_space_branch(catalog):
+    """A problem without ``datum_kernel`` gets its maximal kernel from the
+    null space of B, scaled to max modulus 1, and its maximal datum meets
+    its boundary forms."""
+    robin = HalfLineProblem(2, 1.0, [[2.0, 1.0]], label="heat-robin")
+    problems = [robin] + [dataclasses.replace(p, datum_kernel=())
+                          for p in catalog.values()]
+    for prob in problems:
+        kernel = np.asarray(_maximal_kernel(prob))
+        assert kernel.shape == (prob.order,), prob.label
+        assert np.abs(prob.boundary_matrix @ kernel).max() <= 1e-12, prob.label
+        assert np.abs(kernel).max() == 1.0, prob.label
+    derivs = data_trio(robin)[0].boundary_derivatives(robin.order)
+    assert np.abs(robin.boundary_matrix @ derivs).max() <= 1e-12
+    assert np.all(derivs != 0.0)
