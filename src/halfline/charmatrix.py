@@ -9,9 +9,11 @@ and the characteristic determinant Delta = det M controls both the circle
 radius R that the deformed contours must avoid and the denominators of the
 transform kernels.  The cyclic cofactor minors det X[l, j] are determinants
 of (m-1) x (m-1) windows of the doubled block matrix [[M, M], [M, M]]
-anchored one step below and right of entry (l, j); they satisfy
+anchored one step below and right of entry (l, j).  Signed and
+transposed, they form the cofactor matrix A[j, l] = (-1)^((m-1)(l+j))
+det X[l, j] of :meth:`CharMatrix.cofactors`, with
 
-    sum_l (-1)^((m-1)(l+j)) det X[l, j](mu) M[l, r](mu) = Delta(mu) delta_{j,r}.
+    A(mu) M(mu) = Delta(mu) I,   that is   A = Delta M^-1.
 
 Determinant coefficients are recovered by interpolation at scaled Chebyshev
 points, giving explicit polynomial coefficients for root finding.
@@ -74,18 +76,26 @@ class CharMatrix:
             return np.ones(lam.shape, dtype=complex)
         return np.linalg.det(self.eval_matrix(lam))
 
+    def cofactors(self, lam) -> np.ndarray:
+        """Signed cofactor matrices A(lam), shape lam.shape + (m, m), with
+        A[j-1, l-1] = (-1)^((m-1)(l+j)) det X[l, j](lam) for 1-based l, j,
+        so that A(lam) M(lam) = Delta(lam) I.
+
+        All m^2 windows are cut from one evaluation of M; for m = 1 each
+        window is 0 x 0 and its determinant is 1.
+        """
+        m = self.m
+        idx = np.arange(m)
+        shift = (idx[:, None] + np.arange(1, m)) % m
+        # windows[..., j, l] = X[l, j]: rows shift[l], columns shift[j]
+        windows = self.eval_matrix(lam)[..., shift[None, :, :, None],
+                                        shift[:, None, None, :]]
+        return (-1.0) ** ((m - 1) * (idx[:, None] + idx)) * np.linalg.det(windows)
+
     def cofactor_det(self, l: int, j: int, lam) -> np.ndarray:
         """det X[l, j](lam) for 1-based l, j; empty product is 1."""
-        lam = np.asarray(lam, dtype=complex)
-        if self.m <= 1:
-            return np.ones(lam.shape, dtype=complex)
-        m = self.m
-        wrap = lambda v: (v - 1) % m + 1
-        M = self.eval_matrix(lam)
-        rows = [wrap(l + p) - 1 for p in range(1, m)]
-        cols = [wrap(j + q) - 1 for q in range(1, m)]
-        sub = M[..., rows, :][..., :, cols]
-        return np.linalg.det(sub)
+        sign = (-1.0) ** ((self.m - 1) * (l + j))
+        return sign * self.cofactors(lam)[..., j - 1, l - 1]
 
     # -- determinant as an explicit polynomial ----------------------------
     @cached_property

@@ -23,13 +23,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import spectral
-from .config import load_config, parse_grid
-from .datum import make_datum
+from .config import RunConfig, load_config, parse_grid
 from .errors import ConfigError, HalflineError
 from .evolution import solve_grid
 from .problems import builtin_catalog, classify
@@ -77,21 +77,17 @@ def _resolve(args):
     return problem, cfg
 
 
-def _pair(args, problem, cfg) -> TransformPair:
+def _pair(problem, cfg) -> TransformPair:
     params = cfg.build_params() if cfg else None
     return TransformPair(problem, params)
 
 
 def _datum(args, problem, cfg):
-    if cfg is not None:
-        d = cfg.build_datum(problem)
-        if args.seed is None:
-            return d
-    kernel = (cfg.datum_kernel if cfg and cfg.datum_kernel
-              else problem.datum_kernel)
-    support = cfg.datum_support if cfg else 1.0
-    seed = args.seed if args.seed is not None else (cfg.datum_seed if cfg else 0)
-    return make_datum(problem, kernel, support=support, seed=seed)
+    """The config's datum, or the default one; ``--seed`` sets its seed."""
+    cfg = cfg or RunConfig()
+    if args.seed is not None:
+        cfg = replace(cfg, datum_seed=args.seed)
+    return cfg.build_datum(problem)
 
 
 def _grid_arg(args, name: str, cfg, default=None) -> np.ndarray:
@@ -132,7 +128,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_contours(args) -> int:
     problem, cfg = _resolve(args)
-    pair = _pair(args, problem, cfg)
+    pair = _pair(problem, cfg)
     cs = pair.contours
     rows = []
     ss = np.linspace(0.0, 1.0, 17)
@@ -154,7 +150,7 @@ def _cmd_contours(args) -> int:
 
 def _cmd_delta_roots(args) -> int:
     problem, cfg = _resolve(args)
-    pair = _pair(args, problem, cfg)
+    pair = _pair(problem, cfg)
     rows = [(_fmt(r.value.real), _fmt(r.value.imag), r.multiplicity)
             for r in pair.cm.delta_roots]
     _write_csv(args, "delta-roots", ["re", "im", "multiplicity"], rows)
@@ -163,7 +159,7 @@ def _cmd_delta_roots(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     problem, cfg = _resolve(args)
-    pair = _pair(args, problem, cfg)
+    pair = _pair(problem, cfg)
     datum = _datum(args, problem, cfg)
     L = datum.support
     xs = _grid_arg(args, "xs", cfg, default=np.linspace(0.05 * L, L, 20))
@@ -183,7 +179,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_solve(args) -> int:
     problem, cfg = _resolve(args)
-    pair = _pair(args, problem, cfg)
+    pair = _pair(problem, cfg)
     datum = _datum(args, problem, cfg)
     xs = _grid_arg(args, "xs", cfg)
     ts = _grid_arg(args, "ts", cfg)
@@ -200,7 +196,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_spectral_check(args) -> int:
     problem, cfg = _resolve(args)
-    pair = _pair(args, problem, cfg)
+    pair = _pair(problem, cfg)
     datum = _datum(args, problem, cfg)
     tol = args.tol
     xs = np.array([0.3, 0.7, 1.2])

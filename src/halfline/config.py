@@ -12,7 +12,10 @@ blank lines are ignored.  Keys:
     datum.kernel = <c0>,...           boundary Taylor coefficients of the datum
     datum.support = <L>
     datum.seed = <int or none>
-    quad.rel_tol, quad.abs_tol, quad.density, quad.max_order
+    quad.abs_tol = <float>            where ray tails and tail scans stop
+    quad.density = <float>            Gauss nodes per wavelength, every panel
+    quad.max_order = <int>            Gauss order of every panel
+    quad.rel_tol = <float>            read only by integrate_segment
     solve.xs, solve.ts                comma list or <start>:<step>:<stop>
 
 All parse errors raise :class:`~halfline.errors.ConfigError` messages that

@@ -71,9 +71,14 @@ _LADDER = 4
 class QuadratureParams:
     """Tolerances and discretization controls.
 
-    ``density`` is the number of Gauss nodes per oscillation wavelength;
-    8 puts composite Gauss-Legendre of order >= 16 well past the resolution
-    threshold, with errors near roundoff.
+    ``abs_tol`` sets where sums stop: an infinite ray is cut where its
+    envelope falls below abs_tol / 10 (:attr:`tail_log_target`), the
+    real-line tail scan at blocks below abs_tol / 8.  ``density`` is the
+    number of Gauss nodes per oscillation wavelength of every panel (8 puts
+    composite Gauss-Legendre of order >= 16 well past the resolution
+    threshold, with errors near roundoff), ``max_order`` their Gauss order.
+    ``rel_tol`` is read only by :func:`integrate_segment`, which no library
+    path calls.
     """
 
     rel_tol: float = 1e-9

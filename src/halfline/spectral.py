@@ -98,11 +98,7 @@ def remainder_closed_form(pair, datum) -> np.ndarray:
     """Remainder coefficients from the complementary forms: the remainder
     equals sum_r (B_c u)_r M[1,r](lam) / (2 pi) with u the boundary jet."""
     u = datum.boundary_derivatives(pair.n)
-    bc = pair.forms.B_c @ u
-    out = np.zeros(pair.n, dtype=complex)
-    for r in range(pair.m):
-        out += bc[r] * pair.cm.coeffs[0, r]
-    return out / (2.0 * np.pi)
+    return (pair.forms.B_c @ u) @ pair.cm.coeffs[0] / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from .charmatrix import CharMatrix
 from .contours import build_contours, turn_axis_rays
 from .errors import NonpositiveX, ToleranceNotMet
 from .problems import validate
-from .quadrature import (ExpDecay, Panels, PathSegment, QuadratureParams,
+from .quadrature import (ExpDecay, Panels, PathSegment, QuadratureParams, _gl,
                          apply_phase, component_nodes, segment_nodes)
 
 __all__ = ["SupportTransform", "TransformPair"]
@@ -127,7 +127,7 @@ class SupportTransform:
                 cap = self.base * 2 ** level
                 panels = int(math.ceil(cap * self.L * self.density / (2 * math.pi * self.order)))
                 panels = max(panels, 2)
-                x, w = np.polynomial.legendre.leggauss(self.order)
+                x, w = _gl(self.order)
                 edges = np.linspace(0.0, self.L, panels + 1)
                 half = 0.5 * (edges[1] - edges[0])
                 mid = 0.5 * (edges[:-1] + edges[1:])
@@ -229,22 +229,18 @@ class TransformPair:
 
     # -- kernels ----------------------------------------------------------
     def kernel_weights(self, k: int, lam):
-        """Argument multipliers alpha^(N+l-k) and weights w_l(lam), l=1..m."""
+        """Argument multipliers alpha^(N+l-k), shaped to broadcast against
+        lam, and weights w_l(lam), l=1..m, on a leading axis: row one of
+        M(lam) times the cofactor matrix A(mu), over 2 pi Delta(mu)."""
         if not 1 <= k <= self.N:
             raise ValueError(f"sector index k must be in 1..{self.N}, got {k}")
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         mu = self.alpha ** (self.N + 1 - k) * lam
         dl = self.cm.guard_delta(mu)
-        mults = []
-        weights = []
-        for l in range(1, self.m + 1):
-            acc = np.zeros(lam.shape, dtype=complex)
-            for j in range(1, self.m + 1):
-                sign = (-1.0) ** ((self.m - 1) * (l + j))
-                acc += sign * self.cm.cofactor_det(l, j, mu) * self.cm.entry(1, j, lam)
-            weights.append(acc / (2.0 * np.pi * dl))
-            mults.append(self.alpha ** (self.N + l - k))
-        return np.array(mults), np.array(weights)
+        row = self.cm.eval_matrix(lam)[..., 0, :]
+        weights = np.einsum("...j,...jl->l...", row, self.cm.cofactors(mu))
+        mults = self.alpha ** (self.N + np.arange(1, self.m + 1) - k)
+        return mults.reshape((-1,) + (1,) * lam.ndim), weights / (2.0 * np.pi * dl)
 
     def kernel(self, k: int, lam, x) -> np.ndarray:
         """Inverse-side kernel value at (lam, x); k = 0 is exp(-i lam x)/2pi."""
@@ -253,10 +249,7 @@ class TransformPair:
         if k == 0:
             return np.exp(-1j * lam * x) / (2.0 * np.pi)
         mults, weights = self.kernel_weights(k, lam)
-        out = np.zeros(np.broadcast(lam, x).shape, dtype=complex)
-        for mult, w in zip(mults, weights):
-            out = out + w * np.exp(-1j * mult * lam * x)
-        return out
+        return (weights * np.exp(-1j * mults * lam * x)).sum(axis=0)
 
     def forward(self, datum, k: int, lam, *, applied: bool = False) -> np.ndarray:
         """F_k[f](lam), or F_k[Sf](lam) with ``applied=True``."""
@@ -265,10 +258,9 @@ class TransformPair:
         if k == 0:
             return hat(datum, lam) / (2.0 * np.pi)
         mults, weights = self.kernel_weights(k, lam)
-        out = np.zeros(lam.shape, dtype=complex)
-        for mult, w in zip(mults, weights):
-            out += w * hat(datum, mult * lam)
-        return out
+        # every argument alpha^(N+l-k) lam has the modulus of lam, so the
+        # stacked call resolves at the level lam alone would
+        return (weights * hat(datum, mults * lam)).sum(axis=0)
 
     # -- real-line component ----------------------------------------------
     @property

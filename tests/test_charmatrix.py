@@ -5,6 +5,7 @@ import pytest
 
 from halfline.charmatrix import CharMatrix, DeltaRoot
 from halfline.errors import DeltaIdenticallyZero, OnDeltaZero
+from halfline.problems import HalfLineProblem
 from halfline.transforms import TransformPair
 
 
@@ -42,22 +43,30 @@ def test_eval_matrix_and_delta_consistency():
                                rtol=1e-8, atol=1e-8 * np.abs(direct).max())
 
 
+def _window_det(cm: CharMatrix, l: int, j: int, lam) -> np.ndarray:
+    """det X[l, j](lam), 1-based l, j, written out from its definition: the
+    (m-1) x (m-1) window of the doubled block [[M, M], [M, M]] anchored one
+    step below and right of entry (l, j)."""
+    M = cm.eval_matrix(lam)
+    doubled = np.concatenate([np.concatenate([M, M], axis=-1)] * 2, axis=-2)
+    return np.linalg.det(doubled[..., l:l + cm.m - 1, j:j + cm.m - 1])
+
+
+def _identity_residual(cm: CharMatrix, lams) -> np.ndarray:
+    """|A(lam) M(lam) - Delta(lam) I| entrywise."""
+    eye = cm.delta(lams)[..., None, None] * np.eye(cm.m)
+    return np.abs(cm.cofactors(lams) @ cm.eval_matrix(lams) - eye)
+
+
 def test_cofactor_identity_catalog(catalog):
-    """sum_l (-1)^((m-1)(l+j)) det X[l,j] M[l,r] = Delta delta_{j,r} on the
-    built-in problems at random points."""
+    """A(lam) M(lam) = Delta(lam) I, A the signed cyclic cofactor matrix, on
+    the built-in problems at random points."""
     rng = np.random.default_rng(7)
     for prob in catalog.values():
         cm = _cm(prob)
         lams = 3.0 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        dl = cm.delta(lams)
-        scale = np.abs(dl) + 1.0
-        for j in range(1, cm.m + 1):
-            for r in range(1, cm.m + 1):
-                acc = sum((-1.0) ** ((cm.m - 1) * (l + j))
-                          * cm.cofactor_det(l, j, lams) * cm.entry(l, r, lams)
-                          for l in range(1, cm.m + 1))
-                want = dl if j == r else 0.0
-                assert np.abs(acc - want).max() < 1e-9 * scale.max(), prob.label
+        scale = np.abs(cm.delta(lams)) + 1.0
+        assert _identity_residual(cm, lams).max() < 1e-9 * scale.max(), prob.label
 
 
 def test_cofactor_identity_synthetic():
@@ -67,15 +76,46 @@ def test_cofactor_identity_synthetic():
     for n, m, seed in ((5, 3, 23), (7, 4, 41)):
         cm = _random_char(n, m, seed)
         lams = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        dl = cm.delta(lams)
-        scale = np.abs(dl).max() + 1.0
-        for j in range(1, m + 1):
-            for r in range(1, m + 1):
-                acc = sum((-1.0) ** ((m - 1) * (l + j))
-                          * cm.cofactor_det(l, j, lams) * cm.entry(l, r, lams)
-                          for l in range(1, m + 1))
-                want = dl if j == r else 0.0
-                assert np.abs(acc - want).max() < 1e-9 * scale
+        scale = np.abs(cm.delta(lams)).max() + 1.0
+        assert _identity_residual(cm, lams).max() < 1e-9 * scale
+
+
+def test_cofactor_det_matches_explicit_windows():
+    """cofactor_det(l, j) is the determinant of the doubled-block window for
+    every (l, j), m = 1..4, including the empty window of m = 1."""
+    rng = np.random.default_rng(29)
+    for n, m in ((3, 1), (4, 2), (5, 3), (7, 4)):
+        cm = _random_char(n, m, seed=n + m)
+        lams = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        for l in range(1, m + 1):
+            for j in range(1, m + 1):
+                np.testing.assert_allclose(cm.cofactor_det(l, j, lams),
+                                           _window_det(cm, l, j, lams),
+                                           rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n, a, B", [
+    (5, -1j, [[1, 0, 0, 0, 0], [0, 1, 1, 0, 0]]),
+    (6, 1.0, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 0, 1]])])
+def test_kernel_weights_order_five_and_six(n, a, B):
+    """At m = 3, beyond the catalog, every sector's weights equal the
+    explicit sum_j (-1)^((m-1)(l+j)) det X[l,j](mu) M[1,j](lam)
+    / (2 pi Delta(mu)), mu = alpha^(N+1-k) lam."""
+    pair = TransformPair(HalfLineProblem(n, a, B))
+    cm = pair.cm
+    assert cm.m == 3
+    rng = np.random.default_rng(n)
+    lams = rng.uniform(1.5, 3.0, 12) * np.exp(2j * np.pi * rng.uniform(0, 1, 12))
+    for k in range(1, pair.N + 1):
+        mu = pair.alpha ** (pair.N + 1 - k) * lams
+        want = np.array([
+            sum((-1.0) ** ((cm.m - 1) * (l + j)) * _window_det(cm, l, j, mu)
+                * cm.entry(1, j, lams) for j in range(1, cm.m + 1))
+            for l in range(1, cm.m + 1)]) / (2.0 * np.pi * cm.delta(mu))
+        mults, got = pair.kernel_weights(k, lams)
+        np.testing.assert_allclose(
+            mults.ravel(), pair.alpha ** (pair.N + np.arange(1, cm.m + 1) - k))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), k
 
 
 def test_cofactor_reduces_to_one_for_single_form():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from halfline.cli import run
+from halfline.datum import make_datum
 from halfline.evolution import solve_grid
+from halfline.problems import HalfLineProblem
 from halfline.spectral import remainder_report
 
 
@@ -189,6 +191,26 @@ def test_seed_override_changes_datum(capsys):
                 "--xs", "0.5", "--seed", "2"]) == 0
     f2 = float(_csv_rows(capsys.readouterr().out, 5)[1][1])
     assert f1 != f2
+
+
+def test_seed_override_keeps_the_config_datum(tmp_path, capsys):
+    """``--problem cfg --seed 5`` writes the CSV of the same config with
+    ``datum.seed = 5``: kernel and support still come from the config."""
+    problem = ("order = 2\na = 1,0\nbc = 1,0\ndatum.kernel = 0,0.5\n"
+               "datum.support = 0.8\n")
+    texts = []
+    for seed, flag in (("2", ["--seed", "5"]), ("5", [])):
+        cfg = tmp_path / f"seed{seed}.cfg"
+        cfg.write_text(problem + f"datum.seed = {seed}\n", encoding="utf-8")
+        out = tmp_path / f"out{seed}"
+        assert run(["reconstruct", "--problem", str(cfg), "--xs", "0.3,0.7",
+                    "--out", str(out)] + flag) == 0
+        texts.append((out / "reconstruct.csv").read_text(encoding="utf-8"))
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+    p = HalfLineProblem(2, 1.0, [[1.0, 0.0]])
+    f = make_datum(p, (0.0, 0.5), support=0.8, seed=5).value(np.array([0.3, 0.7]))
+    assert [float(row[1]) for row in _csv_rows(texts[0], 5)[1:]] == list(f)
 
 
 def test_config_file_end_to_end(tmp_path, capsys):

@@ -75,9 +75,10 @@ import halfline, halfline.cli
 from halfline.datum import make_datum
 from halfline.evolution import solve_grid
 from halfline.oracles import heat_neumann_solution
-from halfline.problems import builtin_catalog
+from halfline.problems import HalfLineProblem, builtin_catalog
 from halfline.quadrature import ray_monomial_tail
 from halfline.transforms import TransformPair
+from halfline.verify import data_trio
 
 def loaded():
     return sorted(m for m in sys.modules
@@ -91,6 +92,7 @@ p, f = problem_and_datum("reverse-lkdv")
 TransformPair(p).reconstruct(f, [0.2, 0.5])
 p, f = problem_and_datum("heat-dirichlet")
 solve_grid(TransformPair(p), f, [0.2, 0.5], [0.1])
+data_trio(HalfLineProblem(2, 1.0, [[2.0, 1.0]]))
 out = {"library": loaded()}
 v = heat_neumann_solution(problem_and_datum("heat-neumann")[1], 0.3, 0.1).value
 out["neumann"] = repr(complex(v))
@@ -101,9 +103,10 @@ print(json.dumps(out))
 
 
 def test_fresh_interpreter_loads_neither_scipy_nor_mpmath():
-    """``import halfline``, the CLI, a reconstruction and an evolution load
-    no scipy or mpmath module; the heat oracle and ``ray_monomial_tail``
-    load theirs on the first call and return the values of this process."""
+    """``import halfline``, the CLI, a reconstruction, an evolution and the
+    data of a problem without ``datum_kernel`` load no scipy or mpmath
+    module; the heat oracle and ``ray_monomial_tail`` load theirs on the
+    first call and return the values of this process."""
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
     run = subprocess.run([sys.executable, "-c", _FRESH], env=env,
                          capture_output=True, text=True, timeout=300)
