@@ -129,10 +129,15 @@ class CharMatrix:
             if not sig.any():
                 raise DeltaIdenticallyZero(
                     "all interpolated determinant coefficients are negligible")
-            trimmed = poly[: int(np.nonzero(sig)[0][-1]) + 1]
-            if trimmed.size <= 1:
+            # negligible coefficients at either end are interpolation noise:
+            # the high ones are dropped, the low ones zeroed, so a root at
+            # the origin stays exact instead of spreading by eps^(1/mult)
+            low, high = np.flatnonzero(sig)[[0, -1]]
+            trimmed = poly[:high + 1].copy()
+            trimmed[:low] = 0.0
+            if trimmed.size - low <= 1:
                 return trimmed
-            r = np.polynomial.polynomial.polyroots(trimmed)
+            r = np.polynomial.polynomial.polyroots(trimmed[low:])
             rmax = float(np.abs(r).max()) if r.size else 0.0
             if rmax <= radius:
                 return trimmed
@@ -141,11 +146,15 @@ class CharMatrix:
 
     @cached_property
     def delta_roots(self) -> tuple:
-        """Roots of Delta with multiplicities from 1e-6 clustering."""
+        """Roots of Delta with multiplicities from 1e-6 clustering; the
+        zeroed low-order coefficients of :attr:`delta_poly` give the root at
+        the origin and its multiplicity."""
         poly = self.delta_poly
         if poly.size <= 1:
             return ()
-        roots = np.polynomial.polynomial.polyroots(poly)
+        low = int(np.flatnonzero(poly)[0])
+        roots = np.concatenate([np.zeros(low, dtype=complex),
+                                np.polynomial.polynomial.polyroots(poly[low:])])
         order = np.lexsort((roots.imag, roots.real))
         roots = roots[order]
         clusters: list[list[complex]] = []

@@ -22,8 +22,9 @@ evaluates exp(i x lam) @ (w F) for all x at once.  It runs on
 :class:`PhaseKernel`, which factors the phase as exp(i x c_p) exp(i x o_gk)
 over the panels' :class:`Panels` layout: one table of node phases per
 width group, shared by all the group's panels, and one exponential per
-panel and x.  The evolution apply and the half-line transform use the same
-kernel.  :func:`integrate_segment` integrates one finite segment of a
+panel and x.  The evolution apply uses the same kernel; the half-line
+transform's equal panels factor further, in
+:class:`halfline.transforms.SupportTransform`.  :func:`integrate_segment` integrates one finite segment of a
 callable with error control, and :func:`ray_monomial_tail` sums a monomial
 ray tail by mpmath's exponential integral; no library path calls either,
 they are references for checks.  mpmath is imported inside

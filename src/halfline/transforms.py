@@ -20,13 +20,14 @@ verification suite checks directly.
 Numerical layout: the half-line Fourier transform is evaluated by cached
 composite Gauss panels over the support, resolution chosen per batch from
 max |mu|.  The panels of a level are equal and their midpoints equally
-spaced, m_p = m_0 + 2hp, so S adjacent panels fold into one of S order
-nodes m_qS + 2hr + h x_k (r < S) and the phase factors:
-exp(-i mu (m_qS + 2hr + h x_k)) = exp(-i mu m_qS) exp(-i mu (2hr + h x_k)).
-The factored apply of :mod:`halfline.quadrature` then costs a batch
-#mu (S order + panels / S) complex exponentials, with S near
-sqrt(panels / order), instead of #mu panels order for the same quadrature
-rule.
+spaced, m_p = m_0 + 2hp, so node k of panel qS + r is m_qS + 2hr + h x_k
+and its phase is a product of three small tables:
+exp(-i mu m_qS) exp(-i mu 2hr) exp(-i mu h x_k).  A batch then costs
+#mu (panels / S + S + ceil(order / 2)) complex exponentials, with S near
+sqrt(panels / 4), and #mu S order multiplies for the outer product of the
+last two tables, instead of #mu panels order exponentials for the same
+quadrature rule; the matrix product with the real weights runs in real
+arithmetic.
 
 Every component integral runs on the engine of :mod:`halfline.quadrature`
 (``component_nodes`` plus ``apply_phase``).  The real-line component
@@ -56,15 +57,18 @@ from .charmatrix import CharMatrix
 from .contours import build_contours, turn_axis_rays
 from .errors import NonpositiveX, ToleranceNotMet
 from .problems import validate
-from .quadrature import (ExpDecay, Panels, PathSegment, QuadratureParams, _gl,
+from .quadrature import (ExpDecay, PathSegment, QuadratureParams, _gl,
                          apply_phase, component_nodes, segment_nodes)
 
 __all__ = ["SupportTransform", "TransformPair"]
 
-# cap on the phase entries per chunk, mu x (folded panels + S order): a
-# chunk's complex temporaries stay near 16 MB each; 4M-entry chunks ran
-# about 10% slower on a 2-core x86 machine
-_CHUNK_BUDGET = 1_000_000
+# cap on the phase entries per chunk, mu x (folds + S order), so that a
+# chunk's temporaries stay in cache: one recon cycle's fhat calls, replayed
+# on warm levels on a 2-core x86 machine, took the same time from 60k to
+# 160k entries and about 30% longer at 250k.  The tracemalloc peak of
+# robin-4's stacked sector batch (2 x 6792 mu, warm level) is 5.1 MB here,
+# 9.5 MB at 250k entries
+_CHUNK_BUDGET = 120_000
 # highest resolution level: |mu| up to base * 2**_MAX_LEVEL is resolved
 _MAX_LEVEL = 16
 # (datum, derivative) transforms a TransformPair keeps, least recently used
@@ -78,19 +82,23 @@ class SupportTransform:
     support, vectorized over mu with resolution levels in powers of two.
 
     Level l splits [0, L] into equal Gauss-Legendre panels, enough for
-    |mu| <= base * 2**l.  Because the panels are equal and equally spaced,
-    S of them fold into one panel of the factored apply, with midpoint m_q
-    of its first panel, common half-width h and nodes m_q + y_j,
-    y = 2hr + h x_k:
+    |mu| <= base * 2**l.  Because the panels are equal, with half-width h
+    and equally spaced midpoints, node k of panel qS + r is
+    m_qS + 2hr + h x_k, and its phase is a product of three factors:
 
-        fhat(mu) = sum_q exp(-i mu m_q) sum_j exp(-i mu y_j) w_j g(m_q + y_j).
+        fhat(mu) = sum_q exp(-i mu m_qS)
+                   sum_(r,k) exp(-i mu 2hr) exp(-i mu h x_k) w_k h g(node).
 
-    The inner sum is one matrix product over the S order node phases, the
-    outer one a row-wise dot product over the folded panels, and the last
+    Per mu that is one exponential per fold of S panels, S step factors
+    and ceil(order / 2) Gauss factors (the Gauss nodes come in pairs +-x_k
+    and exp(-z) = 1 / exp(z)).  The outer product of the last two, S order
+    multiplies, meets the weights in one matrix product, real because g
+    is real-valued, and the fold factors weight the column sums.  The last
     fold is padded with zero weights.  The equal-panel invariant is what
-    makes the node phases common to all panels; a non-uniform panel layout
-    would break the factorization.
+    makes the inner factors common to all folds; a non-uniform panel
+    layout would break the factorization.
 
+    ``g`` must be real-valued (a complex one raises ``TypeError``).
     ``base_rate`` sets the level-0 resolution floor in rad per unit x, so
     integrands with internal structure sharper than the lowest mu (a narrow
     bump, say) stay resolved at every level.  A batch whose |mu| exceeds
@@ -120,8 +128,8 @@ class SupportTransform:
         return level
 
     def _nodes(self, level: int):
-        """(:class:`Panels` layout, weights w_k h g) of one level, with S
-        adjacent panels folded into each layout panel."""
+        """(mid, step, gauss, wg) of one level: node k of panel qS + r is
+        mid[q] + step[r] + gauss[k], with weight w_k h g = wg[q, r order + k]."""
         with self._lock:
             if level not in self._levels:
                 cap = self.base * 2 ** level
@@ -132,32 +140,48 @@ class SupportTransform:
                 half = 0.5 * (edges[1] - edges[0])
                 mid = 0.5 * (edges[:-1] + edges[1:])
                 nodes = (mid[:, None] + half * x[None, :]).ravel()
-                wg = (half * w)[None, :] * self.g(nodes).reshape(panels, self.order)
-                # S = sqrt(panels / order) balances the S order node phases
-                # against the panels / S folded midpoints; the last fold is
-                # padded with zero weights
-                fold = max(1, round(math.sqrt(panels / self.order)))
+                values = self.g(nodes)
+                if np.iscomplexobj(values):
+                    raise TypeError("SupportTransform needs a real-valued g")
+                wg = (half * w)[None, :] * values.reshape(panels, self.order)
+                # S = sqrt(panels / 4) balances the panels / S fold
+                # exponentials against the S step exponentials and the
+                # S order multiplies of the outer product (a complex
+                # multiply costs about 1/25 of a complex exponential)
+                fold = max(1, round(math.sqrt(panels / 4)))
                 rows = -(-panels // fold)
                 wg = np.concatenate(
                     [wg, np.zeros((rows * fold - panels, self.order))])
-                offset = (2.0 * half * np.arange(fold)[:, None] + half * x).ravel()
-                layout = Panels(mid[::fold], offset[None, :],
-                                np.zeros(rows, dtype=np.intp))
-                self._levels[level] = (layout, wg.ravel())
+                self._levels[level] = (
+                    mid[::fold], 2.0 * half * np.arange(fold), half * x,
+                    wg.reshape(rows, fold * self.order))
             return self._levels[level]
 
     def __call__(self, mu) -> np.ndarray:
         mu = np.atleast_1d(np.asarray(mu, dtype=complex))
         if mu.size == 0:
             return np.zeros(0, dtype=complex)
-        layout, wg = self._nodes(self._level_for(float(np.abs(mu).max())))
-        out = np.empty(mu.shape, dtype=complex)
-        flat = mu.ravel()
-        res = out.ravel()
-        chunk = max(64, _CHUNK_BUDGET // (layout.center.size + layout.order))
+        mid, step, gauss, wg = self._nodes(
+            self._level_for(float(np.abs(mu).max())))
+        rows, width = wg.shape
+        # the Gauss row is odd about its centre: exponentials for its first
+        # ceil(order / 2) entries, reciprocals for the mirrored rest
+        half = self.order // 2
+        flat = -1j * mu.ravel()
+        out = np.empty(flat.size, dtype=complex)
+        chunk = max(64, _CHUNK_BUDGET // (rows + width))
         for i in range(0, flat.size, chunk):
-            res[i:i + chunk] = apply_phase(-flat[i:i + chunk], layout, wg)
-        return out
+            z = flat[i:i + chunk]
+            left = np.exp(np.multiply.outer(gauss[:self.order - half], z))
+            phase = np.concatenate([left, 1.0 / left[:half][::-1]])
+            table = np.exp(np.multiply.outer(step, z))[:, None, :] * phase
+            # the weights are real, so one real matrix product over the
+            # interleaved real and imaginary parts of the table does the
+            # work of a complex one with half the multiplies
+            inner = (wg @ table.reshape(width, -1).view(float)).view(complex)
+            inner *= np.exp(np.multiply.outer(mid, z))
+            out[i:i + chunk] = inner.sum(axis=0)
+        return out.reshape(mu.shape)
 
 
 def _real_axis_monomial_tails(r0: float, xs: np.ndarray, powers,

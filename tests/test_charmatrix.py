@@ -147,6 +147,23 @@ def test_delta_roots_catalog(catalog):
     assert all(abs(r.value) < 4.0 for r in cmr.delta_roots)
 
 
+@pytest.mark.parametrize("n, a, B", [
+    (5, -1j, [[1, 0, 0, 0, 0], [0, 1, 1, 0, 0]]),
+    (6, 1.0, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 0, 1]])],
+    ids=["order5", "order6"])
+def test_delta_roots_triple_root_at_origin(n, a, B):
+    """Delta = lam^3 (...) at m = 3: the interpolated lam^0..lam^2
+    coefficients are noise near 1e-13 against order-one ones, and are
+    zeroed, so the origin is one root of multiplicity 3 instead of three
+    simple roots spread by eps^(1/3) near |lam| = 3e-5."""
+    cm = _cm(HalfLineProblem(n, a, B))
+    assert cm.m == 3
+    np.testing.assert_array_equal(cm.delta_poly[:3], 0.0)
+    near = [r for r in cm.delta_roots if abs(r.value) < 0.1]
+    assert near == [DeltaRoot(0j, 3)]
+    assert sum(r.multiplicity for r in cm.delta_roots) == cm.delta_poly.size - 1
+
+
 def test_choose_radius(catalog):
     """Radius clears the largest root by the factor 1.1, floor one."""
     cm = _cm(catalog["robin-4"])

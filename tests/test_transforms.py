@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -100,25 +101,30 @@ def test_fhat_matches_adaptive_reference(get_pair, get_datum):
 
 def _dense_fhat(st, mu):
     """Dense evaluation of the support rule at one resolution level:
-    exp(-i mu x_j) @ (w_j g(x_j)) over the same panels, with the absolute
-    sum of its terms."""
-    panels, wg = st._nodes(st._level_for(float(np.abs(mu).max())))
-    nodes = (panels.center[:, None] + panels.offset[panels.group]).ravel()
-    terms = np.exp(-1j * mu[:, None] * nodes[None, :]) * wg[None, :]
+    exp(-i mu x_j) @ (w_j g(x_j)) over the same nodes, rebuilt from the
+    level's fold midpoints, steps and Gauss offsets, with the absolute sum
+    of its terms."""
+    mid, step, gauss, wg = st._nodes(st._level_for(float(np.abs(mu).max())))
+    nodes = (mid[:, None, None] + step[:, None] + gauss).ravel()
+    terms = np.exp(-1j * mu[:, None] * nodes[None, :]) * wg.ravel()[None, :]
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
-@pytest.mark.parametrize("name", ["reverse-lkdv", "robin-4", "heat-neumann"])
-def test_support_transform_matches_dense_oracle(get_datum, catalog, name):
-    """The panel-factored transform equals the dense exp @ (w g) of the same
+@pytest.mark.parametrize("name, order", [
+    ("reverse-lkdv", None), ("robin-4", None), ("heat-neumann", None),
+    ("robin-4", 7)], ids=["reverse-lkdv", "robin-4", "heat-neumann", "robin-4-order7"])
+def test_support_transform_matches_dense_oracle(get_datum, catalog, name, order):
+    """The phase-factored transform equals the dense exp @ (w g) of the same
     quadrature rule to rounding: |fast - dense| <= 16 eps (1 + |mu| L)
     sum_j |exp(-i mu x_j) w_j g(x_j)|, for levels 0..8, the datum and its
-    n-th derivative, real mu and mu with |Im mu| <= 3."""
+    n-th derivative, real mu and mu with |Im mu| <= 3, at the default Gauss
+    order and at an odd one, whose middle node has phase factor 1."""
     datum = get_datum(name)
     eps = np.finfo(float).eps
+    params = QuadratureParams() if order is None else QuadratureParams(max_order=order)
     for deriv in (0, catalog[name].order):
         g = datum.value if deriv == 0 else datum.derivative_function(deriv)
-        st = SupportTransform(g, datum.support, QuadratureParams(),
+        st = SupportTransform(g, datum.support, params,
                               base_rate=datum.bandwidth * (1.0 + deriv))
         for level in range(9):
             top = 0.99 * st.base * 2.0 ** level
@@ -131,6 +137,77 @@ def test_support_transform_matches_dense_oracle(get_datum, catalog, name):
             assert np.all(np.abs(fast - dense) <= bound), (deriv, level)
 
 
+def test_support_transform_exponentials_per_mu(catalog, monkeypatch):
+    """One fhat call evaluates at most rows + S + ceil(order / 2) complex
+    exponentials per mu at every level 0..8: one per fold of S panels, S
+    step factors and the Gauss factors of one half of the panel, whose
+    mirror half are reciprocals.  On robin-4's recon datum (the bumps of
+    seed 41) at level 4, 259 panels of order 24 fold 8 at a time into 33
+    rows: 53 exponentials per mu, where one per fold of 3 panels and one
+    per node offset of a fold took 87 + 72 = 159."""
+    problem = catalog["robin-4"]
+    datum = make_datum(problem, problem.datum_kernel, seed=41)
+    st = SupportTransform(datum.value, datum.support, QuadratureParams(),
+                          base_rate=datum.bandwidth)
+    exp = np.exp
+    counted = []
+
+    def counting(z, *args, **kwargs):
+        if np.iscomplexobj(z):
+            counted.append(np.size(z))
+        return exp(z, *args, **kwargs)
+
+    gauss_half = -(-st.order // 2)
+    for level in range(9):
+        top = 0.99 * st.base * 2.0 ** level
+        mu = np.linspace(-top, top, 200) + 0.5j
+        mid, step, _, _ = st._nodes(level)
+        counted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "exp", counting)
+            st(mu)
+        assert sum(counted) <= mu.size * (mid.size + step.size + gauss_half), level
+        if level == 4:
+            assert (mid.size, step.size, gauss_half) == (33, 8, 12)
+            assert sum(counted) == 53 * mu.size
+
+
+def test_stacked_forward_batch_stays_within_chunk_budget(catalog):
+    """robin-4's largest sector batch of a reconstruction (k = 2: 6792 lam,
+    so one fhat call on 2 x 6792 mu) holds 2.25M phase entries, many
+    chunks; on a warm level its tracemalloc peak stays below four chunk
+    budgets of complex entries, less than the batch's phase entries
+    alone."""
+    problem = catalog["robin-4"]
+    pair = TransformPair(problem)
+    datum = make_datum(problem, problem.datum_kernel, seed=41)
+    batches = []
+    forward = pair.forward
+
+    def recording(d, k, lam, **kwargs):
+        batches.append((k, lam))
+        return forward(d, k, lam, **kwargs)
+
+    pair.forward = recording
+    pair.sector_component(datum, 2, np.linspace(0.05, 1.0, 20) * datum.support)
+    del pair.forward
+    k, lam = max(batches, key=lambda b: b[1].size)
+    assert (k, lam.size) == (2, 6792)
+    pair.forward(datum, k, lam)  # builds the level outside the trace
+    hat = pair._hats[(id(datum), 0)]
+    mid, _, _, wg = hat._nodes(hat._level_for(float(np.abs(lam).max())))
+    entries = 2 * lam.size * (mid.size + wg.shape[1])
+    bound = 4 * transforms._CHUNK_BUDGET * 16
+    assert entries * 16 > bound
+    tracemalloc.start()
+    try:
+        pair.forward(datum, k, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
+
+
 def test_support_transform_refuses_mu_past_top_level(get_datum):
     """|mu| beyond base * 2**16 raises instead of under-resolving."""
     datum = get_datum("heat-dirichlet")
@@ -140,6 +217,14 @@ def test_support_transform_refuses_mu_past_top_level(get_datum):
         st._level_for(st.base * 2.0 ** 16 * 1.01)
     with pytest.raises(ToleranceNotMet):
         st(np.array([1.0, st.base * 2.0 ** 17]))
+
+
+def test_support_transform_refuses_complex_integrand():
+    """The real matrix product needs real weights: a complex-valued g
+    raises instead of losing its imaginary part."""
+    st = SupportTransform(lambda x: (1.0 + 1.0j) * x, 1.0, QuadratureParams())
+    with pytest.raises(TypeError, match="real-valued"):
+        st(np.array([1.0]))
 
 
 class _CountingDatum:
