@@ -15,7 +15,6 @@ blank lines are ignored.  Keys:
     quad.abs_tol = <float>            where ray tails and tail scans stop
     quad.density = <float>            Gauss nodes per wavelength, every panel
     quad.max_order = <int>            Gauss order of every panel
-    quad.rel_tol = <float>            read only by integrate_segment
     solve.xs, solve.ts                comma list or <start>:<step>:<stop>
 
 All parse errors raise :class:`~halfline.errors.ConfigError` messages that
@@ -35,7 +34,6 @@ from .quadrature import QuadratureParams
 __all__ = ["RunConfig", "parse_config", "load_config", "parse_grid"]
 
 _QUAD_KEYS = {
-    "quad.rel_tol": ("rel_tol", float),
     "quad.abs_tol": ("abs_tol", float),
     "quad.density": ("density", float),
     "quad.max_order": ("max_order", int),

@@ -265,55 +265,61 @@ def _space_offsets(n: int) -> np.ndarray:
     return np.arange(-half, half + 1, dtype=float)
 
 
-def fd_residual(q_grid, n: int, a: complex, x: float, t: float,
-                h: float) -> OracleResult:
+def fd_residual(q_grid, n: int, a: complex, x, t, h: float) -> OracleResult:
     """|q_t + a (-i d/dx)^n q| at (x, t) from finite differences.
 
     ``q_grid(xs, ts)`` must return solution values with shape
-    (len(ts), len(xs)).  Space and time derivatives use second-order
-    stencils at steps h and h/2, in x and in t alike; the returned value
-    is the fine-step residual and ``est_error`` is its Richardson error
-    estimate.  The time stencil is centered, falling back to a one-sided
-    second-order formula when t - h would be negative.
+    (len(ts), len(xs)); it is called once.  Space and time derivatives use
+    second-order stencils at steps h and h/2, in x and in t alike; the
+    returned value is the fine-step residual and ``est_error`` is its
+    Richardson error estimate.  The time stencil is centered, falling back
+    to a one-sided second-order formula at a t where t - h would be
+    negative.  x and t may be arrays of centres: their stencils then form
+    one tensor grid, ``value`` and ``meta["coarse"]`` have shape
+    (len(t), len(x)), and ``est_error`` is the worst over the centres.
     """
     offs = _space_offsets(n)
     cs = stencil_coefficients(n, offs)
 
-    # union grid at steps h and h/2, indexed on the half-step lattice
+    # each centre's points at steps h and h/2 on the half-step lattice:
+    # columns xi about every x, rows -2..2 about every t (0..4 one-sided)
     xi = sorted({int(2 * o) for o in offs} | {int(o) for o in offs})
-    xs = x + np.array(xi) * (h / 2.0)
+    xc = np.atleast_1d(np.asarray(x, dtype=float))
+    tc = np.atleast_1d(np.asarray(t, dtype=float))
+    xs = (xc[:, None] + np.array(xi) * (h / 2.0)).ravel()
     if xs.min() <= 0.0:
         raise ValueError(f"stencil at x={x}, h={h} leaves the half-line")
-    centered = t - h >= 0.0
-    if centered:
-        ti = [-2, -1, 0, 1, 2]
-    else:
-        ti = [0, 1, 2, 3, 4]
-    ts = t + np.array(ti) * (h / 2.0)
+    centered = tc - h >= 0.0
+    first = np.where(centered, -2, 0)
+    ts = (tc[:, None] + (first[:, None] + np.arange(5)) * (h / 2.0)).ravel()
     vals = np.asarray(q_grid(xs, ts), dtype=complex)
     if vals.shape != (len(ts), len(xs)):
         raise ValueError(f"q_grid returned shape {vals.shape}, "
                          f"expected {(len(ts), len(xs))}")
-    col = {j: c for j, c in zip(xi, range(len(xi)))}
-    row = {j: r for j, r in zip(ti, range(len(ti)))}
-    it = row[0]
+    # vals[j, r, i, c]: centre (x_i, t_j), time row r, space column c
+    vals = vals.reshape(tc.size, 5, xc.size, len(xi))
+    col = {j: c for c, j in enumerate(xi)}
+    now = vals[np.arange(tc.size), -first]
+    mid = vals[:, :, :, col[0]]
+    both, ahead = mid[centered], mid[~centered]
 
-    def residual(step_mult: int) -> complex:
+    def residual(step_mult: int) -> np.ndarray:
         hh = step_mult * (h / 2.0)
-        qx = sum(c * vals[it, col[int(o * step_mult)]]
+        qx = sum(c * now[:, :, col[int(o * step_mult)]]
                  for o, c in zip(offs, cs)) / hh ** n
-        if centered:
-            qt = (vals[row[step_mult], col[0]]
-                  - vals[row[-step_mult], col[0]]) / (2.0 * hh)
-        else:
-            qt = (-3.0 * vals[it, col[0]]
-                  + 4.0 * vals[row[step_mult], col[0]]
-                  - vals[row[2 * step_mult], col[0]]) / (2.0 * hh)
+        qt = np.empty_like(qx)
+        qt[centered] = (both[:, 2 + step_mult]
+                        - both[:, 2 - step_mult]) / (2.0 * hh)
+        qt[~centered] = (-3.0 * ahead[:, 0] + 4.0 * ahead[:, step_mult]
+                         - ahead[:, 2 * step_mult]) / (2.0 * hh)
         return qt + a * (-1j) ** n * qx
 
     coarse = residual(2)
     fine = residual(1)
-    return OracleResult(value=abs(fine),
-                        est_error=abs(coarse - fine) / 3.0,
+    value, coarse_abs = np.abs(fine), np.abs(coarse)
+    if not (np.ndim(x) or np.ndim(t)):
+        value, coarse_abs = float(value[0, 0]), float(coarse_abs[0, 0])
+    return OracleResult(value=value,
+                        est_error=float(np.abs(coarse - fine).max()) / 3.0,
                         method="fd_residual",
-                        meta={"h": h, "coarse": abs(coarse)})
+                        meta={"h": h, "coarse": coarse_abs})

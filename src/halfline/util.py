@@ -98,11 +98,6 @@ class _BlasPin:
 
 
 _BLAS_PIN = _BlasPin()
-_WORKER = threading.local()
-
-
-def _mark_worker():
-    _WORKER.active = True
 
 
 def parallel_map(fn, items):
@@ -110,17 +105,16 @@ def parallel_map(fn, items):
 
     Work items run under numpy, which releases the GIL in inner kernels;
     results are returned in input order so output stays deterministic.
-    There is one level of threading at a time.  A call made on a worker
-    of another runs its items in turn on that worker, whose call already
-    occupies the cores.  While workers run, the OpenBLAS that numpy loaded
-    runs single-threaded, and its thread count is restored when the last
-    threaded call returns or raises.
+    Library paths call it only from the caller's thread, never from a
+    worker, where a nested call would start a pool of its own.  While
+    workers run, the OpenBLAS that numpy loaded runs single-threaded, and
+    its thread count is restored when the last threaded call, of any
+    thread, returns or raises.
     """
     items = list(items)
     k = thread_count()
-    if k <= 1 or len(items) <= 1 or getattr(_WORKER, "active", False):
+    if k <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with _BLAS_PIN.held(), \
-            ThreadPoolExecutor(max_workers=min(k, len(items)),
-                               initializer=_mark_worker) as ex:
+            ThreadPoolExecutor(max_workers=min(k, len(items))) as ex:
         return list(ex.map(fn, items))

@@ -244,3 +244,41 @@ def test_fd_residual_guards():
     bad_grid = lambda xs, ts: np.zeros((1, 1))
     with pytest.raises(ValueError):
         fd_residual(bad_grid, n, a, x=1.0, t=0.1, h=0.01)
+
+
+def test_fd_residual_array_centres_equal_scalar_calls():
+    """Arrays of centres give the scalar calls' values on one tensor grid,
+    fetched once; a centre with t < h takes the one-sided formula in both
+    forms, beside centered ones."""
+    n, a, h = 3, -1j, 0.01
+    xs, ts = np.array([0.4, 0.8, 1.2]), np.array([0.005, 0.1, 0.5])
+    fetched = []
+
+    def q_grid(gx, gt):
+        fetched.append((gx.size, gt.size))
+        return _plane_wave_grid(1.2, n, a)(gx, gt)
+
+    res = fd_residual(q_grid, n, a, xs, ts, h)
+    assert fetched == [(3 * 7, 3 * 5)]
+    assert res.value.shape == res.meta["coarse"].shape == (3, 3)
+    singles = [[fd_residual(_plane_wave_grid(1.2, n, a), n, a, x, t, h)
+                for x in xs] for t in ts]
+    np.testing.assert_array_equal(
+        res.value, [[s.value for s in row] for row in singles])
+    np.testing.assert_array_equal(
+        res.meta["coarse"], [[s.meta["coarse"] for s in row] for row in singles])
+    assert res.est_error == max(s.est_error for row in singles for s in row)
+    # the one-sided row is second order too
+    assert 3.5 < res.meta["coarse"][0, 1] / res.value[0, 1] < 4.5
+
+
+def test_fd_residual_array_guards():
+    """An array stencil crossing x = 0 or a misshapen grid is refused."""
+    n, a = 4, 1.0
+    with pytest.raises(ValueError, match="leaves the half-line"):
+        fd_residual(_plane_wave_grid(0.5, n, a), n, a,
+                    np.array([0.001, 1.0]), np.array([0.1, 0.2]), 0.01)
+    # a grid of one centre's shape for two centres
+    bad_grid = lambda xs, ts: np.zeros((5, 5))
+    with pytest.raises(ValueError, match="expected"):
+        fd_residual(bad_grid, n, a, np.array([1.0, 1.5]), 0.1, 0.01)

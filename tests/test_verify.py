@@ -1,0 +1,69 @@
+"""The evaluation plan of verify_problem."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from halfline import util, verify
+from halfline.evolution import solve_grid
+
+
+@pytest.fixture
+def off_main(monkeypatch):
+    """Runs UTM_THREADS=2 and returns the list of parallel_map calls made
+    off the main thread, recorded at every module binding of it.  A call on
+    a worker would start a pool of its own there."""
+    monkeypatch.setenv("UTM_THREADS", "2")
+    calls = []
+    original = util.parallel_map
+
+    def recording(fn, items):
+        if threading.current_thread() is not threading.main_thread():
+            calls.append(threading.current_thread().name)
+        return original(fn, items)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "halfline"
+                and getattr(module, "parallel_map", None) is original):
+            monkeypatch.setattr(module, "parallel_map", recording)
+    return calls
+
+
+# solve_grid calls, and the residual grid's xs: 3 centres of 5 stencil
+# columns at order 2, of 7 at order 4
+@pytest.mark.parametrize("name, solves, columns",
+                         [("heat-neumann", 3, 5), ("robin-4", 2, 7)])
+def test_verify_solves_one_grid_per_datum_on_the_callers_thread(
+        catalog, monkeypatch, off_main, name, solves, columns):
+    """The nine residual points come from one solve_grid call, beside the
+    boundary forms' call and, on the heat problems, the oracle's; no
+    parallel_map runs on a worker.  The order check names its band."""
+    counted = []
+
+    def counting(*args, **kwargs):
+        counted.append(args[2:])
+        return solve_grid(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_grid", counting)
+    results = verify.verify_problem(catalog[name])
+    assert verify.all_passed(results)
+    assert len(counted) == solves
+    xs, ts = counted[0]
+    assert (len(xs), len(ts)) == (3 * columns, 3 * 5)
+    order = next(r for r in results if r.name == "evolution-order")
+    assert "band [2.5, 6.0]" in order.detail
+    assert off_main == []
+
+
+def test_solve_grid_maps_only_from_the_callers_thread(get_pair, get_datum,
+                                                      off_main):
+    """A 400 x 100 solve builds and applies its packs on workers that start
+    no pool of their own."""
+    xs = np.linspace(1.5 / 400, 1.5, 400)
+    ts = 0.3 * np.linspace(0.1, 1.0, 100)
+    field = solve_grid(get_pair("heat-dirichlet"), get_datum("heat-dirichlet"),
+                       xs, ts)
+    assert np.isfinite(field.values).all()
+    assert off_main == []
