@@ -9,9 +9,10 @@ hand-rolled adaptive Simpson rule, and PDE residuals use finite-difference
 stencils.  Agreement between these oracles and the transform pipeline is
 therefore evidence, not tautology.
 
-scipy's ``quad_vec`` is imported inside the heat baselines' shared
-``_heat_solution``, on the first call in a process, so importing this module
-loads only numpy.
+The datum's transform is QUADPACK's G10/K21 rule with its error estimate,
+as scipy's ``quad_vec`` applies it, written in numpy: each round of
+bisection evaluates the datum once at the nodes of every open interval, in
+blocks of bounded size.  The module uses numpy alone.
 """
 
 from __future__ import annotations
@@ -41,6 +42,42 @@ _DATUM_LAMBDA_MAX = 3000.0
 _PANEL_ORDER = 32
 _MAX_PANELS = 2 ** 11
 
+# QUADPACK's 21-point Kronrod rule on [-1, 1] and the 10-point Gauss rule
+# on its odd-indexed nodes (the G10/K21 pair of scipy's quad_vec); the
+# tables hold the nodes from 1 down to 0 and are mirrored
+_KRONROD_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_KRONROD_WEIGHTS_HALF = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GAUSS_WEIGHTS_HALF = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_GK_NODES = np.concatenate([_KRONROD_HALF, -_KRONROD_HALF[-2::-1]])
+# column 0 the Kronrod weights, column 1 the Gauss weights (0 at the
+# Kronrod-only nodes)
+_GK_WEIGHTS = np.zeros((_GK_NODES.size, 2))
+_GK_WEIGHTS[:, 0] = np.concatenate([_KRONROD_WEIGHTS_HALF,
+                                    _KRONROD_WEIGHTS_HALF[-2::-1]])
+_GK_WEIGHTS[1::2, 1] = np.concatenate([_GAUSS_WEIGHTS_HALF,
+                                       _GAUSS_WEIGHTS_HALF[::-1]])
+# lam x node entries in one block of the datum transform's integrand
+_CHUNK_BUDGET = 2 ** 18
+# subintervals the datum transform may split its support into (the
+# default limit of quad_vec)
+_MAX_SUBINTERVALS = 10_000
+_TRIG = {"sin": np.sin, "cos": np.cos}
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -65,6 +102,92 @@ def _panel_rule(lam_max: float, panels: int):
     return (mid[:, None] + half * x).ravel(), np.tile(half * w, panels)
 
 
+def _gk21_block(lam, trig, y, fy, h, rows: int):
+    """K21 integrals of trig(lam y) f(y) over intervals with nodes ``y``
+    (intervals x 21), f values ``fy`` and half-widths ``h``, shape
+    (len(lam), intervals), and each interval's QUADPACK error estimate in
+    the max norm over lam, ``rows`` values of lam at a time."""
+    K = np.empty((lam.size, h.size))
+    dk, dabs, kabs = np.zeros((3, h.size))
+    kronrod = _GK_WEIGHTS[:, 0]
+    for q in range(0, lam.size, rows):
+        g = np.multiply.outer(lam[q:q + rows], y)
+        trig(g, out=g)
+        g *= fy
+        # one (lam, interval) integrand per row
+        flat = g.reshape(-1, _GK_NODES.size)
+        kg = (flat @ _GK_WEIGHTS).reshape(g.shape[:2] + (2,))
+        k = kg[..., 0]
+        K[q:q + rows] = k
+        np.maximum(dk, np.abs(k - kg[..., 1]).max(axis=0), out=dk)
+        np.maximum(kabs, (np.abs(flat) @ kronrod).reshape(k.shape).max(axis=0),
+                   out=kabs)
+        # |f - K/2|, which flat views too
+        g -= 0.5 * k[..., None]
+        np.abs(g, out=g)
+        np.maximum(dabs, (flat @ kronrod).reshape(k.shape).max(axis=0),
+                   out=dabs)
+    err, dabs = dk * h, dabs * h
+    ratio = np.divide(200.0 * err, dabs, out=np.zeros_like(err),
+                      where=dabs > 0.0)
+    err = np.where(dabs > 0.0, dabs * np.minimum(1.0, ratio ** 1.5), err)
+    # QUADPACK's round-off floor
+    err = np.maximum(err, 50.0 * np.finfo(float).eps * h * kabs)
+    K *= h
+    return K, err
+
+
+def _datum_transform(datum, lam: np.ndarray, kernel: str, tol: float):
+    """F(lam) = int_0^L trig(lam y) f(y) dy at every lam, and the sum of
+    the error estimates of the intervals it is made of.
+
+    Adaptive G10/K21 quadrature in the max norm over lam, from pieces of
+    about 8 rad of the phase lam y: one rule resolves each, so little is
+    spent on bisection.  Each round evaluates the datum once at the nodes
+    of every open interval, keeps an interval whose error is at most
+    tol (b - a) / L and halves the others, so the kept errors sum to at
+    most tol.  Raises :class:`ToleranceNotMet` when the open intervals
+    would take the count past ``_MAX_SUBINTERVALS`` (an interval with a
+    non-finite error is never kept).
+    """
+    trig = _TRIG[kernel]
+    L = float(datum.support)
+    edges = np.linspace(0.0, L, math.ceil(float(lam.max()) * L / 8.0) + 1)
+    a, b = edges[:-1], edges[1:]
+    # a block holds `width` intervals' nodes for `rows` values of lam
+    nodes = _GK_NODES.size
+    width = max(1, _CHUNK_BUDGET // (nodes * lam.size))
+    rows = max(1, _CHUNK_BUDGET // (nodes * width))
+    F = np.zeros(lam.size)
+    err = 0.0
+    kept = 0
+    while a.size:
+        open_err = 0.0
+        h = 0.5 * (b - a)
+        y = (0.5 * (a + b))[:, None] + h[:, None] * _GK_NODES
+        fy = datum.value(y.ravel()).reshape(y.shape)
+        split = np.empty(a.size, dtype=bool)
+        for s in range(0, a.size, width):
+            part = slice(s, s + width)
+            K, e = _gk21_block(lam, trig, y[part], fy[part], h[part], rows)
+            ok = e <= tol * (b[part] - a[part]) / L
+            F += K @ ok.astype(float)
+            err += float(e[ok].sum())
+            open_err += float(e[~ok].sum())
+            split[part] = ~ok
+        kept += a.size - int(split.sum())
+        mid = 0.5 * (a[split] + b[split])
+        a = np.concatenate([a[split], mid])
+        b = np.concatenate([mid, b[split]])
+        if a.size and kept + a.size > _MAX_SUBINTERVALS:
+            raise ToleranceNotMet(
+                f"{kernel} transform of the datum: {a.size // 2} intervals "
+                f"still open beside {kept} kept, past {_MAX_SUBINTERVALS} "
+                f"subintervals (error {err + open_err:.2e}, target "
+                f"{tol:.2e})", est_error=err + open_err)
+    return F, err
+
+
 def _heat_solution(datum, xs: np.ndarray, ts: np.ndarray, kernel: str,
                    tol: float) -> OracleResult:
     """(2/pi) int_0^lam_max trig(lam x) e^{-lam^2 t} F(lam) dlam on the
@@ -77,9 +200,7 @@ def _heat_solution(datum, xs: np.ndarray, ts: np.ndarray, kernel: str,
     adaptive Gauss-Kronrod pass over the support, accurate enough that its
     error moves a value by at most tol / 10.
     """
-    from scipy.integrate import quad_vec
-
-    trig = np.sin if kernel == "sin" else np.cos
+    trig = _TRIG[kernel]
     L = float(datum.support)
     omega = float(np.abs(xs).max()) + L
     lam_max = np.array([math.sqrt(math.log(1.0 / _GAUSS_EPS) / t) if t > 0.0
@@ -99,18 +220,7 @@ def _heat_solution(datum, xs: np.ndarray, ts: np.ndarray, kernel: str,
         lam = np.concatenate([r[0] for r in rules])
         todo = sorted({i for i, _ in batch})
         inner_tol = 0.1 * tol * (math.pi / 2.0) / float(reach[todo].max())
-        # initial pieces of about 8 rad of the phase lam y: one 21-point
-        # Gauss-Kronrod rule resolves each, so little is spent on bisection
-        pieces = math.ceil(float(lam.max()) * L / 8.0)
-        F, inner_err, info = quad_vec(
-            lambda y: trig(lam * y) * datum.value(y), 0.0, L,
-            epsabs=inner_tol, epsrel=0.0, norm="max", full_output=True,
-            points=np.linspace(0.0, L, pieces + 1)[1:-1])
-        if info.status != 0:
-            raise ToleranceNotMet(
-                f"{kernel} transform of the datum: {info.message} "
-                f"(error {inner_err:.2e}, target {inner_tol:.2e})",
-                est_error=inner_err)
+        F, inner_err = _datum_transform(datum, lam, kernel, inner_tol)
         cuts = np.cumsum([r[0].size for r in rules])[:-1]
         diff = {}
         for (i, _), (lam_i, w_i), F_i in zip(batch, rules, np.split(F, cuts)):

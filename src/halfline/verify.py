@@ -57,9 +57,7 @@ _ORDER_BAND = (2.5, 6.0)
 class CheckResult:
     """One certified claim: its measured value against its tolerance, and
     the seconds ``verify_problem`` spent on it (work shared by several
-    checks is charged to the first of them).  The first ``heat-oracle``
-    check of a process also counts the import of ``scipy.integrate``,
-    which the oracle loads on its first call."""
+    checks is charged to the first of them)."""
 
     name: str
     passed: bool

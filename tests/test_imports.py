@@ -67,8 +67,9 @@ def test_library_modules_import_only_what_they_use():
     assert kept == KEPT
 
 
-# run in a fresh interpreter: the library paths first, then the two
-# functions that load a package on their first call
+# run in a fresh interpreter: the library paths first, then the heat
+# oracle, which loads no package, and ray_monomial_tail, which loads mpmath
+# on its first call
 _FRESH = """
 import json, math, sys
 import halfline, halfline.cli
@@ -105,15 +106,15 @@ print(json.dumps(out))
 def test_fresh_interpreter_loads_neither_scipy_nor_mpmath():
     """``import halfline``, the CLI, a reconstruction, an evolution and the
     data of a problem without ``datum_kernel`` load no scipy or mpmath
-    module; the heat oracle and ``ray_monomial_tail`` load theirs on the
-    first call and return the values of this process."""
+    module, nor does the heat oracle; ``ray_monomial_tail`` loads mpmath
+    on its first call; both return the values of this process."""
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
     run = subprocess.run([sys.executable, "-c", _FRESH], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout.splitlines()[-1])
     assert out["library"] == []
-    assert out["after"] == ["mpmath", "scipy"]
+    assert out["after"] == ["mpmath"]
     p = builtin_catalog()["heat-neumann"]
     v = heat_neumann_solution(make_datum(p, p.datum_kernel, seed=0), 0.3, 0.1)
     assert out["neumann"] == repr(complex(v.value))

@@ -1,11 +1,12 @@
 """Independent reference rules: heat solutions, adaptive Simpson, stencils."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.interpolate import CubicSpline
 
 from halfline import oracles, quadrature, transforms
@@ -115,6 +116,66 @@ def test_heat_oracle_unmet_tolerance_raises(heat_data, monkeypatch):
     monkeypatch.setattr(oracles, "_MAX_PANELS", 2)
     for oracle, _, _, datum in heat_data:
         with pytest.raises(ToleranceNotMet):
+            oracle(datum, 1.5, 0.01)
+
+
+def test_heat_oracle_evaluates_the_datum_in_rounds(heat_data, monkeypatch):
+    """On the verify grid the datum transform evaluates the datum once per
+    round of bisection over all open intervals, not once per node."""
+    _, _, _, datum = heat_data[1]
+    calls = []
+    value = InitialDatum.value
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return value(self, x)
+
+    monkeypatch.setattr(InitialDatum, "value", counted)
+    heat_neumann_solution(datum, np.array([0.5, 1.0, 1.5]),
+                          np.array([0.01, 0.1, 1.0]))
+    assert 1 <= len(calls) <= 8, calls
+    assert all(n % 21 == 0 for n in calls)
+
+
+def test_datum_transform_matches_quad_vec(heat_data):
+    """The batched G10/K21 rounds agree with scipy's quad_vec over the same
+    starting pieces within the sum of the two error estimates."""
+    lam = oracles._panel_rule(64.0, 8)[0]
+    tol = 1e-12
+    for _, kernel, _, datum in heat_data:
+        F, err = oracles._datum_transform(datum, lam, kernel, tol)
+        assert err <= tol
+        trig = np.sin if kernel == "sin" else np.cos
+        L = datum.support
+        pieces = math.ceil(float(lam.max()) * L / 8.0)
+        want, want_err = quad_vec(
+            lambda y: trig(lam * y) * datum.value(y), 0.0, L, epsabs=tol,
+            epsrel=0.0, norm="max",
+            points=np.linspace(0.0, L, pieces + 1)[1:-1])
+        assert np.abs(F - want).max() <= err + want_err, kernel
+
+
+def test_heat_oracle_memory_is_bounded(heat_data):
+    """At t = 0 the integrand spans 6144 lam x 7875 nodes (387 MB as one
+    float64 array); evaluated in blocks of ``_CHUNK_BUDGET`` entries, the
+    traced peak stays within four blocks' bytes."""
+    _, _, _, datum = heat_data[1]
+    bound = 4 * 8 * oracles._CHUNK_BUDGET
+    tracemalloc.start()
+    try:
+        heat_neumann_solution(datum, 0.3, 0.0, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
+def test_datum_transform_subinterval_cap_raises(heat_data, monkeypatch):
+    """A datum transform that needs more subintervals than the cap raises
+    instead of returning a degraded value."""
+    monkeypatch.setattr(oracles, "_MAX_SUBINTERVALS", 1)
+    for oracle, _, _, datum in heat_data:
+        with pytest.raises(ToleranceNotMet, match="transform of the datum"):
             oracle(datum, 1.5, 0.01)
 
 
