@@ -26,6 +26,18 @@ decay factors, only to the prefix of times that still need one of its
 nodes.  The packs are built, and then applied, on the ``parallel_map``
 workers; each pack is applied into sums of its own, and those are added
 in pack order, so the values do not depend on the thread count.
+
+A problem with real coefficients, conj(a) = (-1)^n a and a real boundary
+matrix, has a mirror symmetry; its datum is real, since
+:class:`halfline.transforms.SupportTransform` rejects a complex one.  The
+reflection lam -> -conj(lam) then maps the deformed contours onto
+themselves, with the orientation reversed: gamma0's incoming ray onto its
+outgoing ray, and sector k's incoming ray onto sector N+1-k's outgoing
+ray.  It maps each integrand exp(i lam x - a lam^n t) F_k(lam) onto the
+conjugate of its mirror's, so a mirror pair of rays sums to 2 Re of the
+outgoing ray.  For such a problem only the arcs and the outgoing rays are
+built and applied, the outgoing ones as 2 Re; every other problem builds
+and applies every segment.
 """
 
 from __future__ import annotations
@@ -58,7 +70,9 @@ _BLOCK_BUDGET = 32_768
 class SolutionField:
     """Solution values on a (t, x) grid; values[i, j] = q(xs[j], ts[i]).
 
-    ``nodes`` counts the quadrature nodes of all deformed segments,
+    The counters count the packs that were built, which for a problem with
+    real coefficients are the arcs and the outgoing rays only (see the
+    module docstring): ``nodes`` counts their quadrature nodes,
     ``applied`` the (node, positive time) pairs multiplied out and
     ``exponentials`` the complex exponentials the apply evaluated: the
     node-phase tables of the width groups, one per panel and x, and one
@@ -170,25 +184,42 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
     return lam, w * pair.forward(datum, k, lam), tau, nodes.panels
 
 
+def _mirrored(pair: TransformPair) -> bool:
+    """True when lam -> -conj(lam) maps the problem onto itself: conj(a) =
+    (-1)^n a and a real boundary matrix (the datum is always real)."""
+    B = pair.problem.boundary_matrix
+    return (pair.a.conjugate() == (-1) ** pair.n * pair.a
+            and not B.imag.any())
+
+
 def _packs(pair: TransformPair, datum, xs, tpos):
-    """The :func:`_segment_pack` of every deformed segment, for times tpos."""
+    """The packs for times tpos: each deformed segment's
+    :func:`_segment_pack` and whether it stands in for its mirror ray too.
+
+    For a :func:`_mirrored` problem only the arcs and the outgoing rays are
+    built, each outgoing ray marked; otherwise every segment, unmarked.
+    """
     dcs = deform_for_time(pair.contours)
     t_min, t_max = float(tpos.min()), float(tpos.max())
     x_min, x_max = float(xs.min()), float(xs.max())
-    jobs = [(seg, 0) for seg in dcs.gamma0]
-    for k in range(1, pair.N + 1):
-        jobs += [(seg, k) for seg in dcs.gammas[k - 1]]
+    fold = _mirrored(pair)
+    jobs = []
+    for k, (inward, arc, out) in enumerate([dcs.gamma0, *dcs.gammas]):
+        if not fold:
+            jobs.append((inward, k, False))
+        jobs += [(arc, k, False), (out, k, fold)]
     return parallel_map(
-        lambda job: _segment_pack(pair, datum, job[0], job[1],
-                                  t_min, t_max, x_min, x_max),
+        lambda job: (*_segment_pack(pair, datum, job[0], job[1], t_min,
+                                    t_max, x_min, x_max), job[2]),
         jobs)
 
 
 def _pack_apply(pair: TransformPair, xs, ts, pack):
     """One pack's share of :func:`_apply` for the sorted times ``ts``:
     the (len(xs), len(ts)) sums, the (node, time) pairs applied and the
-    complex exponentials evaluated."""
-    lam, wf, tau, panels = pack
+    complex exponentials evaluated.  A mirrored pack's sums count for its
+    mirror ray too, as 2 Re; they stay non-finite where they overflowed."""
+    lam, wf, tau, panels, mirrored = pack
     acc = np.zeros((xs.size, ts.size), dtype=complex)
     applied = 0
     kernel = PhaseKernel(xs, panels)
@@ -210,6 +241,8 @@ def _pack_apply(pair: TransformPair, xs, ts, pack):
             np.multiply(wf[blk, None], decay, out=decay)
             acc[:, :m] += kernel.apply(p, q, decay)
             applied += decay.size
+    if mirrored:
+        acc = np.where(np.isfinite(acc), 2.0 * acc.real, np.nan)
     return acc, applied, kernel.exps + applied
 
 

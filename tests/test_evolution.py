@@ -7,13 +7,54 @@ import pytest
 
 from halfline import contours, evolution
 from halfline.contours import deform_for_time
+from halfline.datum import make_datum
 from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.evolution import solve_grid
 from halfline.oracles import heat_dirichlet_solution, heat_neumann_solution
-from halfline.quadrature import ExpDecay, component_nodes
+from halfline.problems import HalfLineProblem
+from halfline.quadrature import ExpDecay, PhaseKernel, component_nodes
+from halfline.transforms import TransformPair
 
 _CATALOG = ["lkdv-dirichlet", "reverse-lkdv", "heat-dirichlet",
             "heat-neumann", "robin-4"]
+_REAL_CATALOG = [name for name in _CATALOG if name != "robin-4"]
+
+# out-of-catalog problems, (problem, boundary Taylor coefficients of the
+# datum): real coefficients (conj(a) = (-1)^n a, B real), then three that
+# are not
+_REAL = {
+    "heat-robin": (HalfLineProblem(2, 1.0, [[2.0, 1.0]]), (1.0, -2.0)),
+    "order5-minus-i": (HalfLineProblem(5, -1j, np.eye(5)[:2]),
+                       (0.0, 0.0, 1.0, 1.0, 1.0)),
+    "order5-plus-i": (HalfLineProblem(5, 1j, np.eye(5)[:3]),
+                      (0.0, 0.0, 0.0, 1.0, 1.0)),
+    "order4-e1-e3": (HalfLineProblem(4, 1.0, np.eye(4)[[0, 2]]),
+                     (0.0, 1.0, 0.0, 1.0)),
+}
+_COMPLEX = {
+    "schroedinger-dirichlet": (HalfLineProblem(2, 1j, [[1.0, 0.0]]),
+                               (0.0, 1.0)),
+    "rotated-heat": (HalfLineProblem(2, np.exp(0.3j), [[1.0, 0.0]]),
+                     (0.0, 1.0)),
+    "complex-b-heat": (HalfLineProblem(2, 1.0, [[1.0, 0.5j]],
+                                       allow_complex=True), ()),
+}
+_generated: dict = {}
+
+
+@pytest.fixture
+def get_problem(get_pair, get_datum):
+    """(pair, datum) of a catalog problem or of one of the problems above."""
+    def _get(name):
+        if name in _CATALOG:
+            return get_pair(name), get_datum(name)
+        if name not in _generated:
+            problem, coeffs = {**_REAL, **_COMPLEX}[name]
+            _generated[name] = (TransformPair(problem),
+                                make_datum(problem, coeffs, seed=0))
+        return _generated[name]
+
+    return _get
 
 
 def test_heat_dirichlet_matches_sine_oracle(get_pair, get_datum):
@@ -132,8 +173,9 @@ def test_fourth_order_problem_hosts_growing_mode(get_pair, get_datum):
 
 
 # the evolve benchmark workload's t_max per order: order 4 stays at early
-# times, where robin-4's exp(55.4 t) mode has not yet grown
-_T_MAX = {2: 0.3, 3: 0.3, 4: 0.02}
+# times, where robin-4's exp(55.4 t) mode has not yet grown; order 5,
+# outside the workload, does too
+_T_MAX = {2: 0.3, 3: 0.3, 4: 0.02, 5: 0.02}
 
 
 def _evolve_grid(order: int):
@@ -150,6 +192,16 @@ def _dense_apply(pair, xs, ts, packs):
         values += (np.exp(1j * np.multiply.outer(xs, lam))
                    @ (wf[:, None] * decay)).T
     return values
+
+
+def _every_segment_packs(pair, datum, xs, ts):
+    """The :func:`evolution._segment_pack` of every deformed segment, none
+    of them mirrored: the apply without the real-coefficient fold."""
+    dcs = deform_for_time(pair.contours)
+    return [(*evolution._segment_pack(pair, datum, seg, k, ts.min(),
+                                      ts.max(), xs.min(), xs.max()), False)
+            for k, segs in enumerate([dcs.gamma0, *dcs.gammas])
+            for seg in segs]
 
 
 def _rate(pair, datum, xs, seg, k, t):
@@ -188,7 +240,7 @@ def _t_max_packs(pair, datum, xs, ts):
                    evolution._last_times(env, np.abs(lam - seg.base), t_min,
                                          pair.params.tail_log_target))
             packs.append((lam, w * pair.forward(datum, k, lam), tau,
-                          nodes.panels))
+                          nodes.panels, False))
     return packs
 
 
@@ -196,14 +248,14 @@ def _t_max_packs(pair, datum, xs, ts):
 def test_grid_matches_dense_apply(get_pair, get_datum, name):
     """Dropping each time's nodes past its own truncation radius changes no
     value beyond the tail target: solve_grid equals the dense product of
-    the same packs."""
+    the packs of every segment."""
     pair = get_pair(name)
     datum = get_datum(name)
     xs, ts = _evolve_grid(pair.n)
     field = solve_grid(pair, datum, xs, ts)
     packs = evolution._packs(pair, datum, xs, ts)
-    ref = _dense_apply(pair, xs, ts, packs)
     assert field.nodes == sum(pack[0].size for pack in packs)
+    ref = _dense_apply(pair, xs, ts, _every_segment_packs(pair, datum, xs, ts))
     err = np.abs(field.values - ref)
     assert (err <= 1e-11 + 1e-12 * np.abs(ref)).all(), err.max()
 
@@ -235,7 +287,7 @@ def test_rays_resolved_per_time_match_t_max_layout(get_pair, get_datum,
     assert field.nodes <= 0.5 * nodes, (field.nodes, nodes)
     assert field.applied < applied
     moduli = np.zeros(ref.shape)
-    for lam, wf, *_ in evolution._packs(pair, datum, xs, ts):
+    for lam, wf, *_ in _every_segment_packs(pair, datum, xs, ts):
         decay = np.exp(-np.multiply.outer((pair.a * lam ** pair.n).real, ts))
         moduli += (np.exp(-np.multiply.outer(xs, lam.imag))
                    @ (np.abs(wf)[:, None] * decay)).T
@@ -374,3 +426,90 @@ def test_node_last_times_match_decay_radius():
         radius = model(t).radius(log_target)
         assert (tau[r < radius * (1 - 1e-9)] > t).all(), t
         assert (tau[r > radius * (1 + 1e-9)] <= t).all(), t
+
+
+@pytest.mark.parametrize("name", _REAL_CATALOG + list(_REAL))
+def test_mirrored_problem_folds_its_rays(get_problem, name):
+    """A problem with real coefficients builds only the arcs and outgoing
+    rays, which count as 2 Re for their mirror rays: the values of the
+    apply over every segment within 1e-13 of the largest, with at most
+    0.55x its nodes."""
+    pair, datum = get_problem(name)
+    assert evolution._mirrored(pair)
+    xs, ts = _evolve_grid(pair.n)
+    field = solve_grid(pair, datum, xs, ts)
+    packs = _every_segment_packs(pair, datum, xs, ts)
+    ref, _, _ = evolution._apply(pair, xs, ts, packs)
+    nodes = sum(pack[0].size for pack in packs)
+    assert field.nodes <= 0.55 * nodes, (field.nodes, nodes)
+    err = np.abs(field.values - ref).max()
+    assert err <= 1e-13 * np.abs(ref).max(), err
+
+
+@pytest.mark.parametrize("name", ["robin-4", *_COMPLEX])
+def test_unmirrored_problem_applies_every_segment(get_problem, name):
+    """Complex coefficients (a with conj(a) != (-1)^n a, or a complex B)
+    keep every segment: the values of the apply over every segment, bit
+    for bit, with all its nodes."""
+    pair, datum = get_problem(name)
+    assert not evolution._mirrored(pair)
+    xs, ts = _evolve_grid(pair.n)
+    field = solve_grid(pair, datum, xs, ts)
+    packs = _every_segment_packs(pair, datum, xs, ts)
+    ref, _, _ = evolution._apply(pair, xs, ts, packs)
+    assert field.nodes == sum(pack[0].size for pack in packs)
+    np.testing.assert_array_equal(field.values, ref)
+
+
+@pytest.mark.parametrize("name", _REAL_CATALOG + list(_REAL))
+def test_dropped_rays_mirror_kept_rays(get_problem, name):
+    """Each incoming ray of ``deform_for_time`` that the fold drops is the
+    reflection lam -> -conj(lam) of a kept outgoing ray, traversed the
+    other way: gamma0's of gamma0's, sector k's of sector N+1-k's.  Its
+    integrand is the conjugate of the kept ray's at the reflected points."""
+    pair, datum = get_problem(name)
+    dcs = deform_for_time(pair.contours)
+    N = pair.N
+    mirrors = [(0, dcs.gamma0[0], 0, dcs.gamma0[2])]
+    mirrors += [(k, dcs.gammas[k - 1][0], N + 1 - k, dcs.gammas[N - k][2])
+                for k in range(1, N + 1)]
+    for k, dropped, j, kept in mirrors:
+        assert not dropped.finite and not kept.finite
+        assert abs(dropped.base + kept.base.conjugate()) <= (
+            1e-14 * abs(kept.base)), (k, dropped.base, kept.base)
+        assert abs(dropped.angle - (math.pi - kept.angle)) <= 1e-14, k
+        assert (dropped.r0, dropped.orientation) == (kept.r0,
+                                                     -kept.orientation)
+        lam = kept.point(kept.r0 + np.array([0.5, 2.0, 5.0]))
+        here = pair.forward(datum, j, lam)
+        there = pair.forward(datum, k, -lam.conj())
+        np.testing.assert_allclose(there, here.conj(), rtol=1e-11,
+                                   atol=1e-13 * np.abs(here).max())
+
+
+def test_mirrored_pack_with_nonfinite_imaginary_sums_raises(
+        get_pair, get_datum, monkeypatch):
+    """A mirrored pack whose imaginary sums alone overflow still raises:
+    the fold tests the complex sums before taking 2 Re."""
+    pair = get_pair("lkdv-dirichlet")
+    datum = get_datum("lkdv-dirichlet")
+    mirrored = []
+    packs = evolution._packs
+
+    def marking_packs(*args):
+        out = packs(*args)
+        mirrored.extend(pack[3] for pack in out if pack[4])
+        return out
+
+    class Kernel(PhaseKernel):
+        def apply(self, first, stop, wf):
+            out = super().apply(first, stop, wf)
+            if any(self.panels is panels for panels in mirrored):
+                out.imag[...] = np.inf
+            return out
+
+    monkeypatch.setattr(evolution, "_packs", marking_packs)
+    monkeypatch.setattr(evolution, "PhaseKernel", Kernel)
+    with pytest.raises(ToleranceNotMet, match="0.2"):
+        solve_grid(pair, datum, [0.5], [0.2])
+    assert mirrored
