@@ -266,7 +266,8 @@ def test_rays_resolved_per_time_match_t_max_layout(get_pair, get_datum,
                                                    name, t_lo):
     """Rays resolved for the largest time that still needs their nodes give
     the values of rays resolved for t_max all the way out, with at most
-    half the nodes.
+    half the nodes.  The counts compare every segment's per-time pack with
+    the t_max layout, so the real-coefficient fold does not enter them.
 
     The values agree within 1e-13 of the largest, or within 1e-14 of the
     sum of the terms' moduli where that is larger: at the heat problems'
@@ -284,10 +285,12 @@ def test_rays_resolved_per_time_match_t_max_layout(get_pair, get_datum,
     packs = _t_max_packs(pair, datum, xs, ts)
     ref, applied, _ = evolution._apply(pair, xs, ts, packs)
     nodes = sum(pack[0].size for pack in packs)
-    assert field.nodes <= 0.5 * nodes, (field.nodes, nodes)
-    assert field.applied < applied
+    per_time = _every_segment_packs(pair, datum, xs, ts)
+    per_time_nodes = sum(pack[0].size for pack in per_time)
+    assert per_time_nodes <= 0.5 * nodes, (per_time_nodes, nodes)
+    assert evolution._apply(pair, xs, ts, per_time)[1] < applied
     moduli = np.zeros(ref.shape)
-    for lam, wf, *_ in _every_segment_packs(pair, datum, xs, ts):
+    for lam, wf, *_ in per_time:
         decay = np.exp(-np.multiply.outer((pair.a * lam ** pair.n).real, ts))
         moduli += (np.exp(-np.multiply.outer(xs, lam.imag))
                    @ (np.abs(wf)[:, None] * decay)).T
@@ -393,9 +396,9 @@ def test_grid_does_not_depend_on_threads(get_pair, get_datum, monkeypatch,
 def test_each_time_applies_only_its_own_nodes(get_pair, get_datum):
     """Later times drop the ray nodes past their truncation radius, so fewer
     (node, time) pairs are applied than the dense nodes x times, and both
-    nodes and pairs are fewer than with rays resolved for t_max all the
-    way out; the factored phases take far fewer exponentials than one per
-    node and x."""
+    nodes and pairs of every segment are fewer than with rays resolved for
+    t_max all the way out; the factored phases take far fewer exponentials
+    than one per node and x."""
     pair = get_pair("heat-dirichlet")
     datum = get_datum("heat-dirichlet")
     xs, ts = _evolve_grid(pair.n)
@@ -403,8 +406,11 @@ def test_each_time_applies_only_its_own_nodes(get_pair, get_datum):
     assert field.nodes > 0
     assert field.applied < field.nodes * len(ts)
     packs = _t_max_packs(pair, datum, xs, ts)
-    assert field.nodes < sum(pack[0].size for pack in packs)
-    assert field.applied < evolution._apply(pair, xs, ts, packs)[1]
+    per_time = _every_segment_packs(pair, datum, xs, ts)
+    assert (sum(pack[0].size for pack in per_time)
+            < sum(pack[0].size for pack in packs))
+    assert (evolution._apply(pair, xs, ts, per_time)[1]
+            < evolution._apply(pair, xs, ts, packs)[1])
     # one decay factor per applied pair, the rest are phases
     phases = field.exponentials - field.applied
     assert 0 < phases < 0.25 * field.nodes * len(xs)
