@@ -25,8 +25,7 @@ from .oracles import (OracleResult, adaptive_reference, fd_residual,
                       heat_dirichlet_solution, heat_neumann_solution,
                       stencil_coefficients)
 from .problems import HalfLineProblem, builtin_catalog, classify, validate
-from .quadrature import (ExpDecay, IntegralResult, PathSegment,
-                         QuadratureParams, integrate_segment)
+from .quadrature import ExpDecay, PathSegment, QuadratureParams
 from .spectral import (check_type_I, check_type_II, remainder_closed_form,
                        remainder_polynomial, remainder_report,
                        spectral_representation_check)
@@ -50,8 +49,7 @@ __all__ = [
     "heat_dirichlet_solution", "heat_neumann_solution",
     "stencil_coefficients",
     "HalfLineProblem", "builtin_catalog", "classify", "validate",
-    "ExpDecay", "IntegralResult", "PathSegment", "QuadratureParams",
-    "integrate_segment",
+    "ExpDecay", "PathSegment", "QuadratureParams",
     "check_type_I", "check_type_II",
     "remainder_closed_form", "remainder_polynomial", "remainder_report",
     "spectral_representation_check",

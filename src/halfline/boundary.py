@@ -36,6 +36,7 @@ __all__ = [
     "concomitant_value",
     "rref",
     "kernel_basis",
+    "maximal_kernel",
     "complementary_forms",
     "CompletedForms",
 ]
@@ -106,6 +107,16 @@ def kernel_basis(B: np.ndarray, tol: float = PIVOT_TOL) -> np.ndarray:
         for row, pcol in enumerate(pivots):
             K[pcol, col] = -R[row, fvar]
     return K
+
+
+def maximal_kernel(B: np.ndarray) -> tuple:
+    """Boundary Taylor coefficients in ker B with every admissible
+    derivative nonzero: the sum of the :func:`kernel_basis` columns, scaled
+    to max modulus 1, and real when B is."""
+    vec = kernel_basis(B).sum(axis=1)
+    if np.abs(vec.imag).max() < 1e-12:
+        vec = vec.real
+    return tuple((vec / np.abs(vec).max()).tolist())
 
 
 def _normalize_rows(raw: np.ndarray, tol: float = PIVOT_TOL):

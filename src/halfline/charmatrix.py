@@ -15,14 +15,16 @@ det X[l, j] of :meth:`CharMatrix.cofactors`, with
 
     A(mu) M(mu) = Delta(mu) I,   that is   A = Delta M^-1.
 
-Determinant coefficients are recovered by interpolation at scaled Chebyshev
-points, giving explicit polynomial coefficients for root finding.
+The coefficients of Delta, for root finding, are expanded from those of M by
+the Leibniz formula: a signed sum, over the permutations of the columns, of
+products of entry polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import permutations
 
 import numpy as np
 
@@ -71,9 +73,6 @@ class CharMatrix:
 
     def delta(self, lam) -> np.ndarray:
         """Characteristic determinant Delta(lam) by direct evaluation."""
-        lam = np.asarray(lam, dtype=complex)
-        if self.m == 0:
-            return np.ones(lam.shape, dtype=complex)
         return np.linalg.det(self.eval_matrix(lam))
 
     def cofactors(self, lam) -> np.ndarray:
@@ -100,49 +99,32 @@ class CharMatrix:
     # -- determinant as an explicit polynomial ----------------------------
     @cached_property
     def delta_poly(self) -> np.ndarray:
-        """Coefficients of Delta in the monomial basis, low order first.
-
-        Interpolates at deg+1 Chebyshev points; the sample radius is
-        enlarged until all roots fall inside it.
-        """
+        """Coefficients of Delta in the monomial basis, low order first,
+        expanded over the permutations of M's coefficient arrays."""
+        m = self.m
+        poly = np.zeros(m * (self.n - 1) + 1, dtype=complex)
+        bound = np.zeros(poly.size)
+        for perm in permutations(range(m)):
+            inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+            rows = [self.coeffs[k, j] for k, j in enumerate(perm)]
+            poly += (-1) ** inversions * reduce(np.convolve, rows)
+            bound += reduce(np.convolve, np.abs(rows))
         # every lam^r coefficient slab of M is rank one (column j is
         # b*[j, r] times the vector (-i alpha^(k-1))^r), so determinant
-        # terms repeating a power vanish and the degree is bounded by the
-        # largest sum of m distinct powers, not m(n-1); fitting the larger
-        # basis lets interpolation noise pose as huge spurious roots
-        deg = self.m * (self.n - 1) - self.m * (self.m - 1) // 2
-        if deg == 0:
-            return np.asarray(self.delta(np.array([0.0 + 0.0j])), dtype=complex)
-        radius = 2.0
-        for _ in range(4):
-            u = np.polynomial.chebyshev.chebpts1(deg + 1)
-            pts = radius * u
-            samples = self.delta(pts.astype(complex))
-            scale = float(np.abs(samples).max())
-            if scale < 1e-280:
-                raise DeltaIdenticallyZero(
-                    "characteristic determinant vanishes at all sample points")
-            cheb = np.polynomial.chebyshev.chebfit(u, samples, deg)
-            pu = np.polynomial.chebyshev.cheb2poly(cheb)
-            poly = pu / radius ** np.arange(deg + 1)
-            sig = np.abs(poly) * radius ** np.arange(deg + 1) > _COEFF_TOL * scale
-            if not sig.any():
-                raise DeltaIdenticallyZero(
-                    "all interpolated determinant coefficients are negligible")
-            # negligible coefficients at either end are interpolation noise:
-            # the high ones are dropped, the low ones zeroed, so a root at
-            # the origin stays exact instead of spreading by eps^(1/mult)
-            low, high = np.flatnonzero(sig)[[0, -1]]
-            trimmed = poly[:high + 1].copy()
-            trimmed[:low] = 0.0
-            if trimmed.size - low <= 1:
-                return trimmed
-            r = np.polynomial.polynomial.polyroots(trimmed[low:])
-            rmax = float(np.abs(r).max()) if r.size else 0.0
-            if rmax <= radius:
-                return trimmed
-            radius = 2.2 * rmax
-        return trimmed
+        # terms repeating a power cancel and the degree is bounded by the
+        # largest sum of m distinct powers, not m(n-1)
+        deg = m * (self.n - 1) - m * (m - 1) // 2
+        sig = np.abs(poly[:deg + 1]) > _COEFF_TOL * bound[:deg + 1]
+        if not sig.any():
+            raise DeltaIdenticallyZero(
+                "every determinant coefficient cancels to rounding")
+        # a coefficient below rounding of the terms it sums is cancellation
+        # noise: at the high end it is dropped, at the low end zeroed, so a
+        # root at the origin stays exact instead of spreading by eps^(1/mult)
+        low, high = np.flatnonzero(sig)[[0, -1]]
+        poly = poly[:high + 1]
+        poly[:low] = 0.0
+        return poly
 
     @cached_property
     def delta_roots(self) -> tuple:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boundary import maximal_kernel
 from .errors import (
     ComplexCoefficientsDisallowed,
     InadmissibleDispersion,
@@ -109,21 +110,17 @@ def validate(problem: HalfLineProblem) -> HalfLineProblem:
 def builtin_catalog() -> dict:
     """The named problems used throughout the verification suite.
 
-    Each entry also carries ``datum_kernel``: boundary Taylor coefficients
-    spanning the kernel of its boundary forms with every admissible
-    derivative nonzero.
+    Each entry also carries ``datum_kernel``, its boundary forms'
+    :func:`~halfline.boundary.maximal_kernel`.
     """
     problems = [
-        HalfLineProblem(3, -1j, [[1.0, 0.0, 0.0]], label="lkdv-dirichlet",
-                        datum_kernel=(0.0, 1.0, 1.0)),
-        HalfLineProblem(3, 1j, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], label="reverse-lkdv",
-                        datum_kernel=(0.0, 0.0, 1.0)),
-        HalfLineProblem(2, 1.0, [[1.0, 0.0]], label="heat-dirichlet",
-                        datum_kernel=(0.0, 1.0)),
-        HalfLineProblem(2, 1.0, [[0.0, 1.0]], label="heat-neumann",
-                        datum_kernel=(1.0, 0.0)),
-        HalfLineProblem(4, np.exp(-1j * np.pi / 6), [[0.0, 0.0, 3.0, 1.0], [-2.0, 1.0, 0.0, 0.0]],
-                        label="robin-4",
-                        datum_kernel=(0.5, 1.0, -1.0 / 3.0, 1.0)),
+        (3, -1j, [[1.0, 0.0, 0.0]], "lkdv-dirichlet"),
+        (3, 1j, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "reverse-lkdv"),
+        (2, 1.0, [[1.0, 0.0]], "heat-dirichlet"),
+        (2, 1.0, [[0.0, 1.0]], "heat-neumann"),
+        (4, np.exp(-1j * np.pi / 6), [[0.0, 0.0, 3.0, 1.0], [-2.0, 1.0, 0.0, 0.0]],
+         "robin-4"),
     ]
-    return {p.label: validate(p) for p in problems}
+    return {label: validate(HalfLineProblem(n, a, B, label=label,
+                                            datum_kernel=maximal_kernel(B)))
+            for n, a, B, label in problems}

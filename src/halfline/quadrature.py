@@ -31,8 +31,9 @@ they are references for checks.  mpmath is imported inside
 :func:`ray_monomial_tail`, so importing this module loads only numpy.
 
 Everything is deterministic: no randomness, and identical inputs produce
-identical node sequences.  Error estimates come from comparing each panel
-at the working Gauss order against half that order.
+identical node sequences.  Component integrals carry no error estimate;
+only :func:`integrate_segment` estimates one, by comparing each panel at
+the working Gauss order against half that order.
 """
 
 from __future__ import annotations

@@ -136,13 +136,14 @@ def remainder_report(pair, datum, *, tol: float = 1e-8) -> RemainderReport:
 
 
 def _poly_ray_decay(x_min: float, seg: PathSegment, beta: np.ndarray,
-                    inv_power: int, tol: float) -> ExpDecay:
+                    inv_power: int, target: float) -> ExpDecay:
     """Envelope for exp(i lam x) lam^(-inv_power) P(lam) on an off-axis ray
     from a real base.
 
     The polynomial growth, bounded with |lam| <= |base| + r, is folded into
-    the log scale at the eventual truncation radius, iterating until the
-    radius stabilizes."""
+    the log scale at the eventual truncation radius, where the envelope
+    reaches the log level ``target``, iterating until the radius
+    stabilizes."""
     def mag(r):
         lam = abs(seg.base) + r
         return sum(abs(b) * lam ** max(j - inv_power, 0)
@@ -150,7 +151,6 @@ def _poly_ray_decay(x_min: float, seg: PathSegment, beta: np.ndarray,
 
     s, r0 = math.sin(seg.angle), seg.r0
     log_scale = math.log(max(mag(r0), 1e-300))
-    target = math.log(tol / 10.0)
     for _ in range(6):
         d = ExpDecay.linear(x_min * s, r0, log_scale)
         r1 = d.radius(target)
@@ -185,7 +185,7 @@ def _poly_component_integral(pair, k: int, xs: np.ndarray, beta: np.ndarray,
 
     def decay(seg):
         return _poly_ray_decay(x_min, seg, beta, inv_power,
-                               pair.params.abs_tol)
+                               pair.params.tail_log_target)
 
     nodes = component_nodes(segs, pair.params, osc, decay)
     lam, w = nodes
@@ -308,7 +308,7 @@ def spectral_representation_check(pair, datum, xs, *,
         lambda lam: pair.forward(datum, 0, lam, applied=True) * lam ** (-float(n)),
         xs, float(xs.max()) + datum.support, indented=True)
     for k in range(1, pair.N + 1):
-        lhs += pair.sector_component(datum, k, xs, applied=True, inv_power=n)
+        lhs += pair.sector_component(datum, k, xs, applied=True)
 
     diff = float(np.abs(lhs - rhs).max())
     return RepresentationReport(xs=xs, lhs=lhs, rhs=rhs, max_diff=diff,

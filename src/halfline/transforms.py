@@ -403,10 +403,11 @@ class TransformPair:
         return lambda u: base_rate + 8.0 / (gap + max(u - r0, 0.0))
 
     def sector_component(self, datum, k: int, xs: np.ndarray, *,
-                         applied: bool = False, inv_power: int = 0) -> np.ndarray:
-        """Integral of exp(i lam x) lam^(-inv_power) F_k over component k.
+                         applied: bool = False) -> np.ndarray:
+        """Integral of exp(i lam x) F_k[f] over component k.
 
-        ``applied=True`` replaces F_k[f] with F_k[Sf].  The component is
+        ``applied=True`` integrates lam^(-n) F_k[Sf] instead, which also
+        inverts to f.  The component is
         that of :func:`halfline.contours.turn_axis_rays`: a ray on the real
         axis has turned into the sector, where F_k is analytic outside
         |lam| = R and it and exp(i lam x) decay, so the integral is kept.
@@ -420,7 +421,7 @@ class TransformPair:
 
         def F(lam):
             out = self.forward(datum, k, lam, applied=applied)
-            return out * lam ** (-float(inv_power)) if inv_power else out
+            return out * lam ** (-float(self.n)) if applied else out
 
         def decay(seg):
             jun = np.array([seg.point(seg.r0)], dtype=complex)

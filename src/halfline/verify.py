@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles, spectral
-from .boundary import kernel_basis
+from .boundary import maximal_kernel
 from .datum import make_datum
 from .evolution import solve_grid
 from .transforms import TransformPair
@@ -77,21 +77,11 @@ def all_passed(results) -> bool:
     return all(r.passed for r in results)
 
 
-def _maximal_kernel(problem) -> tuple:
-    """Boundary coefficients with every admissible derivative nonzero."""
-    if problem.datum_kernel:
-        return tuple(problem.datum_kernel)
-    basis = kernel_basis(problem.boundary_matrix)
-    vec = basis.sum(axis=1)
-    if np.abs(vec.imag).max() < 1e-12:
-        vec = vec.real
-    scale = np.abs(vec).max()
-    return tuple(np.asarray(vec / scale).ravel())
-
-
 def data_trio(problem, seed: int = 0):
-    """Maximal-boundary, pure-bump, and mixed data for one problem."""
-    kernel = _maximal_kernel(problem)
+    """Maximal-boundary, pure-bump, and mixed data for one problem; the
+    maximal jet is the problem's ``datum_kernel``, else the maximal kernel
+    of its boundary forms."""
+    kernel = problem.datum_kernel or maximal_kernel(problem.boundary_matrix)
     mixed = tuple(0.5 * c for c in kernel)
     return (
         make_datum(problem, kernel, seed=seed),
@@ -210,7 +200,7 @@ def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
     # evolution: PDE residual, convergence order, boundary forms, datum row
     ts_res, ts_bnd, h, amp = _EVOLUTION.get(problem.order, _EVOLUTION[4])
     evo = datum if amp == 1.0 else make_datum(
-        problem, _maximal_kernel(problem), seed=seed, amplitude=amp)
+        problem, datum.kernel_coeffs, seed=seed, amplitude=amp)
     grid = lambda xs, ts: solve_grid(pair, evo, xs, ts).values
     res = oracles.fd_residual(grid, problem.order, problem.a,
                               np.array([0.3, 0.55, 0.8]) * L, ts_res, h)

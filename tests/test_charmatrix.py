@@ -1,5 +1,6 @@
 """Characteristic matrix: determinant polynomial, roots, cofactor identity."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,7 +32,7 @@ def test_entry_matches_definition(catalog):
 
 
 def test_eval_matrix_and_delta_consistency():
-    """delta agrees with det of eval_matrix and with the fitted polynomial."""
+    """delta agrees with det of eval_matrix and with the expanded polynomial."""
     cm = _random_char(5, 3, seed=11)
     rng = np.random.default_rng(4)
     lams = 2.0 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
@@ -137,14 +138,32 @@ def test_delta_roots_catalog(catalog):
     assert root_dict(catalog["heat-dirichlet"]) == {}
     assert root_dict(catalog["heat-neumann"]) == {(0.0, 0.0): 1}
 
-    robin = root_dict(catalog["robin-4"])
-    assert robin[(0.0, 0.0)] == 2
-    assert robin[(-2.0, -2.0)] == 1
-    assert robin[(1.5, 1.5)] == 1
-    assert len(robin) == 3
-    # every root inside |lam| < 4
-    cmr = _cm(catalog["robin-4"])
-    assert all(abs(r.value) < 4.0 for r in cmr.delta_roots)
+    # Delta = -2i lam^2 (lam + 2 + 2i)(lam - 1.5 - 1.5i), roots to rounding
+    robin = sorted(_cm(catalog["robin-4"]).delta_roots, key=lambda r: r.value.real)
+    assert [r.multiplicity for r in robin] == [1, 2, 1]
+    assert robin[1].value == 0.0
+    assert abs(robin[0].value - (-2.0 - 2.0j)) <= 4e-15
+    assert abs(robin[2].value - (1.5 + 1.5j)) <= 4e-15
+
+
+def _mp_delta_poly(cm: CharMatrix) -> np.ndarray:
+    """The m(n-1) + 1 coefficients of det M, from 40-digit values of the
+    determinant at as many roots of unity."""
+    size = cm.m * (cm.n - 1) + 1
+    with mpmath.workdps(40):
+        alpha = mpmath.expjpi(mpmath.mpf(2) / cm.n)
+        b_star = [[mpmath.mpc(complex(b)) for b in row] for row in cm.b_star]
+
+        def det(lam):
+            return mpmath.det(mpmath.matrix(
+                [[sum((-1j * alpha ** k * lam) ** r * b_star[j][r]
+                      for r in range(cm.n)) for j in range(cm.m)]
+                 for k in range(cm.m)]))
+
+        w = [mpmath.expjpi(mpmath.mpf(2 * p) / size) for p in range(size)]
+        vals = [det(z) for z in w]
+        return np.array([complex(sum(v * z ** -q for v, z in zip(vals, w)) / size)
+                         for q in range(size)])
 
 
 @pytest.mark.parametrize("n, a, B", [
@@ -152,12 +171,17 @@ def test_delta_roots_catalog(catalog):
     (6, 1.0, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 0, 1]])],
     ids=["order5", "order6"])
 def test_delta_roots_triple_root_at_origin(n, a, B):
-    """Delta = lam^3 (...) at m = 3: the interpolated lam^0..lam^2
-    coefficients are noise near 1e-13 against order-one ones, and are
-    zeroed, so the origin is one root of multiplicity 3 instead of three
-    simple roots spread by eps^(1/3) near |lam| = 3e-5."""
+    """Delta = lam^3 (...) at m = 3: the lam^0..lam^2 coefficients are
+    zero, so the origin is one root of multiplicity 3 instead of three
+    simple roots spread by eps^(1/3) near |lam| = 3e-5.  Every coefficient
+    is within 1e-14 of the largest of those that a 40-digit discrete
+    Fourier transform of det M on the unit circle gives."""
     cm = _cm(HalfLineProblem(n, a, B))
     assert cm.m == 3
+    want = _mp_delta_poly(cm)
+    got = cm.delta_poly
+    assert np.abs(want[got.size:]).max() <= 1e-30
+    assert np.abs(got - want[:got.size]).max() <= 1e-14 * np.abs(want).max()
     np.testing.assert_array_equal(cm.delta_poly[:3], 0.0)
     near = [r for r in cm.delta_roots if abs(r.value) < 0.1]
     assert near == [DeltaRoot(0j, 3)]
@@ -195,15 +219,16 @@ def test_guard_delta_raises_on_zero(catalog):
 
 
 def test_identically_zero_determinant_detected():
-    """A zero coefficient matrix has Delta = 0 and raises on interpolation."""
+    """A zero coefficient matrix has Delta = 0, and expanding it raises."""
     cm = CharMatrix(3, np.zeros((2, 3)))
     with pytest.raises(DeltaIdenticallyZero):
         _ = cm.delta_poly
 
 
 def test_delta_poly_tracks_outlying_roots():
-    """The interpolation radius grows until it encloses all roots."""
-    # entry lam^4 - 10000: roots at |lam| = 10, far outside the initial radius
+    """Roots far outside the unit circle come out of the expansion
+    whole."""
+    # entry lam^4 - 10000: roots at |lam| = 10
     cm = CharMatrix(5, np.array([[-10000.0, 0.0, 0.0, 0.0, 1.0]]))
     roots = cm.delta_roots
     assert len(roots) == 4

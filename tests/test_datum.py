@@ -6,10 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from halfline.datum import InitialDatum, make_datum
+from halfline.datum import _EDGE, InitialDatum, make_datum
 from halfline.errors import CoeffsNotInKernel
-
-_EDGE = 1e-3  # cutoff/bump regions flatten where exp(-1/s) underflows
 
 
 def _oracle_mp(datum, x):

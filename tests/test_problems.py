@@ -1,10 +1,9 @@
 """Problem classification, admissibility, validation, and the catalog."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+from halfline.boundary import maximal_kernel
 from halfline.errors import (
     ComplexCoefficientsDisallowed,
     InadmissibleDispersion,
@@ -12,7 +11,7 @@ from halfline.errors import (
     WrongConditionCount,
 )
 from halfline.problems import HalfLineProblem, classify, validate
-from halfline.verify import _maximal_kernel, data_trio
+from halfline.verify import data_trio
 
 
 def test_classify_counts_follow_order_parity():
@@ -114,16 +113,23 @@ def test_catalog_contents(catalog):
 
 
 def test_maximal_kernel_reproduces_catalog_kernels(catalog):
-    """A problem without ``datum_kernel`` gets its maximal kernel from the
-    sum of the ``kernel_basis`` columns of B, scaled to max modulus 1: for
-    every catalog problem that is exactly its catalog ``datum_kernel``.  The
-    heat-Robin kernel meets its boundary form, and so does its maximal
+    """Each catalog ``datum_kernel`` is the maximal kernel of its boundary
+    forms, the sum of the ``kernel_basis`` columns of B scaled to max
+    modulus 1; the tuples are written out because they fix the data of
+    every catalog run.  A problem without ``datum_kernel``, heat-Robin,
+    gets a kernel that meets its boundary form, and so does its maximal
     datum."""
+    assert {name: prob.datum_kernel for name, prob in catalog.items()} == {
+        "lkdv-dirichlet": (0.0, 1.0, 1.0),
+        "reverse-lkdv": (0.0, 0.0, 1.0),
+        "heat-dirichlet": (0.0, 1.0),
+        "heat-neumann": (1.0, 0.0),
+        "robin-4": (0.5, 1.0, -1.0 / 3.0, 1.0),
+    }
     for prob in catalog.values():
-        derived = _maximal_kernel(dataclasses.replace(prob, datum_kernel=()))
-        assert derived == tuple(prob.datum_kernel), prob.label
+        assert maximal_kernel(prob.boundary_matrix) == prob.datum_kernel
     robin = HalfLineProblem(2, 1.0, [[2.0, 1.0]], label="heat-robin")
-    kernel = np.asarray(_maximal_kernel(robin))
+    kernel = np.asarray(maximal_kernel(robin.boundary_matrix))
     assert kernel.shape == (robin.order,)
     assert np.abs(robin.boundary_matrix @ kernel).max() <= 1e-12
     assert np.abs(kernel).max() == 1.0

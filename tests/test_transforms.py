@@ -504,7 +504,7 @@ def test_axis_ray_turn_leaves_sector_values(get_pair, get_datum, monkeypatch,
     type_ii = [(pair, datum, k) for k in (1, 2)] + [
         (TransformPair(schr), make_datum(schr, (0.0, 1.0), seed=0), 1)]
     xs = np.array([0.05, 0.4, 1.3])
-    forms = ({}, {"applied": True, "inv_power": pair.n})
+    forms = ({}, {"applied": True})
     cases = [(p, k, form) for k in (1, 2)
              for p in (pair, _axis_ray_alone(pair, k)[0]) for form in forms]
     half = [p.sector_component(datum, k, xs, **form) for p, k, form in cases]
