@@ -114,13 +114,15 @@ class CharMatrix:
         # terms repeating a power cancel and the degree is bounded by the
         # largest sum of m distinct powers, not m(n-1)
         deg = m * (self.n - 1) - m * (m - 1) // 2
-        sig = np.abs(poly[:deg + 1]) > _COEFF_TOL * bound[:deg + 1]
+        # a coefficient negligible next to the largest term of the expansion
+        # is noise, whether cancellation in the sum or rounding already in
+        # b* (a row-reduced 0.3 - 0.1 * 3): at the high end it is dropped,
+        # at the low end zeroed, so no spurious root far out appears and a
+        # root at the origin stays exact instead of spreading by eps^(1/mult)
+        sig = np.abs(poly[:deg + 1]) > _COEFF_TOL * bound[:deg + 1].max()
         if not sig.any():
             raise DeltaIdenticallyZero(
                 "every determinant coefficient cancels to rounding")
-        # a coefficient below rounding of the terms it sums is cancellation
-        # noise: at the high end it is dropped, at the low end zeroed, so a
-        # root at the origin stays exact instead of spreading by eps^(1/mult)
         low, high = np.flatnonzero(sig)[[0, -1]]
         poly = poly[:high + 1]
         poly[:low] = 0.0

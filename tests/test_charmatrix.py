@@ -225,6 +225,20 @@ def test_identically_zero_determinant_detected():
         _ = cm.delta_poly
 
 
+def test_delta_poly_drops_rounding_noise_in_adjoint_forms():
+    """Row reduction leaves b* = (1/3, 1, 0.3 - 0.1 * 3) with the last entry
+    -5.6e-17 instead of 0, so the expansion carries a lam^2 term of that
+    size.  Judged against the largest term it is noise: Delta keeps its one
+    root -i/3 and the radius its floor, not a spurious root near 5e16."""
+    cm = _cm(HalfLineProblem(3, 1j, [[1.0, 0.1, 0.3], [0.0, 1.0, 3.0]]))
+    assert cm.b_star[0, 2] != 0.0
+    assert cm.delta_poly.size == 2
+    (root,) = cm.delta_roots
+    assert root.multiplicity == 1
+    assert abs(root.value + 1j / 3) <= 1e-15
+    assert cm.choose_radius() == 1.1
+
+
 def test_delta_poly_tracks_outlying_roots():
     """Roots far outside the unit circle come out of the expansion
     whole."""
