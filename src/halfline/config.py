@@ -13,8 +13,6 @@ blank lines are ignored.  Keys:
     datum.support = <L>
     datum.seed = <int or none>
     quad.abs_tol = <float>            where ray tails and tail scans stop
-    quad.density = <float>            Gauss nodes per wavelength, every panel
-    quad.max_order = <int>            Gauss order of every panel
     solve.xs, solve.ts                comma list or <start>:<step>:<stop>
 
 All parse errors raise :class:`~halfline.errors.ConfigError` messages that
@@ -33,11 +31,7 @@ from .quadrature import QuadratureParams
 
 __all__ = ["RunConfig", "parse_config", "load_config", "parse_grid"]
 
-_QUAD_KEYS = {
-    "quad.abs_tol": ("abs_tol", float),
-    "quad.density": ("density", float),
-    "quad.max_order": ("max_order", int),
-}
+_QUAD_KEYS = {"quad.abs_tol": ("abs_tol", float)}
 
 
 @dataclass

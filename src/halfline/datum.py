@@ -85,14 +85,13 @@ class InitialDatum:
         Support bound L; the datum vanishes identically for x >= L.
     seed:
         Seed for the bump component, or None for no bump.
-    order:
-        Highest derivative order available from :meth:`derivative`.
+    amplitude:
+        Factor on the whole datum.
     """
 
     kernel_coeffs: tuple
     support: float = 1.0
     seed: int | None = 0
-    order: int = 8
     amplitude: float = 1.0
     _bumps: tuple = field(init=False, repr=False, compare=False)
 
@@ -124,12 +123,8 @@ class InitialDatum:
         return 100.0 / w_min
 
     # -- evaluation ------------------------------------------------------
-    def jet(self, x, order: int | None = None) -> np.ndarray:
+    def jet(self, x, order: int) -> np.ndarray:
         """Taylor jet of f at the points x, shape (order+1, len(x))."""
-        if order is None:
-            order = self.order
-        if order > self.order:
-            raise ValueError(f"datum constructed with order {self.order}, asked for {order}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros((order + 1, x.size))
         L, x1 = self.support, self._x1
@@ -171,7 +166,7 @@ class InitialDatum:
         return float(v[0]) if scalar else v
 
     def derivative(self, k: int, x) -> np.ndarray:
-        """Exact k-th derivative values, k <= order."""
+        """Exact k-th derivative values."""
         scalar = np.isscalar(x) or np.ndim(x) == 0
         j = self.jet(x, order=k)
         v = j[k] * math.factorial(k)
@@ -200,5 +195,4 @@ def make_datum(problem, kernel_coeffs, support: float = 1.0, seed: int | None = 
     if np.abs(resid).max() > 1e-12 * scale:
         raise CoeffsNotInKernel(
             f"boundary forms give {resid} on the requested coefficients, expected 0")
-    return InitialDatum(tuple(coeffs), float(support), seed,
-                        order=n + 2, amplitude=amplitude)
+    return InitialDatum(tuple(coeffs), float(support), seed, amplitude=amplitude)

@@ -49,7 +49,8 @@ import numpy as np
 
 from .contours import deform_for_time
 from .errors import DeformationRequired, NonpositiveX, ToleranceNotMet
-from .quadrature import ExpDecay, PhaseKernel, ladder_rate, segment_nodes
+from .quadrature import (_ORDER, ExpDecay, PhaseKernel, ladder_rate,
+                         segment_nodes)
 from .transforms import TransformPair
 from .util import parallel_map
 
@@ -131,8 +132,9 @@ def _last_times(env: ExpDecay, r: np.ndarray, t_env: float,
 
 def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
                   t_max: float, x_min: float, x_max: float):
-    """(lam, w F_k(lam), tau, panels) for one deformed segment (a rotated
-    infinite ray or an arc), shared across times.
+    """(lam, w F_k(lam), tau, nodes) for one deformed segment (a rotated
+    infinite ray or an arc), shared across times; ``nodes`` are the
+    segment's :class:`~halfline.quadrature.Nodes`.
 
     Node j contributes below the tail target at every time t >= tau[j];
     arcs have tau = inf.
@@ -165,8 +167,8 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
                               osc=lambda u: arc_rate + pole(u))
         tau = np.full(nodes[0].size, np.inf)
     else:
-        jun = np.array([seg.point(seg.r0)], dtype=complex)
-        scale = max(float(np.abs(pair.forward(datum, k, jun)).max()), 1e-12)
+        scale = pair.junction_scale(
+            lambda lam: pair.forward(datum, k, lam), seg)
         env = _ray_decay(pair, seg, k, t_min, x_min, x_max, L, scale)
         base = abs(seg.base)
 
@@ -181,7 +183,7 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
         nodes = segment_nodes(seg, pair.params, osc=ray_rate, decay=env)
         tau = _last_times(env, np.abs(nodes[0] - seg.base), t_min, log_target)
     lam, w = nodes
-    return lam, w * pair.forward(datum, k, lam), tau, nodes.panels
+    return lam, w * pair.forward(datum, k, lam), tau, nodes
 
 
 def _mirrored(pair: TransformPair) -> bool:
@@ -219,19 +221,18 @@ def _pack_apply(pair: TransformPair, xs, ts, pack):
     the (len(xs), len(ts)) sums, the (node, time) pairs applied and the
     complex exponentials evaluated.  A mirrored pack's sums count for its
     mirror ray too, as 2 Re; they stay non-finite where they overflowed."""
-    lam, wf, tau, panels, mirrored = pack
+    lam, wf, tau, nodes, mirrored = pack
     acc = np.zeros((xs.size, ts.size), dtype=complex)
     applied = 0
-    kernel = PhaseKernel(xs, panels)
-    order = panels.order
-    step = max(1, _BLOCK_BUDGET // (xs.size * order))
+    kernel = PhaseKernel(xs, nodes)
+    step = max(1, _BLOCK_BUDGET // (xs.size * _ORDER))
     # the sorted times that still need node j: those below tau[j]
     need = np.searchsorted(ts, tau, side="left")
     lam_n = lam ** pair.n
-    for first, stop in panels.runs():
+    for first, stop in nodes.runs():
         for p in range(first, stop, step):
             q = min(stop, p + step)
-            blk = slice(p * order, q * order)
+            blk = slice(p * _ORDER, q * _ORDER)
             m = int(need[blk].max())
             if m == 0:
                 continue

@@ -1,16 +1,16 @@
 """Deterministic contour quadrature on rays and arcs.
 
-The integration strategy is composite Gauss-Legendre with panel lengths
-chosen from a caller-supplied bound on the local phase rate, so that each
-panel holds a fixed number of nodes per oscillation wavelength.  Where the
-rate grows, each width is the one that resolves a rate of the absolute
-quarter-octave ladder 2^(j/4), integer j (:func:`ladder_rate`), so a
-growing rate gives runs of equal panels (width groups); a constant or
-falling rate keeps the unrounded panels.  An infinite ray is truncated
-with an :class:`ExpDecay` envelope model, at the radius where the model
-guarantees the tail is below a tenth of the absolute tolerance
-(:func:`segment_nodes`); without a model it raises
-:class:`TailBoundUnavailable`.
+The integration strategy is composite Gauss-Legendre of one fixed rule,
+``_ORDER`` nodes per panel and ``_DENSITY`` per oscillation wavelength,
+with panel lengths chosen from a caller-supplied bound on the local phase
+rate.  Where the rate grows, each width is the one that resolves a rate
+of the absolute quarter-octave ladder 2^(j/4), integer j
+(:func:`ladder_rate`), so a growing rate gives runs of equal panels
+(width groups); a constant or falling rate keeps the unrounded panels.
+An infinite ray is truncated with an :class:`ExpDecay` envelope model,
+at the radius where the model guarantees the tail is below a tenth of
+the absolute tolerance (:func:`segment_nodes`); without a model it
+raises :class:`TailBoundUnavailable`.
 
 Every component integral of the transform pair, int exp(i lam x) F(lam)
 over the real line or a sector boundary, runs on one engine:
@@ -20,15 +20,16 @@ models; :mod:`halfline.contours` has already turned every infinite ray off
 the real axis, where no envelope decays) and :func:`apply_phase` then
 evaluates exp(i x lam) @ (w F) for all x at once.  It runs on
 :class:`PhaseKernel`, which factors the phase as exp(i x c_p) exp(i x o_gk)
-over the panels' :class:`Panels` layout: one table of node phases per
-width group, shared by all the group's panels, and one exponential per
-panel and x.  The evolution apply uses the same kernel; the half-line
-transform's equal panels factor further, in
-:class:`halfline.transforms.SupportTransform`.  :func:`integrate_segment` integrates one finite segment of a
-callable with error control, and :func:`ray_monomial_tail` sums a monomial
-ray tail by mpmath's exponential integral; no library path calls either,
-they are references for checks.  mpmath is imported inside
-:func:`ray_monomial_tail`, so importing this module loads only numpy.
+over the factored layout that :class:`Nodes` carries: one table of node
+phases per width group, shared by all the group's panels, and one
+exponential per panel and x.  The evolution apply uses the same kernel;
+the half-line transform's equal panels factor further, in
+:class:`halfline.transforms.SupportTransform`.  :func:`integrate_segment`
+integrates one finite segment of a callable with error control, and
+:func:`ray_monomial_tail` sums a monomial ray tail by mpmath's
+exponential integral; no library path calls either, they are references
+for checks.  mpmath is imported inside :func:`ray_monomial_tail`, so
+importing this module loads only numpy.
 
 Everything is deterministic: no randomness, and identical inputs produce
 identical node sequences.  Component integrals carry no error estimate;
@@ -51,7 +52,6 @@ __all__ = [
     "PathSegment",
     "ExpDecay",
     "IntegralResult",
-    "Panels",
     "Nodes",
     "segment_nodes",
     "component_nodes",
@@ -67,26 +67,28 @@ _MAX_NODES = 400_000
 _MAX_REFINE = 4
 # laddered panel widths resolve the rates 2^(j / _LADDER): quarter octaves
 _LADDER = 4
+# the Gauss rule of every panel: its order, and its nodes per oscillation
+# wavelength (8 puts order 24 well past the resolution threshold, with
+# errors near roundoff).  Component integrals carry no error estimate, so
+# the rule is part of what the checks certify, not a tuning choice
+_ORDER = 24
+_DENSITY = 8.0
 
 
 @dataclass(frozen=True)
 class QuadratureParams:
-    """Tolerances and discretization controls.
+    """Tolerances.
 
     ``abs_tol`` sets where sums stop: an infinite ray is cut where its
     envelope falls below abs_tol / 10 (:attr:`tail_log_target`), the
-    real-line tail scan at blocks below abs_tol / 8.  ``density`` is the
-    number of Gauss nodes per oscillation wavelength of every panel (8 puts
-    composite Gauss-Legendre of order >= 16 well past the resolution
-    threshold, with errors near roundoff), ``max_order`` their Gauss order.
-    ``rel_tol`` is read only by :func:`integrate_segment`, which no library
-    path calls.
+    real-line tail scan at blocks below abs_tol / 8.  ``rel_tol`` is read
+    only by :func:`integrate_segment`, which no library path calls.  The
+    Gauss rule is no setting: every panel holds ``_ORDER`` nodes and
+    ``_DENSITY`` of them per oscillation wavelength.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    density: float = 8.0
-    max_order: int = 24
 
     @property
     def tail_log_target(self) -> float:
@@ -158,7 +160,7 @@ class ExpDecay:
     smallest radius at which the model value drops below ``log_target``.
     """
 
-    def __init__(self, terms, r0: float, log_scale: float = 0.0):
+    def __init__(self, terms, r0: float, log_scale: float):
         self.terms = tuple((float(c), float(p)) for c, p in terms)
         self.r0 = float(r0)
         self.log_scale = float(log_scale)
@@ -167,7 +169,7 @@ class ExpDecay:
             raise ValueError("dominant decay coefficient must be positive")
 
     @staticmethod
-    def linear(c: float, r0: float, log_scale: float = 0.0) -> "ExpDecay":
+    def linear(c: float, r0: float, log_scale: float) -> "ExpDecay":
         return ExpDecay([(c, 1.0)], r0, log_scale)
 
     def log_env(self, r: float) -> float:
@@ -227,21 +229,21 @@ def ladder_rate(rate: float) -> float:
     return 2.0 ** (j / _LADDER)
 
 
-def _build_panels(lo: float, hi: float, rate, order: int, density: float,
-                  max_panels: int):
-    """Split [lo, hi] into panels holding >= density nodes per wavelength.
+def _build_panels(lo: float, hi: float, rate):
+    """Split [lo, hi] into panels holding >= _DENSITY nodes per wavelength.
 
     Returns the panels (a, b) and their nominal widths.  Where the rate
     grows across a panel, its width is the widest rung of the ladder
     (:func:`ladder_rate`) that the rates at both of its ends admit, so a
     growing rate gives runs of equal panels; a constant or falling rate
     gives the unrounded widths.  The last panel stops at ``hi``; its
-    nominal width is the part it keeps.
+    nominal width is the part it keeps.  More than
+    max(4, _MAX_NODES // _ORDER) panels raise :class:`ToleranceNotMet`.
     """
     def allowed(r):
-        """The width that holds density nodes per wavelength at rate r (and
+        """The width that holds _DENSITY nodes per wavelength at rate r (and
         the rate that width r resolves)."""
-        return TWO_PI * order / (density * r)
+        return TWO_PI * _ORDER / (_DENSITY * r)
 
     if hi <= lo:  # a ray cut at its start: no panels
         return [], []
@@ -250,6 +252,7 @@ def _build_panels(lo: float, hi: float, rate, order: int, density: float,
     def rate_at(u):
         return max(rate(min(hi, u)), floor)
 
+    max_panels = max(4, _MAX_NODES // _ORDER)
     panels, widths = [], []
     u = lo
     while u < hi - 1e-14 * max(1.0, abs(hi)):
@@ -284,9 +287,11 @@ def _panel_nodes(panels, order: int):
     return u, wu
 
 
-class Panels:
-    """The nodes of a composite Gauss rule in factored form: node k of panel
-    p is ``center[p] + offset[group[p], k]``.
+class Nodes(tuple):
+    """Nodes and weights of a composite Gauss rule on a segment or a
+    contour component, unpacking as (lam, w) like a plain pair, with the
+    nodes also in factored form: node k of panel p is
+    ``center[p] + offset[group[p], k]``.
 
     The panels of one width group along one ray share a row of ``offset``
     (e^{i angle} h x_k, with h the group's half-width and x_k the Gauss
@@ -294,14 +299,12 @@ class Panels:
     as the row.  Nodes are ordered panel by panel, as in ``lam``.
     """
 
-    def __init__(self, center, offset, group):
+    def __new__(cls, lam, w, center, offset, group):
+        self = super().__new__(cls, (lam, w))
         self.center = np.asarray(center, dtype=complex)
         self.offset = np.asarray(offset, dtype=complex)
         self.group = np.asarray(group, dtype=np.intp)
-
-    @property
-    def order(self) -> int:
-        return self.offset.shape[1]
+        return self
 
     def runs(self):
         """(first, stop) of each run of consecutive panels in one group."""
@@ -312,48 +315,39 @@ class Panels:
         return list(zip(edges[:-1], edges[1:]))
 
     @staticmethod
-    def concat(parts, order: int) -> "Panels":
-        """One layout of the panels of ``parts`` in turn; their groups stay
-        apart."""
+    def concat(parts) -> "Nodes":
+        """The nodes of ``parts`` in turn; their groups stay apart."""
         rows = np.cumsum([0] + [p.offset.shape[0] for p in parts])
-        return Panels(
-            np.concatenate([np.zeros(0)] + [p.center for p in parts]),
-            np.concatenate([np.zeros((0, order))] + [p.offset for p in parts]),
+        empty = np.zeros(0, dtype=complex)
+        return Nodes(
+            np.concatenate([empty] + [p[0] for p in parts]),
+            np.concatenate([empty] + [p[1] for p in parts]),
+            np.concatenate([empty] + [p.center for p in parts]),
+            np.concatenate([np.zeros((0, _ORDER))] + [p.offset for p in parts]),
             np.concatenate([np.zeros(0, dtype=np.intp)]
                            + [p.group + r for p, r in zip(parts, rows)]))
 
 
-class Nodes(tuple):
-    """Nodes and weights of a segment or component, unpacking as (lam, w)
-    like a plain pair; ``panels`` is the same node set in the factored form
-    of :class:`Panels`, for :func:`apply_phase`."""
-
-    def __new__(cls, lam, w, panels: Panels):
-        self = super().__new__(cls, (lam, w))
-        self.panels = panels
-        return self
-
-
-def _layout(seg: PathSegment, panels, widths, lam, order: int) -> Panels:
+def _layout(seg: PathSegment, panels, widths, lam):
+    """(center, offset, group) of the nodes ``lam`` of ``panels``."""
     if seg.kind == "arc":
         count = len(panels)
-        return Panels(np.zeros(count), lam.reshape(count, order),
-                      np.arange(count))
-    x, _ = _gl(order)
+        return np.zeros(count), lam.reshape(count, _ORDER), np.arange(count)
+    x, _ = _gl(_ORDER)
     keys, group = np.unique(np.asarray(widths), return_inverse=True)
     mid = np.array([0.5 * (a + b) for a, b in panels])
     offset = np.multiply.outer(0.5 * keys * np.exp(1j * seg.angle), x)
-    return Panels(seg.point(mid), offset, group)
+    return seg.point(mid), offset, group
 
 
 def segment_nodes(seg: PathSegment, params: QuadratureParams, *, osc=None,
                   decay: ExpDecay | None = None) -> Nodes:
     """Quadrature nodes and complex weights for a segment (fast path).
 
-    Returns (lam, w) such that integral f = sum w * f(lam), with the
-    factored layout of the nodes in ``.panels``.  Infinite rays require a
-    decay model.  ``osc(u)`` bounds |d phase/du| in parameter units; the
-    default assumes a slowly varying integrand.
+    Returns the :class:`Nodes` (lam, w) such that integral f =
+    sum w * f(lam).  Infinite rays require a decay model.  ``osc(u)``
+    bounds |d phase/du| in parameter units; the default assumes a phase
+    rate of at most 1.
     """
     if osc is None:
         osc = lambda u: 1.0
@@ -364,13 +358,11 @@ def segment_nodes(seg: PathSegment, params: QuadratureParams, *, osc=None,
         hi = decay.radius(params.tail_log_target)
         seg = PathSegment.ray(seg.base, seg.angle, seg.r0, hi, seg.orientation)
     lo, hi, flip = _param_interval(seg)
-    order = params.max_order
-    panels, widths = _build_panels(lo, hi, osc, order, params.density,
-                                   max_panels=max(4, _MAX_NODES // order))
-    u, wu = _panel_nodes(panels, order)
+    panels, widths = _build_panels(lo, hi, osc)
+    u, wu = _panel_nodes(panels, _ORDER)
     lam = seg.point(u)
     w = wu * seg.dpoint(u) * (seg.orientation * flip)
-    return Nodes(lam, w, _layout(seg, panels, widths, lam, order))
+    return Nodes(lam, w, *_layout(seg, panels, widths, lam))
 
 
 def component_nodes(segments, params: QuadratureParams, osc, decay=None) -> Nodes:
@@ -382,23 +374,18 @@ def component_nodes(segments, params: QuadratureParams, osc, decay=None) -> Node
     ray on the real axis, where exp(i lam x) does not decay, raises
     :class:`TailBoundUnavailable`.
     """
-    empty = np.zeros(0, dtype=complex)
-    lams, ws, layouts = [empty], [empty], []
+    parts = []
     for seg in segments:
         if not seg.finite and seg.on_real_axis:
             raise TailBoundUnavailable(
                 "an infinite ray on the real axis has no decaying envelope")
         env = None if seg.finite or decay is None else decay(seg)
-        nodes = segment_nodes(seg, params, osc=osc(seg), decay=env)
-        lams.append(nodes[0])
-        ws.append(nodes[1])
-        layouts.append(nodes.panels)
-    return Nodes(np.concatenate(lams), np.concatenate(ws),
-                 Panels.concat(layouts, params.max_order))
+        parts.append(segment_nodes(seg, params, osc=osc(seg), decay=env))
+    return Nodes.concat(parts)
 
 
 class PhaseKernel:
-    """Sums of exp(i x lam) wf over the nodes of a :class:`Panels` layout,
+    """Sums of exp(i x lam) wf over a set of :class:`Nodes`,
     for one fixed set of x (real, or complex for transforms of complex
     argument).
 
@@ -413,16 +400,16 @@ class PhaseKernel:
     exponentials evaluated.
     """
 
-    def __init__(self, xs, panels: Panels):
+    def __init__(self, xs, nodes: Nodes):
         self.ix = 1j * np.asarray(xs)
-        self.panels = panels
+        self.nodes = nodes
         self.exps = 0
         self._tables: dict[int, np.ndarray] = {}
 
     def _table(self, g: int) -> np.ndarray:
         table = self._tables.get(g)
         if table is None:
-            row = self.panels.offset[g]
+            row = self.nodes.offset[g]
             half = row.size // 2
             # a ray's row is odd about its centre (Gauss nodes come in
             # pairs +-x_k), and exp(-z) = 1 / exp(z) costs a division
@@ -442,8 +429,8 @@ class PhaseKernel:
         group, of exp(i x lam) wf; ``wf`` holds those nodes' rows, shape
         (nodes,) or (nodes, columns)."""
         count = stop - first
-        table = self._table(int(self.panels.group[first]))
-        outer = np.multiply.outer(self.ix, self.panels.center[first:stop])
+        table = self._table(int(self.nodes.group[first]))
+        outer = np.multiply.outer(self.ix, self.nodes.center[first:stop])
         np.exp(outer, out=outer)
         self.exps += outer.size
         if wf.ndim == 2:
@@ -456,18 +443,17 @@ class PhaseKernel:
         return inner.sum(axis=1)
 
 
-def apply_phase(xs: np.ndarray, panels: Panels, wf: np.ndarray) -> np.ndarray:
+def apply_phase(xs: np.ndarray, nodes: Nodes, wf: np.ndarray) -> np.ndarray:
     """exp(i xs (x) lam) @ wf: sum_n wf_n exp(i lam_n x) for every x, with
-    lam the nodes of ``panels``, by :class:`PhaseKernel`.
+    lam the ``nodes``, by :class:`PhaseKernel`.
 
     ``wf`` holds weights times integrand values, shape (nodes,) or
     (nodes, columns); the result has shape (len(xs),) or (len(xs), columns).
     """
-    kernel = PhaseKernel(xs, panels)
-    order = panels.order
+    kernel = PhaseKernel(xs, nodes)
     out = np.zeros((np.size(xs),) + wf.shape[1:], dtype=complex)
-    for first, stop in panels.runs():
-        out += kernel.apply(first, stop, wf[first * order:stop * order])
+    for first, stop in nodes.runs():
+        out += kernel.apply(first, stop, wf[first * _ORDER:stop * _ORDER])
     return out
 
 
@@ -482,13 +468,11 @@ def _param_interval(seg: PathSegment):
 def _finite_with_refinement(f, seg, params, osc):
     tol = lambda v: max(params.abs_tol, params.rel_tol * abs(v))
     lo, hi, flip = _param_interval(seg)
-    order = params.max_order
-    panels, _ = _build_panels(lo, hi, osc, order, params.density,
-                              max_panels=max(4, _MAX_NODES // order))
+    panels, _ = _build_panels(lo, hi, osc)
     nodes_used = 0
     for round_ in range(_MAX_REFINE + 1):
-        u, wu = _panel_nodes(panels, order)
-        u2, wu2 = _panel_nodes(panels, max(2, order // 2))
+        u, wu = _panel_nodes(panels, _ORDER)
+        u2, wu2 = _panel_nodes(panels, _ORDER // 2)
         # one call of f for both rules: its cost is mostly per call
         both = np.concatenate([u, u2])
         vals = f(seg.point(both)) * seg.dpoint(both)

@@ -192,7 +192,7 @@ def _poly_component_integral(pair, k: int, xs: np.ndarray, beta: np.ndarray,
     vals = w * np.polynomial.polynomial.polyval(lam, beta)
     if inv_power:
         vals = vals * lam ** (-float(inv_power))
-    return apply_phase(xs, nodes.panels, vals)
+    return apply_phase(xs, nodes, vals)
 
 
 @dataclass(frozen=True)

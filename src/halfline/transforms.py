@@ -57,8 +57,9 @@ from .charmatrix import CharMatrix
 from .contours import build_contours, turn_axis_rays
 from .errors import NonpositiveX, ToleranceNotMet
 from .problems import validate
-from .quadrature import (ExpDecay, PathSegment, QuadratureParams, _gl,
-                         apply_phase, component_nodes, segment_nodes)
+from .quadrature import (_DENSITY, _ORDER, ExpDecay, PathSegment,
+                         QuadratureParams, _gl, apply_phase, component_nodes,
+                         segment_nodes)
 
 __all__ = ["SupportTransform", "TransformPair"]
 
@@ -101,18 +102,16 @@ class SupportTransform:
     ``g`` must be real-valued (a complex one raises ``TypeError``).
     ``base_rate`` sets the level-0 resolution floor in rad per unit x, so
     integrands with internal structure sharper than the lowest mu (a narrow
-    bump, say) stay resolved at every level.  A batch whose |mu| exceeds
-    the top level raises :class:`ToleranceNotMet`.  The per-level cache is
-    filled under a lock, so threads sharing the transform evaluate g once
-    per level.
+    bump, say) stay resolved at every level; 64 / support is the least
+    floor.  The panels hold the quadrature's one Gauss rule.  A batch
+    whose |mu| exceeds the top level raises :class:`ToleranceNotMet`.  The
+    per-level cache is filled under a lock, so threads sharing the
+    transform evaluate g once per level.
     """
 
-    def __init__(self, g, support: float, params: QuadratureParams,
-                 base_rate: float = 0.0):
+    def __init__(self, g, support: float, base_rate: float):
         self.g = g
         self.L = float(support)
-        self.order = params.max_order
-        self.density = params.density
         self.base = max(64.0 / self.L, float(base_rate))
         self._levels: dict[int, tuple] = {}
         self._lock = threading.Lock()
@@ -133,9 +132,9 @@ class SupportTransform:
         with self._lock:
             if level not in self._levels:
                 cap = self.base * 2 ** level
-                panels = int(math.ceil(cap * self.L * self.density / (2 * math.pi * self.order)))
+                panels = int(math.ceil(cap * self.L * _DENSITY / (2 * math.pi * _ORDER)))
                 panels = max(panels, 2)
-                x, w = _gl(self.order)
+                x, w = _gl(_ORDER)
                 edges = np.linspace(0.0, self.L, panels + 1)
                 half = 0.5 * (edges[1] - edges[0])
                 mid = 0.5 * (edges[:-1] + edges[1:])
@@ -143,7 +142,7 @@ class SupportTransform:
                 values = self.g(nodes)
                 if np.iscomplexobj(values):
                     raise TypeError("SupportTransform needs a real-valued g")
-                wg = (half * w)[None, :] * values.reshape(panels, self.order)
+                wg = (half * w)[None, :] * values.reshape(panels, _ORDER)
                 # S = sqrt(panels / 4) balances the panels / S fold
                 # exponentials against the S step exponentials and the
                 # S order multiplies of the outer product (a complex
@@ -151,10 +150,10 @@ class SupportTransform:
                 fold = max(1, round(math.sqrt(panels / 4)))
                 rows = -(-panels // fold)
                 wg = np.concatenate(
-                    [wg, np.zeros((rows * fold - panels, self.order))])
+                    [wg, np.zeros((rows * fold - panels, _ORDER))])
                 self._levels[level] = (
                     mid[::fold], 2.0 * half * np.arange(fold), half * x,
-                    wg.reshape(rows, fold * self.order))
+                    wg.reshape(rows, fold * _ORDER))
             return self._levels[level]
 
     def __call__(self, mu) -> np.ndarray:
@@ -166,13 +165,13 @@ class SupportTransform:
         rows, width = wg.shape
         # the Gauss row is odd about its centre: exponentials for its first
         # ceil(order / 2) entries, reciprocals for the mirrored rest
-        half = self.order // 2
+        half = _ORDER // 2
         flat = -1j * mu.ravel()
         out = np.empty(flat.size, dtype=complex)
         chunk = max(64, _CHUNK_BUDGET // (rows + width))
         for i in range(0, flat.size, chunk):
             z = flat[i:i + chunk]
-            left = np.exp(np.multiply.outer(gauss[:self.order - half], z))
+            left = np.exp(np.multiply.outer(gauss[:_ORDER - half], z))
             phase = np.concatenate([left, 1.0 / left[:half][::-1]])
             table = np.exp(np.multiply.outer(step, z))[:, None, :] * phase
             # the weights are real, so one real matrix product over the
@@ -205,7 +204,7 @@ def _real_axis_monomial_tails(r0: float, xs: np.ndarray, powers,
     nodes = segment_nodes(PathSegment.ray(r0, math.pi / 2, 0.0, stop), params,
                           osc=lambda s: x_max + 8.0 / (r0 + s))
     lam, w = nodes
-    right = apply_phase(xs, nodes.panels, w[:, None] * lam[:, None] ** -p)
+    right = apply_phase(xs, nodes, w[:, None] * lam[:, None] ** -p)
     return right + (-1.0) ** p * np.conj(right)
 
 
@@ -240,7 +239,7 @@ class TransformPair:
                 # so the panel floor has to grow with the order to hold accuracy
                 rate = getattr(datum, "bandwidth", 0.0) * (1.0 + deriv)
                 hat = self._hats[key] = SupportTransform(
-                    g, datum.support, self.params, base_rate=rate)
+                    g, datum.support, base_rate=rate)
                 if len(self._hats) > _HATS_MAX:
                     self._hats.popitem(last=False)
             else:
@@ -309,7 +308,7 @@ class TransformPair:
             seg = PathSegment.ray(0.0, 0.0, a, 2.0 * a)
             nodes = segment_nodes(seg, self.params, osc=lambda u: rate)
             lam, w = nodes
-            block = apply_phase(xs, nodes.panels, w * G(lam))
+            block = apply_phase(xs, nodes, w * G(lam))
             block = block + np.conj(block)
             out += block
             mag = float(np.abs(block).max())
@@ -360,8 +359,7 @@ class TransformPair:
         def mono(lam):
             return sum(b * lam ** (-float(p)) for p, b in monomials)
 
-        vals = apply_phase(xs, nodes.panels,
-                           w * (mono if G is None else G)(lam))
+        vals = apply_phase(xs, nodes, w * (mono if G is None else G)(lam))
         if G is not None:
             vals += self.gamma0_tail_scan(lambda lam: G(lam) - mono(lam), xs, rate)
         if monomials:
@@ -402,6 +400,13 @@ class TransformPair:
         r0 = seg.r0
         return lambda u: base_rate + 8.0 / (gap + max(u - r0, 0.0))
 
+    @staticmethod
+    def junction_scale(F, seg: PathSegment) -> float:
+        """|F| at the start of the ray ``seg`` (at least 1e-12): the scale
+        of the envelope that truncates the ray."""
+        jun = np.array([seg.point(seg.r0)], dtype=complex)
+        return max(float(np.abs(F(jun)).max()), 1e-12)
+
     def sector_component(self, datum, k: int, xs: np.ndarray, *,
                          applied: bool = False) -> np.ndarray:
         """Integral of exp(i lam x) F_k[f] over component k.
@@ -424,16 +429,14 @@ class TransformPair:
             return out * lam ** (-float(self.n)) if applied else out
 
         def decay(seg):
-            jun = np.array([seg.point(seg.r0)], dtype=complex)
-            scale = max(float(np.abs(F(jun)).max()), 1e-12)
             return ExpDecay.linear(x_min * math.sin(seg.angle), seg.r0,
-                                   math.log(scale))
+                                   math.log(self.junction_scale(F, seg)))
 
         nodes = component_nodes(
             turn_axis_rays(self.contours).gammas[k - 1], self.params,
             lambda seg: self.junction_osc(seg, rate), decay)
         lam, w = nodes
-        return apply_phase(xs, nodes.panels, w * F(lam))
+        return apply_phase(xs, nodes, w * F(lam))
 
     # -- public inversion --------------------------------------------------
     def components(self, datum, xs) -> list[np.ndarray]:

@@ -115,10 +115,8 @@ def _heat_oracle(problem):
     """Sine/cosine oracle matching the problem's boundary form, if any."""
     if problem.order != 2 or abs(problem.a - 1.0) > 0.0:
         return None
-    B = np.asarray(problem.boundary_matrix, dtype=complex)
-    if B.shape != (1, 2):
-        return None
-    row = B[0] / np.abs(B[0]).max()
+    row = problem.boundary_matrix[0]  # validated: order 2 has one form
+    row = row / np.abs(row).max()
     if abs(row[1]) < 1e-14:
         return oracles.heat_dirichlet_solution
     if abs(row[0]) < 1e-14:

@@ -28,8 +28,6 @@ datum.support = 2.5
 datum.seed = 7
 
 quad.abs_tol = 1e-10
-quad.density = 12
-quad.max_order = 16
 
 solve.xs = 0.25, 0.5, 1.0
 solve.ts = 0:0.05:0.2
@@ -47,7 +45,7 @@ def test_parse_full_config():
     assert cfg.datum_kernel == (0.0, 1.0)
     assert cfg.datum_support == 2.5
     assert cfg.datum_seed == 7
-    assert cfg.quad == {"abs_tol": 1e-10, "density": 12.0, "max_order": 16}
+    assert cfg.quad == {"abs_tol": 1e-10}
     np.testing.assert_allclose(cfg.xs, [0.25, 0.5, 1.0])
     np.testing.assert_allclose(cfg.ts, [0.0, 0.05, 0.1, 0.15, 0.2])
 
@@ -90,9 +88,11 @@ def test_bc_is_repeatable():
 def test_unknown_key():
     with pytest.raises(ConfigError, match=r"line 1: unknown key 'spam'"):
         parse_config("spam = 1\n")
-    # QuadratureParams.rel_tol has no key: no library path reads it
-    with pytest.raises(ConfigError, match=r"unknown key 'quad.rel_tol'"):
-        parse_config("quad.rel_tol = 1e-8\n")
+    # QuadratureParams.rel_tol has no key: no library path reads it; the
+    # Gauss rule is fixed in halfline.quadrature
+    for key in ("quad.rel_tol", "quad.density", "quad.max_order"):
+        with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+            parse_config(f"{key} = 8\n")
 
 
 def test_missing_equals_sign():
@@ -151,8 +151,8 @@ def test_datum_support_positive():
 
 
 def test_quad_bad_value():
-    with pytest.raises(ConfigError, match=r"line 1: bad value for quad.max_order"):
-        parse_config("quad.max_order = eight\n")
+    with pytest.raises(ConfigError, match=r"line 1: bad value for quad.abs_tol"):
+        parse_config("quad.abs_tol = tiny\n")
 
 
 def test_bad_bc_coefficient():
@@ -206,10 +206,10 @@ def test_build_params_and_datum():
     """build_params applies quad overrides; build_datum honors seed/support."""
     cfg = parse_config("order = 2\na = 1,0\nbc = 1,0\n"
                        "datum.kernel = 0,1\ndatum.support = 2.0\n"
-                       "datum.seed = none\nquad.density = 6\n")
+                       "datum.seed = none\nquad.abs_tol = 1e-9\n")
     params = cfg.build_params()
-    assert params.density == 6.0
-    assert params.abs_tol == 1e-11  # untouched default
+    assert params.abs_tol == 1e-9
+    assert params.rel_tol == 1e-9  # untouched default
     datum = cfg.build_datum()
     assert datum.support == 2.0
     assert datum.seed is None

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from halfline import contours, evolution
+from halfline import contours, evolution, quadrature
 from halfline.contours import deform_for_time
 from halfline.datum import make_datum
 from halfline.errors import NonpositiveX, ToleranceNotMet
@@ -228,9 +228,8 @@ def _t_max_packs(pair, datum, xs, ts):
         for seg in segs:
             env, rate = None, _rate(pair, datum, xs, seg, k, t_max)
             if not seg.finite:
-                jun = np.array([seg.point(seg.r0)])
-                scale = max(float(np.abs(pair.forward(datum, k, jun)).max()),
-                            1e-12)
+                scale = pair.junction_scale(
+                    lambda lam: pair.forward(datum, k, lam), seg)
                 env = evolution._ray_decay(pair, seg, k, t_min, xs.min(),
                                            xs.max(), datum.support, scale)
             nodes = component_nodes(
@@ -239,8 +238,8 @@ def _t_max_packs(pair, datum, xs, ts):
             tau = (np.full(lam.size, np.inf) if env is None else
                    evolution._last_times(env, np.abs(lam - seg.base), t_min,
                                          pair.params.tail_log_target))
-            packs.append((lam, w * pair.forward(datum, k, lam), tau,
-                          nodes.panels, False))
+            packs.append((lam, w * pair.forward(datum, k, lam), tau, nodes,
+                          False))
     return packs
 
 
@@ -308,8 +307,7 @@ def test_ray_panels_resolve_the_largest_time_needing_them(get_pair,
     datum = get_datum(name)
     xs, ts = _evolve_grid(pair.n)
     ts = ts.max() * np.linspace(0.01, 1.0, ts.size)
-    params = pair.params
-    order = params.max_order
+    order = quadrature._ORDER
     edge = np.polynomial.legendre.leggauss(order)[0][-1]
     dcs = deform_for_time(pair.contours)
     rays = 0
@@ -325,7 +323,7 @@ def test_ray_panels_resolve_the_largest_time_needing_them(get_pair,
             t = ts[np.maximum(np.searchsorted(ts, tau[::order]) - 1, 0)]
             rate = np.array([_rate(pair, datum, xs, seg, k, ti)(ui)
                              for ti, ui in zip(t, u)])
-            assert (width * rate <= 2 * np.pi * order / params.density
+            assert (width * rate <= 2 * np.pi * order / quadrature._DENSITY
                     * (1 + 1e-9)).all()
             rays += 1
     assert rays > 0
@@ -340,8 +338,8 @@ def test_ray_panel_widths_lie_on_one_ladder(get_pair, get_datum, name):
     pair = get_pair(name)
     datum = get_datum(name)
     xs, ts = _evolve_grid(pair.n)
-    order = pair.params.max_order
-    cap = 2 * np.pi * order / pair.params.density
+    order = quadrature._ORDER
+    cap = 2 * np.pi * order / quadrature._DENSITY
     edge = np.polynomial.legendre.leggauss(order)[0][-1]
     dcs = deform_for_time(pair.contours)
     widths = []
@@ -349,11 +347,11 @@ def test_ray_panel_widths_lie_on_one_ladder(get_pair, get_datum, name):
         for seg in segs:
             if seg.finite:
                 continue
-            panels = evolution._segment_pack(
+            nodes = evolution._segment_pack(
                 pair, datum, seg, k, ts.min(), ts.max(), xs.min(),
                 xs.max())[3]
-            groups = np.unique(panels.group[:-1])
-            widths += (2 * np.abs(panels.offset[groups, -1]) / edge).tolist()
+            groups = np.unique(nodes.group[:-1])
+            widths += (2 * np.abs(nodes.offset[groups, -1]) / edge).tolist()
     assert len(widths) > 0
     j = 4.0 * np.log2(cap / np.array(widths))
     assert (np.abs(j - np.round(j)) < 1e-9).all(), j
@@ -510,7 +508,7 @@ def test_mirrored_pack_with_nonfinite_imaginary_sums_raises(
     class Kernel(PhaseKernel):
         def apply(self, first, stop, wf):
             out = super().apply(first, stop, wf)
-            if any(self.panels is panels for panels in mirrored):
+            if any(self.nodes is nodes for nodes in mirrored):
                 out.imag[...] = np.inf
             return out
 

@@ -119,6 +119,24 @@ def test_heat_oracle_unmet_tolerance_raises(heat_data, monkeypatch):
             oracle(datum, 1.5, 0.01)
 
 
+def test_heat_oracle_doubles_panels_until_two_rules_agree(heat_data,
+                                                          monkeypatch):
+    """On the verify grid a coarse spectral rule (Gauss order 4 for 32)
+    doubles its panels until two rules agree (t = 0.01 from 8 to 128
+    panels) and gives the default rule's values within the two error
+    estimates."""
+    xs, ts = np.array([0.5, 1.0, 1.5]), np.array([0.01, 0.1, 1.0])
+    for oracle, kernel, _, datum in heat_data:
+        ref = oracle(datum, xs, ts)
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "_PANEL_ORDER", 4)
+            coarse = oracle(datum, xs, ts)
+        assert all(c > r for c, r in zip(coarse.meta["panels"],
+                                          ref.meta["panels"])), kernel
+        assert (np.abs(coarse.value - ref.value).max()
+                <= coarse.est_error + ref.est_error), kernel
+
+
 def test_heat_oracle_evaluates_the_datum_in_rounds(heat_data, monkeypatch):
     """On the verify grid the datum transform evaluates the datum once per
     round of bisection over all open intervals, not once per node."""

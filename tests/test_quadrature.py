@@ -98,7 +98,7 @@ def test_segment_nodes_reproduce_oscillatory_integral():
 def test_infinite_ray_with_decay_model():
     """int_0^inf exp(-r) dr via an ExpDecay-truncated ray equals 1."""
     seg = PathSegment.ray(0.0, 0.0, 0.0, math.inf)
-    lam, w = segment_nodes(seg, PARAMS, decay=ExpDecay.linear(1.0, 0.0))
+    lam, w = segment_nodes(seg, PARAMS, decay=ExpDecay.linear(1.0, 0.0, 0.0))
     assert abs(np.sum(w * np.exp(-lam)) - 1.0) < 1e-10
 
 
@@ -116,19 +116,19 @@ def test_component_nodes_split_and_apply_phase():
     assert not PathSegment.ray(-1j, 0.0, 0.0, 1.0).on_real_axis
 
     osc = lambda seg: (lambda u: 3.0)
-    decay = lambda seg: ExpDecay.linear(1.0, seg.r0)
+    # |exp(i lam)| <= 1 on the upper half plane
+    decay = lambda seg: ExpDecay.linear(1.0, seg.r0, 0.0)
     for segs in ([axis], [arc, axis, upper]):
         with pytest.raises(TailBoundUnavailable):
             component_nodes(segs, PARAMS, osc, decay)
     nodes = component_nodes([arc, upper], PARAMS, osc, decay)
     lam, w = nodes
-    panels = nodes.panels
     lam_arc, w_arc = segment_nodes(arc, PARAMS, osc=osc(arc))
     lam_up, w_up = segment_nodes(upper, PARAMS, osc=osc(upper),
                                  decay=decay(upper))
     np.testing.assert_array_equal(lam, np.concatenate([lam_arc, lam_up]))
     np.testing.assert_array_equal(w, np.concatenate([w_arc, w_up]))
-    assert panels.center.size * panels.order == lam.size
+    assert nodes.center.size * quadrature._ORDER == lam.size
     # the arc from 2 to 2i, then up the imaginary axis: the integral of
     # exp(i lam) from 2 to i infinity
     assert abs(np.sum(w * np.exp(1j * lam)) + np.exp(2j) / 1j) < 1e-10
@@ -136,9 +136,9 @@ def test_component_nodes_split_and_apply_phase():
     xs = np.array([0.5, 1.0, 2.0])
     wf = w * np.exp(-lam ** 2 / 50.0)
     loop = np.array([np.sum(wf * np.exp(1j * lam * x)) for x in xs])
-    np.testing.assert_allclose(apply_phase(xs, panels, wf), loop, rtol=1e-12)
+    np.testing.assert_allclose(apply_phase(xs, nodes, wf), loop, rtol=1e-12)
     cols = np.stack([wf, 2.0 * wf], axis=1)
-    np.testing.assert_allclose(apply_phase(xs, panels, cols),
+    np.testing.assert_allclose(apply_phase(xs, nodes, cols),
                                np.stack([loop, 2.0 * loop], axis=1), rtol=1e-12)
 
 
@@ -149,18 +149,19 @@ def test_ray_cut_at_its_start_has_no_nodes():
     seg = PathSegment.ray(1.0, math.pi / 3, 0.0, math.inf)
     below = ExpDecay.linear(1.0, 0.0, log_scale=math.log(1e-30))
     lam, w = nodes = segment_nodes(seg, PARAMS, decay=below)
-    assert lam.size == w.size == nodes.panels.center.size == 0
+    assert lam.size == w.size == nodes.center.size == 0
     xs = np.array([0.5, 1.0])
-    np.testing.assert_array_equal(apply_phase(xs, nodes.panels, w), 0.0)
+    np.testing.assert_array_equal(apply_phase(xs, nodes, w), 0.0)
     arc = PathSegment.arc(0.0, 1.0, 0.0, math.pi / 3)
     both = component_nodes([arc, seg], PARAMS, lambda s: (lambda u: 1.0),
                            lambda s: below)
     np.testing.assert_array_equal(both[0], segment_nodes(arc, PARAMS)[0])
 
 
-def _unladdered_panels(lo, hi, rate, order, density):
+def _unladdered_panels(lo, hi, rate):
     """The panel rule without the width ladder: each width from the rate at
     its start, shrunk to the rate at its far end when that is larger."""
+    order, density = quadrature._ORDER, quadrature._DENSITY
     floor = 2.0 * math.pi * order / (density * (hi - lo))
     panels, u = [], lo
     while u < hi - 1e-14 * max(1.0, abs(hi)):
@@ -194,16 +195,15 @@ def test_panels_resolve_the_rate_at_both_ends(name):
     j (the cut last panel aside), in runs of equal panels; a constant or
     falling rate gives the unladdered panels bit for bit."""
     rate = _RATES[name]
-    order, density, lo, hi = PARAMS.max_order, PARAMS.density, 0.0, 40.0
-    panels, widths = quadrature._build_panels(lo, hi, rate, order, density,
-                                              max_panels=10_000)
-    cap = 2.0 * math.pi * order / density
+    lo, hi = 0.0, 40.0
+    panels, widths = quadrature._build_panels(lo, hi, rate)
+    cap = 2.0 * math.pi * quadrature._ORDER / quadrature._DENSITY
     for a, b in panels:
         assert (b - a) * max(rate(a), rate(b)) <= cap * (1.0 + 1e-12), (a, b)
     assert panels[0][0] == lo and panels[-1][1] == hi
     assert all(p[1] == q[0] for p, q in zip(panels, panels[1:]))
     if name in ("constant", "pole"):
-        assert panels == _unladdered_panels(lo, hi, rate, order, density)
+        assert panels == _unladdered_panels(lo, hi, rate)
     grows = [width for (a, b), width in zip(panels[:-1], widths[:-1])
              if rate(b) > rate(a)]
     for width in grows:
@@ -225,10 +225,8 @@ def test_growing_rate_panels_are_as_wide_as_their_far_end_allows(lo, hi,
     whose far end admits it, w rate(a + w) <= 2 pi order / density; the
     rate several-fold larger at the end of the segment does not size the
     first panels."""
-    order, density = PARAMS.max_order, PARAMS.density
-    cap = 2.0 * math.pi * order / density
-    panels, widths = quadrature._build_panels(lo, hi, rate, order, density,
-                                              max_panels=10_000)
+    cap = 2.0 * math.pi * quadrature._ORDER / quadrature._DENSITY
+    panels, widths = quadrature._build_panels(lo, hi, rate)
     assert len(panels) >= 4
     assert all(a >= b for a, b in zip(widths, widths[1:]))
     for (a, _), width in zip(panels[:-1], widths[:-1]):
@@ -261,16 +259,15 @@ def test_factored_apply_equals_dense_product():
     tail = PathSegment.ray(1.5j, 2.2, 0.5, math.inf, orientation=-1)
     growing = lambda u: 2.0 + 0.9 * (1.0 + u) ** 2
     osc = lambda seg: (lambda u: 4.0) if seg.finite else growing
-    decay = lambda seg: ExpDecay([(0.05, 3.0)], seg.r0)
+    decay = lambda seg: ExpDecay([(0.05, 3.0)], seg.r0, 0.0)
     nodes = component_nodes([arc, finite, tail], PARAMS, osc, decay)
     lam, w = nodes
-    panels = nodes.panels
-    ray = segment_nodes(tail, PARAMS, osc=growing, decay=decay(tail)).panels
+    ray = segment_nodes(tail, PARAMS, osc=growing, decay=decay(tail))
     assert ray.offset.shape[0] >= 4
     assert np.bincount(ray.group).max() >= 2
     # the truncation radius cuts the last panel short: a group of its own
     assert np.sum(ray.group == ray.group[-1]) == 1
-    points = panels.center[:, None] + panels.offset[panels.group]
+    points = nodes.center[:, None] + nodes.offset[nodes.group]
     np.testing.assert_allclose(points.ravel(), lam, rtol=0, atol=1e-13)
 
     xs = np.linspace(0.05, 1.5, 7)
@@ -281,7 +278,7 @@ def test_factored_apply_equals_dense_product():
         terms = np.exp(1j * np.multiply.outer(xs, lam))
         dense = terms @ weights
         scale = np.abs(terms) @ np.abs(weights)
-        got = apply_phase(xs, panels, weights)
+        got = apply_phase(xs, nodes, weights)
         assert got.shape == dense.shape
         assert (np.abs(got - dense) <= 1e-13 * scale).all()
 
@@ -304,7 +301,7 @@ def test_infinite_ray_nodes_need_decay():
 
 def test_exp_decay_radius_linear():
     """For a pure linear envelope the truncation radius is analytic."""
-    dec = ExpDecay.linear(2.0, 1.0)
+    dec = ExpDecay.linear(2.0, 1.0, 0.0)
     target = math.log(1e-12)
     want = 1.0 - target / 2.0
     assert dec.radius(target) == pytest.approx(want, rel=1e-9)
@@ -323,7 +320,7 @@ def test_exp_decay_radius_general_property():
 
 def test_exp_decay_requires_positive_dominant_term():
     with pytest.raises(ValueError):
-        ExpDecay([(1.0, 1.0), (-0.2, 2.0)], r0=0.0)
+        ExpDecay([(1.0, 1.0), (-0.2, 2.0)], r0=0.0, log_scale=0.0)
 
 
 def test_ray_monomial_tail_against_mpmath_quad():

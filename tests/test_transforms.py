@@ -113,18 +113,21 @@ def _dense_fhat(st, mu):
 @pytest.mark.parametrize("name, order", [
     ("reverse-lkdv", None), ("robin-4", None), ("heat-neumann", None),
     ("robin-4", 7)], ids=["reverse-lkdv", "robin-4", "heat-neumann", "robin-4-order7"])
-def test_support_transform_matches_dense_oracle(get_datum, catalog, name, order):
+def test_support_transform_matches_dense_oracle(get_datum, catalog, name,
+                                                order, monkeypatch):
     """The phase-factored transform equals the dense exp @ (w g) of the same
     quadrature rule to rounding: |fast - dense| <= 16 eps (1 + |mu| L)
     sum_j |exp(-i mu x_j) w_j g(x_j)|, for levels 0..8, the datum and its
-    n-th derivative, real mu and mu with |Im mu| <= 3, at the default Gauss
-    order and at an odd one, whose middle node has phase factor 1."""
+    n-th derivative, real mu and mu with |Im mu| <= 3, at the quadrature's
+    Gauss order and, patched in, at an odd one, whose middle node has
+    phase factor 1."""
     datum = get_datum(name)
     eps = np.finfo(float).eps
-    params = QuadratureParams() if order is None else QuadratureParams(max_order=order)
+    if order is not None:
+        monkeypatch.setattr(transforms, "_ORDER", order)
     for deriv in (0, catalog[name].order):
         g = datum.value if deriv == 0 else datum.derivative_function(deriv)
-        st = SupportTransform(g, datum.support, params,
+        st = SupportTransform(g, datum.support,
                               base_rate=datum.bandwidth * (1.0 + deriv))
         for level in range(9):
             top = 0.99 * st.base * 2.0 ** level
@@ -147,7 +150,7 @@ def test_support_transform_exponentials_per_mu(catalog, monkeypatch):
     per node offset of a fold took 87 + 72 = 159."""
     problem = catalog["robin-4"]
     datum = make_datum(problem, problem.datum_kernel, seed=41)
-    st = SupportTransform(datum.value, datum.support, QuadratureParams(),
+    st = SupportTransform(datum.value, datum.support,
                           base_rate=datum.bandwidth)
     exp = np.exp
     counted = []
@@ -157,7 +160,7 @@ def test_support_transform_exponentials_per_mu(catalog, monkeypatch):
             counted.append(np.size(z))
         return exp(z, *args, **kwargs)
 
-    gauss_half = -(-st.order // 2)
+    gauss_half = -(-quadrature._ORDER // 2)
     for level in range(9):
         top = 0.99 * st.base * 2.0 ** level
         mu = np.linspace(-top, top, 200) + 0.5j
@@ -211,7 +214,8 @@ def test_stacked_forward_batch_stays_within_chunk_budget(catalog):
 def test_support_transform_refuses_mu_past_top_level(get_datum):
     """|mu| beyond base * 2**16 raises instead of under-resolving."""
     datum = get_datum("heat-dirichlet")
-    st = SupportTransform(datum.value, datum.support, QuadratureParams())
+    st = SupportTransform(datum.value, datum.support,
+                          base_rate=datum.bandwidth)
     assert st._level_for(st.base * 2.0 ** 16) == 16
     with pytest.raises(ToleranceNotMet, match="top resolution level 16"):
         st._level_for(st.base * 2.0 ** 16 * 1.01)
@@ -222,7 +226,7 @@ def test_support_transform_refuses_mu_past_top_level(get_datum):
 def test_support_transform_refuses_complex_integrand():
     """The real matrix product needs real weights: a complex-valued g
     raises instead of losing its imaginary part."""
-    st = SupportTransform(lambda x: (1.0 + 1.0j) * x, 1.0, QuadratureParams())
+    st = SupportTransform(lambda x: (1.0 + 1.0j) * x, 1.0, base_rate=0.0)
     with pytest.raises(TypeError, match="real-valued"):
         st(np.array([1.0]))
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from halfline import util, verify
+from halfline.boundary import maximal_kernel
 from halfline.evolution import solve_grid
+from halfline.problems import HalfLineProblem
 
 
 @pytest.fixture
@@ -67,3 +69,15 @@ def test_solve_grid_maps_only_from_the_callers_thread(get_pair, get_datum,
                        xs, ts)
     assert np.isfinite(field.values).all()
     assert off_main == []
+
+
+def test_heat_robin_passes_without_an_oracle():
+    """Heat with a Robin condition, 2 q(0) + q_x(0) = 0, lies outside the
+    catalog: every check passes, and no sine or cosine oracle matches its
+    boundary form, so there is no heat-oracle line."""
+    B = np.array([[2.0, 1.0]])
+    problem = HalfLineProblem(2, 1.0, B, label="heat-robin",
+                              datum_kernel=maximal_kernel(B))
+    results = verify.verify_problem(problem)
+    assert verify.all_passed(results)
+    assert "heat-oracle" not in [r.name for r in results]
