@@ -21,7 +21,7 @@ from .errors import (CoeffsNotInKernel, ConfigError, HalflineError,
                      InadmissibleDispersion, RankDeficientBoundary,
                      ToleranceNotMet, WrongConditionCount)
 from .evolution import SolutionField, solve_grid
-from .oracles import (OracleResult, adaptive_reference, fd_residual,
+from .oracles import (OracleResult, fd_residual,
                       heat_dirichlet_solution, heat_neumann_solution,
                       stencil_coefficients)
 from .problems import HalfLineProblem, builtin_catalog, classify, validate
@@ -45,7 +45,7 @@ __all__ = [
     "InadmissibleDispersion", "RankDeficientBoundary", "ToleranceNotMet",
     "WrongConditionCount",
     "SolutionField", "solve_grid",
-    "OracleResult", "adaptive_reference", "fd_residual",
+    "OracleResult", "fd_residual",
     "heat_dirichlet_solution", "heat_neumann_solution",
     "stencil_coefficients",
     "HalfLineProblem", "builtin_catalog", "classify", "validate",

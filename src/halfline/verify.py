@@ -5,8 +5,8 @@ pair inverts, the sector integrals vanish at t = 0, the transform remainder
 is a boundary polynomial with k-independent magnitudes, the augmented
 eigenfunction families have the advertised type-I/type-II behaviour, the
 evolution field satisfies the PDE, the boundary forms and the initial
-condition, and (for the heat problems) the field matches the classical
-sine/cosine transform solutions.
+condition, and (for order-2 problems with a Dirichlet or Neumann
+condition) the field matches the method-of-images solution.
 """
 
 from __future__ import annotations
@@ -112,8 +112,9 @@ def extrapolated_boundary_values(q_grid, problem, ts, h: float) -> np.ndarray:
 
 
 def _heat_oracle(problem):
-    """Sine/cosine oracle matching the problem's boundary form, if any."""
-    if problem.order != 2 or abs(problem.a - 1.0) > 0.0:
+    """Images oracle matching an order-2 problem's boundary form, if any:
+    Dirichlet and Neumann have one, Robin has none."""
+    if problem.order != 2:
         return None
     row = problem.boundary_matrix[0]  # validated: order 2 has one form
     row = row / np.abs(row).max()
@@ -232,13 +233,13 @@ def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
     report("cofactor-identity", resid < _TOL_COFACTOR,
            resid, _TOL_COFACTOR, "20 random lambda")
 
-    # classical heat baselines where a sine/cosine oracle applies
+    # method-of-images baselines where the boundary form has one
     oracle = _heat_oracle(problem)
     if oracle is not None:
         xs = np.array([0.5, 1.0, 1.5])
         ts = np.array([0.01, 0.1, 1.0])
         field = solve_grid(pair, datum, xs, ts)
-        ref = oracle(datum, xs, ts)
+        ref = oracle(datum, xs, ts, a=problem.a)
         diff = float(np.abs(field.values - ref.value).max())
         report("heat-oracle", diff < _TOL_ORACLE, diff, _TOL_ORACLE,
                oracle.__name__)

@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures and the tests' adaptive Simpson reference.
 
 Transform pairs are costly to build and cache transform evaluations per
 datum, so tests share one pair and one maximal-kernel datum per catalog
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from halfline.datum import make_datum
+from halfline.oracles import OracleResult
 from halfline.problems import builtin_catalog
 from halfline.transforms import TransformPair
 from halfline.util import _openblas
@@ -71,3 +72,59 @@ def get_datum(catalog):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(2024)
+
+
+# -- adaptive Simpson reference ------------------------------------------
+
+def _simpson(fa, fm, fb, h: complex) -> complex:
+    return h * (fa + 4.0 * fm + fb) / 6.0
+
+
+def _adapt(f, a: complex, b: complex, fa, fm, fb, whole: complex,
+           tol: float, depth: int, log) -> tuple[complex, float]:
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    if log is not None:
+        log.extend((lm, rm))
+    left = _simpson(fa, flm, fm, m - a)
+    right = _simpson(fm, frm, fb, b - m)
+    diff = left + right - whole
+    if depth <= 0 or abs(diff) <= 15.0 * tol:
+        return left + right + diff / 15.0, abs(diff) / 15.0
+    lv, le = _adapt(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1, log)
+    rv, re = _adapt(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1, log)
+    return lv + rv, le + re
+
+
+def adaptive_reference(f, path, *, tol: float = 1e-12, max_depth: int = 48,
+                       node_log: list | None = None) -> OracleResult:
+    """Adaptive Simpson integral of ``f`` along straight segments in C.
+
+    ``path`` is either a pair (z0, z1) or a sequence of waypoints; the
+    integral is taken along the polyline.  ``node_log``, when given, collects
+    every interior evaluation point in order, so tests can confirm this rule
+    shares no node sequence with the production quadrature.
+    """
+    pts = [complex(z) for z in path]
+    if len(pts) < 2:
+        raise ValueError("path needs at least two points")
+    total = 0.0 + 0.0j
+    err = 0.0
+    evals = 0
+    for z0, z1 in zip(pts[:-1], pts[1:]):
+        m = 0.5 * (z0 + z1)
+        fa, fm, fb = f(z0), f(m), f(z1)
+        if node_log is not None:
+            node_log.extend((z0, m, z1))
+        whole = _simpson(fa, fm, fb, z1 - z0)
+        before = len(node_log) if node_log is not None else 0
+        val, e = _adapt(f, z0, z1, fa, fm, fb, whole,
+                        tol / max(1, len(pts) - 1), max_depth, node_log)
+        total += val
+        err += e
+        evals += 3 + ((len(node_log) - before) if node_log is not None else 0)
+    return OracleResult(value=total, est_error=err, method="adaptive_quad",
+                        meta={"segments": len(pts) - 1, "evals": evals})

@@ -58,7 +58,8 @@ def get_problem(get_pair, get_datum):
 
 
 def test_heat_dirichlet_matches_sine_oracle(get_pair, get_datum):
-    """Contour evolution equals the classical sine-transform solution."""
+    """Contour evolution equals the method-of-images solution with an
+    absorbing wall."""
     pair = get_pair("heat-dirichlet")
     datum = get_datum("heat-dirichlet")
     for x, t in ((0.5, 0.1), (1.0, 0.5)):
@@ -69,7 +70,8 @@ def test_heat_dirichlet_matches_sine_oracle(get_pair, get_datum):
 
 
 def test_heat_neumann_matches_cosine_oracle(get_pair, get_datum):
-    """Contour evolution equals the classical cosine-transform solution."""
+    """Contour evolution equals the method-of-images solution with a
+    reflecting wall."""
     pair = get_pair("heat-neumann")
     datum = get_datum("heat-neumann")
     for x, t in ((0.5, 0.1), (1.2, 0.3)):

@@ -1,12 +1,12 @@
-"""Independent reference rules: heat solutions, adaptive Simpson, stencils."""
+"""Independent reference rules: images sums, adaptive Simpson, stencils."""
 
+import functools
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from halfline import oracles, quadrature, transforms
@@ -14,28 +14,44 @@ from halfline.datum import InitialDatum, make_datum
 from halfline.errors import ToleranceNotMet
 from halfline.oracles import (
     OracleResult,
-    adaptive_reference,
     fd_residual,
     heat_dirichlet_solution,
     heat_neumann_solution,
     stencil_coefficients,
 )
 
+from conftest import adaptive_reference
 
-def _images_reference(datum, x: float, t: float, sign: float) -> float:
-    """Method-of-images heat solution: Gaussian kernel with a reflected
-    source, - for an absorbing wall (Dirichlet), + for a reflecting one."""
-    G = lambda z: mpmath.e ** (-z * z / (4 * t)) / mpmath.sqrt(4 * mpmath.pi * t)
-    f = lambda y: (G(x - y) + sign * G(x + y)) * datum.value(float(y))
+_XS = np.array([0.5, 1.0, 1.5])
+_TS = np.array([0.01, 0.1, 1.0])
+
+
+@functools.lru_cache(maxsize=None)
+def _datum_value(datum, y: float) -> float:
+    """f(y), shared by the references' calls: mpmath puts the same nodes
+    on the same pieces of the support at every (x, t)."""
+    return float(datum.value(y))
+
+
+def _images_reference(datum, x: float, t: float, sign: float,
+                      a: complex = 1.0) -> complex:
+    """Method-of-images solution of q_t = a q_xx at 25 digits: Gaussian
+    kernel with a reflected source, - for an absorbing wall (Dirichlet), +
+    for a reflecting one.  Four pieces of the support keep mpmath's rule
+    below 1e-16 where the kernel is narrow (t = 0.01); two left 6e-14."""
     with mpmath.workdps(25):
-        return float(mpmath.quad(f, [0.0, datum.support / 2, datum.support]))
+        four_at = 4 * mpmath.mpmathify(a) * t
+        G = lambda z: mpmath.exp(-z * z / four_at) / mpmath.sqrt(mpmath.pi * four_at)
+        f = lambda y: (G(x - y) + sign * G(x + y)) * _datum_value(datum, float(y))
+        return complex(mpmath.quad(f, mpmath.linspace(0, datum.support, 5)))
 
 
 def _nested_quad_reference(datum, x: float, t: float, kernel: str,
                            tol: float = 1e-10) -> float:
-    """The scalar form the grid oracle replaced: QUADPACK's oscillatory rule
-    for the outer integral over lam, each integrand value a QUADPACK
-    transform of a dense cubic spline of the datum."""
+    """The heat solution in its independent sine (Dirichlet) or cosine
+    (Neumann) transform form: QUADPACK's oscillatory rule for the outer
+    integral over lam, each integrand value a QUADPACK transform of a dense
+    cubic spline of the datum."""
     L = datum.support
     grid = np.linspace(0.0, L, 4097)
     spline = CubicSpline(grid, datum.value(grid))
@@ -54,7 +70,8 @@ def _nested_quad_reference(datum, x: float, t: float, kernel: str,
 
 @pytest.fixture(scope="module")
 def heat_data(catalog):
-    """(oracle, kernel, image sign, datum) for the sine and cosine forms."""
+    """(oracle, kernel, image sign, datum) for the Dirichlet and Neumann
+    forms."""
     pd, pn = catalog["heat-dirichlet"], catalog["heat-neumann"]
     return ((heat_dirichlet_solution, "sin", -1.0,
              make_datum(pd, pd.datum_kernel, seed=0)),
@@ -63,19 +80,34 @@ def heat_data(catalog):
 
 
 def test_heat_oracles_match_method_of_images(heat_data):
-    """Sine and cosine spectral oracles agree with the image construction,
-    also at the corners (1.5, 0.01) and (0.5, 1.0) of the verify grid."""
+    """On the verify grid's narrow-kernel row (t = 0.01) and at its far
+    corner (0.5, 1.0) both oracles lie within 1e-14 of the 25-digit images
+    sum, with error estimates below their 1e-12 target."""
     for oracle, kernel, sign, datum in heat_data:
-        for x, t in ((0.7, 0.05), (0.5, 0.2), (1.5, 0.01), (0.5, 1.0)):
-            got = oracle(datum, x, t)
-            want = _images_reference(datum, x, t, sign)
-            assert got.est_error < 1e-8
-            assert abs(got.value - want) < 1e-9, (kernel, x, t)
+        for t, xs in ((0.01, _XS), (1.0, _XS[:1])):
+            got = oracle(datum, xs, [t])
+            want = [_images_reference(datum, x, t, sign) for x in xs]
+            assert got.est_error < 1e-12
+            assert np.abs(got.value[0] - want).max() < 1e-14, (kernel, t)
+
+
+@pytest.mark.parametrize("form, a, x, t", [(0, np.exp(0.3j), 0.7, 0.05),
+                                           (1, 1j, 1.2, 0.3)],
+                         ids=["rotated-dirichlet", "schroedinger-neumann"])
+def test_images_oracles_take_complex_a(heat_data, form, a, x, t):
+    """Rotated heat (a = e^{0.3i}) and Schroedinger (a = i) agree with the
+    25-digit images sum; a with Re a < 0 is refused."""
+    oracle, _, sign, datum = heat_data[form]
+    got = oracle(datum, x, t, a=a)
+    assert got.est_error < 1e-12
+    assert abs(got.value - _images_reference(datum, x, t, sign, a)) < 1e-14
+    with pytest.raises(ValueError, match="Re a"):
+        oracle(datum, x, t, a=-1.0 + 1j)
 
 
 def test_heat_oracles_match_nested_quadpack_form(heat_data):
-    """One grid call agrees with the nested scalar QUADPACK form at two
-    (x, t) points per kernel."""
+    """One grid call agrees with the sine/cosine transform form, nested
+    scalar QUADPACK rules, at two (x, t) points per kernel."""
     xs, ts = np.array([0.7, 1.2]), np.array([0.05, 0.5])
     for oracle, kernel, _, datum in heat_data:
         got = oracle(datum, xs, ts).value
@@ -87,13 +119,11 @@ def test_heat_oracles_match_nested_quadpack_form(heat_data):
 def test_heat_oracle_grid_equals_scalar_calls(heat_data):
     """A grid call has shape (len(ts), len(xs)) and equals the scalar calls;
     scalar input gives a scalar OracleResult."""
-    xs = np.array([0.5, 1.0, 1.5])
-    ts = np.array([0.01, 0.1, 1.0])
     for oracle, kernel, _, datum in heat_data:
-        grid = oracle(datum, xs, ts)
+        grid = oracle(datum, _XS, _TS)
         assert grid.value.shape == (3, 3)
-        for i, t in enumerate(ts):
-            for j, x in enumerate(xs):
+        for i, t in enumerate(_TS):
+            for j, x in enumerate(_XS):
                 one = oracle(datum, float(x), float(t))
                 assert isinstance(one.value, complex)
                 assert one.meta["x"] == x and one.meta["t"] == t
@@ -101,100 +131,44 @@ def test_heat_oracle_grid_equals_scalar_calls(heat_data):
 
 
 def test_heat_oracle_time_zero_returns_datum(heat_data):
-    """At t = 0 the spectral integral runs to the fixed datum cutoff and
-    returns the datum itself (x = 0.3 keeps the rule at 6144 nodes)."""
+    """At t = 0 the oracle returns the datum itself, with no panel rule,
+    also as the first row of a grid."""
     for oracle, kernel, _, datum in heat_data:
-        res = oracle(datum, 0.3, 0.0, tol=1e-8)
-        assert res.meta["lambda_max"] == oracles._DATUM_LAMBDA_MAX
-        assert res.est_error < 1e-7
-        assert abs(res.value - datum.value(0.3)) < 1e-8, kernel
+        res = oracle(datum, 0.3, 0.0)
+        assert res.value == datum.value(0.3) and res.est_error == 0.0, kernel
+        assert res.meta["panels"] == 0
+        grid = oracle(datum, _XS, np.array([0.0, 0.1]))
+        np.testing.assert_array_equal(grid.value[0], datum.value(_XS))
+        np.testing.assert_array_equal(grid.value[1],
+                                      oracle(datum, _XS, [0.1]).value[0])
 
 
 def test_heat_oracle_unmet_tolerance_raises(heat_data, monkeypatch):
-    """Two spectral rules that still disagree at the panel cap raise
-    instead of returning a degraded value."""
+    """Two panel rules that still disagree at the panel cap raise instead
+    of returning a degraded value."""
     monkeypatch.setattr(oracles, "_MAX_PANELS", 2)
     for oracle, _, _, datum in heat_data:
-        with pytest.raises(ToleranceNotMet):
+        with pytest.raises(ToleranceNotMet, match="images sum at t=0.01"):
             oracle(datum, 1.5, 0.01)
 
 
 def test_heat_oracle_doubles_panels_until_two_rules_agree(heat_data,
                                                           monkeypatch):
-    """On the verify grid a coarse spectral rule (Gauss order 4 for 32)
-    doubles its panels until two rules agree (t = 0.01 from 8 to 128
-    panels) and gives the default rule's values within the two error
+    """On the verify grid each time starts from panels no wider than the
+    kernel and doubles them until two rules agree within 1e-12 (t = 0.01
+    from 8 to 32 panels, t = 1 from 1 to 32); a coarse rule (Gauss order 4 for 32) doubles
+    further and gives the default rule's values within the two error
     estimates."""
-    xs, ts = np.array([0.5, 1.0, 1.5]), np.array([0.01, 0.1, 1.0])
     for oracle, kernel, _, datum in heat_data:
-        ref = oracle(datum, xs, ts)
+        ref = oracle(datum, _XS, _TS)
+        assert ref.meta["panels"] == [32, 32, 32], kernel
         with monkeypatch.context() as m:
             m.setattr(oracles, "_PANEL_ORDER", 4)
-            coarse = oracle(datum, xs, ts)
+            coarse = oracle(datum, _XS, _TS)
         assert all(c > r for c, r in zip(coarse.meta["panels"],
                                           ref.meta["panels"])), kernel
         assert (np.abs(coarse.value - ref.value).max()
                 <= coarse.est_error + ref.est_error), kernel
-
-
-def test_heat_oracle_evaluates_the_datum_in_rounds(heat_data, monkeypatch):
-    """On the verify grid the datum transform evaluates the datum once per
-    round of bisection over all open intervals, not once per node."""
-    _, _, _, datum = heat_data[1]
-    calls = []
-    value = InitialDatum.value
-
-    def counted(self, x):
-        calls.append(np.size(x))
-        return value(self, x)
-
-    monkeypatch.setattr(InitialDatum, "value", counted)
-    heat_neumann_solution(datum, np.array([0.5, 1.0, 1.5]),
-                          np.array([0.01, 0.1, 1.0]))
-    assert 1 <= len(calls) <= 8, calls
-    assert all(n % 21 == 0 for n in calls)
-
-
-def test_datum_transform_matches_quad_vec(heat_data):
-    """The batched G10/K21 rounds agree with scipy's quad_vec over the same
-    starting pieces within the sum of the two error estimates."""
-    lam = oracles._panel_rule(64.0, 8)[0]
-    tol = 1e-12
-    for _, kernel, _, datum in heat_data:
-        F, err = oracles._datum_transform(datum, lam, kernel, tol)
-        assert err <= tol
-        trig = np.sin if kernel == "sin" else np.cos
-        L = datum.support
-        pieces = math.ceil(float(lam.max()) * L / 8.0)
-        want, want_err = quad_vec(
-            lambda y: trig(lam * y) * datum.value(y), 0.0, L, epsabs=tol,
-            epsrel=0.0, norm="max",
-            points=np.linspace(0.0, L, pieces + 1)[1:-1])
-        assert np.abs(F - want).max() <= err + want_err, kernel
-
-
-def test_heat_oracle_memory_is_bounded(heat_data):
-    """At t = 0 the integrand spans 6144 lam x 7875 nodes (387 MB as one
-    float64 array); evaluated in blocks of ``_CHUNK_BUDGET`` entries, the
-    traced peak stays within four blocks' bytes."""
-    _, _, _, datum = heat_data[1]
-    bound = 4 * 8 * oracles._CHUNK_BUDGET
-    tracemalloc.start()
-    try:
-        heat_neumann_solution(datum, 0.3, 0.0, tol=1e-8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, (peak, bound)
-
-
-def test_datum_transform_subinterval_cap_raises(heat_data, monkeypatch):
-    """A datum transform that needs more subintervals than the cap raises
-    instead of returning a degraded value."""
-    monkeypatch.setattr(oracles, "_MAX_SUBINTERVALS", 1)
-    for oracle, _, _, datum in heat_data:
-        with pytest.raises(ToleranceNotMet, match="transform of the datum"):
-            oracle(datum, 1.5, 0.01)
 
 
 def test_heat_oracles_are_independent_of_the_pipeline(heat_data, monkeypatch):
@@ -214,8 +188,8 @@ def test_heat_oracles_are_independent_of_the_pipeline(heat_data, monkeypatch):
 
 
 def test_heat_oracles_reject_incompatible_data():
-    """The sine form needs f(0) = 0, the cosine form f'(0) = 0, and both
-    need t >= 0."""
+    """The Dirichlet form needs f(0) = 0, the Neumann form f'(0) = 0, and
+    both need t >= 0."""
     flat = InitialDatum((1.0, 0.5), seed=None)
     with pytest.raises(ValueError):
         heat_dirichlet_solution(flat, 0.5, 0.1)  # f(0) = 1

@@ -15,12 +15,13 @@ from halfline import contours, quadrature, transforms
 from halfline.datum import make_datum
 from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.evolution import solve_grid
-from halfline.oracles import adaptive_reference
 from halfline.problems import HalfLineProblem, validate
 from halfline.quadrature import QuadratureParams, ray_monomial_tail
 from halfline.spectral import check_type_II
 from halfline.transforms import SupportTransform, TransformPair
 from halfline.verify import all_passed, verify_problem
+
+from conftest import adaptive_reference
 
 
 def _random_lams(rng, count, rmin=0.5, rmax=3.0):

@@ -1,5 +1,6 @@
 """The evaluation plan of verify_problem."""
 
+import dataclasses
 import sys
 import threading
 
@@ -10,6 +11,7 @@ from halfline import util, verify
 from halfline.boundary import maximal_kernel
 from halfline.evolution import solve_grid
 from halfline.problems import HalfLineProblem
+from halfline.transforms import TransformPair
 
 
 @pytest.fixture
@@ -81,3 +83,31 @@ def test_heat_robin_passes_without_an_oracle():
     results = verify.verify_problem(problem)
     assert verify.all_passed(results)
     assert "heat-oracle" not in [r.name for r in results]
+
+
+@pytest.mark.parametrize("B", [[[1.0, 0.0]], [[0.0, 1.0]]],
+                         ids=["dirichlet", "neumann"])
+def test_rotated_heat_passes_with_an_images_oracle(B):
+    """Rotated heat, a = e^{0.3i}, lies outside the catalog: every check
+    passes, the heat-oracle line among them, against the images sum of its
+    own a."""
+    B = np.array(B)
+    problem = HalfLineProblem(2, np.exp(0.3j), B, label="rotated-heat",
+                              datum_kernel=maximal_kernel(B))
+    results = verify.verify_problem(problem)
+    assert verify.all_passed(results)
+    assert "heat-oracle" in [r.name for r in results]
+
+
+def test_heat_oracle_fails_a_solver_with_a_rotated(catalog, monkeypatch):
+    """A solver built from heat-dirichlet with a rotated by 1e-3 rad,
+    checked against the true problem's a = 1 images sum on the verify grid,
+    FAILs heat-oracle: the fields differ by about 6.7e-5."""
+    true = catalog["heat-dirichlet"]
+    mutant = dataclasses.replace(true, a=np.exp(1e-3j))
+    monkeypatch.setattr(verify, "TransformPair",
+                        lambda problem, params=None: TransformPair(mutant, params))
+    results = verify.verify_problem(true)
+    oracle = next(r for r in results if r.name == "heat-oracle")
+    assert not oracle.passed
+    assert oracle.value > 10.0 * verify._TOL_ORACLE
