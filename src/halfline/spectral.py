@@ -4,23 +4,22 @@ Three families of checks:
 
 * remainder extraction: F_k[Sf] - lam^n F_k[f] is a polynomial in lam of
   degree < n whose coefficients come from the complementary boundary forms;
-  the fit is compared against that closed form, exactly for k = 0 and in
-  magnitude for the sector transforms (whose sign pattern depends on the
-  branch ordering);
+  the fit of every transform, k = 0 and the sectors alike, is compared
+  against that closed form as complex coefficients;
 * diagonalization defects: integrating exp(i lam x) times the remainder
   over a component tests whether the family diagonalizes the spatial
   operator directly (type I, remainder integral vanishes) or only after
   division by lam^n (type II).  Components with a ray on the real axis
   carry a polynomially growing oscillatory integrand there, so the type I
-  integral diverges; the check detects that by a truncation scan and
-  expects it of exactly those components; the scan runs on the contours
-  of ``build_contours``, the real-axis rays included.  The type II integral
-  is computed on every component, the real line included: there the
-  integrand is a sum of monomials lam^(-p), integrated around the
-  indentation above their pole and, beyond it, on vertical rays where
-  exp(i lam x) decays; on a sector component it decays in the sector, so
-  the t = 0 system of :func:`halfline.contours.turn_axis_rays`, with its
-  real-axis rays turned into their sector, keeps the integral;
+  integral diverges unless the remainder vanishes; a truncation scan
+  detects that, on the contours of ``build_contours`` with their
+  real-axis rays.  The type II integral is computed on every component,
+  the real line included: there the integrand is a sum of monomials
+  lam^(-p), integrated around the indentation above their pole and,
+  beyond it, on vertical rays where exp(i lam x) decays; on a sector
+  component it decays in the sector, so the t = 0 system of
+  :func:`halfline.contours.turn_axis_rays`, with its real-axis rays turned
+  into their sector, keeps the integral;
 * representation identity: inverting lam^(-n) F_k[Sf] over the components,
   with the real-line contour genuinely indented above the origin, must
   reproduce f.
@@ -105,9 +104,9 @@ def remainder_closed_form(pair, datum) -> np.ndarray:
 class RemainderReport:
     """Fitted remainder coefficients against the closed form.
 
-    ``devs[k]`` is the deviation of component k relative to the closed
-    form's scale: of the coefficients for k = 0, of their magnitudes for
-    k >= 1.  ``passed`` holds when every deviation is at most ``tol``.
+    ``devs[k]`` is the largest deviation of component k's complex
+    coefficients from the closed form, relative to the closed form's
+    scale.  ``passed`` holds when every deviation is at most ``tol``.
     """
 
     coeffs: np.ndarray
@@ -118,15 +117,13 @@ class RemainderReport:
 
 
 def remainder_report(pair, datum, *, tol: float = 1e-8) -> RemainderReport:
-    """Fit the remainder for every component and compare with the closed
-    form: equality at k = 0, coefficient magnitudes for the sectors."""
+    """Fit the remainder for every component and compare its complex
+    coefficients with the closed form."""
     closed = remainder_closed_form(pair, datum)
     scale = max(float(np.abs(closed).max()), 1e-6)
     coeffs = np.array([remainder_polynomial(pair, datum, k)
                        for k in range(pair.N + 1)])
-    devs = (float(np.abs(coeffs[0] - closed).max()) / scale,) + tuple(
-        float(np.abs(np.abs(coeffs[k]) - np.abs(closed)).max()) / scale
-        for k in range(1, pair.N + 1))
+    devs = tuple(float(np.abs(c - closed).max()) / scale for c in coeffs)
     return RemainderReport(coeffs=coeffs, closed_form=closed, devs=devs,
                            tol=tol, passed=bool(max(devs) <= tol))
 
@@ -200,11 +197,12 @@ class TypeIReport:
     """Type-I verdict for component k.
 
     ``expected`` (the integral converges) holds exactly when no ray of the
-    component lies on the real axis.  A component with such a ray is
-    scanned: ``scan`` holds the largest |integral| over xs at three
-    doubling truncation radii and ``drift`` the largest step between
-    them, which marks it ``divergent`` above 10 tol.  Otherwise ``values``
-    holds |integral| at each x, ``scan`` is empty and ``drift`` is 0.
+    component lies on the real axis or the closed-form remainder is zero.
+    Otherwise ``scan`` holds the largest |integral| over xs at three
+    doubling truncation radii and ``drift`` the largest change of the
+    complex integral between them, which marks it ``divergent`` above
+    10 tol.  Else ``values`` holds |integral| at each x, ``scan`` is empty
+    and ``drift`` is 0.
     """
 
     k: int
@@ -219,22 +217,25 @@ class TypeIReport:
 def check_type_I(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIReport:
     """Integral of exp(i lam x) times the remainder over component k.
 
-    Vanishes when both rays leave the real axis; with a ray on the axis the
-    polynomially growing oscillation diverges, which a truncation scan at
-    doubling radii detects."""
+    Vanishes when both rays leave the real axis or the remainder is zero;
+    otherwise, with a ray on the axis, the polynomially growing oscillation
+    diverges, which a truncation scan at doubling radii detects."""
     if not 1 <= k <= pair.N:
         raise ValueError(f"component index must be in 1..{pair.N}, got {k}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.min() <= 0.0:
         raise NonpositiveX("type I check requires x > 0")
-    beta = remainder_polynomial(pair, datum, k)
-    if any(seg.on_real_axis for seg in pair.contours.gammas[k - 1]):
+    closed = remainder_closed_form(pair, datum)
+    # a zero remainder's samples are rounding noise, which no fit matches
+    beta = remainder_polynomial(pair, datum, k) if closed.any() else closed
+    if closed.any() and any(seg.on_real_axis
+                            for seg in pair.contours.gammas[k - 1]):
         base = max(8.0 * pair.R, 40.0)
-        scan = tuple(
-            float(np.abs(_poly_component_integral(
-                pair, k, xs, beta, 0, truncate=base * 2.0 ** i)).max())
-            for i in range(3))
-        drift = max(abs(scan[1] - scan[0]), abs(scan[2] - scan[1]))
+        ints = [_poly_component_integral(pair, k, xs, beta, 0,
+                                         truncate=base * 2.0 ** i)
+                for i in range(3)]
+        scan = tuple(float(np.abs(v).max()) for v in ints)
+        drift = float(np.abs(np.diff(ints, axis=0)).max())
         divergent = bool(drift > 10.0 * tol)
         return TypeIReport(k=k, expected=False, divergent=divergent,
                            values=None, scan=scan, drift=drift,

@@ -19,9 +19,10 @@ verification suite checks directly.
 
 Numerical layout: the half-line Fourier transform is evaluated by cached
 composite Gauss panels over the support, resolution chosen per batch from
-max |mu|.  The panels of a level are equal and their midpoints equally
-spaced, m_p = m_0 + 2hp, so node k of panel qS + r is m_qS + 2hr + h x_k
-and its phase is a product of three small tables:
+max |mu|; the datum owns the cache (:meth:`InitialDatum.fhat`).  The
+panels of a level are equal and their midpoints equally spaced,
+m_p = m_0 + 2hp, so node k of panel qS + r is m_qS + 2hr + h x_k and its
+phase is a product of three small tables:
 exp(-i mu m_qS) exp(-i mu 2hr) exp(-i mu h x_k).  A batch then costs
 #mu (panels / S + S + ceil(order / 2)) complex exponentials, with S near
 sqrt(panels / 4), and #mu S order multiplies for the outer product of the
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -72,10 +72,6 @@ __all__ = ["SupportTransform", "TransformPair"]
 _CHUNK_BUDGET = 120_000
 # highest resolution level: |mu| up to base * 2**_MAX_LEVEL is resolved
 _MAX_LEVEL = 16
-# (datum, derivative) transforms a TransformPair keeps, least recently used
-# evicted first; a verify_problem uses up to eight (four data, derivatives
-# 0 and n)
-_HATS_MAX = 32
 
 
 class SupportTransform:
@@ -223,32 +219,6 @@ class TransformPair:
         self.contours = build_contours(problem, self.R)
         self.params = params or QuadratureParams()
         self.alpha = np.exp(2j * np.pi / self.n)
-        self._hats: OrderedDict[tuple, SupportTransform] = OrderedDict()
-        self._hats_lock = threading.Lock()
-
-    # -- half-line Fourier transform --------------------------------------
-    def fhat(self, datum, mu, deriv: int = 0) -> np.ndarray:
-        # an entry holds the datum through its bound g, so a live key's
-        # id cannot be reused by another datum
-        key = (id(datum), deriv)
-        with self._hats_lock:
-            hat = self._hats.get(key)
-            if hat is None:
-                g = datum.value if deriv == 0 else datum.derivative_function(deriv)
-                # each derivative sharpens the integrand's endpoint behaviour,
-                # so the panel floor has to grow with the order to hold accuracy
-                rate = getattr(datum, "bandwidth", 0.0) * (1.0 + deriv)
-                hat = self._hats[key] = SupportTransform(
-                    g, datum.support, base_rate=rate)
-                if len(self._hats) > _HATS_MAX:
-                    self._hats.popitem(last=False)
-            else:
-                self._hats.move_to_end(key)
-        return hat(mu)
-
-    def fhat_applied(self, datum, mu) -> np.ndarray:
-        """Transform of (-i d/dx)^n f, the spatial operator applied to f."""
-        return (-1j) ** self.n * self.fhat(datum, mu, deriv=self.n)
 
     # -- kernels ----------------------------------------------------------
     def kernel_weights(self, k: int, lam):
@@ -277,13 +247,15 @@ class TransformPair:
     def forward(self, datum, k: int, lam, *, applied: bool = False) -> np.ndarray:
         """F_k[f](lam), or F_k[Sf](lam) with ``applied=True``."""
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        hat = self.fhat_applied if applied else (lambda d, mu: self.fhat(d, mu))
+        # Sf = (-i d/dx)^n f, the spatial operator applied to f
+        hat = ((lambda mu: (-1j) ** self.n * datum.fhat(mu, self.n))
+               if applied else datum.fhat)
         if k == 0:
-            return hat(datum, lam) / (2.0 * np.pi)
+            return hat(lam) / (2.0 * np.pi)
         mults, weights = self.kernel_weights(k, lam)
         # every argument alpha^(N+l-k) lam has the modulus of lam, so the
         # stacked call resolves at the level lam alone would
-        return (weights * hat(datum, mults * lam)).sum(axis=0)
+        return (weights * hat(mults * lam)).sum(axis=0)
 
     # -- real-line component ----------------------------------------------
     @property
@@ -379,7 +351,7 @@ class TransformPair:
         monomials = [(j + 1, c * (1j) ** (-(j + 1.0)) / (2 * np.pi))
                      for j, c in enumerate(coeffs) if c != 0.0]
         return self.real_line_component(
-            lambda lam: self.fhat(datum, lam) / (2 * np.pi), xs,
+            lambda lam: datum.fhat(lam) / (2 * np.pi), xs,
             float(xs.max()) + datum.support, monomials=monomials)
 
     # -- sector components --------------------------------------------------

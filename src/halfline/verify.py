@@ -2,7 +2,7 @@
 
 Each check mirrors one of the library's certified claims: the transform
 pair inverts, the sector integrals vanish at t = 0, the transform remainder
-is a boundary polynomial with k-independent magnitudes, the augmented
+of every component is the same boundary polynomial, the augmented
 eigenfunction families have the advertised type-I/type-II behaviour, the
 evolution field satisfies the PDE, the boundary forms and the initial
 condition, and (for order-2 problems with a Dirichlet or Neumann
@@ -156,7 +156,7 @@ def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
     report("sector-vanishing", vanish < _TOL_VANISH,
            vanish, _TOL_VANISH, "all k >= 1")
 
-    # transform remainder: degree bound under over-fitting, magnitude match
+    # transform remainder: degree bound under over-fitting, closed-form match
     datum = trio[0]
     rep = spectral.remainder_report(pair, datum, tol=_TOL_REMAINDER)
     excess = 0.0
@@ -169,7 +169,7 @@ def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
            excess, _TOL_OVERFIT,
            "excess coefficients, degree n+1 fit")
     report("remainder-magnitude", rep.passed, max(rep.devs),
-           _TOL_REMAINDER, "k = 0 exact, k >= 1 magnitudes")
+           _TOL_REMAINDER, "every k as complex coefficients")
 
     # augmented eigenfunction claims
     xs3 = np.array([0.3, 0.7, 1.2])

@@ -269,20 +269,21 @@ def test_spectral_check_smoke(capsys, get_pair, get_datum):
     assert [float(r[3]) for r in data if r[2] == "remainder"] == list(rep.devs)
 
 
-def test_spectral_check_reports_a_scanned_component_that_converges(
+def test_spectral_check_reports_a_scanned_component_that_diverges(
         capsys, tmp_path):
-    """A component with a real-axis ray is scanned even when its scan does
-    not drift (Schroedinger, Dirichlet: the remainder is a constant): the
-    CLI prints the drift as the component's one type-I row."""
+    """Schroedinger, Dirichlet: the remainder is a constant, whose integral
+    along the real-axis ray keeps turning with the truncation radius while
+    its modulus stays put.  The scan of the complex integral reads that
+    drift, and the CLI prints it as the component's one type-I row."""
     cfg = tmp_path / "schroedinger.cfg"
     cfg.write_text("order = 2\na = 0,1\nbc = 1,0\ndatum.kernel = 0,1\n",
                    encoding="utf-8")
-    assert run(["spectral-check", "--problem", str(cfg)]) in (0, 1)
+    assert run(["spectral-check", "--problem", str(cfg)]) == 0
     rows = [r for r in _csv_rows(capsys.readouterr().out, 5) if r[2] == "I"]
     assert len(rows) == 1
     k, x, _, drift, verdict = rows[0]
-    assert (k, x) == ("1", "") and float(drift) >= 0.0
-    assert verdict in ("CONVERGENT", "DIVERGENT")
+    assert (k, x) == ("1", "") and float(drift) >= 0.1
+    assert verdict == "DIVERGENT"
 
 
 def test_verify_smoke(capsys):

@@ -50,6 +50,26 @@ def test_remainder_closed_form_on_real_line(get_pair, get_datum):
         assert max(report.devs) < 1e-8
 
 
+@pytest.mark.parametrize("name", ["robin-4", "lkdv-dirichlet"])
+def test_remainder_report_catches_a_flipped_sector_sign(get_pair, get_datum,
+                                                        monkeypatch, name):
+    """Negating the k = 1 kernel weights negates F_1 and its remainder: the
+    coefficient magnitudes stay, but the complex comparison reads twice
+    the closed form's scale."""
+    pair = get_pair(name)
+    weights = pair.kernel_weights
+
+    def flipped(k, lam):
+        mults, w = weights(k, lam)
+        return mults, (-w if k == 1 else w)
+
+    monkeypatch.setattr(pair, "kernel_weights", flipped)
+    report = remainder_report(pair, get_datum(name))
+    assert not report.passed
+    assert report.devs[1] == pytest.approx(2.0, rel=1e-6)
+    assert max(report.devs[:1] + report.devs[2:]) < 1e-8
+
+
 def test_reverse_problem_remainder_is_constant(get_pair, get_datum):
     """With f(0) = f'(0) = 0 and f''(0) = 1, the remainder reduces to the
     single constant of magnitude |f''(0)| / 2 pi."""
@@ -83,19 +103,19 @@ def test_underfitting_the_remainder_raises(get_pair, get_datum):
         remainder_polynomial(pair, datum, 0, degree=0)
 
 
-def test_sine_combination_is_degenerate_for_dirichlet(get_pair, get_datum):
+def test_sine_combination_is_degenerate_for_dirichlet(get_datum):
     """With f(0) = 0 the odd (sine) combination of the order-2 transform
     turns the applied operator into exact multiplication by lam^2: the
     f'(0) boundary term cancels between +lam and -lam, so the sine kernel
     is a genuine generalized eigenfunction with zero remainder.  The even
     (cosine) combination keeps the boundary term, exposing f'(0)."""
-    pair = get_pair("heat-dirichlet")
     datum = get_datum("heat-dirichlet")
     lam = np.linspace(0.37, 9.1, 7)
-    plus = pair.fhat(datum, lam)
-    minus = pair.fhat(datum, -lam)
-    ap = pair.fhat_applied(datum, lam)
-    am = pair.fhat_applied(datum, -lam)
+    plus = datum.fhat(lam)
+    minus = datum.fhat(-lam)
+    # transforms of Sf = (-i d/dx)^2 f
+    ap = (-1j) ** 2 * datum.fhat(lam, 2)
+    am = (-1j) ** 2 * datum.fhat(-lam, 2)
 
     sine = (minus - plus) / 2j
     sine_applied = (am - ap) / 2j
@@ -143,8 +163,22 @@ def test_type_I_divergent_components(get_pair, get_datum):
         assert rep.passed and rep.divergent and not rep.expected
         assert rep.values is None
         assert len(rep.scan) == 3
-        steps = np.abs(np.diff(rep.scan))
-        assert rep.drift == steps.max() > 10.0 * 1e-6
+        # the complex integral keeps turning with the truncation radius
+        # while its largest modulus barely moves
+        assert rep.drift >= 0.1
+        assert np.abs(np.diff(rep.scan)).max() <= rep.drift
+
+
+def test_type_I_zero_remainder_converges_on_real_axis_rays(get_pair, catalog):
+    """A pure-bump datum has no remainder, so even reverse-lkdv's
+    components with real-axis rays integrate it to zero: expected
+    convergent, not divergent, and passed."""
+    pair = get_pair("reverse-lkdv")
+    datum = make_datum(catalog["reverse-lkdv"], (), seed=0)
+    for k in (1, 2):
+        rep = check_type_I(pair, datum, k, XS)
+        assert rep.expected and not rep.divergent and rep.passed, k
+        assert rep.values.max() < 1e-6
 
 
 @pytest.mark.parametrize("n, want", [(4, (False, True)),

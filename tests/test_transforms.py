@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import gc
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from scipy import integrate
 
 from halfline import contours, quadrature, transforms
-from halfline.datum import make_datum
+from halfline.datum import InitialDatum, make_datum
 from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.evolution import solve_grid
 from halfline.problems import HalfLineProblem, validate
@@ -86,13 +88,12 @@ def test_zero_component_kernel(get_pair):
                                np.exp(-1j * lams * xs) / (2.0 * np.pi), atol=0)
 
 
-def test_fhat_matches_adaptive_reference(get_pair, get_datum):
+def test_fhat_matches_adaptive_reference(get_datum):
     """The cached support transform equals int_0^L e^{-i mu y} f(y) dy
     computed by the independent adaptive rule."""
-    pair = get_pair("heat-dirichlet")
     datum = get_datum("heat-dirichlet")
     for mu in (0.0, 3.7, -2.2 + 1.1j, 14.0 - 0.5j):
-        got = pair.fhat(datum, np.array([mu]))[0]
+        got = datum.fhat(np.array([mu]))[0]
         ref = adaptive_reference(
             lambda z: np.exp(-1j * mu * z) * datum.value(float(np.real(z))),
             [0.0, datum.support], tol=1e-13)
@@ -198,7 +199,7 @@ def test_stacked_forward_batch_stays_within_chunk_budget(catalog):
     k, lam = max(batches, key=lambda b: b[1].size)
     assert (k, lam.size) == (2, 6792)
     pair.forward(datum, k, lam)  # builds the level outside the trace
-    hat = pair._hats[(id(datum), 0)]
+    hat = datum._hats[0]
     mid, _, _, wg = hat._nodes(hat._level_for(float(np.abs(lam).max())))
     entries = 2 * lam.size * (mid.size + wg.shape[1])
     bound = 4 * transforms._CHUNK_BUDGET * 16
@@ -232,40 +233,23 @@ def test_support_transform_refuses_complex_integrand():
         st(np.array([1.0]))
 
 
-class _CountingDatum:
-    """Datum stand-in that counts evaluations of each derivative stream."""
+def test_transform_caches_evaluate_datum_once_under_threads(catalog, monkeypatch):
+    """Threads sharing one datum evaluate it once per (deriv, level): more
+    threads than cores, a short switch interval, and every thread asking
+    for the same levels in its own order.  A level is told apart by its
+    node count, which about doubles with the level."""
+    problem = catalog["heat-dirichlet"]
+    datum = make_datum(problem, problem.datum_kernel, seed=0)
+    calls = Counter()
+    lock = threading.Lock()
+    jet = InitialDatum.jet
 
-    def __init__(self, datum):
-        self.datum = datum
-        self.support = datum.support
-        self.bandwidth = datum.bandwidth
-        self.calls = Counter()
-        self._lock = threading.Lock()
+    def counting(self, x, order):
+        with lock:
+            calls[order, np.size(x)] += 1
+        return jet(self, x, order)
 
-    def _count(self, deriv, x):
-        with self._lock:
-            self.calls[deriv, np.size(x)] += 1
-
-    def value(self, x):
-        self._count(0, x)
-        return self.datum.value(x)
-
-    def derivative_function(self, k):
-        fk = self.datum.derivative_function(k)
-
-        def g(x):
-            self._count(k, x)
-            return fk(x)
-        return g
-
-
-def test_transform_caches_evaluate_datum_once_under_threads(catalog, get_datum):
-    """Threads sharing one TransformPair evaluate the datum once per
-    (deriv, level): more threads than cores, a short switch interval, and
-    every thread asking for the same levels in its own order.  A level is
-    told apart by its node count, which about doubles with the level."""
-    pair = TransformPair(catalog["heat-dirichlet"])
-    datum = _CountingDatum(get_datum("heat-dirichlet"))
+    monkeypatch.setattr(InitialDatum, "jet", counting)
     requests = [(deriv, 64.0 * 2.0 ** level)
                 for deriv in (0, 1, 2) for level in range(8)]
     errors = []
@@ -275,7 +259,7 @@ def test_transform_caches_evaluate_datum_once_under_threads(catalog, get_datum):
         try:
             for i in order:
                 deriv, mu = requests[i]
-                pair.fhat(datum, np.array([mu, -mu]), deriv=deriv)
+                datum.fhat(np.array([mu, -mu]), deriv=deriv)
         except Exception as exc:  # a dead worker must fail the test
             errors.append(exc)
 
@@ -292,54 +276,73 @@ def test_transform_caches_evaluate_datum_once_under_threads(catalog, get_datum):
     assert not any(t.is_alive() for t in threads)
     assert not errors
     for deriv in (0, 1, 2):
-        counts = [c for (d, _), c in datum.calls.items() if d == deriv]
+        counts = [c for (d, _), c in calls.items() if d == deriv]
         assert len(counts) >= 3
-        assert counts == [1] * len(counts), (deriv, datum.calls)
+        assert counts == [1] * len(counts), (deriv, calls)
 
 
-def test_transform_cache_is_a_bounded_lru(catalog):
-    """200 fresh data leave at most the bound in the cache; the least
-    recently used entry goes first."""
-    problem = catalog["heat-dirichlet"]
-    pair = TransformPair(problem)
-    mu = np.array([1.0, -2.0])
-    first = make_datum(problem, problem.datum_kernel, seed=0)
-    pair.fhat(first, mu)
-    fresh = []
-    for seed in range(1, 201):
-        fresh.append(make_datum(problem, problem.datum_kernel, seed=seed))
-        pair.fhat(fresh[-1], mu)
-        pair.fhat(first, mu)  # kept recent, so never evicted
-        assert len(pair._hats) <= transforms._HATS_MAX
-    assert len(pair._hats) == transforms._HATS_MAX
-    assert (id(first), 0) in pair._hats
-    assert (id(fresh[-1]), 0) in pair._hats
-    assert (id(fresh[0]), 0) not in pair._hats
+def _counting_constructions(monkeypatch) -> list:
+    """Patch SupportTransform so that every construction is recorded."""
+    built = []
+    init = SupportTransform.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SupportTransform, "__init__", counting)
+    return built
 
 
 def test_verify_problem_never_rebuilds_a_transform(catalog, monkeypatch):
-    """One verify_problem builds each (datum, derivative) transform once:
-    the bounded cache evicts nothing that the run asks for again."""
-    built = []
+    """One verify_problem builds each (datum, derivative) transform once."""
+    built = _counting_constructions(monkeypatch)
+    asked = []  # holds the data, so no id is reused during the run
+    fhat = InitialDatum.fhat
 
-    class Counting(SupportTransform):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
+    def recording(self, mu, deriv=0):
+        asked.append((self, deriv))
+        return fhat(self, mu, deriv)
 
-    keys = set()
-    fhat = TransformPair.fhat
-
-    def recording(self, datum, mu, deriv=0):
-        keys.add((id(datum), deriv))
-        return fhat(self, datum, mu, deriv)
-
-    monkeypatch.setattr(transforms, "SupportTransform", Counting)
-    monkeypatch.setattr(TransformPair, "fhat", recording)
+    monkeypatch.setattr(InitialDatum, "fhat", recording)
     results = verify_problem(catalog["heat-neumann"])
     assert all_passed(results)
-    assert len(keys) <= transforms._HATS_MAX
-    assert len(built) == len(keys)
+    assert len(built) == len({(id(d), deriv) for d, deriv in asked})
+
+
+def test_pairs_of_one_problem_share_a_datums_transforms(catalog, monkeypatch):
+    """A second TransformPair of the same problem reuses the transforms the
+    first one had the datum build, and returns the same values."""
+    problem = catalog["lkdv-dirichlet"]
+    datum = make_datum(problem, problem.datum_kernel, seed=5)
+    lam = np.array([1.7 + 0.3j, -0.8 + 0.9j, 6.0])
+    first = [TransformPair(problem).forward(datum, 1, lam, applied=applied)
+             for applied in (False, True)]
+    built = _counting_constructions(monkeypatch)
+    second = [TransformPair(problem).forward(datum, 1, lam, applied=applied)
+              for applied in (False, True)]
+    assert not built
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_datum_and_its_transforms_form_no_cycle(catalog):
+    """With the collector off, dropping the last reference to a datum whose
+    transforms are built frees it: neither a pair nor the datum's own
+    transforms keep it alive."""
+    problem = catalog["heat-dirichlet"]
+    pair = TransformPair(problem)
+    datum = make_datum(problem, problem.datum_kernel, seed=3)
+    for applied in (False, True):
+        pair.forward(datum, 1, np.array([1.0 + 0.5j, 4.0]), applied=applied)
+    assert set(datum._hats) == {0, problem.order}
+    ref = weakref.ref(datum)
+    gc.disable()
+    try:
+        del datum
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_real_axis_tails_mirror_identity():
@@ -364,30 +367,29 @@ def test_real_axis_tails_mirror_identity():
 
 
 def test_fhat_derivative_streams(get_pair, get_datum):
-    """fhat(deriv=k) transforms the k-th derivative; fhat_applied adds the
-    operator factor (-i)^n."""
+    """fhat(deriv=k) transforms the k-th derivative; the applied forward
+    transform adds the operator factor (-i)^n."""
     pair = get_pair("heat-dirichlet")
     datum = get_datum("heat-dirichlet")
     mu = 2.4 - 0.7j
-    got = pair.fhat(datum, np.array([mu]), deriv=1)[0]
+    got = datum.fhat(np.array([mu]), deriv=1)[0]
     ref = adaptive_reference(
         lambda z: np.exp(-1j * mu * z) * datum.derivative(1, float(np.real(z))),
         [0.0, datum.support], tol=1e-13)
     assert abs(got - ref.value) < 1e-9
 
     mun = np.array([1.3 + 0.4j])
-    np.testing.assert_allclose(pair.fhat_applied(datum, mun),
-                               (-1j) ** 2 * pair.fhat(datum, mun, deriv=2),
+    np.testing.assert_allclose(pair.forward(datum, 0, mun, applied=True),
+                               (-1j) ** 2 * datum.fhat(mun, deriv=2) / (2.0 * np.pi),
                                atol=0)
 
 
-def test_fhat_reflection_symmetry(get_pair, get_datum):
+def test_fhat_reflection_symmetry(get_datum):
     """Real data give fhat(-lam) = conj(fhat(lam)) on the real axis."""
-    pair = get_pair("lkdv-dirichlet")
     datum = get_datum("lkdv-dirichlet")
     lam = np.array([0.9, 4.2, 17.0])
-    plus = pair.fhat(datum, lam.astype(complex))
-    minus = pair.fhat(datum, -lam.astype(complex))
+    plus = datum.fhat(lam.astype(complex))
+    minus = datum.fhat(-lam.astype(complex))
     np.testing.assert_allclose(minus, np.conj(plus), rtol=0, atol=1e-13)
 
 
@@ -396,7 +398,7 @@ def test_forward_zero_component_is_scaled_fhat(get_pair, get_datum):
     datum = get_datum("heat-neumann")
     lam = np.array([0.5 + 0.1j, -3.0 + 2.0j])
     np.testing.assert_allclose(pair.forward(datum, 0, lam),
-                               pair.fhat(datum, lam) / (2.0 * np.pi), atol=0)
+                               datum.fhat(lam) / (2.0 * np.pi), atol=0)
 
 
 def test_forward_sector_integrates_kernel(get_pair, get_datum):
@@ -415,7 +417,7 @@ def test_forward_sector_integrates_kernel(get_pair, get_datum):
 
 def test_forward_amplitude_linearity(get_pair, get_datum, catalog):
     """Transforms scale linearly with the datum amplitude."""
-    from halfline.datum import make_datum
+    from halfline.datum import InitialDatum, make_datum
     prob = catalog["robin-4"]
     pair = get_pair("robin-4")
     base = get_datum("robin-4")
