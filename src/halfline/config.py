@@ -9,9 +9,11 @@ blank lines are ignored.  Keys:
                                       multiplies f^(j)(0)
     label = <text>
     allow_complex = <bool>            permit complex bc entries
-    datum.kernel = <c0>,...           boundary Taylor coefficients of the datum
+    datum.kernel = <c0>,...           boundary Taylor coefficients of the datum;
+                                      default the problem's maximal jet,
+                                      ``0`` for a bump-only datum
     datum.support = <L>
-    datum.seed = <int or none>
+    datum.seed = <int or none>        ``verify`` reads no datum.* key
     quad.abs_tol = <float>            where ray tails and tail scans stop
     solve.xs, solve.ts                comma list or <start>:<step>:<stop>
 
@@ -60,8 +62,7 @@ class RunConfig:
         B = np.array(self.bc_rows, dtype=complex)
         return validate(HalfLineProblem(
             self.order, self.a, B, label=self.label or "config-problem",
-            allow_complex=self.allow_complex,
-            datum_kernel=self.datum_kernel))
+            allow_complex=self.allow_complex))
 
     def build_params(self) -> QuadratureParams:
         return QuadratureParams(**self.quad)

@@ -181,9 +181,6 @@ class InitialDatum:
         v = j[k] * math.factorial(k)
         return float(v[0]) if scalar else v
 
-    def derivative_function(self, k: int):
-        return lambda x: self.derivative(k, x)
-
     def fhat(self, mu, deriv: int = 0) -> np.ndarray:
         """int_0^L exp(-i mu x) f(deriv)(x) dx, vectorized over mu.
 

@@ -12,11 +12,14 @@ where N is forced by the dispersion relation: N = n/2 for n even, and for
 n odd N = (n+1)/2 when a = i and N = (n-1)/2 when a = -i.  Admissibility
 requires Re(a) >= 0 for even n and a = +-i for odd n; otherwise the
 solution representation grows in every direction of the upper half plane.
+A problem holds (n, a, B) and nothing else: the boundary jet of its default
+datum, ``datum_kernel``, is derived from B on first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +76,6 @@ class HalfLineProblem:
     boundary_matrix: np.ndarray
     label: str = ""
     allow_complex: bool = False
-    datum_kernel: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         mat = np.atleast_2d(np.asarray(self.boundary_matrix, dtype=complex))
@@ -84,6 +86,12 @@ class HalfLineProblem:
     @property
     def count(self) -> int:
         return self.boundary_matrix.shape[0]
+
+    @cached_property
+    def datum_kernel(self) -> tuple:
+        """Boundary jet of the default datum: the
+        :func:`~halfline.boundary.maximal_kernel` of the boundary forms."""
+        return maximal_kernel(self.boundary_matrix)
 
 
 def validate(problem: HalfLineProblem) -> HalfLineProblem:
@@ -108,11 +116,7 @@ def validate(problem: HalfLineProblem) -> HalfLineProblem:
 
 
 def builtin_catalog() -> dict:
-    """The named problems used throughout the verification suite.
-
-    Each entry also carries ``datum_kernel``, its boundary forms'
-    :func:`~halfline.boundary.maximal_kernel`.
-    """
+    """The verification suite's named problems, each (n, a, B) alone."""
     problems = [
         (3, -1j, [[1.0, 0.0, 0.0]], "lkdv-dirichlet"),
         (3, 1j, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "reverse-lkdv"),
@@ -121,6 +125,5 @@ def builtin_catalog() -> dict:
         (4, np.exp(-1j * np.pi / 6), [[0.0, 0.0, 3.0, 1.0], [-2.0, 1.0, 0.0, 0.0]],
          "robin-4"),
     ]
-    return {label: validate(HalfLineProblem(n, a, B, label=label,
-                                            datum_kernel=maximal_kernel(B)))
+    return {label: validate(HalfLineProblem(n, a, B, label=label))
             for n, a, B, label in problems}

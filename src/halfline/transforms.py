@@ -224,7 +224,8 @@ class TransformPair:
     def kernel_weights(self, k: int, lam):
         """Argument multipliers alpha^(N+l-k), shaped to broadcast against
         lam, and weights w_l(lam), l=1..m, on a leading axis: row one of
-        M(lam) times the cofactor matrix A(mu), over 2 pi Delta(mu)."""
+        M(lam) times the cofactor matrix A(mu), over 2 pi Delta(mu).  The
+        inverse kernel of component k is sum_l w_l exp(-i mult_l lam x)."""
         if not 1 <= k <= self.N:
             raise ValueError(f"sector index k must be in 1..{self.N}, got {k}")
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -234,15 +235,6 @@ class TransformPair:
         weights = np.einsum("...j,...jl->l...", row, self.cm.cofactors(mu))
         mults = self.alpha ** (self.N + np.arange(1, self.m + 1) - k)
         return mults.reshape((-1,) + (1,) * lam.ndim), weights / (2.0 * np.pi * dl)
-
-    def kernel(self, k: int, lam, x) -> np.ndarray:
-        """Inverse-side kernel value at (lam, x); k = 0 is exp(-i lam x)/2pi."""
-        lam = np.asarray(lam, dtype=complex)
-        x = np.asarray(x, dtype=float)
-        if k == 0:
-            return np.exp(-1j * lam * x) / (2.0 * np.pi)
-        mults, weights = self.kernel_weights(k, lam)
-        return (weights * np.exp(-1j * mults * lam * x)).sum(axis=0)
 
     def forward(self, datum, k: int, lam, *, applied: bool = False) -> np.ndarray:
         """F_k[f](lam), or F_k[Sf](lam) with ``applied=True``."""

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles, spectral
-from .boundary import maximal_kernel
 from .datum import make_datum
 from .evolution import solve_grid
 from .transforms import TransformPair
@@ -78,10 +77,10 @@ def all_passed(results) -> bool:
 
 
 def data_trio(problem, seed: int = 0):
-    """Maximal-boundary, pure-bump, and mixed data for one problem; the
-    maximal jet is the problem's ``datum_kernel``, else the maximal kernel
-    of its boundary forms."""
-    kernel = problem.datum_kernel or maximal_kernel(problem.boundary_matrix)
+    """Maximal-boundary, pure-bump, and mixed data for one problem, from
+    its boundary forms and ``seed`` alone: the maximal jet is the problem's
+    derived ``datum_kernel``."""
+    kernel = problem.datum_kernel
     mixed = tuple(0.5 * c for c in kernel)
     return (
         make_datum(problem, kernel, seed=seed),

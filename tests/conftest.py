@@ -1,4 +1,5 @@
-"""Shared fixtures and the tests' adaptive Simpson reference.
+"""Shared fixtures, the inverse kernel and the tests' adaptive Simpson
+reference.
 
 Transform pairs are costly to build and cache transform evaluations per
 datum, so tests share one pair and one maximal-kernel datum per catalog
@@ -72,6 +73,18 @@ def get_datum(catalog):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(2024)
+
+
+def inverse_kernel(pair, k: int, lam, x):
+    """Inverse-side kernel of component k at (lam, x): exp(-i lam x) / 2 pi
+    for k = 0, else sum_l w_l exp(-i mult_l lam x) from the pair's
+    ``kernel_weights``."""
+    lam = np.asarray(lam, dtype=complex)
+    x = np.asarray(x, dtype=float)
+    if k == 0:
+        return np.exp(-1j * lam * x) / (2.0 * np.pi)
+    mults, weights = pair.kernel_weights(k, lam)
+    return (weights * np.exp(-1j * mults * lam * x)).sum(axis=0)
 
 
 # -- adaptive Simpson reference ------------------------------------------

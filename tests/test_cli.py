@@ -182,6 +182,25 @@ def test_reconstruct_zero_datum(tmp_path, capsys, problem):
             "max reconstruction error = 0.000e+00 (PASS")
 
 
+@pytest.mark.parametrize("name, problem", [
+    ("heat-dirichlet", "order = 2\na = 1,0\nbc = 1,0\n"),
+    ("reverse-lkdv", "order = 3\na = 0,1\nbc = 1,0,0\nbc = 0,1,0\n")],
+    ids=["heat-dirichlet", "reverse-lkdv"])
+def test_problem_file_writes_the_csv_of_its_builtin(tmp_path, name, problem):
+    """A file holding only order, a and bc gets its builtin's maximal
+    datum: reconstruct and solve write the CSV of the matching --builtin."""
+    cfg = tmp_path / "problem.cfg"
+    cfg.write_text(problem, encoding="utf-8")
+    for cmd, grid in (("reconstruct", ["--xs", "0.2,0.5"]),
+                      ("solve", ["--xs", "0.2,0.5", "--ts", "0,0.1"])):
+        texts = []
+        for source in (["--builtin", name], ["--problem", str(cfg)]):
+            out = tmp_path / f"{cmd}{len(texts)}"
+            assert run([cmd, *source, *grid, "--out", str(out)]) == 0
+            texts.append((out / f"{cmd}.csv").read_text(encoding="utf-8"))
+        assert texts[0] == texts[1]
+
+
 def test_seed_override_changes_datum(capsys):
     """--seed picks different random bumps, changing the sampled datum."""
     assert run(["reconstruct", "--builtin", "heat-dirichlet",
@@ -271,13 +290,13 @@ def test_spectral_check_smoke(capsys, get_pair, get_datum):
 
 def test_spectral_check_reports_a_scanned_component_that_diverges(
         capsys, tmp_path):
-    """Schroedinger, Dirichlet: the remainder is a constant, whose integral
-    along the real-axis ray keeps turning with the truncation radius while
-    its modulus stays put.  The scan of the complex integral reads that
-    drift, and the CLI prints it as the component's one type-I row."""
+    """Schroedinger, Dirichlet, with the file's default (maximal) datum:
+    the remainder is a constant, whose integral along the real-axis ray
+    keeps turning with the truncation radius while its modulus stays put.
+    The scan of the complex integral reads that drift, and the CLI prints
+    it as the component's one type-I row."""
     cfg = tmp_path / "schroedinger.cfg"
-    cfg.write_text("order = 2\na = 0,1\nbc = 1,0\ndatum.kernel = 0,1\n",
-                   encoding="utf-8")
+    cfg.write_text("order = 2\na = 0,1\nbc = 1,0\n", encoding="utf-8")
     assert run(["spectral-check", "--problem", str(cfg)]) == 0
     rows = [r for r in _csv_rows(capsys.readouterr().out, 5) if r[2] == "I"]
     assert len(rows) == 1

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from halfline import config
+from halfline.boundary import maximal_kernel
 from halfline.config import RunConfig, load_config, parse_config, parse_grid
+from halfline.datum import make_datum
 from halfline.errors import ConfigError
 from halfline.quadrature import QuadratureParams
 from halfline.util import _openblas, parallel_map, thread_count
@@ -182,9 +184,10 @@ def test_parse_grid_errors():
 
 
 def test_build_problem_round_trip():
-    """A parsed config builds a validated problem with the same data."""
+    """A parsed config builds a validated problem with the same data; the
+    problem's jet derives from its boundary forms, not from datum.kernel."""
     cfg = parse_config("order = 2\na = 1,0\nbc = 1,0\nlabel = mine\n"
-                       "datum.kernel = 0,1\n")
+                       "datum.kernel = 0,0.5\n")
     prob = cfg.build_problem()
     assert prob.order == 2
     assert prob.a == 1 + 0j
@@ -218,11 +221,18 @@ def test_build_params_and_datum():
 
 
 def test_build_datum_falls_back_to_problem_kernel():
-    """Without datum.kernel the problem's own admissible kernel is used."""
-    cfg = parse_config("order = 2\na = 1,0\nbc = 1,0\n")
+    """Without datum.kernel the problem's own admissible kernel is used:
+    the maximal kernel of its boundary forms.  ``datum.kernel = 0`` keeps
+    the bump-only datum."""
+    text = "order = 2\na = 1,0\nbc = 1,0\n"
+    cfg = parse_config(text)
     prob = cfg.build_problem()
     datum = cfg.build_datum(prob)
-    assert datum.kernel_coeffs == tuple(prob.datum_kernel)
+    assert datum.kernel_coeffs == maximal_kernel(prob.boundary_matrix)
+    assert datum.kernel_coeffs == (0.0, 1.0)
+    bump = parse_config(text + "datum.kernel = 0\n").build_datum(prob)
+    xs = np.linspace(0.0, 1.0, 11)
+    np.testing.assert_array_equal(bump.value(xs), make_datum(prob, ()).value(xs))
 
 
 def test_load_config(tmp_path):

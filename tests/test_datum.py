@@ -147,12 +147,15 @@ def test_amplitude_scales_linearly(catalog):
 
 
 def test_order_cap_and_derivative_function(catalog):
-    """derivative_function matches derivative."""
+    """``lambda x: datum.derivative(k, x)``, the integrand of ``fhat``,
+    gives a float at a scalar x, equal to the entry of the vector call."""
     prob = catalog["heat-dirichlet"]
     datum = make_datum(prob, prob.datum_kernel, seed=0)
-    g = datum.derivative_function(2)
+    g = lambda x: datum.derivative(2, x)
     xs = np.array([0.2, 0.7])
-    np.testing.assert_allclose(g(xs), datum.derivative(2, xs), atol=0)
+    scalars = [g(x) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_allclose(scalars, g(xs), atol=0)
 
 
 def test_seedless_datum_has_no_bumps():

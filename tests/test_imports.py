@@ -1,5 +1,6 @@
-"""Every name a library module imports is used there or exported, and
-``import halfline`` loads neither scipy nor mpmath."""
+"""Every name a library module imports is used there or exported, every
+public definition is used by the library, and ``import halfline`` loads
+neither scipy nor mpmath."""
 
 import ast
 import json
@@ -67,6 +68,73 @@ def test_library_modules_import_only_what_they_use():
     assert kept == KEPT
 
 
+# public definitions no library module uses, kept on purpose
+_SPANS = ("the benchmark's tracer patches it by name; retired with the next "
+          "benchmark change")
+KEPT_PUBLIC = {
+    "cli.main": "the console script",
+    "quadrature.integrate_segment": _SPANS,
+    "quadrature.IntegralResult.require": _SPANS,
+    "quadrature.ray_monomial_tail": _SPANS,
+    "charmatrix.CharMatrix.entry": _SPANS,
+    "charmatrix.CharMatrix.cofactor_det": _SPANS,
+    "boundary.concomitant_value": "the Green identity's reference in "
+                                  "tests/test_boundary.py",
+}
+
+
+def _unused_public(sources: dict) -> list:
+    """Public functions, classes, methods and properties of the modules
+    ``sources`` ({file name: text}) that no module references, as
+    ``module.name`` or ``module.Class.method``.  A method counts as
+    referenced by any attribute of its name; a function or class by a
+    name or attribute outside ``__init__.py``, whose imports only
+    re-export."""
+    defined, names, attrs, outside = [], set(), set(), set()
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        module = fname.removesuffix(".py")
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                defined.append((f"{module}.{node.name}", node.name, False))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.name}", item.name, True)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if fname != "__init__.py":
+                    outside.add(node.attr)
+            elif isinstance(node, ast.Name) and fname != "__init__.py":
+                names.add(node.id)
+    return sorted(qual for qual, name, method in defined
+                  if name not in (attrs if method else names | outside))
+
+
+def test_public_api_guard_finds_an_unused_definition():
+    sources = {
+        "__init__.py": "from .a import f, g, h\n",
+        "a.py": ("def f():\n    return g()\n"
+                 "def g():\n    return C().m\n"
+                 "def h():\n    pass\n"
+                 "def _private():\n    pass\n"
+                 "class C:\n    def m(self):\n        pass\n"
+                 "    def n(self):\n        pass\n"),
+        "b.py": "from . import a\nx = a.f\n",
+    }
+    assert _unused_public(sources) == ["a.C.n", "a.h"]
+
+
+def test_every_public_definition_is_used_by_the_library():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert set(_unused_public(sources)) == set(KEPT_PUBLIC)
+
+
 # run in a fresh interpreter: the library paths first, then the heat
 # oracle, which loads no package, and ray_monomial_tail, which loads mpmath
 # on its first call
@@ -105,7 +173,7 @@ print(json.dumps(out))
 
 def test_fresh_interpreter_loads_neither_scipy_nor_mpmath():
     """``import halfline``, the CLI, a reconstruction, an evolution and the
-    data of a problem without ``datum_kernel`` load no scipy or mpmath
+    data of a problem outside the catalog load no scipy or mpmath
     module, nor does the heat oracle; ``ray_monomial_tail`` loads mpmath
     on its first call; both return the values of this process."""
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))

@@ -1,5 +1,7 @@
 """Problem classification, admissibility, validation, and the catalog."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,9 +118,8 @@ def test_maximal_kernel_reproduces_catalog_kernels(catalog):
     """Each catalog ``datum_kernel`` is the maximal kernel of its boundary
     forms, the sum of the ``kernel_basis`` columns of B scaled to max
     modulus 1; the tuples are written out because they fix the data of
-    every catalog run.  A problem without ``datum_kernel``, heat-Robin,
-    gets a kernel that meets its boundary form, and so does its maximal
-    datum."""
+    every catalog run.  A problem outside the catalog, heat-Robin, derives
+    a kernel that meets its boundary form, and so does its maximal datum."""
     assert {name: prob.datum_kernel for name, prob in catalog.items()} == {
         "lkdv-dirichlet": (0.0, 1.0, 1.0),
         "reverse-lkdv": (0.0, 0.0, 1.0),
@@ -127,10 +128,24 @@ def test_maximal_kernel_reproduces_catalog_kernels(catalog):
         "robin-4": (0.5, 1.0, -1.0 / 3.0, 1.0),
     }
     robin = HalfLineProblem(2, 1.0, [[2.0, 1.0]], label="heat-robin")
-    kernel = np.asarray(maximal_kernel(robin.boundary_matrix))
+    assert robin.datum_kernel == maximal_kernel(robin.boundary_matrix)
+    kernel = np.asarray(robin.datum_kernel)
     assert kernel.shape == (robin.order,)
     assert np.abs(robin.boundary_matrix @ kernel).max() <= 1e-12
     assert np.abs(kernel).max() == 1.0
     derivs = data_trio(robin)[0].boundary_derivatives(robin.order)
     assert np.abs(robin.boundary_matrix @ derivs).max() <= 1e-12
     assert np.all(derivs != 0.0)
+
+
+def test_problem_holds_order_a_and_boundary_forms_only():
+    """A problem's fields are (n, a, B), its label and the complex switch;
+    ``datum_kernel`` is derived from B, neither passed in nor assignable."""
+    assert [f.name for f in dataclasses.fields(HalfLineProblem)] == [
+        "order", "a", "boundary_matrix", "label", "allow_complex"]
+    with pytest.raises(TypeError):
+        HalfLineProblem(2, 1.0, [[1, 0]], datum_kernel=(0, 1))
+    prob = HalfLineProblem(2, 1.0, [[1, 0]])
+    assert prob.datum_kernel == (0.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.datum_kernel = (1.0, 0.0)

@@ -23,7 +23,7 @@ from halfline.spectral import check_type_II
 from halfline.transforms import SupportTransform, TransformPair
 from halfline.verify import all_passed, verify_problem
 
-from conftest import adaptive_reference
+from conftest import adaptive_reference, inverse_kernel
 
 
 def _random_lams(rng, count, rmin=0.5, rmax=3.0):
@@ -41,7 +41,7 @@ def test_third_order_single_form_kernel(get_pair):
     rng = np.random.default_rng(50)
     lams = _random_lams(rng, 50)
     xs = rng.uniform(0.1, 2.0, size=50)
-    got = pair.kernel(1, lams, xs)
+    got = inverse_kernel(pair, 1, lams, xs)
     want = -(alpha * np.exp(-1j * alpha * lams * xs)
              + alpha ** 2 * np.exp(-1j * alpha ** 2 * lams * xs)) / (2.0 * np.pi)
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -56,10 +56,10 @@ def test_third_order_two_form_kernels(get_pair):
     rng = np.random.default_rng(51)
     lams = _random_lams(rng, 50)
     xs = rng.uniform(0.1, 2.0, size=50)
-    np.testing.assert_allclose(pair.kernel(1, lams, xs),
+    np.testing.assert_allclose(inverse_kernel(pair, 1, lams, xs),
                                np.exp(-1j * alpha ** 2 * lams * xs) / (2.0 * np.pi),
                                atol=1e-12)
-    np.testing.assert_allclose(pair.kernel(2, lams, xs),
+    np.testing.assert_allclose(inverse_kernel(pair, 2, lams, xs),
                                np.exp(-1j * alpha * lams * xs) / (2.0 * np.pi),
                                atol=1e-12)
 
@@ -73,18 +73,17 @@ def test_heat_kernels(get_pair):
     lams = _random_lams(rng, 50)
     xs = rng.uniform(0.1, 2.0, size=50)
     want = np.exp(1j * lams * xs) / (2.0 * np.pi)
-    np.testing.assert_allclose(get_pair("heat-dirichlet").kernel(1, lams, xs),
-                               want, atol=1e-12)
-    np.testing.assert_allclose(get_pair("heat-neumann").kernel(1, lams, xs),
-                               -want, atol=1e-12)
+    for name, sign in (("heat-dirichlet", 1.0), ("heat-neumann", -1.0)):
+        np.testing.assert_allclose(inverse_kernel(get_pair(name), 1, lams, xs),
+                                   sign * want, atol=1e-12)
 
 
 def test_zero_component_kernel(get_pair):
-    """kernel(0) is the plain Fourier kernel e^{-i lam x} / 2 pi."""
+    """The k = 0 kernel is the plain Fourier kernel e^{-i lam x} / 2 pi."""
     pair = get_pair("robin-4")
     lams = np.array([0.7 + 0.2j, -1.5 + 1.0j])
     xs = np.array([0.3, 1.1])
-    np.testing.assert_allclose(pair.kernel(0, lams, xs),
+    np.testing.assert_allclose(inverse_kernel(pair, 0, lams, xs),
                                np.exp(-1j * lams * xs) / (2.0 * np.pi), atol=0)
 
 
@@ -128,7 +127,7 @@ def test_support_transform_matches_dense_oracle(get_datum, catalog, name,
     if order is not None:
         monkeypatch.setattr(transforms, "_ORDER", order)
     for deriv in (0, catalog[name].order):
-        g = datum.value if deriv == 0 else datum.derivative_function(deriv)
+        g = datum.value if deriv == 0 else (lambda x: datum.derivative(deriv, x))
         st = SupportTransform(g, datum.support,
                               base_rate=datum.bandwidth * (1.0 + deriv))
         for level in range(9):
@@ -402,14 +401,15 @@ def test_forward_zero_component_is_scaled_fhat(get_pair, get_datum):
 
 
 def test_forward_sector_integrates_kernel(get_pair, get_datum):
-    """F_k[f](lam) equals int_0^L kernel(k, lam, y) f(y) dy, tying the
-    weighted-transform evaluation to the kernel definition."""
+    """F_k[f](lam) equals int_0^L K_k(lam, y) f(y) dy, K_k the inverse
+    kernel summed from ``kernel_weights``, tying the weighted-transform
+    evaluation to the kernel definition."""
     pair = get_pair("lkdv-dirichlet")
     datum = get_datum("lkdv-dirichlet")
     for lam in (1.7 + 0.3j, -0.8 + 0.9j):
         got = pair.forward(datum, 1, np.array([lam]))[0]
         ref = adaptive_reference(
-            lambda z: pair.kernel(1, lam, float(np.real(z)))
+            lambda z: inverse_kernel(pair, 1, lam, float(np.real(z)))
             * datum.value(float(np.real(z))),
             [0.0, datum.support], tol=1e-13)
         assert abs(got - ref.value) < 1e-9, lam

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from halfline import util, verify
-from halfline.boundary import maximal_kernel
 from halfline.evolution import solve_grid
 from halfline.problems import HalfLineProblem
 from halfline.transforms import TransformPair
@@ -78,8 +77,7 @@ def test_heat_robin_passes_without_an_oracle():
     catalog: every check passes, and no sine or cosine oracle matches its
     boundary form, so there is no heat-oracle line."""
     B = np.array([[2.0, 1.0]])
-    problem = HalfLineProblem(2, 1.0, B, label="heat-robin",
-                              datum_kernel=maximal_kernel(B))
+    problem = HalfLineProblem(2, 1.0, B, label="heat-robin")
     results = verify.verify_problem(problem)
     assert verify.all_passed(results)
     assert "heat-oracle" not in [r.name for r in results]
@@ -92,8 +90,7 @@ def test_rotated_heat_passes_with_an_images_oracle(B):
     passes, the heat-oracle line among them, against the images sum of its
     own a."""
     B = np.array(B)
-    problem = HalfLineProblem(2, np.exp(0.3j), B, label="rotated-heat",
-                              datum_kernel=maximal_kernel(B))
+    problem = HalfLineProblem(2, np.exp(0.3j), B, label="rotated-heat")
     results = verify.verify_problem(problem)
     assert verify.all_passed(results)
     assert "heat-oracle" in [r.name for r in results]
