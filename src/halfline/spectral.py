@@ -3,13 +3,17 @@
 Three families of checks:
 
 * remainder extraction: F_k[Sf] - lam^n F_k[f] is a polynomial in lam of
-  degree < n whose coefficients come from the complementary boundary forms;
-  the fit of every transform, k = 0 and the sectors alike, is compared
-  against that closed form as complex coefficients;
-* diagonalization defects: integrating exp(i lam x) times the remainder
-  over a component tests whether the family diagonalizes the spatial
-  operator directly (type I, remainder integral vanishes) or only after
-  division by lam^n (type II).  Components with a ray on the real axis
+  degree < n whose coefficients come from the complementary boundary forms
+  (:func:`remainder_closed_form`); :func:`remainder_report`, the one place
+  that fits the sampled remainder, compares the fit of every transform,
+  k = 0 and the sectors alike, against that closed form as complex
+  coefficients and bounds the excess coefficients of a degree n + 1 fit;
+* diagonalization defects: integrating exp(i lam x) times the closed-form
+  remainder over a component tests whether the family diagonalizes the
+  spatial operator directly (type I, remainder integral vanishes) or only
+  after division by lam^n (type II).  Every such integral vanishes (or, on
+  a real-axis ray, diverges) for any polynomial of degree < n, so a fit
+  would add only its own noise.  Components with a ray on the real axis
   carry a polynomially growing oscillatory integrand there, so the type I
   integral diverges unless the remainder vanishes; a truncation scan
   detects that, on the contours of ``build_contours`` with their
@@ -76,9 +80,10 @@ def remainder_polynomial(pair, datum, k: int, *,
     """Coefficients (ascending) of the polynomial remainder.
 
     ``degree`` defaults to n - 1 (the claimed bound); fitting with a larger
-    basis exposes spurious high-order coefficients, which callers can then
-    bound directly.  Raises :class:`FitResidualTooLarge` when the fit
-    misses a sample by more than 1e-7 of the largest sample plus 1e-12.
+    basis exposes spurious high-order coefficients, which
+    :func:`remainder_report` bounds as its ``excess``.  Raises
+    :class:`FitResidualTooLarge` when the fit misses a sample by more than
+    1e-7 of the largest sample plus 1e-12.
     """
     deg = pair.n - 1 if degree is None else int(degree)
     lams, vals = remainder_samples(pair, datum, k)
@@ -107,25 +112,36 @@ class RemainderReport:
     ``devs[k]`` is the largest deviation of component k's complex
     coefficients from the closed form, relative to the closed form's
     scale.  ``passed`` holds when every deviation is at most ``tol``.
+    ``excess[k]`` is the largest coefficient of degree >= n in component
+    k's degree n + 1 fit, relative to that fit's largest coefficient (at
+    least 1e-6): the degree bound under over-fitting.
     """
 
     coeffs: np.ndarray
     closed_form: np.ndarray
     devs: tuple
+    excess: tuple
     tol: float
     passed: bool
 
 
 def remainder_report(pair, datum, *, tol: float = 1e-8) -> RemainderReport:
-    """Fit the remainder for every component and compare its complex
-    coefficients with the closed form."""
+    """Fit the remainder for every component, at degree n - 1 to compare
+    its complex coefficients with the closed form and at degree n + 1 to
+    bound its excess coefficients."""
+    n = pair.n
     closed = remainder_closed_form(pair, datum)
     scale = max(float(np.abs(closed).max()), 1e-6)
     coeffs = np.array([remainder_polynomial(pair, datum, k)
                        for k in range(pair.N + 1)])
     devs = tuple(float(np.abs(c - closed).max()) / scale for c in coeffs)
+    overfits = [remainder_polynomial(pair, datum, k, degree=n + 1)
+                for k in range(pair.N + 1)]
+    excess = tuple(float(np.abs(b[n:]).max())
+                   / max(float(np.abs(b).max()), 1e-6) for b in overfits)
     return RemainderReport(coeffs=coeffs, closed_form=closed, devs=devs,
-                           tol=tol, passed=bool(max(devs) <= tol))
+                           excess=excess, tol=tol,
+                           passed=bool(max(devs) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +210,7 @@ def _poly_component_integral(pair, k: int, xs: np.ndarray, beta: np.ndarray,
 
 @dataclass(frozen=True)
 class TypeIReport:
-    """Type-I verdict for component k.
+    """Type-I verdict for component k, on the closed-form remainder.
 
     ``expected`` (the integral converges) holds exactly when no ray of the
     component lies on the real axis or the closed-form remainder is zero.
@@ -215,7 +231,8 @@ class TypeIReport:
 
 
 def check_type_I(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIReport:
-    """Integral of exp(i lam x) times the remainder over component k.
+    """Integral of exp(i lam x) times the closed-form remainder over
+    component k.
 
     Vanishes when both rays leave the real axis or the remainder is zero;
     otherwise, with a ray on the axis, the polynomially growing oscillation
@@ -225,11 +242,9 @@ def check_type_I(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIReport:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.min() <= 0.0:
         raise NonpositiveX("type I check requires x > 0")
-    closed = remainder_closed_form(pair, datum)
-    # a zero remainder's samples are rounding noise, which no fit matches
-    beta = remainder_polynomial(pair, datum, k) if closed.any() else closed
-    if closed.any() and any(seg.on_real_axis
-                            for seg in pair.contours.gammas[k - 1]):
+    beta = remainder_closed_form(pair, datum)
+    if beta.any() and any(seg.on_real_axis
+                          for seg in pair.contours.gammas[k - 1]):
         base = max(8.0 * pair.R, 40.0)
         ints = [_poly_component_integral(pair, k, xs, beta, 0,
                                          truncate=base * 2.0 ** i)
@@ -254,8 +269,8 @@ class TypeIIReport:
 
 
 def check_type_II(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIIReport:
-    """Integral of exp(i lam x) lam^(-n) times the remainder over component
-    k; expected to vanish for every component and x > 0.
+    """Integral of exp(i lam x) lam^(-n) times the closed-form remainder
+    P over component k; expected to vanish for every component and x > 0.
 
     For k = 0 the integrand is a sum of monomials whose only pole sits below
     the indented real contour: the central segment runs around the
@@ -263,17 +278,18 @@ def check_type_II(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIIReport
     value measures how well both vanish together.  A sector component is
     integrated on the t = 0 system, its real-axis rays turned into the
     sector, where exp(i lam x) lam^(-n) P(lam) decays."""
+    if not 0 <= k <= pair.N:
+        raise ValueError(f"component index must be in 0..{pair.N}, got {k}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.min() <= 0.0:
         raise NonpositiveX("type II check requires x > 0")
     n = pair.n
+    beta = remainder_closed_form(pair, datum)
     if k == 0:
-        beta = remainder_closed_form(pair, datum)
         vals = pair.real_line_component(
             None, xs, float(xs.max()) + 1.0, indented=True,
             monomials=[(n - j, b) for j, b in enumerate(beta) if b != 0.0])
     else:
-        beta = remainder_polynomial(pair, datum, k)
         vals = _poly_component_integral(pair, k, xs, beta, n)
     res = np.abs(vals)
     return TypeIIReport(k=k, xs=xs, residuals=res, passed=bool(res.max() < tol))

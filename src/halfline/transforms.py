@@ -384,6 +384,8 @@ class TransformPair:
         the junction value falls below tolerance, and one apply covers
         every x.
         """
+        if not 1 <= k <= self.N:
+            raise ValueError(f"sector index must be in 1..{self.N}, got {k}")
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         x_min = float(xs.min())
         rate = float(xs.max()) + datum.support

@@ -158,12 +158,7 @@ def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
     # transform remainder: degree bound under over-fitting, closed-form match
     datum = trio[0]
     rep = spectral.remainder_report(pair, datum, tol=_TOL_REMAINDER)
-    excess = 0.0
-    for k in range(pair.N + 1):
-        beta = spectral.remainder_polynomial(pair, datum, k,
-                                             degree=problem.order + 1)
-        scale = max(float(np.abs(beta).max()), 1e-6)
-        excess = max(excess, float(np.abs(beta[problem.order:]).max()) / scale)
+    excess = max(rep.excess)
     report("remainder-degree", excess < _TOL_OVERFIT,
            excess, _TOL_OVERFIT,
            "excess coefficients, degree n+1 fit")

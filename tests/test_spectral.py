@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import halfline
+from halfline import spectral
 from halfline.cli import run
 from halfline.datum import make_datum
 from halfline.errors import FitResidualTooLarge, NonpositiveX
@@ -46,8 +47,9 @@ def test_remainder_closed_form_on_real_line(get_pair, get_datum):
         datum = get_datum(name)
         report = remainder_report(pair, datum)
         assert report.passed, name
-        assert len(report.devs) == pair.N + 1
+        assert len(report.devs) == len(report.excess) == pair.N + 1
         assert max(report.devs) < 1e-8
+        assert max(report.excess) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["robin-4", "lkdv-dirichlet"])
@@ -68,6 +70,28 @@ def test_remainder_report_catches_a_flipped_sector_sign(get_pair, get_datum,
     assert not report.passed
     assert report.devs[1] == pytest.approx(2.0, rel=1e-6)
     assert max(report.devs[:1] + report.devs[2:]) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["robin-4", "lkdv-dirichlet"])
+def test_remainder_excess_catches_a_degree_n_term(get_pair, get_datum,
+                                                  monkeypatch, name):
+    """A term c lam^n added to the k = 1 samples, too small for the degree
+    n - 1 fit to reject, reads as c / max|beta| in ``excess[1]``, above
+    verify's 1e-9, while the other components stay below it."""
+    pair = get_pair(name)
+    datum = get_datum(name)
+    samples = spectral.remainder_samples
+    c = 1e-9
+
+    def spurious(p, d, k):
+        lams, vals = samples(p, d, k)
+        return lams, (vals + c * lams ** p.n if k == 1 else vals)
+
+    monkeypatch.setattr(spectral, "remainder_samples", spurious)
+    report = remainder_report(pair, datum)
+    scale = float(np.abs(report.closed_form).max())
+    assert report.excess[1] == pytest.approx(c / scale, rel=1e-3)
+    assert max(report.excess[:1] + report.excess[2:]) < 1e-9
 
 
 def test_reverse_problem_remainder_is_constant(get_pair, get_datum):
@@ -205,6 +229,40 @@ def test_type_I_guards(get_pair, get_datum):
         check_type_I(pair, datum, 2, XS)
     with pytest.raises(NonpositiveX):
         check_type_I(pair, datum, 1, np.array([0.0, 0.5]))
+
+
+def test_type_checks_integrate_the_closed_form_without_a_fit(
+        get_pair, get_datum, monkeypatch):
+    """The type-I and type-II integrals take the closed-form remainder for
+    every component: with the remainder's sampling made to raise, both
+    checks still pass, reverse-lkdv's real-axis components still diverge,
+    and the k = 0 and sector components alike still vanish."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a type check fitted the sampled remainder")
+
+    monkeypatch.setattr(spectral, "remainder_samples", forbidden)
+    for name in ("lkdv-dirichlet", "reverse-lkdv", "robin-4"):
+        pair = get_pair(name)
+        datum = get_datum(name)
+        for k in range(1, pair.N + 1):
+            rep = check_type_I(pair, datum, k, XS)
+            assert rep.passed, (name, k)
+            if name == "reverse-lkdv":
+                assert rep.divergent and rep.drift >= 0.1, k
+        for k in range(pair.N + 1):
+            assert check_type_II(pair, datum, k, XS).passed, (name, k)
+
+
+def test_type_II_guards(get_pair, get_datum):
+    """Component indices run over 0..N: k = -1 would integrate the
+    second-to-last sector's contour, so it raises, as does k = N + 1."""
+    pair = get_pair("reverse-lkdv")
+    datum = get_datum("reverse-lkdv")
+    for k in (-1, pair.N + 1):
+        with pytest.raises(ValueError, match="component index"):
+            check_type_II(pair, datum, k, XS)
+    with pytest.raises(NonpositiveX):
+        check_type_II(pair, datum, 0, np.array([0.0, 0.5]))
 
 
 def test_type_II_vanishes_everywhere(get_pair, get_datum):

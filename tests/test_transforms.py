@@ -462,6 +462,18 @@ def test_sector_component_vanishes_for_positive_x(get_pair, get_datum):
     assert vals.max() < 1e-6
 
 
+def test_sector_component_rejects_an_index_outside_the_sectors(get_pair,
+                                                              get_datum):
+    """Only k = 1..N names a sector: k = 0 would integrate F_0 over the
+    last sector's contour and k = N + 1 would run past the contours, so
+    both raise ValueError."""
+    pair = get_pair("reverse-lkdv")
+    datum = get_datum("reverse-lkdv")
+    for k in (0, pair.N + 1):
+        with pytest.raises(ValueError, match="sector index"):
+            pair.sector_component(datum, k, np.array([0.3, 0.7]))
+
+
 def _axis_ray_alone(pair, k):
     """A copy of ``pair`` whose component k is its infinite real-axis ray
     alone."""
