@@ -13,15 +13,16 @@ exactly, and every derivative of order >= len(coeffs) vanishes at 0.
 
 Values and derivatives are evaluated with truncated Taylor jets
 (:mod:`halfline.jets`), so high-order derivatives carry no finite-difference
-noise.  All evaluation is vectorized over x.  A datum also owns the
-half-line Fourier transforms of itself and its derivatives
-(:meth:`InitialDatum.fhat`), built on first use and freed with it.
+noise.  All evaluation is vectorized over x.  A datum also owns its one
+half-line Fourier transform (:meth:`InitialDatum.fhat`), whose resolution
+levels fill on first use and are freed with it; the transform of any
+derivative follows from it by parts
+(:meth:`~halfline.transforms.TransformPair.forward`).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -99,15 +100,17 @@ class InitialDatum:
     seed: int | None = 0
     amplitude: float = 1.0
     _bumps: tuple = field(init=False, repr=False, compare=False)
-    _hats: dict = field(init=False, repr=False, compare=False)
-    _hats_lock: threading.Lock = field(init=False, repr=False, compare=False)
+    _hat: SupportTransform = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kernel_coeffs", tuple(float(c) for c in self.kernel_coeffs))
         object.__setattr__(self, "amplitude", float(self.amplitude))
         object.__setattr__(self, "_bumps", tuple(_bump_params(self.support, self.seed)))
-        object.__setattr__(self, "_hats", {})
-        object.__setattr__(self, "_hats_lock", threading.Lock())
+        # the integrand holds the datum by a weak reference, so the datum
+        # and its transform form no cycle
+        ref = weakref.ref(self)
+        object.__setattr__(self, "_hat", SupportTransform(
+            lambda x: ref().value(x), self.support, base_rate=self.bandwidth))
 
     # -- region boundaries ---------------------------------------------
     @property
@@ -181,22 +184,13 @@ class InitialDatum:
         v = j[k] * math.factorial(k)
         return float(v[0]) if scalar else v
 
-    def fhat(self, mu, deriv: int = 0) -> np.ndarray:
-        """int_0^L exp(-i mu x) f(deriv)(x) dx, vectorized over mu.
+    def fhat(self, mu) -> np.ndarray:
+        """int_0^L exp(-i mu x) f(x) dx, vectorized over mu.
 
-        Each derivative's :class:`~halfline.transforms.SupportTransform` is
-        built on first use and lives as long as the datum; its integrand
-        holds the datum by a weak reference, so they form no cycle."""
-        with self._hats_lock:
-            hat = self._hats.get(deriv)
-            if hat is None:
-                ref = weakref.ref(self)
-                # each derivative sharpens the integrand's endpoint behaviour,
-                # so the panel floor has to grow with the order to hold accuracy
-                hat = self._hats[deriv] = SupportTransform(
-                    lambda x: ref().derivative(deriv, x), self.support,
-                    base_rate=self.bandwidth * (1.0 + deriv))
-        return hat(mu)
+        The datum's :class:`~halfline.transforms.SupportTransform` fills its
+        resolution levels on first use, under its own lock, and lives as
+        long as the datum."""
+        return self._hat(mu)
 
 
 def make_datum(problem, kernel_coeffs, support: float = 1.0, seed: int | None = 0,

@@ -12,6 +12,16 @@ support, and rational weights
     w_l(lam) = sum_j (-1)^((m-1)(l+j)) det X[l,j](mu) M[1,j](lam)
                / (2 pi Delta(mu)),        mu = alpha^(N+1-k) lam.
 
+The transforms F_k[Sf] of Sf = (-i d/dx)^n f take the same form with fhat
+replaced by the transform of Sf, which integration by parts gives from
+fhat itself, f being compactly supported, with u_j = f(j)(0):
+
+    int_0^L exp(-i mu x) Sf(x) dx = mu^n fhat(mu)
+                                    - sum_(j<n) (-i)^(j+1) u_j mu^(n-1-j).
+
+Since (alpha^p lam)^n = lam^n, F_k[Sf] - lam^n F_k[f] is the weighted sum
+of the boundary polynomial alone: the remainder of :mod:`halfline.spectral`.
+
 The inverse map integrates exp(i lam x) F_k over the matching contour
 components and sums.  For F = F[f] the real-line component carries the
 whole of f: the sector components vanish identically for x > 0, which the
@@ -237,11 +247,27 @@ class TransformPair:
         return mults.reshape((-1,) + (1,) * lam.ndim), weights / (2.0 * np.pi * dl)
 
     def forward(self, datum, k: int, lam, *, applied: bool = False) -> np.ndarray:
-        """F_k[f](lam), or F_k[Sf](lam) with ``applied=True``."""
+        """F_k[f](lam), or F_k[Sf](lam) with ``applied=True``.
+
+        Sf = (-i d/dx)^n f is the spatial operator applied to f.  Its
+        half-line transform follows from fhat by parts, f being compactly
+        supported, with u_j = f(j)(0):
+
+            int_0^L exp(-i mu x) Sf(x) dx
+                = mu^n fhat(mu) - sum_(j<n) (-i)^(j+1) u_j mu^(n-1-j),
+
+        so both transforms share the datum's one quadrature.
+        """
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        # Sf = (-i d/dx)^n f, the spatial operator applied to f
-        hat = ((lambda mu: (-1j) ** self.n * datum.fhat(mu, self.n))
-               if applied else datum.fhat)
+        if applied:
+            # descending powers mu^(n-1), ..., mu^0 carry u_0, ..., u_(n-1)
+            terms = ((-1j) ** np.arange(1, self.n + 1)
+                     * datum.boundary_derivatives(self.n))
+
+            def hat(mu):
+                return mu ** self.n * datum.fhat(mu) - np.polyval(terms, mu)
+        else:
+            hat = datum.fhat
         if k == 0:
             return hat(lam) / (2.0 * np.pi)
         mults, weights = self.kernel_weights(k, lam)

@@ -1,5 +1,5 @@
-"""Shared fixtures, the inverse kernel and the tests' adaptive Simpson
-reference.
+"""Shared fixtures, the inverse kernel, the tests' transform of a
+derivative and their adaptive Simpson reference.
 
 Transform pairs are costly to build and cache transform evaluations per
 datum, so tests share one pair and one maximal-kernel datum per catalog
@@ -13,7 +13,7 @@ import pytest
 from halfline.datum import make_datum
 from halfline.oracles import OracleResult
 from halfline.problems import builtin_catalog
-from halfline.transforms import TransformPair
+from halfline.transforms import SupportTransform, TransformPair
 from halfline.util import _openblas
 
 _pairs: dict = {}
@@ -85,6 +85,17 @@ def inverse_kernel(pair, k: int, lam, x):
         return np.exp(-1j * lam * x) / (2.0 * np.pi)
     mults, weights = pair.kernel_weights(k, lam)
     return (weights * np.exp(-1j * mults * lam * x)).sum(axis=0)
+
+
+def derivative_transform(datum, n: int) -> SupportTransform:
+    """The tests' reference for int_0^L exp(-i mu x) f(n)(x) dx: a Gauss
+    sum of f(n) itself, which no library path builds (the library derives
+    the transform of f(n) from fhat by parts).  Each derivative sharpens
+    the integrand, so the base rate grows with n: at 4 (1 + n) bandwidths
+    robin-4's f(4) is resolved on the remainder circle to its rounding,
+    which at (1 + n) bandwidths it is not."""
+    return SupportTransform(lambda x: datum.derivative(n, x), datum.support,
+                            base_rate=4.0 * datum.bandwidth * (1.0 + n))
 
 
 # -- adaptive Simpson reference ------------------------------------------

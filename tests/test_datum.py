@@ -147,8 +147,9 @@ def test_amplitude_scales_linearly(catalog):
 
 
 def test_order_cap_and_derivative_function(catalog):
-    """``lambda x: datum.derivative(k, x)``, the integrand of ``fhat``,
-    gives a float at a scalar x, equal to the entry of the vector call."""
+    """``lambda x: datum.derivative(k, x)``, the integrand of the tests'
+    transform of f(k), gives a float at a scalar x, equal to the entry of
+    the vector call."""
     prob = catalog["heat-dirichlet"]
     datum = make_datum(prob, prob.datum_kernel, seed=0)
     g = lambda x: datum.derivative(2, x)

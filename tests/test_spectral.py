@@ -25,6 +25,8 @@ from halfline.spectral import (
 from halfline.transforms import TransformPair
 from halfline.verify import all_passed, verify_problem
 
+from conftest import derivative_transform
+
 XS = np.array([0.3, 0.7, 1.2])
 
 
@@ -137,9 +139,10 @@ def test_sine_combination_is_degenerate_for_dirichlet(get_datum):
     lam = np.linspace(0.37, 9.1, 7)
     plus = datum.fhat(lam)
     minus = datum.fhat(-lam)
-    # transforms of Sf = (-i d/dx)^2 f
-    ap = (-1j) ** 2 * datum.fhat(lam, 2)
-    am = (-1j) ** 2 * datum.fhat(-lam, 2)
+    # transforms of Sf = (-i d/dx)^2 f, by the tests' own quadrature of f''
+    second = derivative_transform(datum, 2)
+    ap = (-1j) ** 2 * second(lam)
+    am = (-1j) ** 2 * second(-lam)
 
     sine = (minus - plus) / 2j
     sine_applied = (am - ap) / 2j

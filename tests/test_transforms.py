@@ -23,7 +23,7 @@ from halfline.spectral import check_type_II
 from halfline.transforms import SupportTransform, TransformPair
 from halfline.verify import all_passed, verify_problem
 
-from conftest import adaptive_reference, inverse_kernel
+from conftest import adaptive_reference, derivative_transform, inverse_kernel
 
 
 def _random_lams(rng, count, rmin=0.5, rmax=3.0):
@@ -198,7 +198,7 @@ def test_stacked_forward_batch_stays_within_chunk_budget(catalog):
     k, lam = max(batches, key=lambda b: b[1].size)
     assert (k, lam.size) == (2, 6792)
     pair.forward(datum, k, lam)  # builds the level outside the trace
-    hat = datum._hats[0]
+    hat = datum._hat
     mid, _, _, wg = hat._nodes(hat._level_for(float(np.abs(lam).max())))
     entries = 2 * lam.size * (mid.size + wg.shape[1])
     bound = 4 * transforms._CHUNK_BUDGET * 16
@@ -233,10 +233,10 @@ def test_support_transform_refuses_complex_integrand():
 
 
 def test_transform_caches_evaluate_datum_once_under_threads(catalog, monkeypatch):
-    """Threads sharing one datum evaluate it once per (deriv, level): more
-    threads than cores, a short switch interval, and every thread asking
-    for the same levels in its own order.  A level is told apart by its
-    node count, which about doubles with the level."""
+    """Threads sharing one datum evaluate it once per level of its
+    transform: more threads than cores, a short switch interval, and every
+    thread asking for the same levels in its own order.  A level is told
+    apart by its node count, which about doubles with the level."""
     problem = catalog["heat-dirichlet"]
     datum = make_datum(problem, problem.datum_kernel, seed=0)
     calls = Counter()
@@ -249,16 +249,14 @@ def test_transform_caches_evaluate_datum_once_under_threads(catalog, monkeypatch
         return jet(self, x, order)
 
     monkeypatch.setattr(InitialDatum, "jet", counting)
-    requests = [(deriv, 64.0 * 2.0 ** level)
-                for deriv in (0, 1, 2) for level in range(8)]
+    mus = [64.0 * 2.0 ** level for level in range(8)]
     errors = []
 
     def work(seed):
-        order = np.random.default_rng(seed).permutation(len(requests))
+        order = np.random.default_rng(seed).permutation(len(mus))
         try:
             for i in order:
-                deriv, mu = requests[i]
-                datum.fhat(np.array([mu, -mu]), deriv=deriv)
+                datum.fhat(np.array([mus[i], -mus[i]]))
         except Exception as exc:  # a dead worker must fail the test
             errors.append(exc)
 
@@ -274,10 +272,10 @@ def test_transform_caches_evaluate_datum_once_under_threads(catalog, monkeypatch
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    for deriv in (0, 1, 2):
-        counts = [c for (d, _), c in calls.items() if d == deriv]
-        assert len(counts) >= 3
-        assert counts == [1] * len(counts), (deriv, calls)
+    # fhat evaluates f alone: order-0 jets, one call per level
+    assert {order for order, _ in calls} == {0}
+    assert len(calls) >= 3
+    assert list(calls.values()) == [1] * len(calls), calls
 
 
 def _counting_constructions(monkeypatch) -> list:
@@ -286,7 +284,7 @@ def _counting_constructions(monkeypatch) -> list:
     init = SupportTransform.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(args)
+        built.append(self)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SupportTransform, "__init__", counting)
@@ -294,24 +292,29 @@ def _counting_constructions(monkeypatch) -> list:
 
 
 def test_verify_problem_never_rebuilds_a_transform(catalog, monkeypatch):
-    """One verify_problem builds each (datum, derivative) transform once."""
+    """One verify_problem builds exactly one transform per datum it makes,
+    the datum's own, when the datum is made; none of a derivative."""
     built = _counting_constructions(monkeypatch)
-    asked = []  # holds the data, so no id is reused during the run
-    fhat = InitialDatum.fhat
+    made = []  # holds the data, so no id is reused during the run
+    post_init = InitialDatum.__post_init__
 
-    def recording(self, mu, deriv=0):
-        asked.append((self, deriv))
-        return fhat(self, mu, deriv)
+    def recording(self):
+        post_init(self)
+        made.append(self)
 
-    monkeypatch.setattr(InitialDatum, "fhat", recording)
+    monkeypatch.setattr(InitialDatum, "__post_init__", recording)
     results = verify_problem(catalog["heat-neumann"])
     assert all_passed(results)
-    assert len(built) == len({(id(d), deriv) for d, deriv in asked})
+    assert len(made) == 3  # the data trio
+    assert [id(t) for t in built] == [id(d._hat) for d in made]
+    assert all(t.base == max(64.0 / d.support, d.bandwidth)
+               for t, d in zip(built, made))
 
 
 def test_pairs_of_one_problem_share_a_datums_transforms(catalog, monkeypatch):
-    """A second TransformPair of the same problem reuses the transforms the
-    first one had the datum build, and returns the same values."""
+    """A second TransformPair of the same problem reuses the transform
+    levels the first one had the datum fill, builds no transform, and
+    returns the same values."""
     problem = catalog["lkdv-dirichlet"]
     datum = make_datum(problem, problem.datum_kernel, seed=5)
     lam = np.array([1.7 + 0.3j, -0.8 + 0.9j, 6.0])
@@ -327,14 +330,14 @@ def test_pairs_of_one_problem_share_a_datums_transforms(catalog, monkeypatch):
 
 def test_datum_and_its_transforms_form_no_cycle(catalog):
     """With the collector off, dropping the last reference to a datum whose
-    transforms are built frees it: neither a pair nor the datum's own
-    transforms keep it alive."""
+    transform has filled a level frees it: neither a pair nor the datum's
+    own transform keeps it alive."""
     problem = catalog["heat-dirichlet"]
     pair = TransformPair(problem)
     datum = make_datum(problem, problem.datum_kernel, seed=3)
     for applied in (False, True):
         pair.forward(datum, 1, np.array([1.0 + 0.5j, 4.0]), applied=applied)
-    assert set(datum._hats) == {0, problem.order}
+    assert datum._hat._levels
     ref = weakref.ref(datum)
     gc.disable()
     try:
@@ -365,22 +368,68 @@ def test_real_axis_tails_mirror_identity():
                                        atol=1e-14 * np.abs(right).max())
 
 
-def test_fhat_derivative_streams(get_pair, get_datum):
-    """fhat(deriv=k) transforms the k-th derivative; the applied forward
-    transform adds the operator factor (-i)^n."""
-    pair = get_pair("heat-dirichlet")
+def test_fhat_derivative_streams(get_datum):
+    """The tests' Gauss sum of f', the kind of reference the applied
+    forward transform is checked against, matches the adaptive Simpson
+    integral of exp(-i mu x) f'(x)."""
     datum = get_datum("heat-dirichlet")
     mu = 2.4 - 0.7j
-    got = datum.fhat(np.array([mu]), deriv=1)[0]
+    got = derivative_transform(datum, 1)(np.array([mu]))[0]
     ref = adaptive_reference(
         lambda z: np.exp(-1j * mu * z) * datum.derivative(1, float(np.real(z))),
         [0.0, datum.support], tol=1e-13)
     assert abs(got - ref.value) < 1e-9
 
-    mun = np.array([1.3 + 0.4j])
-    np.testing.assert_allclose(pair.forward(datum, 0, mun, applied=True),
-                               (-1j) ** 2 * datum.fhat(mun, deriv=2) / (2.0 * np.pi),
-                               atol=0)
+
+@pytest.mark.parametrize("name", ["lkdv-dirichlet", "reverse-lkdv",
+                                  "heat-dirichlet", "heat-neumann", "robin-4"])
+def test_applied_forward_matches_quadrature_of_the_nth_derivative(
+        get_pair, get_datum, name):
+    """F_k[Sf], which forward derives from fhat by parts, equals the kernel
+    weights times (-i)^n the tests' Gauss sum of f(n), for k = 0..N, on the
+    remainder circle |lam| = R + 1.5 and on real lam up to 64.
+
+    The tolerance is twice the two sides' known errors, per argument
+    mu_l = alpha^(N+l-k) lam and weighted by |w_l| (1 / 2 pi for k = 0):
+    the reference's rounding, 16 eps sum_j |exp(-i mu x_j) w_j f(n)(x_j)|,
+    and fhat's quadrature error carried by mu^n, measured against a rule
+    of f with 16 times fhat's base rate, plus that rule's rounding.  The
+    second dominates: fhat is off by about 1e-13 at real mu, which |mu|^n
+    amplifies far above the reference's rounding (2e3 times it at lam =
+    32 on lkdv-dirichlet), so a tolerance from that rounding alone would
+    not hold."""
+    eps = np.finfo(float).eps
+    pair = get_pair(name)
+    datum = get_datum(name)
+    n = pair.n
+    reference = derivative_transform(datum, n)
+    fine = SupportTransform(datum.value, datum.support,
+                            base_rate=16.0 * datum._hat.base)
+    lam = np.concatenate([
+        (pair.R + 1.5) * np.exp(2j * np.pi * np.arange(4 * n + 7) / (4 * n + 7)),
+        np.geomspace(0.5, 64.0, 8)])
+    for k in range(pair.N + 1):
+        if k == 0:
+            mults, weights = np.ones((1, 1)), np.full((1, lam.size), 0.5 / np.pi)
+        else:
+            mults, weights = pair.kernel_weights(k, lam)
+        mu = (mults * lam).ravel()
+        ref, ref_scale = (v.reshape(weights.shape)
+                          for v in _dense_fhat(reference, mu))
+        fine_val, fine_scale = (v.reshape(weights.shape)
+                                for v in _dense_fhat(fine, mu))
+        fhat_err = np.abs(datum.fhat(mu).reshape(weights.shape) - fine_val)
+        rounding = (np.abs(weights) * 16.0 * eps * ref_scale).sum(axis=0)
+        inherited = (np.abs(weights) * np.abs(mults * lam) ** n
+                     * (fhat_err + 16.0 * eps * fine_scale)).sum(axis=0)
+        tol = 2.0 * (rounding + inherited)
+        want = (weights * (-1j) ** n * ref).sum(axis=0)
+        diff = np.abs(pair.forward(datum, k, lam, applied=True) - want)
+        worst = int(np.argmax(diff / tol))
+        print(f"{name} k={k}: |diff| / tol max {diff[worst] / tol[worst]:.3f} "
+              f"at lam {lam[worst]:.3g} (rounding {rounding[worst]:.2e}, "
+              f"fhat error {inherited[worst]:.2e})")
+        assert np.all(diff <= tol), (k, diff / tol)
 
 
 def test_fhat_reflection_symmetry(get_datum):

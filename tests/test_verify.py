@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from halfline import util, verify
+from halfline import spectral, util, verify
+from halfline.datum import make_datum
 from halfline.evolution import solve_grid
 from halfline.problems import HalfLineProblem
 from halfline.transforms import TransformPair
@@ -108,3 +109,27 @@ def test_heat_oracle_fails_a_solver_with_a_rotated(catalog, monkeypatch):
     oracle = next(r for r in results if r.name == "heat-oracle")
     assert not oracle.passed
     assert oracle.value > 10.0 * verify._TOL_ORACLE
+
+
+@pytest.mark.parametrize("a, forms", [(-1j, 2), (1j, 3)], ids=["a=-i", "a=i"])
+def test_order_five_passes_every_check(a, forms):
+    """Order 5 with a = -i, B = (e1, e2), and with a = i, B = (e1, e2,
+    e3), lies outside the catalog: every check passes at seed 0 and
+    default params.  remainder-magnitude reads at most 3e-14; a Gauss sum of
+    f(5) itself for F[Sf], under-resolved at small |mu|, read 1.6e-7."""
+    problem = HalfLineProblem(5, a, np.eye(5)[:forms], label="order-5")
+    results = verify.verify_problem(problem)
+    assert verify.all_passed(results), [r.line() for r in results
+                                        if not r.passed]
+
+
+def test_order_six_remainder_reports():
+    """Order 6, a = 1, B = (e1, e2, e3): remainder_report returns, every
+    component within 1e-8 of the closed form (about 1.2e-13).  A Gauss sum
+    of f(6) itself for F[Sf] rounds at eps int |f(6)| e^((R + 1.5) L),
+    about 1e-5 here, and its fit raised FitResidualTooLarge."""
+    problem = HalfLineProblem(6, 1.0, np.eye(6)[:3], label="order-6")
+    pair = TransformPair(problem)
+    rep = spectral.remainder_report(
+        pair, make_datum(problem, problem.datum_kernel, seed=0))
+    assert max(rep.devs) <= 1e-8, rep.devs
