@@ -186,25 +186,18 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
     return lam, w * pair.forward(datum, k, lam), tau, nodes
 
 
-def _mirrored(pair: TransformPair) -> bool:
-    """True when lam -> -conj(lam) maps the problem onto itself: conj(a) =
-    (-1)^n a and a real boundary matrix (the datum is always real)."""
-    B = pair.problem.boundary_matrix
-    return (pair.a.conjugate() == (-1) ** pair.n * pair.a
-            and not B.imag.any())
-
-
 def _packs(pair: TransformPair, datum, xs, tpos):
     """The packs for times tpos: each deformed segment's
     :func:`_segment_pack` and whether it stands in for its mirror ray too.
 
-    For a :func:`_mirrored` problem only the arcs and the outgoing rays are
-    built, each outgoing ray marked; otherwise every segment, unmarked.
+    For a :attr:`~halfline.transforms.TransformPair.mirrored` problem only
+    the arcs and the outgoing rays are built, each outgoing ray marked;
+    otherwise every segment, unmarked.
     """
     dcs = deform_for_time(pair.contours)
     t_min, t_max = float(tpos.min()), float(tpos.max())
     x_min, x_max = float(xs.min()), float(xs.max())
-    fold = _mirrored(pair)
+    fold = pair.mirrored
     jobs = []
     for k, (inward, arc, out) in enumerate([dcs.gamma0, *dcs.gammas]):
         if not fold:

@@ -323,9 +323,8 @@ def spectral_representation_check(pair, datum, xs, *,
     # cancels against that of the transform of Sf
     lhs = pair.real_line_component(
         lambda lam: pair.forward(datum, 0, lam, applied=True) * lam ** (-float(n)),
-        xs, float(xs.max()) + datum.support, indented=True)
-    for k in range(1, pair.N + 1):
-        lhs += pair.sector_component(datum, k, xs, applied=True)
+        xs, pair.phase_rate(0, xs, datum.support), indented=True)
+    lhs += sum(pair.sector_components(datum, xs, applied=True))
 
     diff = float(np.abs(lhs - rhs).max())
     return RepresentationReport(xs=xs, lhs=lhs, rhs=rhs, max_diff=diff,

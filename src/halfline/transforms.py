@@ -31,14 +31,25 @@ Numerical layout: the half-line Fourier transform is evaluated by cached
 composite Gauss panels over the support, resolution chosen per batch from
 max |mu|; the datum owns the cache (:meth:`InitialDatum.fhat`).  The
 panels of a level are equal and their midpoints equally spaced,
-m_p = m_0 + 2hp, so node k of panel qS + r is m_qS + 2hr + h x_k and its
-phase is a product of three small tables:
-exp(-i mu m_qS) exp(-i mu 2hr) exp(-i mu h x_k).  A batch then costs
-#mu (panels / S + S + ceil(order / 2)) complex exponentials, with S near
-sqrt(panels / 4), and #mu S order multiplies for the outer product of the
-last two tables, instead of #mu panels order exponentials for the same
-quadrature rule; the matrix product with the real weights runs in real
-arithmetic.
+m_p = m_0 + 2hp, so with D = 2hS node k of panel (aB + b)S + r is
+m_0 + aBD + bD + 2hr + h x_k and its phase is a product of four small
+tables: exp(-i mu (m_0 + aBD)) exp(-i mu bD) exp(-i mu 2hr)
+exp(-i mu h x_k).  A batch then costs #mu (A + B + S + ceil(order / 2))
+complex exponentials, with S near sqrt(panels / 4) and A, B near
+sqrt(panels / S), plus #mu S order multiplies for the outer product of
+the last two tables and #mu AB for the fine fold factors, instead of
+#mu panels order exponentials for the same quadrature rule; the matrix
+product with the real weights runs in real arithmetic.
+
+Every component integral is sized by the integrand's exponential type:
+exp(i lam x) F_k(lam) is a rational weighting of
+int_0^L exp(i lam (x - alpha^p y)) f(y) dy, so its phase rate is at most
+max |x - alpha^p y| over the points and the support
+(:meth:`TransformPair.phase_rate`), which is x_max rather than x_max + L
+for the real-line component at points inside the support.  For a problem
+that lam -> -conj(lam) maps onto itself (:attr:`TransformPair.mirrored`)
+sector component N+1-k is the conjugate of component k, and
+:meth:`TransformPair.sector_components` integrates only one of each pair.
 
 Every component integral runs on the engine of :mod:`halfline.quadrature`
 (``component_nodes`` plus ``apply_phase``).  The real-line component
@@ -73,7 +84,7 @@ from .quadrature import (_DENSITY, _ORDER, ExpDecay, PathSegment,
 
 __all__ = ["SupportTransform", "TransformPair"]
 
-# cap on the phase entries per chunk, mu x (folds + S order), so that a
+# cap on the phase entries per chunk, mu x (AB folds + S order), so that a
 # chunk's temporaries stay in cache: one recon cycle's fhat calls, replayed
 # on warm levels on a 2-core x86 machine, took the same time from 60k to
 # 160k entries and about 30% longer at 250k.  The tracemalloc peak of
@@ -90,20 +101,25 @@ class SupportTransform:
 
     Level l splits [0, L] into equal Gauss-Legendre panels, enough for
     |mu| <= base * 2**l.  Because the panels are equal, with half-width h
-    and equally spaced midpoints, node k of panel qS + r is
-    m_qS + 2hr + h x_k, and its phase is a product of three factors:
+    and equally spaced midpoints, the folds of S panels have midpoints
+    m_qS = m_0 + qD, D = 2hS, and with q = aB + b node k of panel
+    qS + r is m_0 + aBD + bD + 2hr + h x_k.  Its phase is a product of
+    four factors:
 
-        fhat(mu) = sum_q exp(-i mu m_qS)
+        fhat(mu) = sum_a exp(-i mu (m_0 + aBD)) sum_b exp(-i mu bD)
                    sum_(r,k) exp(-i mu 2hr) exp(-i mu h x_k) w_k h g(node).
 
-    Per mu that is one exponential per fold of S panels, S step factors
-    and ceil(order / 2) Gauss factors (the Gauss nodes come in pairs +-x_k
-    and exp(-z) = 1 / exp(z)).  The outer product of the last two, S order
-    multiplies, meets the weights in one matrix product, real because g
-    is real-valued, and the fold factors weight the column sums.  The last
-    fold is padded with zero weights.  The equal-panel invariant is what
-    makes the inner factors common to all folds; a non-uniform panel
-    layout would break the factorization.
+    Per mu that is A coarse and B fine fold exponentials, B near the
+    square root of the number of folds, S step factors and ceil(order / 2)
+    Gauss factors (the Gauss nodes come in pairs +-x_k and exp(-z) =
+    1 / exp(z)): 32 on robin-4's recon datum at level 4, where one
+    exponential per fold took 53.  The outer product of the step and
+    Gauss factors, S order multiplies, meets the weights in one matrix
+    product, real because g is real-valued; the fine factors weight its
+    AB rows and the coarse factors the sums over b.  The folds are padded
+    to A x B with zero weights.  The equal-panel invariant is what makes
+    the inner factors common to all folds; a non-uniform panel layout
+    would break the factorization.
 
     ``g`` must be real-valued (a complex one raises ``TypeError``).
     ``base_rate`` sets the level-0 resolution floor in rad per unit x, so
@@ -133,8 +149,9 @@ class SupportTransform:
         return level
 
     def _nodes(self, level: int):
-        """(mid, step, gauss, wg) of one level: node k of panel qS + r is
-        mid[q] + step[r] + gauss[k], with weight w_k h g = wg[q, r order + k]."""
+        """(coarse, fine, step, gauss, wg) of one level: node k of panel
+        (aB + b)S + r is coarse[a] + fine[b] + step[r] + gauss[k], with
+        weight w_k h g = wg[aB + b, r order + k]."""
         with self._lock:
             if level not in self._levels:
                 cap = self.base * 2 ** level
@@ -154,19 +171,26 @@ class SupportTransform:
                 # S order multiplies of the outer product (a complex
                 # multiply costs about 1/25 of a complex exponential)
                 fold = max(1, round(math.sqrt(panels / 4)))
-                rows = -(-panels // fold)
+                # the fold midpoints m_0 + 2h S q are equally spaced too:
+                # q = aB + b, with B near sqrt(rows), takes A + B
+                # exponentials for them instead of rows
+                fine = max(1, round(math.sqrt(-(-panels // fold))))
+                coarse = -(-panels // (fold * fine))
+                rows = coarse * fine
                 wg = np.concatenate(
                     [wg, np.zeros((rows * fold - panels, _ORDER))])
+                spacing = 2.0 * half * fold
                 self._levels[level] = (
-                    mid[::fold], 2.0 * half * np.arange(fold), half * x,
-                    wg.reshape(rows, fold * _ORDER))
+                    mid[0] + spacing * fine * np.arange(coarse),
+                    spacing * np.arange(fine), 2.0 * half * np.arange(fold),
+                    half * x, wg.reshape(rows, fold * _ORDER))
             return self._levels[level]
 
     def __call__(self, mu) -> np.ndarray:
         mu = np.atleast_1d(np.asarray(mu, dtype=complex))
         if mu.size == 0:
             return np.zeros(0, dtype=complex)
-        mid, step, gauss, wg = self._nodes(
+        coarse, fine, step, gauss, wg = self._nodes(
             self._level_for(float(np.abs(mu).max())))
         rows, width = wg.shape
         # the Gauss row is odd about its centre: exponentials for its first
@@ -184,8 +208,10 @@ class SupportTransform:
             # interleaved real and imaginary parts of the table does the
             # work of a complex one with half the multiplies
             inner = (wg @ table.reshape(width, -1).view(float)).view(complex)
-            inner *= np.exp(np.multiply.outer(mid, z))
-            out[i:i + chunk] = inner.sum(axis=0)
+            inner = inner.reshape(coarse.size, fine.size, -1)
+            inner *= np.exp(np.multiply.outer(fine, z))
+            out[i:i + chunk] = (np.exp(np.multiply.outer(coarse, z))
+                                * inner.sum(axis=1)).sum(axis=0)
         return out.reshape(mu.shape)
 
 
@@ -243,8 +269,28 @@ class TransformPair:
         dl = self.cm.guard_delta(mu)
         row = self.cm.eval_matrix(lam)[..., 0, :]
         weights = np.einsum("...j,...jl->l...", row, self.cm.cofactors(mu))
-        mults = self.alpha ** (self.N + np.arange(1, self.m + 1) - k)
+        mults = self._multipliers(k)
         return mults.reshape((-1,) + (1,) * lam.ndim), weights / (2.0 * np.pi * dl)
+
+    def _multipliers(self, k: int) -> np.ndarray:
+        """alpha^(N+l-k), l = 1..m: the arguments of fhat in F_k, over lam."""
+        return self.alpha ** (self.N + np.arange(1, self.m + 1) - k)
+
+    def phase_rate(self, k: int, xs, support: float) -> float:
+        """Bound on the phase rate of exp(i lam x) F_k(lam) over lam, for
+        every x of xs.
+
+        F_k is a rational weighting of fhat(alpha^p lam), p = 0 for k = 0,
+        and exp(i lam x) fhat(alpha^p lam) = int_0^L exp(i lam (x - alpha^p
+        y)) f(y) dy, so the rate is max |x - alpha^p y| over y in [0, L]:
+        convex in x and y, it peaks where x is x_min or x_max and y is 0
+        or L.  The polynomial part of F_k[Sf] has y = 0's rate x.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ends = np.array([xs.min(), xs.max()])
+        mults = np.ones(1) if k == 0 else self._multipliers(k)
+        far = np.abs(ends[:, None] - mults[None, :] * support).max()
+        return max(float(ends[1]), float(far))
 
     def forward(self, datum, k: int, lam, *, applied: bool = False) -> np.ndarray:
         """F_k[f](lam), or F_k[Sf](lam) with ``applied=True``.
@@ -370,7 +416,7 @@ class TransformPair:
                      for j, c in enumerate(coeffs) if c != 0.0]
         return self.real_line_component(
             lambda lam: datum.fhat(lam) / (2 * np.pi), xs,
-            float(xs.max()) + datum.support, monomials=monomials)
+            self.phase_rate(0, xs, datum.support), monomials=monomials)
 
     # -- sector components --------------------------------------------------
     @property
@@ -414,7 +460,7 @@ class TransformPair:
             raise ValueError(f"sector index must be in 1..{self.N}, got {k}")
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         x_min = float(xs.min())
-        rate = float(xs.max()) + datum.support
+        rate = self.phase_rate(k, xs, datum.support)
 
         def F(lam):
             out = self.forward(datum, k, lam, applied=applied)
@@ -430,6 +476,32 @@ class TransformPair:
         lam, w = nodes
         return apply_phase(xs, nodes, w * F(lam))
 
+    @property
+    def mirrored(self) -> bool:
+        """True when lam -> -conj(lam) maps the problem onto itself: conj(a) =
+        (-1)^n a and a real boundary matrix (the datum is always real)."""
+        B = self.problem.boundary_matrix
+        return (self.a.conjugate() == (-1) ** self.n * self.a
+                and not B.imag.any())
+
+    def sector_components(self, datum, xs, *, applied: bool = False) -> list:
+        """:meth:`sector_component` for k = 1..N.
+
+        For a :attr:`mirrored` problem lam -> -conj(lam) maps component k
+        onto component N+1-k, orientation reversed, and F_(N+1-k)(-conj
+        lam) = conj F_k(lam) (for lam^(-n) F_k[Sf] too: the two (-1)^n
+        cancel), so for real x component N+1-k is the conjugate of
+        component k and only the lower half is integrated.  The
+        self-mirror middle component of odd N is integrated in full.
+        """
+        out = []
+        for k in range(1, self.N + 1):
+            if self.mirrored and 2 * k > self.N + 1:
+                out.append(np.conj(out[self.N - k]))
+            else:
+                out.append(self.sector_component(datum, k, xs, applied=applied))
+        return out
+
     # -- public inversion --------------------------------------------------
     def components(self, datum, xs) -> list[np.ndarray]:
         """The pieces of the inversion of ``datum`` at the points xs > 0:
@@ -438,8 +510,7 @@ class TransformPair:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if xs.min() <= 0.0:
             raise NonpositiveX("reconstruction requires x > 0")
-        return [self._gamma0_piece(datum, xs)] + [
-            self.sector_component(datum, k, xs) for k in range(1, self.N + 1)]
+        return [self._gamma0_piece(datum, xs)] + self.sector_components(datum, xs)
 
     def reconstruct(self, datum, xs) -> np.ndarray:
         """Invert the forward transforms of ``datum`` at the points xs > 0."""

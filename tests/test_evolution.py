@@ -441,7 +441,7 @@ def test_mirrored_problem_folds_its_rays(get_problem, name):
     apply over every segment within 1e-13 of the largest, with at most
     0.55x its nodes."""
     pair, datum = get_problem(name)
-    assert evolution._mirrored(pair)
+    assert pair.mirrored
     xs, ts = _evolve_grid(pair.n)
     field = solve_grid(pair, datum, xs, ts)
     packs = _every_segment_packs(pair, datum, xs, ts)
@@ -458,7 +458,7 @@ def test_unmirrored_problem_applies_every_segment(get_problem, name):
     keep every segment: the values of the apply over every segment, bit
     for bit, with all its nodes."""
     pair, datum = get_problem(name)
-    assert not evolution._mirrored(pair)
+    assert not pair.mirrored
     xs, ts = _evolve_grid(pair.n)
     field = solve_grid(pair, datum, xs, ts)
     packs = _every_segment_packs(pair, datum, xs, ts)

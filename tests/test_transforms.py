@@ -103,9 +103,11 @@ def test_fhat_matches_adaptive_reference(get_datum):
 def _dense_fhat(st, mu):
     """Dense evaluation of the support rule at one resolution level:
     exp(-i mu x_j) @ (w_j g(x_j)) over the same nodes, rebuilt from the
-    level's fold midpoints, steps and Gauss offsets, with the absolute sum
-    of its terms."""
-    mid, step, gauss, wg = st._nodes(st._level_for(float(np.abs(mu).max())))
+    level's coarse and fine fold offsets, steps and Gauss offsets, with the
+    absolute sum of its terms."""
+    coarse, fine, step, gauss, wg = st._nodes(
+        st._level_for(float(np.abs(mu).max())))
+    mid = (coarse[:, None] + fine).ravel()
     nodes = (mid[:, None, None] + step[:, None] + gauss).ravel()
     terms = np.exp(-1j * mu[:, None] * nodes[None, :]) * wg.ravel()[None, :]
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
@@ -142,13 +144,15 @@ def test_support_transform_matches_dense_oracle(get_datum, catalog, name,
 
 
 def test_support_transform_exponentials_per_mu(catalog, monkeypatch):
-    """One fhat call evaluates at most rows + S + ceil(order / 2) complex
-    exponentials per mu at every level 0..8: one per fold of S panels, S
-    step factors and the Gauss factors of one half of the panel, whose
-    mirror half are reciprocals.  On robin-4's recon datum (the bumps of
-    seed 41) at level 4, 259 panels of order 24 fold 8 at a time into 33
-    rows: 53 exponentials per mu, where one per fold of 3 panels and one
-    per node offset of a fold took 87 + 72 = 159."""
+    """One fhat call evaluates at most A + B + S + ceil(order / 2) complex
+    exponentials per mu at every level 0..8: the folds of S panels are
+    A x B, one factor per coarse and per fine fold offset, then S step
+    factors and the Gauss factors of one half of the panel, whose mirror
+    half are reciprocals.  On robin-4's recon datum (the bumps of seed 41)
+    at level 4, 259 panels of order 24 fold 8 at a time into 33 rows, laid
+    out 6 x 6 with 3 zero rows: 32 exponentials per mu, where one per row
+    took 53 and one per fold of 3 panels and one per node offset of a fold
+    took 87 + 72 = 159."""
     problem = catalog["robin-4"]
     datum = make_datum(problem, problem.datum_kernel, seed=41)
     st = SupportTransform(datum.value, datum.support,
@@ -165,20 +169,22 @@ def test_support_transform_exponentials_per_mu(catalog, monkeypatch):
     for level in range(9):
         top = 0.99 * st.base * 2.0 ** level
         mu = np.linspace(-top, top, 200) + 0.5j
-        mid, step, _, _ = st._nodes(level)
+        coarse, fine, step, _, wg = st._nodes(level)
         counted.clear()
         with monkeypatch.context() as m:
             m.setattr(np, "exp", counting)
             st(mu)
-        assert sum(counted) <= mu.size * (mid.size + step.size + gauss_half), level
+        tables = coarse.size + fine.size + step.size + gauss_half
+        assert sum(counted) <= mu.size * tables, level
         if level == 4:
-            assert (mid.size, step.size, gauss_half) == (33, 8, 12)
-            assert sum(counted) == 53 * mu.size
+            assert (coarse.size, fine.size, step.size, gauss_half) == (6, 6, 8, 12)
+            assert np.abs(wg[33:]).max() == 0.0
+            assert sum(counted) == 32 * mu.size
 
 
 def test_stacked_forward_batch_stays_within_chunk_budget(catalog):
     """robin-4's largest sector batch of a reconstruction (k = 2: 6792 lam,
-    so one fhat call on 2 x 6792 mu) holds 2.25M phase entries, many
+    so one fhat call on 2 x 6792 mu) holds 2.30M phase entries, many
     chunks; on a warm level its tracemalloc peak stays below four chunk
     budgets of complex entries, less than the batch's phase entries
     alone."""
@@ -199,8 +205,8 @@ def test_stacked_forward_batch_stays_within_chunk_budget(catalog):
     assert (k, lam.size) == (2, 6792)
     pair.forward(datum, k, lam)  # builds the level outside the trace
     hat = datum._hat
-    mid, _, _, wg = hat._nodes(hat._level_for(float(np.abs(lam).max())))
-    entries = 2 * lam.size * (mid.size + wg.shape[1])
+    wg = hat._nodes(hat._level_for(float(np.abs(lam).max())))[-1]
+    entries = 2 * lam.size * sum(wg.shape)
     bound = 4 * transforms._CHUNK_BUDGET * 16
     assert entries * 16 > bound
     tracemalloc.start()
@@ -640,6 +646,153 @@ def test_sector_component_over_node_budget_raises(catalog, get_datum,
     for k in (1, 2):
         with pytest.raises(ToleranceNotMet, match="panel budget"):
             pair.sector_component(datum, k, np.array([0.3, 0.7]))
+
+
+_CATALOG = ["lkdv-dirichlet", "reverse-lkdv", "heat-dirichlet",
+            "heat-neumann", "robin-4"]
+_MIRRORED = _CATALOG[:4]
+# evaluation points on the unit support: the benchmark's recon workload
+# (also verify_problem's reconstruction points), verify_problem's type and
+# representation checks, and the ends of the evolve workload's grid
+_POINT_SETS = {"recon": np.linspace(0.05, 1.0, 20),
+               "verify-xs3": np.array([0.3, 0.7, 1.2]),
+               "evolve": np.linspace(1.5 / 400, 1.5, 400)}
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_phase_rate_is_the_exponential_type(get_pair, name):
+    """phase_rate(k, xs, L) is max |x - alpha^p y| over x in xs, y in
+    [0, L] and component k's multipliers alpha^p (p = 0 for k = 0): it
+    bounds that maximum over a 2001-point y grid and is attained to
+    1e-12.  At recon's points the k = 0 rate is 1, half the x_max + L it
+    replaces; heat's multiplier -1 keeps x_max + L."""
+    pair = get_pair(name)
+    y = np.linspace(0.0, 1.0, 2001)
+    for label, xs in _POINT_SETS.items():
+        for k in range(pair.N + 1):
+            mults = np.ones(1) if k == 0 else pair.kernel_weights(k, 1.0)[0].ravel()
+            reach = np.abs(xs[:, None, None] - mults[:, None] * y).max()
+            rate = pair.phase_rate(k, xs, 1.0)
+            assert reach <= rate <= reach + 1e-12, (label, k, rate, reach)
+    recon = _POINT_SETS["recon"]
+    assert pair.phase_rate(0, recon, 1.0) == 1.0
+    if name.startswith("heat"):
+        assert pair.phase_rate(1, recon, 1.0) == 2.0
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_phase_rate_leaves_inversion_values(catalog, name, monkeypatch):
+    """At recon's points the real-line piece and every sector component,
+    integrated at the exponential-type rate, agree within 1e-13 with the
+    same calls at the rate x_max + L, passed through real_line_component
+    and junction_osc."""
+    problem = catalog[name]
+    pair = TransformPair(problem)
+    datum = make_datum(problem, problem.datum_kernel, seed=41)
+    xs = _POINT_SETS["recon"] * datum.support
+    new = [pair._gamma0_piece(datum, xs)] + [
+        pair.sector_component(datum, k, xs) for k in range(1, pair.N + 1)]
+    old_rate = float(xs.max()) + datum.support
+    real_line, junction = pair.real_line_component, pair.junction_osc
+    monkeypatch.setattr(pair, "real_line_component",
+                        lambda G, xs, rate, **kw: real_line(G, xs, old_rate, **kw))
+    monkeypatch.setattr(pair, "junction_osc",
+                        lambda seg, rate: junction(seg, old_rate))
+    old = [pair._gamma0_piece(datum, xs)] + [
+        pair.sector_component(datum, k, xs) for k in range(1, pair.N + 1)]
+    for k, (got, want) in enumerate(zip(new, old)):
+        assert np.abs(got - want).max() <= 1e-13, (k, np.abs(got - want).max())
+
+
+def _oriented_points(segs) -> np.ndarray:
+    """Sample points of a component in its direction of travel, rays cut
+    5 past their start."""
+    out = []
+    for seg in segs:
+        u = (np.linspace(seg.a0, seg.a1, 9) if seg.kind == "arc"
+             else np.linspace(seg.r0, seg.r0 + 5.0, 9))
+        pts = seg.point(u)
+        out.append(pts if seg.orientation > 0 else pts[::-1])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("name", _MIRRORED)
+def test_mirror_fold_identity_at_component_nodes(catalog, name):
+    """For a mirrored problem lam -> -conj(lam) maps component k onto
+    component N+1-k traversed the other way, and at component k's nodes
+    F_(N+1-k)(-conj lam) = conj F_k(lam), and likewise for
+    lam^-n F_k[Sf].  The tolerance is the rounding of F: the dense
+    oracle's 16 eps (1 + |mu| L) sum_j |exp(-i mu x_j) w_j f(x_j)| per
+    argument mu = alpha^p lam, weighted by |w_l| (|lam^-n mu^n| = 1 for
+    F[Sf]).  Measured: at most 0.10 of it for F and 0.39 for F[Sf], at
+    the nodes of the recon points' components."""
+    eps = np.finfo(float).eps
+    problem = catalog[name]
+    pair = TransformPair(problem)
+    assert pair.mirrored
+    datum = make_datum(problem, problem.datum_kernel, seed=0)
+    xs = _POINT_SETS["recon"]
+    t0 = contours.turn_axis_rays(pair.contours)
+    batches = []
+    forward = pair.forward
+
+    def recording(d, k, lam, **kwargs):
+        batches.append((k, lam))
+        return forward(d, k, lam, **kwargs)
+
+    for k in range(1, pair.N + 1):
+        j = pair.N + 1 - k
+        np.testing.assert_allclose(
+            _oriented_points(t0.gammas[j - 1]),
+            -np.conj(_oriented_points(t0.gammas[k - 1]))[::-1], atol=1e-14)
+        batches.clear()
+        pair.forward = recording
+        pair.sector_component(datum, k, xs)
+        del pair.forward
+        lam = max((b for b in batches if b[0] == k), key=lambda b: b[1].size)[1]
+        mults, weights = pair.kernel_weights(k, lam)
+        mu = mults * lam
+        terms = np.concatenate([_dense_fhat(datum._hat, part)[1] for part in
+                                np.array_split(mu.ravel(), mu.size // 256 + 1)])
+        scale = (np.abs(weights) * 16.0 * eps * (1.0 + np.abs(mu) * datum.support)
+                 * terms.reshape(mu.shape)).sum(axis=0)
+        for applied in (False, True):
+            here = pair.forward(datum, k, lam, applied=applied)
+            there = pair.forward(datum, j, -np.conj(lam), applied=applied)
+            if applied:
+                here = here * lam ** -float(pair.n)
+                there = there * (-np.conj(lam)) ** -float(pair.n)
+            ratio = np.abs(there - np.conj(here)) / scale
+            print(f"{name} k={k} applied={applied}: |F_(N+1-k)(-conj lam) - "
+                  f"conj F_k(lam)| / tol max {ratio.max():.3f} over {lam.size} nodes")
+            assert ratio.max() <= 1.0, (k, applied, ratio.max())
+
+
+def test_mirrored_components_are_an_exact_conjugate_pair(get_pair, get_datum,
+                                                         monkeypatch):
+    """reverse-lkdv's components integrate sector 1 alone and return its
+    conjugate, bit for bit, as sector 2; robin-4 is not mirrored and its
+    components equal the per-k sector_component calls bit for bit."""
+    calls = Counter()
+    sector = TransformPair.sector_component
+
+    def counting(self, datum, k, xs, **kwargs):
+        calls[self.problem.label, k] += 1
+        return sector(self, datum, k, xs, **kwargs)
+
+    monkeypatch.setattr(TransformPair, "sector_component", counting)
+    xs = _POINT_SETS["recon"]
+    pair, datum = get_pair("reverse-lkdv"), get_datum("reverse-lkdv")
+    parts = pair.components(datum, xs)
+    assert len(parts) == 3
+    np.testing.assert_array_equal(parts[2], np.conj(parts[1]))
+    assert calls == {("reverse-lkdv", 1): 1}
+    pair, datum = get_pair("robin-4"), get_datum("robin-4")
+    assert not pair.mirrored
+    parts = pair.components(datum, xs)
+    for k in (1, 2):
+        np.testing.assert_array_equal(parts[k], sector(pair, datum, k, xs))
+    assert calls[("robin-4", 1)] == calls[("robin-4", 2)] == 1
 
 
 def test_schroedinger_dirichlet_reconstructs():
