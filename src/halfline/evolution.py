@@ -13,10 +13,16 @@ it (rates rounded up to the quadrature's one quarter-octave ladder, so
 the panels keep few distinct widths), and the cached transform values are
 reused for every t.
 
-Each time needs only the ray nodes inside its own truncation radius: the
-envelope's order-n coefficient is linear in t, so every ray node gets the
-time from which its envelope is below the tail target (arcs never drop
-out).  Each segment's nodes are walked outward in blocks of whole panels
+Each time needs only the ray nodes whose terms it cannot neglect.  Every
+ray node gets a drop time tau, the earlier of two (arcs never drop out):
+the time from which the envelope is below the tail target at the node's
+radius (the envelope's order-n coefficient is linear in t), and the time
+from which the node's own term |w F(lam)| exp(-x Im lam - Re(a lam^n) t),
+at its largest over the grid's x, is below its share of the tail target.
+The target abs_tol / 10 is split evenly over the 2 (N + 1) rays, a
+mirrored ray counting for two, and each ray's part evenly over its nodes,
+so the terms dropped by their own term sum below abs_tol / 10 at every
+(x, t).  Each segment's nodes are walked outward in blocks of whole panels
 of one width group, within a fixed entry budget, against the positive
 times in increasing order.  A block's exp(i x lam) comes from the
 factored kernel of :mod:`halfline.quadrature`: the group's table of node
@@ -96,7 +102,10 @@ def _ray_decay(pair: TransformPair, seg, k: int, t_min: float,
     The order-n term comes first and uses half the asymptotic coefficient,
     which bounds the true exponent for radii past the pivot; the linear term
     collects the worst-case x factor and the support growth of the shifted
-    transforms.
+    transforms.  F_k weights fhat(alpha^p lam) over component k's
+    multipliers alpha^p (p = 0 for k = 0), and |fhat(mu)| grows at most
+    like exp(L max(0, Im mu)), so along the ray the support term is L times
+    max(0, max_p sin(theta + arg alpha^p)): 0 on heat's sector rays.
     """
     theta = seg.angle
     g = (pair.a * np.exp(1j * pair.n * theta)).real
@@ -105,11 +114,11 @@ def _ray_decay(pair: TransformPair, seg, k: int, t_min: float,
             f"ray at angle {theta:.6f} does not enter a decay region")
     s = math.sin(theta)
     c1 = x_min * s if s > 0.0 else x_max * s
-    if k >= 1:
-        # shifted arguments alpha^j lam can reach the upper half plane
-        c1 -= support
-    elif s > 0.0:
-        c1 -= support * s
+    # Im(alpha^p lam) rises along the ray at sin(theta + arg alpha^p)
+    mults = np.ones(1) if k == 0 else pair._multipliers(k)
+    growth = max(math.sin(theta + p) for p in np.angle(mults))
+    if growth > 0.0:
+        c1 -= support * growth
     terms = [(_DECAY_MARGIN * t_min * g, float(pair.n))]
     if c1 != 0.0:
         terms.append((c1, 1.0))
@@ -136,21 +145,31 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
     infinite ray or an arc), shared across times; ``nodes`` are the
     segment's :class:`~halfline.quadrature.Nodes`.
 
-    Node j contributes below the tail target at every time t >= tau[j];
-    arcs have tau = inf.
+    Ray node j is dropped at every time t >= tau[j], the earlier of its
+    envelope time tau_env[j], from which the :func:`_ray_decay` envelope is
+    below the tail target at its radius, and its own time, from which its
+    term |wf_j| exp(-x Im lam_j - Re(a lam_j^n) t), at its largest over x
+    in [x_min, x_max], is below an even share of the tail target among the
+    ray's nodes and the 2 (N + 1) rays; nodes with Re(a lam^n) <= 0 have no
+    own time.  So the pairs dropped by their own term sum below the tail
+    target at every (x, t), the mirror rays of a folded pack included, and
+    tau_env bounds each of the others.  Arcs have tau = inf.
 
     A rotated ray is resolved, at each radius u, for the largest time that
-    still needs its nodes there, t_top(u) = min(t_max, max(t_min, tau(u))):
+    its envelope still needs there, t_top(u) = min(t_max, max(t_min,
+    tau_env(u))):
     its rate is (x_max + L) + n t_top(u) (|base| + u)^(n-1) + pole(u),
     rounded up by :func:`halfline.quadrature.ladder_rate` to the ladder
     that growing rates' panels use too, so that the panels keep few
     distinct widths and so few phase tables.  Rounding up only narrows
     panels.  Arcs keep the rate of t_max.
-    This is sound because a (node, t) pair with t >= tau is below
-    the tail target: a panel resolves every time that needs its first
-    node, and where the apply takes a block's prefix of times past a later
-    panel's own tau, that panel's under-resolved share is an integrand
-    below the tail target, so it adds error of the truncation's size.
+    This is sound because a (node, t) pair with t >= tau_env is below
+    the tail target and tau <= tau_env: a panel resolves every time that
+    its first node's envelope needs, and where the apply takes a block's
+    prefix of times past a later panel's tau_env, that panel's
+    under-resolved share is an integrand below the tail target, so it
+    adds error of the truncation's size.  A ray cut at its start (the
+    zero datum's) has no nodes and an empty pack.
     """
     n = pair.n
     L = datum.support
@@ -183,7 +202,19 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
         nodes = segment_nodes(seg, pair.params, osc=ray_rate, decay=env)
         tau = _last_times(env, np.abs(nodes[0] - seg.base), t_min, log_target)
     lam, w = nodes
-    return lam, w * pair.forward(datum, k, lam), tau, nodes
+    wf = w * pair.forward(datum, k, lam)
+    if not seg.finite and lam.size:
+        # own times: |wf_j| max_x exp(-x Im lam_j) exp(-g_j t) reaches the
+        # node's share of the tail target at t = (log term_j - log share) / g_j
+        g = (pair.a * lam ** n).real
+        log_share = log_target - math.log(2 * (pair.N + 1) * lam.size)
+        with np.errstate(divide="ignore"):
+            log_term = (np.log(np.abs(wf))
+                        + np.maximum(-x_min * lam.imag, -x_max * lam.imag))
+        own = np.full(lam.size, np.inf)
+        np.divide(log_term - log_share, g, out=own, where=g > 0.0)
+        tau = np.minimum(tau, own)
+    return lam, wf, tau, nodes
 
 
 def _packs(pair: TransformPair, datum, xs, tpos):
@@ -246,7 +277,8 @@ def _apply(pair: TransformPair, xs, tpos, packs):
     Each pack is walked in blocks of whole panels of one width group
     against the times in increasing order, so a block is applied only to
     the prefix of times below its largest tau; nodes outward along a ray
-    have falling tau.  One :class:`PhaseKernel` per pack shares each
+    have falling envelope times, and their own times fall with their
+    terms.  One :class:`PhaseKernel` per pack shares each
     group's node phases across its blocks.  The packs are applied on the
     ``parallel_map`` workers, each into its own sums, which are added in
     pack order, so the values do not depend on the thread count.  Returns
