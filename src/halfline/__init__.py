@@ -16,10 +16,10 @@ from .boundary import (CompletedForms, complementary_forms,
 from .charmatrix import CharMatrix, DeltaRoot
 from .config import RunConfig, load_config, parse_config, parse_grid
 from .contours import ContourSystem, build_contours, deform_for_time
-from .datum import InitialDatum, make_datum
+from .datum import DataStack, InitialDatum, make_datum
 from .errors import (CoeffsNotInKernel, ConfigError, HalflineError,
                      InadmissibleDispersion, RankDeficientBoundary,
-                     ToleranceNotMet, WrongConditionCount)
+                     SupportMismatch, ToleranceNotMet, WrongConditionCount)
 from .evolution import SolutionField, solve_grid
 from .oracles import (OracleResult, fd_residual,
                       heat_dirichlet_solution, heat_neumann_solution,
@@ -40,10 +40,10 @@ __all__ = [
     "CharMatrix", "DeltaRoot",
     "RunConfig", "load_config", "parse_config", "parse_grid",
     "ContourSystem", "build_contours", "deform_for_time",
-    "InitialDatum", "make_datum",
+    "DataStack", "InitialDatum", "make_datum",
     "CoeffsNotInKernel", "ConfigError", "HalflineError",
-    "InadmissibleDispersion", "RankDeficientBoundary", "ToleranceNotMet",
-    "WrongConditionCount",
+    "InadmissibleDispersion", "RankDeficientBoundary", "SupportMismatch",
+    "ToleranceNotMet", "WrongConditionCount",
     "SolutionField", "solve_grid",
     "OracleResult", "fd_residual",
     "heat_dirichlet_solution", "heat_neumann_solution",

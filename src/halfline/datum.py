@@ -17,7 +17,9 @@ noise.  All evaluation is vectorized over x.  A datum also owns its one
 half-line Fourier transform (:meth:`InitialDatum.fhat`), whose resolution
 levels fill on first use and are freed with it; the transform of any
 derivative follows from it by parts
-(:meth:`~halfline.transforms.TransformPair.forward`).
+(:meth:`~halfline.transforms.TransformPair.forward`).  A
+:class:`DataStack` of data with one support owns one transform for all of
+them, whose exponentials serve every datum.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .errors import CoeffsNotInKernel
+from .errors import CoeffsNotInKernel, SupportMismatch
 from .transforms import SupportTransform
 
-__all__ = ["InitialDatum", "make_datum"]
+__all__ = ["DataStack", "InitialDatum", "make_datum"]
 
 # below this, exp(-1/s) underflows double precision to an exact 0.0, so the
 # cutoff and bump jets are constant there
@@ -190,6 +192,49 @@ class InitialDatum:
         The datum's :class:`~halfline.transforms.SupportTransform` fills its
         resolution levels on first use, under its own lock, and lives as
         long as the datum."""
+        return self._hat(mu)
+
+
+class DataStack:
+    """Initial data of one support, transformed as one.
+
+    The stack reads like a datum with a leading data axis: ``value(x)``
+    has shape (d, len(x)), ``boundary_derivatives(m)`` (d, m) and
+    ``fhat(mu)`` (d,) + mu.shape, so :class:`~halfline.transforms.
+    TransformPair` inverts all d data in one pass.  Its one
+    :class:`~halfline.transforms.SupportTransform` builds each
+    exponential table once per mu for every datum, at the largest
+    bandwidth of the data: a datum whose own floor is lower is integrated
+    on a finer rule than its own transform's.  Data of different supports
+    raise :class:`SupportMismatch`.
+    """
+
+    def __init__(self, data):
+        self.data = tuple(data)
+        supports = sorted({d.support for d in self.data})
+        if len(supports) != 1:
+            raise SupportMismatch(
+                f"a stack needs data of one support, got {supports}")
+        self.support = supports[0]
+        # the integrand holds the data, not the stack: no cycle
+        data = self.data
+        self._hat = SupportTransform(
+            lambda x: np.stack([d.value(x) for d in data]), self.support,
+            base_rate=self.bandwidth)
+
+    @property
+    def bandwidth(self) -> float:
+        return max(d.bandwidth for d in self.data)
+
+    def boundary_derivatives(self, m: int) -> np.ndarray:
+        return np.stack([d.boundary_derivatives(m) for d in self.data])
+
+    def value(self, x) -> np.ndarray:
+        return self._hat.g(np.atleast_1d(np.asarray(x, dtype=float)))
+
+    def fhat(self, mu) -> np.ndarray:
+        """int_0^L exp(-i mu x) f_i(x) dx for every datum i, shape (d,) +
+        mu.shape, from one quadrature."""
         return self._hat(mu)
 
 

@@ -56,6 +56,11 @@ class CoeffsNotInKernel(HalflineError):
     """Requested boundary derivative vector violates the boundary forms."""
 
 
+class SupportMismatch(HalflineError):
+    """Data of different supports were stacked: a stack shares one
+    quadrature over one support."""
+
+
 # ---------------------------------------------------------------------------
 # characteristic matrix
 

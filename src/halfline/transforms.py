@@ -41,6 +41,17 @@ the last two tables and #mu AB for the fine fold factors, instead of
 #mu panels order exponentials for the same quadrature rule; the matrix
 product with the real weights runs in real arithmetic.
 
+The exponentials depend on mu and the level alone, not on the datum, so a
+:class:`~halfline.datum.DataStack` of data with one support is transformed
+in one pass: its weights stack to d AB rows of the one matrix product, at
+the level its largest base rate asks for.  Every method that takes a datum
+takes a stack too and keeps its data axis in front; the real-line tail
+scan runs until every datum's block is small, a ray is cut at the largest
+junction value, and the monomial tails take one coefficient column per
+datum.  A single datum runs the same code on its own transform, as a
+stack of one without the axis, so its values do not depend on whether
+stacks exist.
+
 Every component integral is sized by the integrand's exponential type:
 exp(i lam x) F_k(lam) is a rational weighting of
 int_0^L exp(i lam (x - alpha^p y)) f(y) dy, so its phase rate is at most
@@ -84,12 +95,13 @@ from .quadrature import (_DENSITY, _ORDER, ExpDecay, PathSegment,
 
 __all__ = ["SupportTransform", "TransformPair"]
 
-# cap on the phase entries per chunk, mu x (AB folds + S order), so that a
-# chunk's temporaries stay in cache: one recon cycle's fhat calls, replayed
-# on warm levels on a 2-core x86 machine, took the same time from 60k to
-# 160k entries and about 30% longer at 250k.  The tracemalloc peak of
-# robin-4's stacked sector batch (2 x 6792 mu, warm level) is 5.1 MB here,
-# 9.5 MB at 250k entries
+# cap on the phase entries per chunk, mu x (d AB folds + S order) for a
+# stack of d data, so that a chunk's temporaries stay in cache: one recon
+# cycle's fhat calls, replayed on warm levels on a 2-core x86 machine, took
+# the same time from 60k to 160k entries and about 30% longer at 250k.  The
+# tracemalloc peak of robin-4's largest sector batch (2 x 6792 mu, warm
+# level) is 5.1 MB here, 9.5 MB at 250k entries, and 4.9 MB for a stack
+# of three data
 _CHUNK_BUDGET = 120_000
 # highest resolution level: |mu| up to base * 2**_MAX_LEVEL is resolved
 _MAX_LEVEL = 16
@@ -121,7 +133,11 @@ class SupportTransform:
     the inner factors common to all folds; a non-uniform panel layout
     would break the factorization.
 
-    ``g`` must be real-valued (a complex one raises ``TypeError``).
+    ``g`` must be real-valued (a complex one raises ``TypeError``).  It
+    may be vector-valued: g(x) of shape (d, len(x)) stands for d data of
+    one support, whose weights stack to d AB rows of the one real matrix
+    product, so every exponential table serves all d; the transform then
+    has a leading data axis, shape (d,) + mu.shape.
     ``base_rate`` sets the level-0 resolution floor in rad per unit x, so
     integrands with internal structure sharper than the lowest mu (a narrow
     bump, say) stay resolved at every level; 64 / support is the least
@@ -151,7 +167,8 @@ class SupportTransform:
     def _nodes(self, level: int):
         """(coarse, fine, step, gauss, wg) of one level: node k of panel
         (aB + b)S + r is coarse[a] + fine[b] + step[r] + gauss[k], with
-        weight w_k h g = wg[aB + b, r order + k]."""
+        weight w_k h g = wg[..., aB + b, r order + k] (a leading data axis
+        for a vector-valued g)."""
         with self._lock:
             if level not in self._levels:
                 cap = self.base * 2 ** level
@@ -165,7 +182,8 @@ class SupportTransform:
                 values = self.g(nodes)
                 if np.iscomplexobj(values):
                     raise TypeError("SupportTransform needs a real-valued g")
-                wg = (half * w)[None, :] * values.reshape(panels, _ORDER)
+                lead = values.shape[:-1]
+                wg = (half * w) * values.reshape(lead + (panels, _ORDER))
                 # S = sqrt(panels / 4) balances the panels / S fold
                 # exponentials against the S step exponentials and the
                 # S order multiplies of the outer product (a complex
@@ -178,27 +196,28 @@ class SupportTransform:
                 coarse = -(-panels // (fold * fine))
                 rows = coarse * fine
                 wg = np.concatenate(
-                    [wg, np.zeros((rows * fold - panels, _ORDER))])
+                    [wg, np.zeros(lead + (rows * fold - panels, _ORDER))],
+                    axis=-2)
                 spacing = 2.0 * half * fold
                 self._levels[level] = (
                     mid[0] + spacing * fine * np.arange(coarse),
                     spacing * np.arange(fine), 2.0 * half * np.arange(fold),
-                    half * x, wg.reshape(rows, fold * _ORDER))
+                    half * x, wg.reshape(lead + (rows, fold * _ORDER)))
             return self._levels[level]
 
     def __call__(self, mu) -> np.ndarray:
         mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-        if mu.size == 0:
-            return np.zeros(0, dtype=complex)
         coarse, fine, step, gauss, wg = self._nodes(
-            self._level_for(float(np.abs(mu).max())))
-        rows, width = wg.shape
+            self._level_for(float(np.abs(mu).max(initial=0.0))))
+        lead = wg.shape[:-2]
+        width = wg.shape[-1]
+        wg = wg.reshape(-1, width)
         # the Gauss row is odd about its centre: exponentials for its first
         # ceil(order / 2) entries, reciprocals for the mirrored rest
         half = _ORDER // 2
         flat = -1j * mu.ravel()
-        out = np.empty(flat.size, dtype=complex)
-        chunk = max(64, _CHUNK_BUDGET // (rows + width))
+        out = np.empty(lead + (flat.size,), dtype=complex)
+        chunk = max(64, _CHUNK_BUDGET // (wg.shape[0] + width))
         for i in range(0, flat.size, chunk):
             z = flat[i:i + chunk]
             left = np.exp(np.multiply.outer(gauss[:_ORDER - half], z))
@@ -206,13 +225,31 @@ class SupportTransform:
             table = np.exp(np.multiply.outer(step, z))[:, None, :] * phase
             # the weights are real, so one real matrix product over the
             # interleaved real and imaginary parts of the table does the
-            # work of a complex one with half the multiplies
+            # work of a complex one with half the multiplies, for every
+            # datum of a stack at once
             inner = (wg @ table.reshape(width, -1).view(float)).view(complex)
-            inner = inner.reshape(coarse.size, fine.size, -1)
+            inner = inner.reshape(lead + (coarse.size, fine.size, -1))
             inner *= np.exp(np.multiply.outer(fine, z))
-            out[i:i + chunk] = (np.exp(np.multiply.outer(coarse, z))
-                                * inner.sum(axis=1)).sum(axis=0)
-        return out.reshape(mu.shape)
+            out[..., i:i + chunk] = (np.exp(np.multiply.outer(coarse, z))
+                                     * inner.sum(axis=-2)).sum(axis=-2)
+        return out.reshape(lead + mu.shape)
+
+
+def _polyval(coeffs, mu) -> np.ndarray:
+    """np.polyval over the last axis of ``coeffs``, highest power first,
+    for every row of its leading data axes: shape coeffs.shape[:-1] +
+    mu.shape, by np.polyval's own Horner steps."""
+    out = np.zeros_like(mu)
+    for c in np.moveaxis(coeffs, -1, 0):
+        out = out * mu + np.reshape(c, np.shape(c) + (1,) * mu.ndim)
+    return out
+
+
+def _apply(xs: np.ndarray, nodes, wf: np.ndarray) -> np.ndarray:
+    """:func:`apply_phase` of wf over its last (node) axis, any leading
+    data axis kept in front: shape wf.shape[:-1] + (len(xs),).  A 1-D wf
+    reaches apply_phase as it is."""
+    return apply_phase(xs, nodes, wf.T).T
 
 
 def _real_axis_monomial_tails(r0: float, xs: np.ndarray, powers,
@@ -293,7 +330,9 @@ class TransformPair:
         return max(float(ends[1]), float(far))
 
     def forward(self, datum, k: int, lam, *, applied: bool = False) -> np.ndarray:
-        """F_k[f](lam), or F_k[Sf](lam) with ``applied=True``.
+        """F_k[f](lam), or F_k[Sf](lam) with ``applied=True``, for a datum
+        (shape of lam) or a :class:`~halfline.datum.DataStack` (a leading
+        data axis).
 
         Sf = (-i d/dx)^n f is the spatial operator applied to f.  Its
         half-line transform follows from fhat by parts, f being compactly
@@ -311,7 +350,7 @@ class TransformPair:
                      * datum.boundary_derivatives(self.n))
 
             def hat(mu):
-                return mu ** self.n * datum.fhat(mu) - np.polyval(terms, mu)
+                return mu ** self.n * datum.fhat(mu) - _polyval(terms, mu)
         else:
             hat = datum.fhat
         if k == 0:
@@ -319,7 +358,7 @@ class TransformPair:
         mults, weights = self.kernel_weights(k, lam)
         # every argument alpha^(N+l-k) lam has the modulus of lam, so the
         # stacked call resolves at the level lam alone would
-        return (weights * hat(mults * lam)).sum(axis=0)
+        return (weights * hat(mults * lam)).sum(axis=-1 - lam.ndim)
 
     # -- real-line component ----------------------------------------------
     @property
@@ -332,31 +371,32 @@ class TransformPair:
 
         ``G`` must decay faster than any tracked power (already subtracted)
         and keep the real-data symmetry G(-lam) = conj(G(lam)) on the real
-        line, which folds the left tail into the right one.  Raises
-        ToleranceNotMet if the blocks have not become negligible within the
-        block budget.
+        line, which folds the left tail into the right one.  G may carry a
+        leading data axis (a stack); the scan stops when the block of every
+        datum is below target.  Raises ToleranceNotMet if the blocks have
+        not become negligible within the block budget.
         """
-        tol = self.params.abs_tol
-        out = np.zeros(xs.size, dtype=complex)
+        target = self.params.abs_tol / 8.0
+        out = 0.0
         prev = math.inf
         a = self.lambda_center
         for _ in range(18):
             seg = PathSegment.ray(0.0, 0.0, a, 2.0 * a)
             nodes = segment_nodes(seg, self.params, osc=lambda u: rate)
             lam, w = nodes
-            block = apply_phase(xs, nodes, w * G(lam))
+            block = _apply(xs, nodes, w * G(lam))
             block = block + np.conj(block)
-            out += block
-            mag = float(np.abs(block).max())
+            out = out + block
+            mag = np.abs(block).max(axis=-1)
             a *= 2.0
             # a small block that is also collapsing against the previous
             # one bounds the remaining tail; two small in a row works too
-            if mag < tol / 8.0 and (mag <= 0.25 * prev or prev < tol / 8.0):
+            if np.all((mag < target) & ((mag <= 0.25 * prev) | (prev < target))):
                 return out
             prev = mag
         raise ToleranceNotMet(
-            f"real-line tail still {mag:.2e} at |lambda| = {a:.3g}",
-            value=out, est_error=mag)
+            f"real-line tail still {mag.max():.2e} at |lambda| = {a:.3g}",
+            value=out, est_error=float(mag.max()))
 
     def real_line_component(self, G, xs: np.ndarray, rate: float, *,
                             monomials=(), indented: bool = False) -> np.ndarray:
@@ -368,10 +408,11 @@ class TransformPair:
         I(-lam) = conj(I(lam)).  ``rate`` bounds the phase rate.  The
         central segment |lam| < lambda_center runs along the axis, or around
         the semicircular indentation above the origin when ``indented`` (I
-        has a pole there).  The indentation has radius lambda_center / 2,
-        at least 1, where lam^-p stays small and so does its rounding; this
-        needs I analytic in the upper half-disc |lam| < lambda_center / 2
-        except at 0.  Beyond the central segment, the rest of I is summed
+        has a pole there).  I and the coefficients b may carry a leading
+        data axis (a stack), which the result keeps.  The indentation has
+        radius lambda_center / 2, at least 1, where lam^-p stays small and
+        so does its rounding; this needs I analytic in the upper half-disc
+        |lam| < lambda_center / 2 except at 0.  Beyond the central segment, the rest of I is summed
         by :meth:`gamma0_tail_scan` and the monomials to rounding by
         :func:`_real_axis_monomial_tails`.
         """
@@ -393,15 +434,17 @@ class TransformPair:
         lam, w = nodes
 
         def mono(lam):
-            return sum(b * lam ** (-float(p)) for p, b in monomials)
+            return sum(np.multiply.outer(b, lam ** (-float(p)))
+                       for p, b in monomials)
 
-        vals = apply_phase(xs, nodes, w * (mono if G is None else G)(lam))
+        vals = _apply(xs, nodes, w * (mono if G is None else G)(lam))
         if G is not None:
             vals += self.gamma0_tail_scan(lambda lam: G(lam) - mono(lam), xs, rate)
         if monomials:
+            # one coefficient column per datum of a stack
             powers, coeffs = zip(*monomials)
-            vals += _real_axis_monomial_tails(lc, xs, powers,
-                                              self.params) @ np.array(coeffs)
+            vals += (_real_axis_monomial_tails(lc, xs, powers, self.params)
+                     @ np.array(coeffs)).T
         return vals
 
     def _gamma0_piece(self, datum, xs: np.ndarray) -> np.ndarray:
@@ -409,11 +452,13 @@ class TransformPair:
 
         The integrand is entire, so the central segment runs along the real
         axis; the first n+1 terms of fhat ~ sum_j f(j)(0) / (i lam)^(j+1)
-        are the monomials whose tails are restored exactly.
+        are the monomials whose tails are restored exactly, a power kept
+        when any datum of a stack has it.
         """
         coeffs = datum.boundary_derivatives(self.n + 1)
         monomials = [(j + 1, c * (1j) ** (-(j + 1.0)) / (2 * np.pi))
-                     for j, c in enumerate(coeffs) if c != 0.0]
+                     for j, c in enumerate(np.moveaxis(coeffs, -1, 0))
+                     if np.any(c != 0.0)]
         return self.real_line_component(
             lambda lam: datum.fhat(lam) / (2 * np.pi), xs,
             self.phase_rate(0, xs, datum.support), monomials=monomials)
@@ -438,8 +483,9 @@ class TransformPair:
 
     @staticmethod
     def junction_scale(F, seg: PathSegment) -> float:
-        """|F| at the start of the ray ``seg`` (at least 1e-12): the scale
-        of the envelope that truncates the ray."""
+        """|F| at the start of the ray ``seg`` (at least 1e-12), the
+        largest over a stack's data: the scale of the envelope that
+        truncates the ray."""
         jun = np.array([seg.point(seg.r0)], dtype=complex)
         return max(float(np.abs(F(jun)).max()), 1e-12)
 
@@ -474,7 +520,7 @@ class TransformPair:
             turn_axis_rays(self.contours).gammas[k - 1], self.params,
             lambda seg: self.junction_osc(seg, rate), decay)
         lam, w = nodes
-        return apply_phase(xs, nodes, w * F(lam))
+        return _apply(xs, nodes, w * F(lam))
 
     @property
     def mirrored(self) -> bool:
@@ -506,7 +552,10 @@ class TransformPair:
     def components(self, datum, xs) -> list[np.ndarray]:
         """The pieces of the inversion of ``datum`` at the points xs > 0:
         the real-line component of F_0, then the sector components
-        k = 1..N, which vanish for x > 0."""
+        k = 1..N, which vanish for x > 0.
+
+        ``datum`` may be a :class:`~halfline.datum.DataStack`: every piece
+        then has one row per datum, all from one transform of each mu."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if xs.min() <= 0.0:
             raise NonpositiveX("reconstruction requires x > 0")

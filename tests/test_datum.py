@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from halfline.datum import _EDGE, InitialDatum, make_datum
-from halfline.errors import CoeffsNotInKernel
+from halfline.datum import _EDGE, DataStack, InitialDatum, make_datum
+from halfline.errors import CoeffsNotInKernel, SupportMismatch
 
 
 def _oracle_mp(datum, x):
@@ -173,3 +173,28 @@ def test_bandwidth_tracks_sharpest_bump():
     datum = InitialDatum((0.0, 1.0), support=1.0, seed=5)
     w_min = min(w for _, _, w in datum._bumps)
     assert datum.bandwidth == pytest.approx(100.0 / w_min)
+
+
+def test_stack_reads_its_data_along_a_leading_axis(catalog):
+    """A stack of data with one support has their values and boundary jets
+    as rows, the support they share and their largest bandwidth."""
+    prob = catalog["robin-4"]
+    data = [make_datum(prob, prob.datum_kernel, seed=0),
+            make_datum(prob, (), seed=3, amplitude=0.5)]
+    stack = DataStack(data)
+    xs = np.linspace(0.0, 1.0, 11)
+    np.testing.assert_array_equal(stack.value(xs),
+                                  [d.value(xs) for d in data])
+    np.testing.assert_array_equal(stack.boundary_derivatives(5),
+                                  [d.boundary_derivatives(5) for d in data])
+    assert stack.support == 1.0
+    assert stack.bandwidth == max(d.bandwidth for d in data)
+
+
+def test_stack_refuses_data_of_different_supports(catalog):
+    """One quadrature serves a stack, so its data must share a support."""
+    prob = catalog["heat-neumann"]
+    data = [make_datum(prob, (1.0,), seed=0),
+            make_datum(prob, (1.0,), support=1.5, seed=0)]
+    with pytest.raises(SupportMismatch, match="one support"):
+        DataStack(data)

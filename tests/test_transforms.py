@@ -14,14 +14,14 @@ import pytest
 from scipy import integrate
 
 from halfline import contours, quadrature, transforms
-from halfline.datum import InitialDatum, make_datum
+from halfline.datum import DataStack, InitialDatum, make_datum
 from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.evolution import solve_grid
 from halfline.problems import HalfLineProblem, validate
 from halfline.quadrature import QuadratureParams, ray_monomial_tail
 from halfline.spectral import check_type_II
 from halfline.transforms import SupportTransform, TransformPair
-from halfline.verify import all_passed, verify_problem
+from halfline.verify import all_passed, data_trio, verify_problem
 
 from conftest import adaptive_reference, derivative_transform, inverse_kernel
 
@@ -104,13 +104,15 @@ def _dense_fhat(st, mu):
     """Dense evaluation of the support rule at one resolution level:
     exp(-i mu x_j) @ (w_j g(x_j)) over the same nodes, rebuilt from the
     level's coarse and fine fold offsets, steps and Gauss offsets, with the
-    absolute sum of its terms."""
+    absolute sum of its terms; a row of each for every datum of a
+    vector-valued g."""
     coarse, fine, step, gauss, wg = st._nodes(
         st._level_for(float(np.abs(mu).max())))
     mid = (coarse[:, None] + fine).ravel()
     nodes = (mid[:, None, None] + step[:, None] + gauss).ravel()
-    terms = np.exp(-1j * mu[:, None] * nodes[None, :]) * wg.ravel()[None, :]
-    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    terms = (np.exp(-1j * mu[:, None] * nodes[None, :])
+             * wg.reshape(wg.shape[:-2] + (1, -1)))
+    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
 
 
 @pytest.mark.parametrize("name, order", [
@@ -120,18 +122,22 @@ def test_support_transform_matches_dense_oracle(get_datum, catalog, name,
                                                 order, monkeypatch):
     """The phase-factored transform equals the dense exp @ (w g) of the same
     quadrature rule to rounding: |fast - dense| <= 16 eps (1 + |mu| L)
-    sum_j |exp(-i mu x_j) w_j g(x_j)|, for levels 0..8, the datum and its
-    n-th derivative, real mu and mu with |Im mu| <= 3, at the quadrature's
-    Gauss order and, patched in, at an odd one, whose middle node has
-    phase factor 1."""
+    sum_j |exp(-i mu x_j) w_j g(x_j)|, for levels 0..8, the datum, its
+    n-th derivative and the two stacked as a vector-valued g (one row
+    each), real mu and mu with |Im mu| <= 3, at the quadrature's Gauss
+    order and, patched in, at an odd one, whose middle node has phase
+    factor 1."""
     datum = get_datum(name)
     eps = np.finfo(float).eps
     if order is not None:
         monkeypatch.setattr(transforms, "_ORDER", order)
-    for deriv in (0, catalog[name].order):
-        g = datum.value if deriv == 0 else (lambda x: datum.derivative(deriv, x))
-        st = SupportTransform(g, datum.support,
-                              base_rate=datum.bandwidth * (1.0 + deriv))
+    n = catalog[name].order
+    deriv = lambda x: datum.derivative(n, x)
+    fine = datum.bandwidth * (1.0 + n)
+    cases = {"f": (datum.value, datum.bandwidth), "Sf": (deriv, fine),
+             "stack": (lambda x: np.stack([datum.value(x), deriv(x)]), fine)}
+    for case, (g, rate) in cases.items():
+        st = SupportTransform(g, datum.support, base_rate=rate)
         for level in range(9):
             top = 0.99 * st.base * 2.0 ** level
             re = np.linspace(-top, top, 9)
@@ -140,7 +146,8 @@ def test_support_transform_matches_dense_oracle(get_datum, catalog, name,
             fast = st(mu)
             dense, scale = _dense_fhat(st, mu)
             bound = 16.0 * eps * (1.0 + np.abs(mu) * datum.support) * scale
-            assert np.all(np.abs(fast - dense) <= bound), (deriv, level)
+            assert fast.shape == dense.shape
+            assert np.all(np.abs(fast - dense) <= bound), (case, level)
 
 
 def test_support_transform_exponentials_per_mu(catalog, monkeypatch):
@@ -187,7 +194,8 @@ def test_stacked_forward_batch_stays_within_chunk_budget(catalog):
     so one fhat call on 2 x 6792 mu) holds 2.30M phase entries, many
     chunks; on a warm level its tracemalloc peak stays below four chunk
     budgets of complex entries, less than the batch's phase entries
-    alone."""
+    alone.  So does the same batch for a stack of three data, whose chunks
+    shrink with its 3 AB rows."""
     problem = catalog["robin-4"]
     pair = TransformPair(problem)
     datum = make_datum(problem, problem.datum_kernel, seed=41)
@@ -203,19 +211,22 @@ def test_stacked_forward_batch_stays_within_chunk_budget(catalog):
     del pair.forward
     k, lam = max(batches, key=lambda b: b[1].size)
     assert (k, lam.size) == (2, 6792)
-    pair.forward(datum, k, lam)  # builds the level outside the trace
-    hat = datum._hat
-    wg = hat._nodes(hat._level_for(float(np.abs(lam).max())))[-1]
-    entries = 2 * lam.size * sum(wg.shape)
     bound = 4 * transforms._CHUNK_BUDGET * 16
-    assert entries * 16 > bound
-    tracemalloc.start()
-    try:
-        pair.forward(datum, k, lam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, peak
+    stack = DataStack(data_trio(problem, 41))
+    for data in (datum, stack):
+        pair.forward(data, k, lam)  # builds the level outside the trace
+        hat = data._hat
+        wg = hat._nodes(hat._level_for(float(np.abs(lam).max())))[-1]
+        rows = wg.size // wg.shape[-1]
+        entries = 2 * lam.size * (rows + wg.shape[-1])
+        assert entries * 16 > bound
+        tracemalloc.start()
+        try:
+            pair.forward(data, k, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (len(wg.shape), peak)
 
 
 def test_support_transform_refuses_mu_past_top_level(get_datum):
@@ -299,22 +310,93 @@ def _counting_constructions(monkeypatch) -> list:
 
 def test_verify_problem_never_rebuilds_a_transform(catalog, monkeypatch):
     """One verify_problem builds exactly one transform per datum it makes,
-    the datum's own, when the datum is made; none of a derivative."""
+    the datum's own, when the datum is made, and one for the stack of its
+    data trio, at the trio's largest base rate; none of a derivative."""
     built = _counting_constructions(monkeypatch)
     made = []  # holds the data, so no id is reused during the run
+    stacks = []
     post_init = InitialDatum.__post_init__
+    stack_init = DataStack.__init__
 
     def recording(self):
         post_init(self)
         made.append(self)
 
+    def recording_stack(self, data):
+        stack_init(self, data)
+        stacks.append(self)
+
     monkeypatch.setattr(InitialDatum, "__post_init__", recording)
+    monkeypatch.setattr(DataStack, "__init__", recording_stack)
     results = verify_problem(catalog["heat-neumann"])
     assert all_passed(results)
     assert len(made) == 3  # the data trio
-    assert [id(t) for t in built] == [id(d._hat) for d in made]
+    assert len(stacks) == 1
+    assert [id(d) for d in stacks[0].data] == [id(d) for d in made]
+    assert ([id(t) for t in built]
+            == [id(d._hat) for d in made] + [id(stacks[0]._hat)])
     assert all(t.base == max(64.0 / d.support, d.bandwidth)
                for t, d in zip(built, made))
+    assert built[-1].base == max(t.base for t in built[:-1])
+
+
+def test_verify_transforms_each_mu_once_for_its_trio(catalog, monkeypatch):
+    """One verify_problem of heat-neumann at the benchmark's tolerances
+    (rel_tol 1e-8, abs_tol 1e-9) hands its support transforms at most 20k
+    mu: the trio's inversion transforms each mu once for all three data.
+    Three separate inversions, about 8.5k mu each, made it 36k."""
+    counted = []
+    call = SupportTransform.__call__
+
+    def counting(self, mu):
+        counted.append(np.size(mu))
+        return call(self, mu)
+
+    monkeypatch.setattr(SupportTransform, "__call__", counting)
+    results = verify_problem(catalog["heat-neumann"],
+                             params=QuadratureParams(rel_tol=1e-8, abs_tol=1e-9))
+    assert all_passed(results)
+    print(f"verify heat-neumann: {len(counted)} fhat calls, {sum(counted)} mu")
+    assert sum(counted) <= 20_000, sum(counted)
+
+
+@pytest.mark.parametrize("name", ["lkdv-dirichlet", "reverse-lkdv",
+                                  "heat-dirichlet", "heat-neumann", "robin-4"])
+def test_stacked_components_match_each_datum(get_pair, catalog, name):
+    """Each row of the stacked inversion of a catalog trio agrees with the
+    inversion of its datum alone, component by component, to 1e-13.  A
+    datum whose own base rate is below the stack's is held to the stack's
+    finer rule (a copy of it whose transform has the stack's base rate):
+    on its own coarser layout it differs by fhat's rounding carried over
+    the real line's tail, about 2.6e-11, which evolution-initial's test
+    bounds.  Beyond that, a stack only runs a tail scan or a ray on past
+    where the datum's own stopped, by terms below abs_tol / 8; measured
+    at most 2.9e-14 (heat-neumann's maximal datum).  On the same rule the
+    rows of F_k[f] and F_k[Sf] agree to 1e-14 relative (measured equal)."""
+    pair = get_pair(name)
+    trio = data_trio(catalog[name], 0)
+    stack = DataStack(trio)
+    xs = np.linspace(0.05, 1.0, 20)
+    lam = np.array([0.3 + 0.2j, -2.0 + 1.0j, 7.5, 9.0 - 3.0j, 4.0 + 5.0j])
+    parts = pair.components(stack, xs)
+    assert [p.shape for p in parts] == [(3, 20)] * (pair.N + 1)
+    worst = 0.0
+    for row, datum in enumerate(trio):
+        if datum._hat.base < stack._hat.base:
+            datum = dataclasses.replace(datum)
+            object.__setattr__(datum, "_hat", SupportTransform(
+                datum.value, datum.support, base_rate=stack.bandwidth))
+        for k in range(pair.N + 1):
+            for applied in (False, True):
+                own = pair.forward(datum, k, lam, applied=applied)
+                np.testing.assert_allclose(
+                    pair.forward(stack, k, lam, applied=applied)[row], own,
+                    rtol=1e-14, atol=0)
+        own = pair.components(datum, xs)
+        worst = max(worst, max(float(np.abs(p[row] - q).max())
+                               for p, q in zip(parts, own)))
+    print(f"{name}: stacked rows within {worst:.2e} of single inversions")
+    assert worst <= 1e-13
 
 
 def test_pairs_of_one_problem_share_a_datums_transforms(catalog, monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from halfline import spectral, util, verify
-from halfline.datum import make_datum
+from halfline.datum import DataStack, make_datum
 from halfline.evolution import solve_grid
 from halfline.problems import HalfLineProblem
 from halfline.transforms import TransformPair
@@ -71,6 +71,26 @@ def test_solve_grid_maps_only_from_the_callers_thread(get_pair, get_datum,
                        xs, ts)
     assert np.isfinite(field.values).all()
     assert off_main == []
+
+
+@pytest.mark.parametrize("name", ["lkdv-dirichlet", "reverse-lkdv",
+                                  "heat-dirichlet", "heat-neumann", "robin-4"])
+def test_evolution_initial_row_is_the_datums_reconstruction(get_pair, catalog,
+                                                            name):
+    """evolution-initial reads the first row of verify's stacked inversion,
+    on the stack's resolution layout.  It is within 1e-10 of
+    pair.reconstruct(trio[0], xs20), which solve_grid's t = 0 row
+    reproduces bit for bit: the first datum's own base rate is the lower
+    one, and fhat's rounding carried over the real line's tail moves the
+    row by about 2.6e-11, four orders below the check's 1e-6 tolerance."""
+    pair = get_pair(name)
+    trio = verify.data_trio(catalog[name], 0)
+    xs20 = np.linspace(0.05, 1.0, 20)
+    parts = pair.components(DataStack(trio), xs20)
+    row = sum(parts[1:], parts[0])[0]
+    diff = float(np.abs(row - pair.reconstruct(trio[0], xs20)).max())
+    print(f"{name}: stacked t = 0 row within {diff:.2e} of reconstruct")
+    assert diff <= 1e-10
 
 
 def test_heat_robin_passes_without_an_oracle():
