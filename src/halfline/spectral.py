@@ -26,7 +26,10 @@ Three families of checks:
   into their sector, keeps the integral;
 * representation identity: inverting lam^(-n) F_k[Sf] over the components,
   with the real-line contour genuinely indented above the origin, must
-  reproduce f.
+  reproduce f.  :func:`spectral_representation_check` takes those rows
+  from :meth:`TransformPair.components` with ``represent``, which inverts
+  F_k[f] in the same pass (one tail scan, shared fhat values on every
+  sector ray), for a datum or a stack of data.
 
 Every component integral runs on the contour engine of
 :mod:`halfline.quadrature`; the real-line ones go through
@@ -312,20 +315,18 @@ def spectral_representation_check(pair, datum, xs, *,
                                   tol: float = 1e-6) -> RepresentationReport:
     """Invert lam^(-n) F_k[Sf] over all components (real line indented above
     the origin) and compare with f itself; the reconstruction check covers
-    the inversion of F_k[f]."""
+    the inversion of F_k[f].
+
+    ``datum`` may be a :class:`~halfline.datum.DataStack`: ``lhs`` and
+    ``rhs`` then have one row per datum and ``max_diff`` is the largest
+    over them.  The rows come from :meth:`TransformPair.components` with
+    ``represent``, which inverts F_k[f] in the same pass."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.min() <= 0.0:
         raise NonpositiveX("representation check requires x > 0")
-    n = pair.n
     rhs = datum.value(xs)
-
-    # lam^(-n) F_0[Sf] keeps the real-data symmetry: the parity of lam^(-n)
-    # cancels against that of the transform of Sf
-    lhs = pair.real_line_component(
-        lambda lam: pair.forward(datum, 0, lam, applied=True) * lam ** (-float(n)),
-        xs, pair.phase_rate(0, xs, datum.support), indented=True)
-    lhs += sum(pair.sector_components(datum, xs, applied=True))
-
+    parts = pair.components(datum, xs, represent=True)
+    lhs = sum(part[1] for part in parts)
     diff = float(np.abs(lhs - rhs).max())
     return RepresentationReport(xs=xs, lhs=lhs, rhs=rhs, max_diff=diff,
                                 passed=bool(diff < tol))

@@ -52,6 +52,16 @@ datum.  A single datum runs the same code on its own transform, as a
 stack of one without the axis, so its values do not depend on whether
 stacks exist.
 
+The same pass can carry the spectral representation
+(:meth:`TransformPair.components` with ``represent``): by parts,
+lam^(-n) F_0[Sf] is F_0[f] minus its first n monomials, so the two
+real-line integrands differ by monomials alone and one tail scan serves
+both sets of rows; each set restores its own powers (the inversion n+1,
+the representation the (n+1)-th alone) and runs its own central segment,
+indented above the representation's pole at 0.  Every sector ray carries
+both sets from one fhat evaluation per node, cut at the largest junction
+value over all rows.
+
 Every component integral is sized by the integrand's exponential type:
 exp(i lam x) F_k(lam) is a rational weighting of
 int_0^L exp(i lam (x - alpha^p y)) f(y) dy, so its phase rate is at most
@@ -247,9 +257,20 @@ def _polyval(coeffs, mu) -> np.ndarray:
 
 def _apply(xs: np.ndarray, nodes, wf: np.ndarray) -> np.ndarray:
     """:func:`apply_phase` of wf over its last (node) axis, any leading
-    data axis kept in front: shape wf.shape[:-1] + (len(xs),).  A 1-D wf
-    reaches apply_phase as it is."""
-    return apply_phase(xs, nodes, wf.T).T
+    axes kept in front: shape wf.shape[:-1] + (len(xs),).  A 1-D wf
+    reaches apply_phase as it is, the leading axes of a 2-D one as its
+    columns."""
+    flat = wf.reshape(-1, wf.shape[-1]) if wf.ndim > 2 else wf
+    return apply_phase(xs, nodes, flat.T).T.reshape(wf.shape[:-1] + (xs.size,))
+
+
+def _monomial_sum(monomials):
+    """lam -> sum of b lam^(-p) over the pairs (p, b) of ``monomials``, any
+    data axis of the coefficients b in front (0 for no pairs)."""
+    def mono(lam):
+        return sum(np.multiply.outer(b, lam ** (-float(p)))
+                   for p, b in monomials)
+    return mono
 
 
 def _real_axis_monomial_tails(r0: float, xs: np.ndarray, powers,
@@ -345,20 +366,46 @@ class TransformPair:
         """
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         if applied:
-            # descending powers mu^(n-1), ..., mu^0 carry u_0, ..., u_(n-1)
-            terms = ((-1j) ** np.arange(1, self.n + 1)
-                     * datum.boundary_derivatives(self.n))
+            by_parts = self._by_parts(datum)
 
             def hat(mu):
-                return mu ** self.n * datum.fhat(mu) - _polyval(terms, mu)
+                return by_parts(mu, datum.fhat(mu))
         else:
             hat = datum.fhat
+        return self._weighted(k, lam, hat)
+
+    def _by_parts(self, datum):
+        """(mu, fhat(mu)) -> int_0^L exp(-i mu x) Sf(x) dx, for a datum or
+        a stack (see :meth:`forward`)."""
+        # descending powers mu^(n-1), ..., mu^0 carry u_0, ..., u_(n-1)
+        terms = ((-1j) ** np.arange(1, self.n + 1)
+                 * datum.boundary_derivatives(self.n))
+        return lambda mu, f: mu ** self.n * f - _polyval(terms, mu)
+
+    def _weighted(self, k: int, lam: np.ndarray, hat) -> np.ndarray:
+        """F_k of the half-line transform ``hat`` at lam: hat / (2 pi) for
+        k = 0, else the kernel weights over hat's arguments alpha^p lam.
+        Any leading axes of hat's values are kept in front."""
         if k == 0:
             return hat(lam) / (2.0 * np.pi)
         mults, weights = self.kernel_weights(k, lam)
         # every argument alpha^(N+l-k) lam has the modulus of lam, so the
         # stacked call resolves at the level lam alone would
         return (weights * hat(mults * lam)).sum(axis=-1 - lam.ndim)
+
+    def _forward_both(self, datum, k: int, lam: np.ndarray) -> np.ndarray:
+        """F_k[f](lam) and lam^(-n) F_k[Sf](lam) as rows 0 and 1 of a
+        leading axis (in front of a stack's data axis), from one fhat
+        evaluation at each argument alpha^p lam."""
+        by_parts = self._by_parts(datum)
+
+        def hat(mu):
+            f = datum.fhat(mu)
+            return np.stack([f, by_parts(mu, f)])
+
+        out = self._weighted(k, lam, hat)
+        out[1] *= lam ** (-float(self.n))
+        return out
 
     # -- real-line component ----------------------------------------------
     @property
@@ -399,7 +446,8 @@ class TransformPair:
             value=out, est_error=float(mag.max()))
 
     def real_line_component(self, G, xs: np.ndarray, rate: float, *,
-                            monomials=(), indented: bool = False) -> np.ndarray:
+                            monomials=(), indented: bool = False,
+                            tail=None) -> np.ndarray:
         """Integral of exp(i lam x) I(lam) along the real line, for x in xs.
 
         The integrand I is ``G``, or the sum of ``monomials`` (pairs (p, b)
@@ -413,7 +461,9 @@ class TransformPair:
         radius lambda_center / 2, at least 1, where lam^-p stays small and
         so does its rounding; this needs I analytic in the upper half-disc
         |lam| < lambda_center / 2 except at 0.  Beyond the central segment, the rest of I is summed
-        by :meth:`gamma0_tail_scan` and the monomials to rounding by
+        by :meth:`gamma0_tail_scan`, or taken from ``tail``, the value of
+        a scan the caller already ran on I minus these monomials, and the
+        monomials to rounding by
         :func:`_real_axis_monomial_tails`.
         """
         lc = self.lambda_center
@@ -432,13 +482,11 @@ class TransformPair:
         nodes = component_nodes(
             segs, self.params, lambda seg: lambda u: central[seg.kind])
         lam, w = nodes
-
-        def mono(lam):
-            return sum(np.multiply.outer(b, lam ** (-float(p)))
-                       for p, b in monomials)
-
+        mono = _monomial_sum(monomials)
         vals = _apply(xs, nodes, w * (mono if G is None else G)(lam))
-        if G is not None:
+        if tail is not None:
+            vals += tail
+        elif G is not None:
             vals += self.gamma0_tail_scan(lambda lam: G(lam) - mono(lam), xs, rate)
         if monomials:
             # one coefficient column per datum of a stack
@@ -447,21 +495,42 @@ class TransformPair:
                      @ np.array(coeffs)).T
         return vals
 
-    def _gamma0_piece(self, datum, xs: np.ndarray) -> np.ndarray:
-        """Real-line component of the inversion of F_0[f] at t = 0.
+    def _gamma0_piece(self, datum, xs: np.ndarray, *,
+                      represent: bool = False) -> np.ndarray:
+        """Real-line component of the inversion of F_0[f] at t = 0, or with
+        ``represent`` that of F_0[f] and of lam^(-n) F_0[Sf] as rows 0 and
+        1 of a leading axis.
 
-        The integrand is entire, so the central segment runs along the real
-        axis; the first n+1 terms of fhat ~ sum_j f(j)(0) / (i lam)^(j+1)
-        are the monomials whose tails are restored exactly, a power kept
-        when any datum of a stack has it.
+        F_0[f] = fhat / (2 pi) is entire, so its central segment runs along
+        the real axis; the first n+1 terms of fhat ~ sum_j f(j)(0) /
+        (i lam)^(j+1) are the monomials whose tails are restored exactly, a
+        power kept when any datum of a stack has it.  By parts,
+        lam^(-n) F_0[Sf] is F_0[f] minus the first n of those terms: it has
+        a pole at 0, so its central segment is indented, it restores the
+        (n+1)-th power alone, and its tail beyond the central segment is
+        F_0[f]'s, which one scan serves for both.
         """
         coeffs = datum.boundary_derivatives(self.n + 1)
         monomials = [(j + 1, c * (1j) ** (-(j + 1.0)) / (2 * np.pi))
                      for j, c in enumerate(np.moveaxis(coeffs, -1, 0))
                      if np.any(c != 0.0)]
-        return self.real_line_component(
-            lambda lam: datum.fhat(lam) / (2 * np.pi), xs,
-            self.phase_rate(0, xs, datum.support), monomials=monomials)
+        rate = self.phase_rate(0, xs, datum.support)
+
+        def G(lam):
+            return datum.fhat(lam) / (2 * np.pi)
+
+        if not represent:
+            return self.real_line_component(G, xs, rate, monomials=monomials)
+        mono = _monomial_sum(monomials)
+        tail = self.gamma0_tail_scan(lambda lam: G(lam) - mono(lam), xs, rate)
+        return np.stack([
+            self.real_line_component(G, xs, rate, monomials=monomials,
+                                     tail=tail),
+            self.real_line_component(
+                lambda lam: self.forward(datum, 0, lam, applied=True)
+                * lam ** (-float(self.n)), xs, rate, indented=True,
+                monomials=[(p, b) for p, b in monomials if p > self.n],
+                tail=tail)])
 
     # -- sector components --------------------------------------------------
     @property
@@ -490,11 +559,13 @@ class TransformPair:
         return max(float(np.abs(F(jun)).max()), 1e-12)
 
     def sector_component(self, datum, k: int, xs: np.ndarray, *,
-                         applied: bool = False) -> np.ndarray:
+                         represent: bool = False) -> np.ndarray:
         """Integral of exp(i lam x) F_k[f] over component k.
 
-        ``applied=True`` integrates lam^(-n) F_k[Sf] instead, which also
-        inverts to f.  The component is
+        ``represent=True`` integrates lam^(-n) F_k[Sf] as well, which also
+        inverts to f: the two integrals are rows 0 and 1 of a leading
+        axis, both from one fhat evaluation per node, on rays cut at the
+        larger junction value.  The component is
         that of :func:`halfline.contours.turn_axis_rays`: a ray on the real
         axis has turned into the sector, where F_k is analytic outside
         |lam| = R and it and exp(i lam x) decay, so the integral is kept.
@@ -509,8 +580,9 @@ class TransformPair:
         rate = self.phase_rate(k, xs, datum.support)
 
         def F(lam):
-            out = self.forward(datum, k, lam, applied=applied)
-            return out * lam ** (-float(self.n)) if applied else out
+            if represent:
+                return self._forward_both(datum, k, lam)
+            return self.forward(datum, k, lam)
 
         def decay(seg):
             return ExpDecay.linear(x_min * math.sin(seg.angle), seg.r0,
@@ -530,7 +602,7 @@ class TransformPair:
         return (self.a.conjugate() == (-1) ** self.n * self.a
                 and not B.imag.any())
 
-    def sector_components(self, datum, xs, *, applied: bool = False) -> list:
+    def sector_components(self, datum, xs, *, represent: bool = False) -> list:
         """:meth:`sector_component` for k = 1..N.
 
         For a :attr:`mirrored` problem lam -> -conj(lam) maps component k
@@ -545,21 +617,28 @@ class TransformPair:
             if self.mirrored and 2 * k > self.N + 1:
                 out.append(np.conj(out[self.N - k]))
             else:
-                out.append(self.sector_component(datum, k, xs, applied=applied))
+                out.append(self.sector_component(datum, k, xs,
+                                                 represent=represent))
         return out
 
     # -- public inversion --------------------------------------------------
-    def components(self, datum, xs) -> list[np.ndarray]:
+    def components(self, datum, xs, *,
+                   represent: bool = False) -> list[np.ndarray]:
         """The pieces of the inversion of ``datum`` at the points xs > 0:
         the real-line component of F_0, then the sector components
         k = 1..N, which vanish for x > 0.
 
         ``datum`` may be a :class:`~halfline.datum.DataStack`: every piece
-        then has one row per datum, all from one transform of each mu."""
+        then has one row per datum, all from one transform of each mu.
+        With ``represent`` every piece has two rows on a leading axis, in
+        front of any data axis: the inversion of F_k[f], then that of
+        lam^(-n) F_k[Sf] (the spectral representation of f), which share
+        the real line's tail scan and every sector ray's fhat values."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if xs.min() <= 0.0:
             raise NonpositiveX("reconstruction requires x > 0")
-        return [self._gamma0_piece(datum, xs)] + self.sector_components(datum, xs)
+        return ([self._gamma0_piece(datum, xs, represent=represent)]
+                + self.sector_components(datum, xs, represent=represent))
 
     def reconstruct(self, datum, xs) -> np.ndarray:
         """Invert the forward transforms of ``datum`` at the points xs > 0."""

@@ -6,6 +6,8 @@ datum, so tests share one pair and one maximal-kernel datum per catalog
 problem across the whole session.
 """
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -85,6 +87,19 @@ def inverse_kernel(pair, k: int, lam, x):
         return np.exp(-1j * lam * x) / (2.0 * np.pi)
     mults, weights = pair.kernel_weights(k, lam)
     return (weights * np.exp(-1j * mults * lam * x)).sum(axis=0)
+
+
+def on_stack_rule(datum, stack):
+    """``datum`` held to ``stack``'s quadrature rule: the datum itself when
+    its transform's base rate is the stack's, else a copy whose transform
+    has the stack's base rate, so its own inversion runs on the same
+    panels as the stack's row of it."""
+    if datum._hat.base >= stack._hat.base:
+        return datum
+    copy = dataclasses.replace(datum)
+    object.__setattr__(copy, "_hat", SupportTransform(
+        copy.value, copy.support, base_rate=stack.bandwidth))
+    return copy
 
 
 def derivative_transform(datum, n: int) -> SupportTransform:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from halfline import contours, quadrature, transforms
+from halfline import contours, quadrature, transforms, verify
 from halfline.datum import DataStack, InitialDatum, make_datum
 from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.evolution import solve_grid
@@ -23,7 +23,8 @@ from halfline.spectral import check_type_II
 from halfline.transforms import SupportTransform, TransformPair
 from halfline.verify import all_passed, data_trio, verify_problem
 
-from conftest import adaptive_reference, derivative_transform, inverse_kernel
+from conftest import (adaptive_reference, derivative_transform, inverse_kernel,
+                      on_stack_rule)
 
 
 def _random_lams(rng, count, rmin=0.5, rmax=3.0):
@@ -342,9 +343,11 @@ def test_verify_problem_never_rebuilds_a_transform(catalog, monkeypatch):
 
 def test_verify_transforms_each_mu_once_for_its_trio(catalog, monkeypatch):
     """One verify_problem of heat-neumann at the benchmark's tolerances
-    (rel_tol 1e-8, abs_tol 1e-9) hands its support transforms at most 20k
-    mu: the trio's inversion transforms each mu once for all three data.
-    Three separate inversions, about 8.5k mu each, made it 36k."""
+    (rel_tol 1e-8, abs_tol 1e-9) hands its support transforms at most
+    12.5k mu: the trio's inversion and its spectral representation
+    transform each mu once for all three data (measured 11,864).  With the
+    representation checked on the first datum's own transform it was
+    19.0k; with three separate inversions besides, 36k."""
     counted = []
     call = SupportTransform.__call__
 
@@ -357,7 +360,38 @@ def test_verify_transforms_each_mu_once_for_its_trio(catalog, monkeypatch):
                              params=QuadratureParams(rel_tol=1e-8, abs_tol=1e-9))
     assert all_passed(results)
     print(f"verify heat-neumann: {len(counted)} fhat calls, {sum(counted)} mu")
-    assert sum(counted) <= 20_000, sum(counted)
+    assert sum(counted) <= 12_500, sum(counted)
+
+
+def test_verify_scans_one_tail_and_one_level_of_the_first_datum(catalog,
+                                                                 monkeypatch):
+    """One verify_problem of heat-neumann at the benchmark's tolerances runs
+    the real line's tail scan once, for the inversion and the spectral
+    representation of all three data, and leaves the first datum's own
+    transform at resolution level 0: the remainder fit and the evolution
+    checks need no more.  Checking the representation on that transform
+    scanned a second tail and built its levels 0 to 4."""
+    trios = []
+    scans = []
+    trio_of = verify.data_trio
+    scan = TransformPair.gamma0_tail_scan
+
+    def recording_trio(*args, **kwargs):
+        trios.append(trio_of(*args, **kwargs))
+        return trios[-1]
+
+    def counting_scan(self, *args, **kwargs):
+        scans.append(self.problem.label)
+        return scan(self, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "data_trio", recording_trio)
+    monkeypatch.setattr(TransformPair, "gamma0_tail_scan", counting_scan)
+    results = verify_problem(catalog["heat-neumann"],
+                             params=QuadratureParams(rel_tol=1e-8, abs_tol=1e-9))
+    assert all_passed(results)
+    assert len(trios) == 1
+    assert len(scans) == 1
+    assert sorted(trios[0][0]._hat._levels) == [0]
 
 
 @pytest.mark.parametrize("name", ["lkdv-dirichlet", "reverse-lkdv",
@@ -382,10 +416,7 @@ def test_stacked_components_match_each_datum(get_pair, catalog, name):
     assert [p.shape for p in parts] == [(3, 20)] * (pair.N + 1)
     worst = 0.0
     for row, datum in enumerate(trio):
-        if datum._hat.base < stack._hat.base:
-            datum = dataclasses.replace(datum)
-            object.__setattr__(datum, "_hat", SupportTransform(
-                datum.value, datum.support, base_rate=stack.bandwidth))
+        datum = on_stack_rule(datum, stack)
         for k in range(pair.N + 1):
             for applied in (False, True):
                 own = pair.forward(datum, k, lam, applied=applied)
@@ -660,7 +691,7 @@ def test_axis_ray_turn_leaves_sector_values(get_pair, get_datum, monkeypatch,
     type_ii = [(pair, datum, k) for k in (1, 2)] + [
         (TransformPair(schr), make_datum(schr, (0.0, 1.0), seed=0), 1)]
     xs = np.array([0.05, 0.4, 1.3])
-    forms = ({}, {"applied": True})
+    forms = ({}, {"represent": True})
     cases = [(p, k, form) for k in (1, 2)
              for p in (pair, _axis_ray_alone(pair, k)[0]) for form in forms]
     half = [p.sector_component(datum, k, xs, **form) for p, k, form in cases]
