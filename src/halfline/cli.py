@@ -14,8 +14,9 @@ Problems come from ``--builtin <name>`` or a ``--problem <file>`` config
 (see :mod:`halfline.config`).  CSV is RFC-4180 style with a header row and
 shortest round-trip float formatting, written to ``--out <dir>`` or stdout.
 Exit status is 0 iff every requested check passed.  The environment
-variable ``UTM_THREADS`` caps worker threads; while they run, BLAS is
-single-threaded.
+variable ``UTM_THREADS`` sets the size of the one worker pool the
+evolution runs on, created on its first threaded call and kept for the
+process; while its workers run, BLAS is single-threaded.
 """
 
 from __future__ import annotations

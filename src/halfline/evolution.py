@@ -29,9 +29,10 @@ factored kernel of :mod:`halfline.quadrature`: the group's table of node
 phases, built once per segment and shared by its blocks, times one
 exponential per panel and x.  It is applied, with the block's
 decay factors, only to the prefix of times that still need one of its
-nodes.  The packs are built, and then applied, on the ``parallel_map``
-workers; each pack is applied into sums of its own, and those are added
-in pack order, so the values do not depend on the thread count.
+nodes.  The packs are built, and then applied, on the process's one
+``parallel_map`` pool, whose workers outlive the call; each pack is
+applied into sums of its own, and those are added in pack order, so the
+values do not depend on the thread count.
 
 A problem with real coefficients, conj(a) = (-1)^n a and a real boundary
 matrix, has a mirror symmetry; its datum is real, since
@@ -280,8 +281,9 @@ def _apply(pair: TransformPair, xs, tpos, packs):
     have falling envelope times, and their own times fall with their
     terms.  One :class:`PhaseKernel` per pack shares each
     group's node phases across its blocks.  The packs are applied on the
-    ``parallel_map`` workers, each into its own sums, which are added in
-    pack order, so the values do not depend on the thread count.  Returns
+    workers of the process's one ``parallel_map`` pool, each into its own
+    sums, which are added in pack order, so the values do not depend on the
+    thread count or on which worker took a pack.  Returns
     the (len(tpos), len(xs)) values in the order of ``tpos``, the number
     of (node, time) pairs applied and the number of complex exponentials
     evaluated.

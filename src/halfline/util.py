@@ -6,7 +6,7 @@ import ctypes
 import glob
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -100,21 +100,74 @@ class _BlasPin:
 _BLAS_PIN = _BlasPin()
 
 
+class _Pool:
+    """The process's one :class:`ThreadPoolExecutor` for :func:`parallel_map`.
+
+    It is created on the first threaded call, with ``thread_count()``
+    workers, and kept: its workers wait between calls, so no call starts or
+    joins threads.  When the count changes, the pool is replaced under the
+    lock, and items are submitted under the same lock, so no caller submits
+    to a pool that was already shut down; a replaced pool finishes the items
+    it holds.  Its workers are marked through the executor's initializer.
+    After a fork the child drops the pool, whose threads it did not inherit.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._executor = None
+        self._size = 0
+        self._worker = threading.local()
+
+    def _mark(self):
+        self._worker.marked = True
+
+    def on_worker(self) -> bool:
+        """Whether the calling thread is one of the pool's workers."""
+        return getattr(self._worker, "marked", False)
+
+    def submit(self, fn, items, size: int) -> list:
+        """Futures of fn over items on a pool of ``size`` workers."""
+        with self._lock:
+            if self._size != size:
+                if self._executor is not None:
+                    self._executor.shutdown(wait=False)
+                self._executor = ThreadPoolExecutor(max_workers=size,
+                                                    initializer=self._mark)
+                self._size = size
+            return [self._executor.submit(fn, it) for it in items]
+
+    def drop(self):
+        self._lock = threading.Lock()
+        self._executor = None
+        self._size = 0
+
+
+_POOL = _Pool()
+os.register_at_fork(after_in_child=_POOL.drop)
+
+
 def parallel_map(fn, items):
     """Ordered map over items, threaded when UTM_THREADS allows.
 
     Work items run under numpy, which releases the GIL in inner kernels;
     results are returned in input order so output stays deterministic.
-    Library paths call it only from the caller's thread, never from a
-    worker, where a nested call would start a pool of its own.  While
-    workers run, the OpenBLAS that numpy loaded runs single-threaded, and
-    its thread count is restored when the last threaded call, of any
-    thread, returns or raises.
+    Threaded calls share one pool of ``thread_count()`` workers that lives
+    for the process (see :class:`_Pool`); a call on one of its workers runs
+    serially there, as do single items and UTM_THREADS=1.  No item of a
+    call still runs when the call returns or raises.  While workers run,
+    the OpenBLAS that numpy loaded runs single-threaded, and its thread
+    count is restored when the last threaded call, of any thread, returns
+    or raises.
     """
     items = list(items)
     k = thread_count()
-    if k <= 1 or len(items) <= 1:
+    if k <= 1 or len(items) <= 1 or _POOL.on_worker():
         return [fn(it) for it in items]
-    with _BLAS_PIN.held(), \
-            ThreadPoolExecutor(max_workers=min(k, len(items))) as ex:
-        return list(ex.map(fn, items))
+    with _BLAS_PIN.held():
+        futures = _POOL.submit(fn, items, k)
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
+            wait(futures)

@@ -1,8 +1,11 @@
 """Tests for the line-oriented configuration parser."""
 
 import dataclasses
+import multiprocessing
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -324,3 +327,118 @@ def test_parallel_map_holds_blas_at_one_thread(monkeypatch):
     finally:
         sys.setswitchinterval(switch)
         set_(session)
+
+
+def test_parallel_map_reuses_its_workers(monkeypatch):
+    """Two calls at UTM_THREADS=2 run on the same two worker threads, which
+    stay alive between calls.  The first call's items meet at a barrier, so
+    both workers exist; the second call's eight items use no other thread."""
+    monkeypatch.setenv("UTM_THREADS", "2")
+    barrier = threading.Barrier(2, timeout=30)
+
+    def meet(_):
+        barrier.wait()
+        return threading.current_thread()
+
+    first = set(parallel_map(meet, range(2)))
+    assert len(first) == thread_count() == 2
+    assert threading.current_thread() not in first
+    assert all(worker.is_alive() for worker in first)
+    second = set(parallel_map(lambda _: threading.current_thread(), range(8)))
+    assert second <= first
+
+
+def test_parallel_map_on_a_worker_runs_serially_there(monkeypatch):
+    """A parallel_map called on one of the pool's workers returns the
+    serial result on that worker; with every worker waiting on a nested
+    call, submitting it to the shared pool would never return."""
+    monkeypatch.setenv("UTM_THREADS", "2")
+
+    def outer(i):
+        me = threading.current_thread()
+        return parallel_map(
+            lambda j: (threading.current_thread() is me, 10 * i + j), range(4))
+
+    out = []
+    caller = threading.Thread(
+        target=lambda: out.append(parallel_map(outer, range(2))), daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert out == [[[(True, 10 * i + j) for j in range(4)] for i in range(2)]]
+
+
+def test_parallel_map_leaves_no_item_running_when_it_raises(monkeypatch):
+    """The workers outlive the call, but a call that raises has waited for
+    its items that were already running, as one that returns has."""
+    monkeypatch.setenv("UTM_THREADS", "2")
+    started, finished = [], []
+
+    def item(i):
+        if i == 0:
+            raise ValueError("first item failed")
+        started.append(i)
+        time.sleep(0.01)
+        finished.append(i)
+
+    with pytest.raises(ValueError, match="first item failed"):
+        parallel_map(item, range(8))
+    assert sorted(started) == sorted(finished)
+
+def test_parallel_map_resizes_its_pool_under_concurrent_callers(monkeypatch):
+    """Four callers map while UTM_THREADS switches 2 -> 3 -> 2 between their
+    calls: every call returns its ordered results, and none submits to a
+    pool that another caller's resize already shut down."""
+    monkeypatch.setenv("UTM_THREADS", "2")
+    errors, finished = [], []
+
+    def call():
+        try:
+            for _ in range(100):
+                got = parallel_map(lambda i: i * i, range(6))
+                if got != [i * i for i in range(6)]:
+                    errors.append(got)
+            finished.append(True)
+        except Exception as exc:  # reported below, with its type
+            errors.append(repr(exc))
+
+    callers = [threading.Thread(target=call) for _ in range(4)]
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for caller in callers:
+            caller.start()
+        deadline = time.monotonic() + 60
+        while (any(caller.is_alive() for caller in callers)
+               and time.monotonic() < deadline):
+            for value in ("3", "2"):
+                os.environ["UTM_THREADS"] = value
+                time.sleep(1e-4)
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
+    assert len(finished) == 4
+
+
+def _map_in_child():
+    if parallel_map(lambda i: i * i, range(6)) != [i * i for i in range(6)]:
+        raise SystemExit(1)
+
+
+def test_parallel_map_in_a_forked_child(monkeypatch):
+    """A forked child does not inherit the parent's pool, whose threads it
+    lacks: its own threaded call returns, and it exits 0."""
+    monkeypatch.setenv("UTM_THREADS", "2")
+    assert parallel_map(lambda i: i, range(4)) == [0, 1, 2, 3]
+    child = multiprocessing.get_context("fork").Process(target=_map_in_child)
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)

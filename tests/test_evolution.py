@@ -513,12 +513,16 @@ def test_grid_is_independent_of_time_order(get_pair, get_datum):
 def test_grid_does_not_depend_on_threads(get_pair, get_datum, monkeypatch,
                                          name):
     """Packs applied on two workers and summed in pack order give the
-    serial call's values to rounding, and the same work counts."""
+    serial call's values to rounding, and the same work counts.  A second
+    threaded call, on the same long-lived workers, gives the first one's
+    values bit for bit."""
     pair = get_pair(name)
     datum = get_datum(name)
     xs, ts = _evolve_grid(pair.n)
     monkeypatch.setenv("UTM_THREADS", "2")
     threaded = solve_grid(pair, datum, xs, ts)
+    assert np.array_equal(solve_grid(pair, datum, xs, ts).values,
+                          threaded.values)
     monkeypatch.setenv("UTM_THREADS", "1")
     serial = solve_grid(pair, datum, xs, ts)
     assert ((threaded.nodes, threaded.applied, threaded.exponentials)

@@ -18,7 +18,7 @@ from halfline.transforms import TransformPair
 def off_main(monkeypatch):
     """Runs UTM_THREADS=2 and returns the list of parallel_map calls made
     off the main thread, recorded at every module binding of it.  A call on
-    a worker would start a pool of its own there."""
+    a worker would run serially there, not on the pool."""
     monkeypatch.setenv("UTM_THREADS", "2")
     calls = []
     original = util.parallel_map
@@ -63,8 +63,8 @@ def test_verify_solves_one_grid_per_datum_on_the_callers_thread(
 
 def test_solve_grid_maps_only_from_the_callers_thread(get_pair, get_datum,
                                                       off_main):
-    """A 400 x 100 solve builds and applies its packs on workers that start
-    no pool of their own."""
+    """A 400 x 100 solve builds and applies its packs on workers that make
+    no parallel_map call of their own."""
     xs = np.linspace(1.5 / 400, 1.5, 400)
     ts = 0.3 * np.linspace(0.1, 1.0, 100)
     field = solve_grid(get_pair("heat-dirichlet"), get_datum("heat-dirichlet"),
