@@ -6,12 +6,17 @@ factor merely oscillates along the rays (they bound the decay regions), so
 every ray is first rotated into the adjacent region where Re(a lam^n) > 0;
 the integrands are entire and decay between the old and new rays, so the
 values are unchanged while the factor becomes exponentially small along the
-new rays.  Node sets are built once per (datum, xs, ts) batch: rays are cut
-where the envelope of the smallest positive time falls below the tail
-target, each ray node is resolved for the largest time that still needs
-it (rates rounded up to the quadrature's one quarter-octave ladder, so
-the panels keep few distinct widths), and the cached transform values are
-reused for every t.
+new rays.  After the contours are deformed for an (x, t) window, the
+integrand depends on the datum alone, and the grid points are only where
+it is summed.  So :func:`prepare` builds the node packs of a datum once
+for an x-range and a positive-time range, and its :class:`Solver` applies
+them to any grid inside that window (a point outside it raises):
+rays are cut where the envelope of the window's smallest time falls below
+the tail target, each ray node is resolved for the largest time that
+still needs it (rates rounded up to the quadrature's one quarter-octave
+ladder, so the panels keep few distinct widths), and the cached transform
+values are reused for every t.  :func:`solve_grid` is that step on its
+own grid's window.
 
 Each time needs only the ray nodes whose terms it cannot neglect.  Every
 ray node gets a drop time tau, the earlier of two (arcs never drop out):
@@ -61,7 +66,7 @@ from .quadrature import (_ORDER, ExpDecay, PhaseKernel, ladder_rate,
 from .transforms import TransformPair
 from .util import parallel_map
 
-__all__ = ["SolutionField", "solve_grid"]
+__all__ = ["SolutionField", "Solver", "prepare", "solve_grid"]
 
 _DECAY_MARGIN = 0.5
 _SCALE_MARGIN = 1.5
@@ -219,7 +224,8 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
 
 
 def _packs(pair: TransformPair, datum, xs, tpos):
-    """The packs for times tpos: each deformed segment's
+    """The packs for the window that xs and the positive times tpos span
+    (only their extremes are read): each deformed segment's
     :func:`_segment_pack` and whether it stands in for its mirror ray too.
 
     For a :attr:`~halfline.transforms.TransformPair.mirrored` problem only
@@ -302,36 +308,107 @@ def _apply(pair: TransformPair, xs, tpos, packs):
     return values, applied, exps
 
 
-def solve_grid(pair: TransformPair, datum, xs, ts) -> SolutionField:
-    """Evaluate the solution on the grid xs x ts (xs > 0, ts >= 0).
-
-    Raises :class:`ToleranceNotMet` naming the times whose values are not
-    finite (the apply overflowed), rather than returning them.
-    """
+def _grid(xs, ts):
+    """xs and ts as 1-D float arrays, nonempty, with no negative time."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if xs.size == 0 or ts.size == 0:
         raise ValueError("xs and ts must be nonempty")
-    if xs.min() <= 0.0:
-        raise NonpositiveX("solution grid requires x > 0")
     if ts.min() < 0.0:
         raise ValueError("times must be nonnegative")
+    return xs, ts
 
-    values = np.zeros((ts.size, xs.size), dtype=complex)
-    nodes = applied = exponentials = 0
-    pos = ts > 0.0
-    if pos.any():
-        packs = _packs(pair, datum, xs, ts[pos])
-        nodes = sum(pack[0].size for pack in packs)
-        evolved, applied, exponentials = _apply(pair, xs, ts[pos], packs)
-        values[pos] = evolved
-        bad = ~np.isfinite(values).all(axis=1)
-        if bad.any():
-            raise ToleranceNotMet(
-                f"solution not finite at times {ts[bad].tolist()}")
 
-    if (~pos).any():
-        values[~pos] = pair.reconstruct(datum, xs)
+class Solver:
+    """The solution of one datum on a prepared window: every x in
+    ``x_range`` and every time 0 or in ``t_range`` (see :func:`prepare`).
 
-    return SolutionField(xs=xs, ts=ts, values=values, nodes=nodes,
-                         applied=applied, exponentials=exponentials)
+    Calling it with (xs, ts) applies the window's packs, built once, to
+    that grid and returns a :class:`SolutionField`; ``nodes`` counts the
+    packs' nodes, ``applied`` and ``exponentials`` the call's own work.
+    An x or a positive time outside the window raises ``ValueError``:
+    the packs were cut and resolved for the window alone.  Times 0 are
+    the inversion of the datum, ``pair.reconstruct``, at any x inside
+    the window.
+    """
+
+    def __init__(self, pair: TransformPair, datum, x_range, t_range, packs):
+        self.pair = pair
+        self.datum = datum
+        self.x_range = x_range
+        self.t_range = t_range
+        self.packs = packs
+        self.nodes = sum(pack[0].size for pack in packs)
+
+    def __call__(self, xs, ts) -> SolutionField:
+        """Evaluate the solution on the grid xs x ts inside the window.
+
+        Raises :class:`ToleranceNotMet` naming the times whose values are
+        not finite (the apply overflowed), rather than returning them.
+        """
+        xs, ts = _grid(xs, ts)
+        x_lo, x_hi = self.x_range
+        if not x_lo <= xs.min() <= xs.max() <= x_hi:
+            raise ValueError(
+                f"xs span [{xs.min():g}, {xs.max():g}], outside the "
+                f"prepared x range {self.x_range}")
+        pos = ts > 0.0
+        t_lo, t_hi = self.t_range or (math.inf, 0.0)
+        if pos.any() and not t_lo <= ts[pos].min() <= ts[pos].max() <= t_hi:
+            raise ValueError(
+                f"positive times span [{ts[pos].min():g}, {ts.max():g}], "
+                f"outside the prepared t range {self.t_range}")
+
+        values = np.zeros((ts.size, xs.size), dtype=complex)
+        applied = exponentials = 0
+        if pos.any():
+            evolved, applied, exponentials = _apply(self.pair, xs, ts[pos],
+                                                    self.packs)
+            values[pos] = evolved
+            bad = ~np.isfinite(values).all(axis=1)
+            if bad.any():
+                raise ToleranceNotMet(
+                    f"solution not finite at times {ts[bad].tolist()}")
+
+        if (~pos).any():
+            values[~pos] = self.pair.reconstruct(self.datum, xs)
+
+        return SolutionField(xs=xs, ts=ts, values=values,
+                             nodes=self.nodes if pos.any() else 0,
+                             applied=applied, exponentials=exponentials)
+
+
+def prepare(pair: TransformPair, datum, x_range, t_range) -> Solver:
+    """Build the packs of ``datum`` for the window x in ``x_range`` = (lo,
+    hi), lo > 0, and t in ``t_range`` = (lo, hi), lo > 0, or for times 0
+    alone when ``t_range`` is None, and return their :class:`Solver`.
+
+    The rays are cut for the window's smallest time and resolved for its
+    largest, and every drop time holds for each x of the window, so one
+    build serves every grid inside it.
+    """
+    x_range = (float(x_range[0]), float(x_range[1]))
+    if x_range[0] <= 0.0:
+        raise NonpositiveX("solution grid requires x > 0")
+    if x_range[0] > x_range[1]:
+        raise ValueError(f"empty x range {x_range}")
+    packs = []
+    if t_range is not None:
+        t_range = (float(t_range[0]), float(t_range[1]))
+        if not 0.0 < t_range[0] <= t_range[1]:
+            raise ValueError(f"t range {t_range} is not positive and ordered")
+        packs = _packs(pair, datum, np.array(x_range), np.array(t_range))
+    return Solver(pair, datum, x_range, t_range, packs)
+
+
+def solve_grid(pair: TransformPair, datum, xs, ts) -> SolutionField:
+    """Evaluate the solution on the grid xs x ts (xs > 0, ts >= 0): the
+    :class:`Solver` of :func:`prepare` on the grid's own window.
+
+    Raises :class:`ToleranceNotMet` naming the times whose values are not
+    finite (the apply overflowed), rather than returning them.
+    """
+    xs, ts = _grid(xs, ts)
+    tpos = ts[ts > 0.0]
+    t_range = (tpos.min(), tpos.max()) if tpos.size else None
+    return prepare(pair, datum, (xs.min(), xs.max()), t_range)(xs, ts)

@@ -23,6 +23,7 @@ __all__ = [
     "heat_dirichlet_solution",
     "heat_neumann_solution",
     "stencil_coefficients",
+    "fd_grid",
     "fd_residual",
 ]
 
@@ -167,22 +168,12 @@ def _space_offsets(n: int) -> np.ndarray:
     return np.arange(-half, half + 1, dtype=float)
 
 
-def fd_residual(q_grid, n: int, a: complex, x, t, h: float) -> OracleResult:
-    """|q_t + a (-i d/dx)^n q| at (x, t) from finite differences.
-
-    ``q_grid(xs, ts)`` must return solution values with shape
-    (len(ts), len(xs)); it is called once.  Space and time derivatives use
-    second-order stencils at steps h and h/2, in x and in t alike; the
-    returned value is the fine-step residual and ``est_error`` is its
-    Richardson error estimate.  The time stencil is centered, falling back
-    to a one-sided second-order formula at a t where t - h would be
-    negative.  x and t may be arrays of centres: their stencils then form
-    one tensor grid, ``value`` and ``meta["coarse"]`` have shape
-    (len(t), len(x)), and ``est_error`` is the worst over the centres.
-    """
+def _stencil(n: int, x, t, h: float):
+    """The tensor grid of :func:`fd_residual` and its layout: (xs, ts,
+    xi, centered, first), with xi the space columns on the half-step
+    lattice and first[j] the first time row of centre t_j, -2 where the
+    time stencil is centred and 0 where it is one-sided."""
     offs = _space_offsets(n)
-    cs = stencil_coefficients(n, offs)
-
     # each centre's points at steps h and h/2 on the half-step lattice:
     # columns xi about every x, rows -2..2 about every t (0..4 one-sided)
     xi = sorted({int(2 * o) for o in offs} | {int(o) for o in offs})
@@ -194,14 +185,40 @@ def fd_residual(q_grid, n: int, a: complex, x, t, h: float) -> OracleResult:
     centered = tc - h >= 0.0
     first = np.where(centered, -2, 0)
     ts = (tc[:, None] + (first[:, None] + np.arange(5)) * (h / 2.0)).ravel()
+    return xs, ts, xi, centered, first
+
+
+def fd_grid(n: int, x, t, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (xs, ts) at which :func:`fd_residual` with the same n, x, t and
+    h calls its ``q_grid``: so a caller can prepare a solution for them."""
+    return _stencil(n, x, t, h)[:2]
+
+
+def fd_residual(q_grid, n: int, a: complex, x, t, h: float) -> OracleResult:
+    """|q_t + a (-i d/dx)^n q| at (x, t) from finite differences.
+
+    ``q_grid(xs, ts)`` must return solution values with shape
+    (len(ts), len(xs)); it is called once, on :func:`fd_grid`'s points.
+    Space and time derivatives use
+    second-order stencils at steps h and h/2, in x and in t alike; the
+    returned value is the fine-step residual and ``est_error`` is its
+    Richardson error estimate.  The time stencil is centered, falling back
+    to a one-sided second-order formula at a t where t - h would be
+    negative.  x and t may be arrays of centres: their stencils then form
+    one tensor grid, ``value`` and ``meta["coarse"]`` have shape
+    (len(t), len(x)), and ``est_error`` is the worst over the centres.
+    """
+    offs = _space_offsets(n)
+    cs = stencil_coefficients(n, offs)
+    xs, ts, xi, centered, first = _stencil(n, x, t, h)
     vals = np.asarray(q_grid(xs, ts), dtype=complex)
     if vals.shape != (len(ts), len(xs)):
         raise ValueError(f"q_grid returned shape {vals.shape}, "
                          f"expected {(len(ts), len(xs))}")
     # vals[j, r, i, c]: centre (x_i, t_j), time row r, space column c
-    vals = vals.reshape(tc.size, 5, xc.size, len(xi))
+    vals = vals.reshape(first.size, 5, -1, len(xi))
     col = {j: c for c, j in enumerate(xi)}
-    now = vals[np.arange(tc.size), -first]
+    now = vals[np.arange(first.size), -first]
     mid = vals[:, :, :, col[0]]
     both, ahead = mid[centered], mid[~centered]
 

@@ -18,12 +18,15 @@ over the real line or a sector boundary, runs on one engine:
 off-axis infinite rays (each caller supplies its phase-rate and envelope
 models; :mod:`halfline.contours` has already turned every infinite ray off
 the real axis, where no envelope decays) and :func:`apply_phase` then
-evaluates exp(i x lam) @ (w F) for all x at once.  It runs on
-:class:`PhaseKernel`, which factors the phase as exp(i x c_p) exp(i x o_gk)
-over the factored layout that :class:`Nodes` carries: one table of node
-phases per width group, shared by all the group's panels, and one
-exponential per panel and x.  The evolution apply uses the same kernel;
-the half-line transform's equal panels factor further, in
+evaluates exp(i x lam) @ (w F) for all x at once.  The phase factors as
+exp(i x c_p) exp(i x o_gk) over the factored layout that :class:`Nodes`
+carries: one table of node phases per width group, shared by all the
+group's panels, and one exponential per panel and x.  :func:`apply_phase`
+builds every table with one exponential call and every panel factor with
+one more, and sums chunks of whole panels, one matrix product per chunk;
+the evolution's blocks, each against its own prefix of times, run on
+:class:`PhaseKernel`, which builds the same tables group by group.  The
+half-line transform's equal panels factor further, in
 :class:`halfline.transforms.SupportTransform`.  :func:`integrate_segment`
 integrates one finite segment of a callable with error control, and
 :func:`ray_monomial_tail` sums a monomial ray tail by mpmath's
@@ -73,6 +76,11 @@ _LADDER = 4
 # the rule is part of what the checks certify, not a tuning choice
 _ORDER = 24
 _DENSITY = 8.0
+# cap on the phase entries of one chunk of apply_phase, len(xs) x nodes:
+# 512 KB of complex entries, inside one core's L2 cache.  verify's and
+# recon's calls, replayed on a 2-core x86 machine, timed alike from 8k to
+# 64k entries and 7-16% slower at 128k
+_PHASE_BUDGET = 32_768
 
 
 @dataclass(frozen=True)
@@ -384,19 +392,54 @@ def component_nodes(segments, params: QuadratureParams, osc, decay=None) -> Node
     return Nodes.concat(parts)
 
 
+def _node_tables(ix: np.ndarray, rows: np.ndarray):
+    """exp(ix (x) row) for every row of ``rows``, shape (len(ix), rows,
+    order), from one exponential call, and the number of exponentials.
+
+    A ray's row is odd about its centre (Gauss nodes come in pairs
+    +-x_k), and exp(-z) = 1 / exp(z) costs a division, so only its first
+    ceil(order / 2) entries are exponentials and the rest reciprocals; an
+    arc's row is evaluated whole.
+    """
+    count, order = rows.shape
+    half = order // 2
+    keep = order - half
+    full = np.flatnonzero(
+        (rows[:, :half] != -rows[:, :keep - 1:-1]).any(axis=1))
+    picked = rows[:, :keep]
+    if full.size:
+        picked = np.concatenate([picked.ravel(), rows[full, keep:].ravel()])
+    phases = np.multiply.outer(ix, picked).reshape(ix.size, -1)
+    np.exp(phases, out=phases)
+    left = phases[:, :count * keep].reshape(ix.size, count, keep)
+    table = np.empty((ix.size, count, order), dtype=complex)
+    table[:, :, :keep] = left
+    if full.size < count:  # the arcs' reciprocals are overwritten below
+        np.divide(1.0, left[:, :, :half][:, :, ::-1], out=table[:, :, keep:])
+    if full.size:
+        table[:, full, keep:] = phases[:, count * keep:].reshape(
+            ix.size, full.size, half)
+    return table, phases.size
+
+
+def _phase_block(outer: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """exp(i x lam) over a block of panels, shape (len(xs), panels x
+    order) in node order, from the panel factors ``outer`` (len(xs),
+    panels) and the node-phase ``tables`` (len(xs), panels or 1, order)."""
+    return (outer[:, :, None] * tables).reshape(outer.shape[0], -1)
+
+
 class PhaseKernel:
-    """Sums of exp(i x lam) wf over a set of :class:`Nodes`,
-    for one fixed set of x (real, or complex for transforms of complex
-    argument).
+    """Sums of exp(i x lam) wf over blocks of :class:`Nodes` whose panels
+    share one width group, for one fixed set of x: the evolution's apply,
+    where each block meets its own prefix of times.
 
     The phase factors panel by panel, exp(i x (c_p + o_gk)) =
     exp(i x c_p) exp(i x o_gk): the second factor is a table per width
-    group, built on first use and shared by every panel of the group, the
-    first one exponential per panel and x.  For a 1-D ``wf`` the sum over
-    each panel's nodes is one matrix product with the table and the sum
-    over panels a row-wise dot product with the panel factors; the columns
-    of a 2-D ``wf`` meet the phase block, formed from the two factors by
-    products, in one matrix product.  ``exps`` counts the complex
+    group (:func:`_node_tables`), built on first use and shared by every
+    panel of the group, the first one exponential per panel and x.  The
+    columns of ``wf`` meet the phase block, formed from the two factors
+    by products, in one matrix product.  ``exps`` counts the complex
     exponentials evaluated.
     """
 
@@ -409,51 +452,44 @@ class PhaseKernel:
     def _table(self, g: int) -> np.ndarray:
         table = self._tables.get(g)
         if table is None:
-            row = self.nodes.offset[g]
-            half = row.size // 2
-            # a ray's row is odd about its centre (Gauss nodes come in
-            # pairs +-x_k), and exp(-z) = 1 / exp(z) costs a division
-            odd = half > 0 and np.array_equal(row[:half], -row[::-1][:half])
-            table = np.multiply.outer(self.ix, row[:row.size - half] if odd
-                                      else row)
-            np.exp(table, out=table)
-            self.exps += table.size
-            if odd:
-                table = np.concatenate([table, 1.0 / table[:, half - 1::-1]],
-                                       axis=1)
+            table, count = _node_tables(self.ix, self.nodes.offset[g:g + 1])
+            self.exps += count
             self._tables[g] = table
         return table
 
     def apply(self, first: int, stop: int, wf: np.ndarray) -> np.ndarray:
         """sum over the nodes of panels first..stop-1, which must share one
         group, of exp(i x lam) wf; ``wf`` holds those nodes' rows, shape
-        (nodes,) or (nodes, columns)."""
-        count = stop - first
+        (nodes, columns)."""
         table = self._table(int(self.nodes.group[first]))
         outer = np.multiply.outer(self.ix, self.nodes.center[first:stop])
         np.exp(outer, out=outer)
         self.exps += outer.size
-        if wf.ndim == 2:
-            phase = outer[:, :, None] * table[:, None, :]
-            return phase.reshape(outer.shape[0], -1) @ wf
-        inner = table @ wf.reshape(count, -1).T
-        inner *= outer
-        # sum() reduces rows pairwise: the rounding error grows with
-        # log(panels), not with panels as in a running sum
-        return inner.sum(axis=1)
+        return _phase_block(outer, table) @ wf
 
 
 def apply_phase(xs: np.ndarray, nodes: Nodes, wf: np.ndarray) -> np.ndarray:
     """exp(i xs (x) lam) @ wf: sum_n wf_n exp(i lam_n x) for every x, with
-    lam the ``nodes``, by :class:`PhaseKernel`.
+    lam the ``nodes``, in one pass over them.
 
     ``wf`` holds weights times integrand values, shape (nodes,) or
     (nodes, columns); the result has shape (len(xs),) or (len(xs), columns).
+    Every width group's node-phase table comes from one exponential call
+    (:func:`_node_tables`) and every panel factor exp(i x c_p) from one
+    more; the panels are then summed in chunks of whole panels, of any
+    groups, under ``_PHASE_BUDGET`` phase entries, one matrix product per
+    chunk.
     """
-    kernel = PhaseKernel(xs, nodes)
-    out = np.zeros((np.size(xs),) + wf.shape[1:], dtype=complex)
-    for first, stop in nodes.runs():
-        out += kernel.apply(first, stop, wf[first * _ORDER:stop * _ORDER])
+    ix = 1j * np.asarray(xs)
+    tables, _ = _node_tables(ix, nodes.offset)
+    outer = np.multiply.outer(ix, nodes.center)
+    np.exp(outer, out=outer)
+    out = np.zeros((ix.size,) + wf.shape[1:], dtype=complex)
+    step = max(1, _PHASE_BUDGET // (ix.size * _ORDER))
+    for p in range(0, nodes.center.size, step):
+        q = p + step
+        block = _phase_block(outer[:, p:q], tables[:, nodes.group[p:q]])
+        out += block @ wf[p * _ORDER:q * _ORDER]
     return out
 
 

@@ -39,7 +39,12 @@ complex exponentials, with S near sqrt(panels / 4) and A, B near
 sqrt(panels / S), plus #mu S order multiplies for the outer product of
 the last two tables and #mu AB for the fine fold factors, instead of
 #mu panels order exponentials for the same quadrature rule; the matrix
-product with the real weights runs in real arithmetic.
+product with the real weights runs in real arithmetic.  At real mu (the
+real line's central segment and tail scan) node j of a fold and its
+mirror node, at -+z_j from the fold's centre, give (w_j + w_j') cos(mu
+z_j) - i (w_j - w_j') sin(mu z_j): two real products of half the width
+with the level's even and odd weights, over the exponentials of the
+fold's first half, which cost no more per mu.
 
 The exponentials depend on mu and the level alone, not on the datum, so a
 :class:`~halfline.datum.DataStack` of data with one support is transformed
@@ -91,6 +96,7 @@ from __future__ import annotations
 
 import math
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,11 +180,9 @@ class SupportTransform:
                 f"{_MAX_LEVEL} (|mu| <= {self.base * 2 ** _MAX_LEVEL:.6g})")
         return level
 
-    def _nodes(self, level: int):
-        """(coarse, fine, step, gauss, wg) of one level: node k of panel
-        (aB + b)S + r is coarse[a] + fine[b] + step[r] + gauss[k], with
-        weight w_k h g = wg[..., aB + b, r order + k] (a leading data axis
-        for a vector-valued g)."""
+    def _nodes(self, level: int) -> "_Level":
+        """The :class:`_Level` of one resolution level, built on first
+        use."""
         with self._lock:
             if level not in self._levels:
                 cap = self.base * 2 ** level
@@ -207,42 +211,107 @@ class SupportTransform:
                 rows = coarse * fine
                 wg = np.concatenate(
                     [wg, np.zeros(lead + (rows * fold - panels, _ORDER))],
-                    axis=-2)
+                    axis=-2).reshape(lead + (rows, fold * _ORDER))
+                # a fold's node j and node width - 1 - j sit at -+z from
+                # its centre
+                width = fold * _ORDER
+                first = wg[..., :-(-width // 2)]
+                mirror = wg[..., ::-1][..., :first.shape[-1]]
+                even, odd = first + mirror, first - mirror
+                if width % 2:  # the centre node of a fold of odd width
+                    even[..., -1] = first[..., -1]
+                    odd[..., -1] = 0.0
                 spacing = 2.0 * half * fold
-                self._levels[level] = (
+                self._levels[level] = _Level(
                     mid[0] + spacing * fine * np.arange(coarse),
                     spacing * np.arange(fine), 2.0 * half * np.arange(fold),
-                    half * x, wg.reshape(lead + (rows, fold * _ORDER)))
+                    half * x, wg, even, odd)
             return self._levels[level]
 
     def __call__(self, mu) -> np.ndarray:
         mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-        coarse, fine, step, gauss, wg = self._nodes(
-            self._level_for(float(np.abs(mu).max(initial=0.0))))
-        lead = wg.shape[:-2]
-        width = wg.shape[-1]
-        wg = wg.reshape(-1, width)
-        # the Gauss row is odd about its centre: exponentials for its first
-        # ceil(order / 2) entries, reciprocals for the mirrored rest
-        half = _ORDER // 2
+        level = self._nodes(self._level_for(float(np.abs(mu).max(initial=0.0))))
+        lead = level.wg.shape[:-2]
+        coarse, fine = level.coarse, level.fine
+        inner_of = self._complex_inner
+        if not mu.imag.any():
+            # the fold centres lie h (S - 1) past the fold midpoints
+            coarse = coarse + 0.5 * level.step[-1]
+            inner_of = self._real_inner
         flat = -1j * mu.ravel()
         out = np.empty(lead + (flat.size,), dtype=complex)
-        chunk = max(64, _CHUNK_BUDGET // (wg.shape[0] + width))
+        width = level.wg.shape[-1]
+        chunk = max(64, _CHUNK_BUDGET // (level.wg.size // width + width))
         for i in range(0, flat.size, chunk):
             z = flat[i:i + chunk]
-            left = np.exp(np.multiply.outer(gauss[:_ORDER - half], z))
-            phase = np.concatenate([left, 1.0 / left[:half][::-1]])
-            table = np.exp(np.multiply.outer(step, z))[:, None, :] * phase
-            # the weights are real, so one real matrix product over the
-            # interleaved real and imaginary parts of the table does the
-            # work of a complex one with half the multiplies, for every
-            # datum of a stack at once
-            inner = (wg @ table.reshape(width, -1).view(float)).view(complex)
-            inner = inner.reshape(lead + (coarse.size, fine.size, -1))
+            inner = inner_of(level, z).reshape(lead + (coarse.size, fine.size, -1))
             inner *= np.exp(np.multiply.outer(fine, z))
             out[..., i:i + chunk] = (np.exp(np.multiply.outer(coarse, z))
                                      * inner.sum(axis=-2)).sum(axis=-2)
         return out.reshape(lead + mu.shape)
+
+    @staticmethod
+    def _complex_inner(level: "_Level", z: np.ndarray) -> np.ndarray:
+        """sum over each fold's nodes of exp(z (step[r] + gauss[k])) times
+        the weights, for z = -i mu: (rows, len(z)), every datum's rows in
+        turn."""
+        width = level.wg.shape[-1]
+        # the Gauss row is odd about its centre: exponentials for its first
+        # ceil(order / 2) entries, reciprocals for the mirrored rest
+        half = _ORDER // 2
+        left = np.exp(np.multiply.outer(level.gauss[:_ORDER - half], z))
+        phase = np.concatenate([left, 1.0 / left[:half][::-1]])
+        table = np.exp(np.multiply.outer(level.step, z))[:, None, :] * phase
+        # the weights are real, so one real matrix product over the
+        # interleaved real and imaginary parts of the table does the
+        # work of a complex one with half the multiplies, for every
+        # datum of a stack at once
+        wg = level.wg.reshape(-1, width)
+        return (wg @ table.reshape(width, -1).view(float)).view(complex)
+
+    @staticmethod
+    def _real_inner(level: "_Level", z: np.ndarray) -> np.ndarray:
+        """:meth:`_complex_inner` about each fold's centre, for real mu.
+
+        A fold's node j = r order + k sits at z_j = step[r] - h (S - 1) +
+        gauss[k] from its centre and node width - 1 - j at -z_j, so at real
+        mu the pair gives (w_j + w_j') cos(mu z_j) - i (w_j - w_j') sin(mu
+        z_j): two real matrix products of half the width, with the
+        level's even and odd weights, over exp(-i mu z_j) of the fold's
+        first half alone."""
+        half = _ORDER // 2
+        cols = level.even.shape[-1]
+        left = np.exp(np.multiply.outer(level.gauss[:_ORDER - half], z))
+        # |exp(-i mu x)| = 1: the mirrored half are conjugates
+        phase = np.concatenate([left, left[:half][::-1].conj()])
+        shift = level.step[:-(-cols // _ORDER)] - 0.5 * level.step[-1]
+        table = (np.exp(np.multiply.outer(shift, z))[:, None, :]
+                 * phase).reshape(-1, z.size)[:cols]
+        rows = level.even.size // cols
+        inner = np.empty((rows, z.size), dtype=complex)
+        inner.real = level.even.reshape(rows, cols) @ np.ascontiguousarray(
+            table.real)
+        inner.imag = level.odd.reshape(rows, cols) @ np.ascontiguousarray(
+            table.imag)
+        return inner
+
+
+class _Level(NamedTuple):
+    """One resolution level of a :class:`SupportTransform`: node k of panel
+    (aB + b)S + r is coarse[a] + fine[b] + step[r] + gauss[k], with
+    weight w_k h g = wg[..., aB + b, r order + k] (a leading data axis for
+    a vector-valued g).  ``even`` and ``odd`` hold, for each of a fold's
+    first ceil(S order / 2) nodes j, w_j + w_j' and w_j - w_j' with
+    its mirror node j' = S order - 1 - j; the centre node of a fold of
+    odd width is its own mirror, with even w_j and odd 0."""
+
+    coarse: np.ndarray
+    fine: np.ndarray
+    step: np.ndarray
+    gauss: np.ndarray
+    wg: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
 
 
 def _polyval(coeffs, mu) -> np.ndarray:

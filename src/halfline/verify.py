@@ -11,7 +11,11 @@ condition) the field matches the method-of-images solution.
 The inversion, sector-vanishing, representation and evolution-initial
 values come from one pass over the data trio as a
 :class:`~halfline.datum.DataStack`; the remainder, type and evolution
-checks run on the first datum's own transform.
+checks run on the first datum's own transform.  The evolution checks,
+the images oracle among them, read one solver of the first datum
+(:func:`halfline.evolution.prepare`), whose packs are built once for the
+window of every grid they use; where a check asks for a datum of smaller
+amplitude, the solution is scaled, as it is linear in the datum.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import numpy as np
 
 from . import oracles, spectral
 from .datum import DataStack, make_datum
-from .evolution import solve_grid
+from .evolution import prepare
+# perfbench/spans.py patches solve_grid at this binding too
+from .evolution import solve_grid  # noqa: F401
 from .transforms import TransformPair
 
 __all__ = ["CheckResult", "data_trio", "extrapolated_boundary_values",
@@ -54,6 +60,8 @@ _EVOLUTION = {
     4: ((0.01, 0.015, 0.02), (0.01, 0.02), 5e-3, 1e-3),
 }
 _ORDER_BAND = (2.5, 6.0)
+# the (xs, ts) grid of the method-of-images check
+_ORACLE_GRID = (np.array([0.5, 1.0, 1.5]), np.array([0.01, 0.1, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,12 @@ def data_trio(problem, seed: int = 0):
     )
 
 
+def _boundary_offsets(n: int) -> np.ndarray:
+    """1, 2, ..., n + 2: the points of the one-sided boundary stencils of
+    an order-n problem, in steps."""
+    return np.arange(1, n + 3, dtype=float)
+
+
 def extrapolated_boundary_values(q_grid, problem, ts, h: float) -> np.ndarray:
     """|B_j q(., t)| from one-sided stencils at x = h, 2h, ..., ph.
 
@@ -103,8 +117,7 @@ def extrapolated_boundary_values(q_grid, problem, ts, h: float) -> np.ndarray:
     callable is invoked once for all requested times.
     """
     n = problem.order
-    p = n + 2
-    offsets = np.arange(1, p + 1, dtype=float)
+    offsets = _boundary_offsets(n)
     xs = offsets * h
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     vals = np.asarray(q_grid(xs, ts), dtype=complex)
@@ -139,7 +152,7 @@ def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
     and its rows give the reconstruction, sector-vanishing,
     representation and evolution-initial values at the same 20 points.
     The remainder, type and evolution checks run on the first datum's own
-    transform."""
+    transform, the evolution checks on one prepared solver of it."""
     out: list[CheckResult] = []
     mark = time.perf_counter()
 
@@ -208,12 +221,22 @@ def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
            "3 data, 20 points")
 
     # evolution: PDE residual, convergence order, boundary forms, datum row
+    # and the images oracle, every value from one set of packs of trio[0]
+    # built for the window of all their grids; the solution is linear in
+    # the datum, so a datum of amplitude amp solves to amp times trio[0]'s
     ts_res, ts_bnd, h, amp = _EVOLUTION.get(problem.order, _EVOLUTION[4])
-    evo = datum if amp == 1.0 else make_datum(
-        problem, datum.kernel_coeffs, seed=seed, amplitude=amp)
-    grid = lambda xs, ts: solve_grid(pair, evo, xs, ts).values
-    res = oracles.fd_residual(grid, problem.order, problem.a,
-                              np.array([0.3, 0.55, 0.8]) * L, ts_res, h)
+    xs_res = np.array([0.3, 0.55, 0.8]) * L
+    oracle = _heat_oracle(problem)
+    grids = [oracles.fd_grid(problem.order, xs_res, ts_res, h),
+             (_boundary_offsets(problem.order) * (h / 2), np.array(ts_bnd))]
+    if oracle is not None:
+        grids.append(_ORACLE_GRID)
+    xs_all, ts_all = (np.concatenate(axis) for axis in zip(*grids))
+    solve = prepare(pair, datum, (xs_all.min(), xs_all.max()),
+                    (ts_all.min(), ts_all.max()))
+    grid = lambda xs, ts: amp * solve(xs, ts).values
+    res = oracles.fd_residual(grid, problem.order, problem.a, xs_res,
+                              ts_res, h)
     worst = float(res.value.max())
     report("evolution-residual", worst < _TOL_RESIDUAL,
            worst, _TOL_RESIDUAL,
@@ -248,13 +271,10 @@ def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
            resid, _TOL_COFACTOR, "20 random lambda")
 
     # method-of-images baselines where the boundary form has one
-    oracle = _heat_oracle(problem)
     if oracle is not None:
-        xs = np.array([0.5, 1.0, 1.5])
-        ts = np.array([0.01, 0.1, 1.0])
-        field = solve_grid(pair, datum, xs, ts)
+        xs, ts = _ORACLE_GRID
         ref = oracle(datum, xs, ts, a=problem.a)
-        diff = float(np.abs(field.values - ref.value).max())
+        diff = float(np.abs(solve(xs, ts).values - ref.value).max())
         report("heat-oracle", diff < _TOL_ORACLE, diff, _TOL_ORACLE,
                oracle.__name__)
     return out

@@ -18,9 +18,10 @@ from halfline.quadrature import ray_monomial_tail
 
 SOURCE = Path(halfline.__file__).parent
 # imports kept on purpose, each marked ``# noqa: F401`` on its line: the
-# benchmark's tracer patches segment_nodes at spectral's binding, and its
-# own test asserts that the binding exists
-KEPT = {("spectral.py", "segment_nodes")}
+# benchmark's tracer patches segment_nodes at spectral's binding and
+# solve_grid at verify's, which verify_problem no longer calls, and its
+# own test asserts that both bindings exist
+KEPT = {("spectral.py", "segment_nodes"), ("verify.py", "solve_grid")}
 
 
 def _unused_imports(source: str) -> tuple:

@@ -283,6 +283,40 @@ def test_factored_apply_equals_dense_product():
         assert (np.abs(got - dense) <= 1e-13 * scale).all()
 
 
+@pytest.mark.parametrize("panels", [1, 2, 3, 5, 1000])
+def test_apply_phase_chunks_equal_dense_product(monkeypatch, panels):
+    """apply_phase sums its panels in chunks of whole panels under
+    ``_PHASE_BUDGET`` phase entries, across width groups: with the cap
+    patched down to chunks of 1, 2, 3 and 5 panels, and up to one chunk,
+    it equals exp(i xs (x) lam) @ wf for 1-D and 2-D weights to the
+    rounding of the phases, on nodes that mix arc panels (a group each),
+    laddered ray groups of several panels and single-panel groups, and
+    chunks then start inside groups and straddle their edges."""
+    arc = PathSegment.arc(0.5, 1.5, math.pi, 0.3)
+    tail = PathSegment.ray(1.5j, 2.2, 0.5, math.inf, orientation=-1)
+    finite = PathSegment.ray(-1.0 + 0.2j, 0.4, 0.0, 1.3)
+    growing = lambda u: 2.0 + 0.9 * (1.0 + u) ** 2
+    osc = lambda seg: (lambda u: 4.0) if seg.kind == "arc" else growing
+    decay = lambda seg: ExpDecay([(0.05, 3.0)], seg.r0, 0.0)
+    nodes = component_nodes([arc, tail, finite], PARAMS, osc, decay)
+    lam, w = nodes
+    sizes = np.diff([first for first, _ in nodes.runs()] + [nodes.center.size])
+    assert sizes.min() == 1 and sizes.max() >= 3
+
+    xs = np.linspace(0.05, 1.5, 7)
+    monkeypatch.setattr(quadrature, "_PHASE_BUDGET",
+                        panels * xs.size * quadrature._ORDER)
+    wf = w * np.exp(-0.1 * lam ** 2)
+    cols = wf[:, None] * np.exp(-np.multiply.outer(lam ** 3, [0.0, 0.02]))
+    terms = np.exp(1j * np.multiply.outer(xs, lam))
+    for weights in (wf, cols):
+        dense = terms @ weights
+        scale = np.abs(terms) @ np.abs(weights)
+        got = apply_phase(xs, nodes, weights)
+        assert got.shape == dense.shape
+        assert (np.abs(got - dense) <= 1e-13 * scale).all(), panels
+
+
 def test_integrate_segment_refuses_infinite_ray():
     """integrate_segment has no tail model: an infinite ray raises, as
     segment_nodes does without a decay model."""

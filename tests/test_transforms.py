@@ -108,7 +108,7 @@ def _dense_fhat(st, mu):
     absolute sum of its terms; a row of each for every datum of a
     vector-valued g."""
     coarse, fine, step, gauss, wg = st._nodes(
-        st._level_for(float(np.abs(mu).max())))
+        st._level_for(float(np.abs(mu).max())))[:5]
     mid = (coarse[:, None] + fine).ravel()
     nodes = (mid[:, None, None] + step[:, None] + gauss).ravel()
     terms = (np.exp(-1j * mu[:, None] * nodes[None, :])
@@ -151,6 +151,43 @@ def test_support_transform_matches_dense_oracle(get_datum, catalog, name,
             assert np.all(np.abs(fast - dense) <= bound), (case, level)
 
 
+@pytest.mark.parametrize("order", [None, 7], ids=["order24", "order7"])
+def test_real_fold_matches_dense_oracle(catalog, monkeypatch, order):
+    """At real mu, where fhat sums each fold's mirror node pairs about the
+    fold centre as cos and sin with the level's even and odd weights, the
+    transform equals the dense exp @ (w g) of the same rule to the bound
+    of :func:`test_support_transform_matches_dense_oracle`, on levels 0..4,
+    for a datum and for a stack of three data (one row each).  The floor
+    rate's levels 0 and 1 hold folds of S = 1 panel; at the patched odd
+    order 7 a fold of odd width has a centre node that is its own
+    mirror."""
+    if order is not None:
+        monkeypatch.setattr(transforms, "_ORDER", order)
+    problem = catalog["robin-4"]
+    trio = data_trio(problem, 0)
+    stack = DataStack(trio)
+    eps = np.finfo(float).eps
+    folds = set()
+    for g, rate in ((trio[0].value, trio[0].bandwidth),
+                    (stack.value, stack.bandwidth), (trio[1].value, 0.0)):
+        st = SupportTransform(g, trio[0].support, base_rate=rate)
+        for level in range(5):
+            top = 0.99 * st.base * 2.0 ** level
+            mu = np.concatenate([np.linspace(-top, top, 37), [0.0, top]])
+            assert st._level_for(float(np.abs(mu).max())) == level
+            folds.add((st._nodes(level).step.size,
+                       st._nodes(level).wg.shape[-1] % 2))
+            fast = st(mu)
+            dense, scale = _dense_fhat(st, mu.astype(complex))
+            bound = 16.0 * eps * (1.0 + np.abs(mu) * st.L) * scale
+            assert fast.shape == dense.shape
+            assert np.all(np.abs(fast - dense) <= bound), (level, rate)
+    if order is None:
+        assert (1, 0) in folds, folds
+    else:
+        assert any(odd for _, odd in folds), folds
+
+
 def test_support_transform_exponentials_per_mu(catalog, monkeypatch):
     """One fhat call evaluates at most A + B + S + ceil(order / 2) complex
     exponentials per mu at every level 0..8: the folds of S panels are
@@ -177,7 +214,7 @@ def test_support_transform_exponentials_per_mu(catalog, monkeypatch):
     for level in range(9):
         top = 0.99 * st.base * 2.0 ** level
         mu = np.linspace(-top, top, 200) + 0.5j
-        coarse, fine, step, _, wg = st._nodes(level)
+        coarse, fine, step, _, wg = st._nodes(level)[:5]
         counted.clear()
         with monkeypatch.context() as m:
             m.setattr(np, "exp", counting)
@@ -217,7 +254,7 @@ def test_stacked_forward_batch_stays_within_chunk_budget(catalog):
     for data in (datum, stack):
         pair.forward(data, k, lam)  # builds the level outside the trace
         hat = data._hat
-        wg = hat._nodes(hat._level_for(float(np.abs(lam).max())))[-1]
+        wg = hat._nodes(hat._level_for(float(np.abs(lam).max()))).wg
         rows = wg.size // wg.shape[-1]
         entries = 2 * lam.size * (rows + wg.shape[-1])
         assert entries * 16 > bound

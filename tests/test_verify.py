@@ -7,9 +7,9 @@ import threading
 import numpy as np
 import pytest
 
-from halfline import spectral, util, verify
+from halfline import evolution, spectral, util, verify
 from halfline.datum import DataStack, make_datum
-from halfline.evolution import solve_grid
+from halfline.evolution import prepare, solve_grid
 from halfline.problems import HalfLineProblem
 from halfline.transforms import TransformPair
 
@@ -35,30 +35,79 @@ def off_main(monkeypatch):
     return calls
 
 
-# solve_grid calls, and the residual grid's xs: 3 centres of 5 stencil
-# columns at order 2, of 7 at order 4
+# calls of the prepared solver, and the residual grid's xs: 3 centres of 5
+# stencil columns at order 2, of 7 at order 4
 @pytest.mark.parametrize("name, solves, columns",
                          [("heat-neumann", 3, 5), ("robin-4", 2, 7)])
 def test_verify_solves_one_grid_per_datum_on_the_callers_thread(
         catalog, monkeypatch, off_main, name, solves, columns):
-    """The nine residual points come from one solve_grid call, beside the
-    boundary forms' call and, on the heat problems, the oracle's; no
-    parallel_map runs on a worker.  The order check names its band."""
+    """The nine residual points come from one call of the one prepared
+    solver, beside the boundary forms' call and, on the heat problems, the
+    oracle's; no parallel_map runs on a worker.  The order check names its
+    band."""
+    prepared = []
     counted = []
 
-    def counting(*args, **kwargs):
-        counted.append(args[2:])
-        return solve_grid(*args, **kwargs)
+    def preparing(*args, **kwargs):
+        solve = prepare(*args, **kwargs)
+        prepared.append(solve)
 
-    monkeypatch.setattr(verify, "solve_grid", counting)
+        def counting(xs, ts):
+            counted.append((xs, ts))
+            return solve(xs, ts)
+        return counting
+
+    monkeypatch.setattr(verify, "prepare", preparing)
     results = verify.verify_problem(catalog[name])
     assert verify.all_passed(results)
+    assert len(prepared) == 1
     assert len(counted) == solves
     xs, ts = counted[0]
     assert (len(xs), len(ts)) == (3 * columns, 3 * 5)
     order = next(r for r in results if r.name == "evolution-order")
     assert "band [2.5, 6.0]" in order.detail
     assert off_main == []
+
+
+@pytest.mark.parametrize("name", ["heat-neumann", "robin-4"])
+def test_verify_builds_its_evolution_packs_once(catalog, monkeypatch, name):
+    """One verify_problem builds one set of segment packs, of the first
+    datum, for the window of every grid its evolution checks ask for, and
+    calls no solve_grid: at order 4 the amplitude-1e-3 solution is 1e-3
+    times the first datum's, whose packs serve it too."""
+    builds = []
+    packs = evolution._packs
+
+    def counting_packs(pair, datum, xs, ts):
+        builds.append((datum, xs, ts))
+        return packs(pair, datum, xs, ts)
+
+    def no_solve_grid(*args):
+        raise AssertionError("verify_problem called solve_grid")
+
+    trios = []
+    trio_of = verify.data_trio
+
+    def recording_trio(*args, **kwargs):
+        trios.append(trio_of(*args, **kwargs))
+        return trios[-1]
+
+    monkeypatch.setattr(evolution, "_packs", counting_packs)
+    monkeypatch.setattr(verify, "solve_grid", no_solve_grid)
+    monkeypatch.setattr(verify, "data_trio", recording_trio)
+    results = verify.verify_problem(catalog[name])
+    assert verify.all_passed(results)
+    assert len(builds) == 1
+    datum, xs, ts = builds[0]
+    assert datum is trios[0][0]
+    # the window runs from the boundary stencils' first point, h / 2, to
+    # the residual stencils' or the oracle grid's last
+    ts_res, ts_bnd, h, _ = verify._EVOLUTION[catalog[name].order]
+    assert xs[0] == h / 2
+    if name == "heat-neumann":
+        assert (xs[1], ts[0], ts[1]) == (1.5, 0.01, 1.0)
+    else:
+        assert ts[0] == min(ts_res) - h and ts[1] == max(ts_res) + h
 
 
 def test_solve_grid_maps_only_from_the_callers_thread(get_pair, get_datum,
