@@ -17,7 +17,12 @@ det X[l, j] of :meth:`CharMatrix.cofactors`, with
 
 The coefficients of Delta, for root finding, are expanded from those of M by
 the Leibniz formula: a signed sum, over the permutations of the columns, of
-products of entry polynomials.
+products of entry polynomials.  The cofactors take the same sum over the
+(m-1)! permutations of each window, products of entries of one evaluation
+of M (m <= 4 up to order 7), and the transform kernels read Delta from
+them as (A M)[0, 0], with no LU factorization.  :meth:`CharMatrix.delta`
+keeps LAPACK's determinant, so the verification suite's cofactor identity
+A M = Delta I compares Leibniz products against an LU.
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ __all__ = ["CharMatrix", "DeltaRoot"]
 
 _CLUSTER_RADIUS = 1e-6
 _COEFF_TOL = 1e-12
+
+
+def _parity(perm) -> int:
+    """The sign of a permutation, +1 or -1, by its inversions."""
+    inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+    return (-1) ** inversions
 
 
 @dataclass(frozen=True)
@@ -66,30 +77,56 @@ class CharMatrix:
         return np.polynomial.polynomial.polyval(lam, self.coeffs[k - 1, j - 1])
 
     def eval_matrix(self, lam) -> np.ndarray:
-        """Stack of matrices M(lam), shape lam.shape + (m, m)."""
+        """Stack of matrices M(lam), shape lam.shape + (m, m): the powers
+        of lam by running products, against the coefficients in one
+        matrix product."""
         lam = np.asarray(lam, dtype=complex)
-        powers = lam[..., None] ** np.arange(self.n)
-        return np.einsum("...r,kjr->...kj", powers, self.coeffs)
+        powers = np.empty(lam.shape + (self.n,), dtype=complex)
+        powers[..., 0] = 1.0
+        for r in range(1, self.n):
+            np.multiply(powers[..., r - 1], lam, out=powers[..., r])
+        m = self.m
+        flat = powers @ self.coeffs.reshape(m * m, self.n).T
+        return flat.reshape(lam.shape + (m, m))
 
     def delta(self, lam) -> np.ndarray:
         """Characteristic determinant Delta(lam) by direct evaluation."""
         return np.linalg.det(self.eval_matrix(lam))
 
-    def cofactors(self, lam) -> np.ndarray:
+    def cofactors(self, lam, M=None) -> np.ndarray:
         """Signed cofactor matrices A(lam), shape lam.shape + (m, m), with
         A[j-1, l-1] = (-1)^((m-1)(l+j)) det X[l, j](lam) for 1-based l, j,
         so that A(lam) M(lam) = Delta(lam) I.
 
-        All m^2 windows are cut from one evaluation of M; for m = 1 each
-        window is 0 x 0 and its determinant is 1.
+        Every window's determinant is its Leibniz sum over the (m-1)!
+        permutations, products of entries of one evaluation of M (``M``,
+        the matrices M(lam), when the caller has them); for m = 1 each
+        window is 0 x 0 and its determinant is the empty product 1.
         """
+        if M is None:
+            M = self.eval_matrix(lam)
+        index, weight = self._window_terms
+        flat = M.reshape(M.shape[:-2] + (M.shape[-1] ** 2,))
+        terms = reduce(lambda acc, i: acc * flat[..., i], index,
+                       np.broadcast_to(weight, M.shape[:-2] + weight.shape))
+        return terms.sum(axis=-3)
+
+    @cached_property
+    def _window_terms(self):
+        """The Leibniz terms of every cofactor: index[a][p, j, l], the flat
+        entry of M that is factor a of permutation p's product for
+        A[j, l], and weight[p, j, l], its sign times (-1)^((m-1)(l+j))."""
         m = self.m
         idx = np.arange(m)
+        # X[l, j] has rows shift[l] and columns shift[j] of M
         shift = (idx[:, None] + np.arange(1, m)) % m
-        # windows[..., j, l] = X[l, j]: rows shift[l], columns shift[j]
-        windows = self.eval_matrix(lam)[..., shift[None, :, :, None],
-                                        shift[:, None, None, :]]
-        return (-1.0) ** ((m - 1) * (idx[:, None] + idx)) * np.linalg.det(windows)
+        perms = list(permutations(range(m - 1)))
+        index = [np.array([(shift[None, :, a] * m + shift[:, None, p[a]])
+                           for p in perms]) for a in range(m - 1)]
+        sign = np.array([_parity(p) for p in perms], dtype=float)
+        weight = (sign[:, None, None]
+                  * (-1.0) ** ((m - 1) * (idx[:, None] + idx)))
+        return index, weight
 
     def cofactor_det(self, l: int, j: int, lam) -> np.ndarray:
         """det X[l, j](lam) for 1-based l, j; empty product is 1."""
@@ -105,9 +142,8 @@ class CharMatrix:
         poly = np.zeros(m * (self.n - 1) + 1, dtype=complex)
         bound = np.zeros(poly.size)
         for perm in permutations(range(m)):
-            inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
             rows = [self.coeffs[k, j] for k, j in enumerate(perm)]
-            poly += (-1) ** inversions * reduce(np.convolve, rows)
+            poly += _parity(perm) * reduce(np.convolve, rows)
             bound += reduce(np.convolve, np.abs(rows))
         # every lam^r coefficient slab of M is rank one (column j is
         # b*[j, r] times the vector (-i alpha^(k-1))^r), so determinant
@@ -155,10 +191,12 @@ class CharMatrix:
         rmax = max((abs(r.value) for r in self.delta_roots), default=0.0)
         return 1.1 * max(1.0, rmax)
 
-    def guard_delta(self, mu) -> np.ndarray:
-        """Delta(mu), raising if any value sits on a numerical zero."""
+    def guard_delta(self, mu, vals) -> np.ndarray:
+        """The values ``vals`` of Delta(mu) (the transform kernels expand
+        them from the cofactors, as (A M)[0, 0]), raising if any sits on a
+        numerical zero: at most 1e-12 of the sum of Delta's coefficient
+        moduli times the powers of |mu|."""
         mu = np.asarray(mu, dtype=complex)
-        vals = self.delta(mu)
         poly = self.delta_poly
         scale = np.polynomial.polynomial.polyval(np.abs(mu), np.abs(poly))
         bad = np.abs(vals) <= 1e-12 * np.maximum(scale, 1e-280)

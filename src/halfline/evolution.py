@@ -31,8 +31,9 @@ so the terms dropped by their own term sum below abs_tol / 10 at every
 of one width group, within a fixed entry budget, against the positive
 times in increasing order.  A block's exp(i x lam) comes from the
 factored kernel of :mod:`halfline.quadrature`: the group's table of node
-phases, built once per segment and shared by its blocks, times one
-exponential per panel and x.  It is applied, with the block's
+phases, built once per segment and shared by its blocks (the square of
+the table of the segment's group of half its width, where there is
+one), times one exponential per panel and x.  It is applied, with the block's
 decay factors, only to the prefix of times that still need one of its
 nodes.  The packs are built, and then applied, on the process's one
 ``parallel_map`` pool, whose workers outlive the call; each pack is
@@ -88,8 +89,9 @@ class SolutionField:
     module docstring): ``nodes`` counts their quadrature nodes,
     ``applied`` the (node, positive time) pairs multiplied out and
     ``exponentials`` the complex exponentials the apply evaluated: the
-    node-phase tables of the width groups, one per panel and x, and one
-    decay factor per applied pair.  All three are 0 when every time is 0.
+    node-phase tables of the width groups that are not the square of
+    another group's table, one per panel and x, and one decay factor per
+    applied pair.  All three are 0 when every time is 0.
     """
 
     xs: np.ndarray

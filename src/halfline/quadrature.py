@@ -25,7 +25,8 @@ group's panels, and one exponential per panel and x.  :func:`apply_phase`
 builds every table with one exponential call and every panel factor with
 one more, and sums chunks of whole panels, one matrix product per chunk;
 the evolution's blocks, each against its own prefix of times, run on
-:class:`PhaseKernel`, which builds the same tables group by group.  The
+:class:`PhaseKernel`, which builds the same tables group by group, a
+group of twice another's width as the square of its table.  The
 half-line transform's equal panels factor further, in
 :class:`halfline.transforms.SupportTransform`.  :func:`integrate_segment`
 integrates one finite segment of a callable with error control, and
@@ -439,8 +440,12 @@ class PhaseKernel:
     group (:func:`_node_tables`), built on first use and shared by every
     panel of the group, the first one exponential per panel and x.  The
     columns of ``wf`` meet the phase block, formed from the two factors
-    by products, in one matrix product.  ``exps`` counts the complex
-    exponentials evaluated.
+    by products, in one matrix product.  A group whose offsets are exactly
+    twice another group's (along a ray, widths four rungs of the ladder
+    apart) takes that group's table squared, exp(2 z) = exp(z)^2, built
+    first if needed: each squaring doubles the table's relative rounding
+    and adds eps, as evaluating the doubled phase directly doubles its
+    argument's.  ``exps`` counts the complex exponentials evaluated.
     """
 
     def __init__(self, xs, nodes: Nodes):
@@ -448,12 +453,20 @@ class PhaseKernel:
         self.nodes = nodes
         self.exps = 0
         self._tables: dict[int, np.ndarray] = {}
+        # + 0.0 makes a -0.0 part compare equal to 0.0
+        group = {(row + 0.0).tobytes(): g for g, row in enumerate(nodes.offset)}
+        self._half = [group.get((0.5 * row + 0.0).tobytes())
+                      for row in nodes.offset]
 
     def _table(self, g: int) -> np.ndarray:
         table = self._tables.get(g)
         if table is None:
-            table, count = _node_tables(self.ix, self.nodes.offset[g:g + 1])
-            self.exps += count
+            half = self._half[g]
+            if half is None:
+                table, count = _node_tables(self.ix, self.nodes.offset[g:g + 1])
+                self.exps += count
+            else:
+                table = np.square(self._table(half))
             self._tables[g] = table
         return table
 

@@ -34,17 +34,20 @@ panels of a level are equal and their midpoints equally spaced,
 m_p = m_0 + 2hp, so with D = 2hS node k of panel (aB + b)S + r is
 m_0 + aBD + bD + 2hr + h x_k and its phase is a product of four small
 tables: exp(-i mu (m_0 + aBD)) exp(-i mu bD) exp(-i mu 2hr)
-exp(-i mu h x_k).  A batch then costs #mu (A + B + S + ceil(order / 2))
-complex exponentials, with S near sqrt(panels / 4) and A, B near
-sqrt(panels / S), plus #mu S order multiplies for the outer product of
-the last two tables and #mu AB for the fine fold factors, instead of
-#mu panels order exponentials for the same quadrature rule; the matrix
-product with the real weights runs in real arithmetic.  At real mu (the
-real line's central segment and tail scan) node j of a fold and its
-mirror node, at -+z_j from the fold's centre, give (w_j + w_j') cos(mu
-z_j) - i (w_j - w_j') sin(mu z_j): two real products of half the width
-with the level's even and odd weights, over the exponentials of the
-fold's first half, which cost no more per mu.
+exp(-i mu h x_k).  The first three offsets are equally spaced, so their
+tables are powers of one factor each.  A batch then costs #mu
+(ceil(order / 2) + 4) complex exponentials at complex mu, one more at
+real mu, at every level, plus #mu S order multiplies for the outer
+product of the last two tables, #mu AB for the fine fold factors and
+about #mu (A + B + S) for the powers, with S near sqrt(panels / 4) and
+A, B near sqrt(panels / S), instead of #mu panels order exponentials for
+the same quadrature rule; the matrix product with the real weights runs
+in real arithmetic.  At real mu (the real line's central segment and
+tail scan) node j of a fold and its mirror node, at -+z_j from the
+fold's centre, give (w_j + w_j') cos(mu z_j) - i (w_j - w_j') sin(mu
+z_j): two real products of half the width with the level's even and odd
+weights, over the exponentials of the fold's first half, which cost no
+more per mu.
 
 The exponentials depend on mu and the level alone, not on the datum, so a
 :class:`~halfline.datum.DataStack` of data with one support is transformed
@@ -137,17 +140,33 @@ class SupportTransform:
         fhat(mu) = sum_a exp(-i mu (m_0 + aBD)) sum_b exp(-i mu bD)
                    sum_(r,k) exp(-i mu 2hr) exp(-i mu h x_k) w_k h g(node).
 
-    Per mu that is A coarse and B fine fold exponentials, B near the
-    square root of the number of folds, S step factors and ceil(order / 2)
-    Gauss factors (the Gauss nodes come in pairs +-x_k and exp(-z) =
-    1 / exp(z)): 32 on robin-4's recon datum at level 4, where one
-    exponential per fold took 53.  The outer product of the step and
-    Gauss factors, S order multiplies, meets the weights in one matrix
-    product, real because g is real-valued; the fine factors weight its
-    AB rows and the coarse factors the sums over b.  The folds are padded
-    to A x B with zero weights.  The equal-panel invariant is what makes
-    the inner factors common to all folds; a non-uniform panel layout
-    would break the factorization.
+    The coarse, fine and step offsets are arithmetic progressions, so
+    each of their tables, of A, B near the square root of the number of
+    folds, and S entries, is exp(z g_0) times the powers of exp(z d)
+    (:func:`_powers`): two exponentials per mu for the coarse table, one
+    for the fine and the step tables, which start at 0, and two for the
+    real path's steps about the fold centre.  The Gauss factors take
+    ceil(order / 2) exponentials (the Gauss nodes come in pairs +-x_k and
+    exp(-z) = 1 / exp(z)).  So a batch costs 16 exponentials per complex
+    mu and 17 per real mu at order 24, at every level: on robin-4's recon
+    datum at level 4 one exponential per table entry took 32, one per fold
+    53.  Power r of a chain carries about r eps of relative rounding, with
+    r < max(A, B, S) (r <= 31 on that datum at level 8, where S = 32),
+    and its phase error is that of evaluating exp(z r d) directly.  The
+    outer product of the step and Gauss factors, S order multiplies,
+    meets the weights in one matrix product, real because g is
+    real-valued; the fine factors, AB multiplies, weight its AB rows and
+    the coarse factors the sums over b.  The folds are padded to A x B
+    with zero weights.  The fold rule S = sqrt(panels / 4) was sized when
+    the fold tables were exponentials; of the work left per mu, S order +
+    AB (about panels / S) multiplies are least near S = sqrt(panels /
+    order), but timing the fhat calls of a cycle of each benchmark
+    workload for S = sqrt(panels / c) (one thread, 2-core x86, the matrix
+    product dominating) found no c better throughout: c = 16 took recon's
+    from 40-46 to 38-40 ms and evolve's from 30-36 to 38-41 ms, so the
+    rule is kept.  The equal-panel invariant is what makes the inner
+    factors common to all folds; a non-uniform panel layout would break
+    the factorization.
 
     ``g`` must be real-valued (a complex one raises ``TypeError``).  It
     may be vector-valued: g(x) of shape (d, len(x)) stands for d data of
@@ -198,14 +217,11 @@ class SupportTransform:
                     raise TypeError("SupportTransform needs a real-valued g")
                 lead = values.shape[:-1]
                 wg = (half * w) * values.reshape(lead + (panels, _ORDER))
-                # S = sqrt(panels / 4) balances the panels / S fold
-                # exponentials against the S step exponentials and the
-                # S order multiplies of the outer product (a complex
-                # multiply costs about 1/25 of a complex exponential)
+                # S = sqrt(panels / 4): see the class docstring's fold rule
                 fold = max(1, round(math.sqrt(panels / 4)))
                 # the fold midpoints m_0 + 2h S q are equally spaced too:
-                # q = aB + b, with B near sqrt(rows), takes A + B
-                # exponentials for them instead of rows
+                # q = aB + b, with B near sqrt(rows), takes tables of A + B
+                # entries for them instead of rows
                 fine = max(1, round(math.sqrt(-(-panels // fold))))
                 coarse = -(-panels // (fold * fine))
                 rows = coarse * fine
@@ -245,8 +261,8 @@ class SupportTransform:
         for i in range(0, flat.size, chunk):
             z = flat[i:i + chunk]
             inner = inner_of(level, z).reshape(lead + (coarse.size, fine.size, -1))
-            inner *= np.exp(np.multiply.outer(fine, z))
-            out[..., i:i + chunk] = (np.exp(np.multiply.outer(coarse, z))
+            inner *= _powers(fine, z)
+            out[..., i:i + chunk] = (_powers(coarse, z)
                                      * inner.sum(axis=-2)).sum(axis=-2)
         return out.reshape(lead + mu.shape)
 
@@ -261,7 +277,7 @@ class SupportTransform:
         half = _ORDER // 2
         left = np.exp(np.multiply.outer(level.gauss[:_ORDER - half], z))
         phase = np.concatenate([left, 1.0 / left[:half][::-1]])
-        table = np.exp(np.multiply.outer(level.step, z))[:, None, :] * phase
+        table = _powers(level.step, z)[:, None, :] * phase
         # the weights are real, so one real matrix product over the
         # interleaved real and imaginary parts of the table does the
         # work of a complex one with half the multiplies, for every
@@ -285,7 +301,7 @@ class SupportTransform:
         # |exp(-i mu x)| = 1: the mirrored half are conjugates
         phase = np.concatenate([left, left[:half][::-1].conj()])
         shift = level.step[:-(-cols // _ORDER)] - 0.5 * level.step[-1]
-        table = (np.exp(np.multiply.outer(shift, z))[:, None, :]
+        table = (_powers(shift, z)[:, None, :]
                  * phase).reshape(-1, z.size)[:cols]
         rows = level.even.size // cols
         inner = np.empty((rows, z.size), dtype=complex)
@@ -294,6 +310,28 @@ class SupportTransform:
         inner.imag = level.odd.reshape(rows, cols) @ np.ascontiguousarray(
             table.imag)
         return inner
+
+
+def _powers(row: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp(row (x) z), shape (len(row), len(z)), for an equally spaced
+    row g_r = g_0 + r d: exp(z g_0) times the powers exp(z d)^r, two
+    exponentials per z, one where g_0 = 0 and none more for a row of one
+    entry.  Rows [2^j, 2^(j+1)) are rows [0, 2^j) times exp(z d)^(2^j),
+    itself by squaring, so power r carries about r eps of relative
+    rounding from its products, and the rounding of z d, r times over,
+    is the phase error of evaluating exp(z r d) directly."""
+    out = np.empty((row.size, z.size), dtype=complex)
+    out[0] = np.exp(row[0] * z) if row[0] else 1.0
+    if row.size > 1:
+        power = np.exp((row[1] - row[0]) * z)
+        done = 1
+        while done < row.size:
+            take = min(done, row.size - done)
+            np.multiply(out[:take], power, out=out[done:done + take])
+            done += take
+            if done < row.size:
+                power *= power
+    return out
 
 
 class _Level(NamedTuple):
@@ -393,9 +431,12 @@ class TransformPair:
             raise ValueError(f"sector index k must be in 1..{self.N}, got {k}")
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         mu = self.alpha ** (self.N + 1 - k) * lam
-        dl = self.cm.guard_delta(mu)
-        row = self.cm.eval_matrix(lam)[..., 0, :]
-        weights = np.einsum("...j,...jl->l...", row, self.cm.cofactors(mu))
+        M = self.cm.eval_matrix(mu)
+        A = self.cm.cofactors(mu, M)
+        # Delta = (A M)[0, 0], from the same products as the weights
+        dl = self.cm.guard_delta(mu, (A[..., 0, :] * M[..., :, 0]).sum(axis=-1))
+        row = self.cm.eval_matrix(lam)[..., 0, :, None]
+        weights = np.moveaxis((row * A).sum(axis=-2), -1, 0)
         mults = self._multipliers(k)
         return mults.reshape((-1,) + (1,) * lam.ndim), weights / (2.0 * np.pi * dl)
 

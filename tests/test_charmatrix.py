@@ -119,6 +119,127 @@ def test_kernel_weights_order_five_and_six(n, a, B):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), k
 
 
+def _e(n: int, *rows) -> list:
+    """The unit rows e_(r+1) of length n, r in ``rows``."""
+    return [[1.0 if c == r else 0.0 for c in range(n)] for r in rows]
+
+
+# the order 5-7 problems beyond the catalog that the verification table
+# covers, m = 2..4
+_BEYOND = {
+    "order5-e1e2": HalfLineProblem(5, -1j, _e(5, 0, 1)),
+    "order5-e1e3": HalfLineProblem(5, 1j, _e(5, 0, 1, 2)),
+    "order6-e1e3": HalfLineProblem(6, 1.0, _e(6, 0, 1, 2)),
+    "order6-i-e1e3": HalfLineProblem(6, 1j, _e(6, 0, 1, 2)),
+    "order6-e1e3e5": HalfLineProblem(6, 1.0, _e(6, 0, 2, 4)),
+    "order7-e1e3": HalfLineProblem(7, -1j, _e(7, 0, 1, 2)),
+    "order7-e1e4": HalfLineProblem(7, 1j, _e(7, 0, 1, 2, 3)),
+}
+
+
+def _lapack_weights(pair: TransformPair, k: int, lams) -> np.ndarray:
+    """The kernel weights w_l(lam) in the LAPACK form: every window minor
+    by np.linalg.det, Delta(mu) by CharMatrix.delta (an LU)."""
+    cm = pair.cm
+    mu = pair.alpha ** (pair.N + 1 - k) * lams
+    row = cm.eval_matrix(lams)[..., 0, :]
+    return np.array([
+        sum((-1.0) ** ((cm.m - 1) * (l + j)) * _window_det(cm, l, j, mu)
+            * row[..., j - 1] for j in range(1, cm.m + 1))
+        for l in range(1, cm.m + 1)]) / (2.0 * np.pi * cm.delta(mu))
+
+
+def test_kernel_weights_match_the_lapack_form(catalog):
+    """The weights from Leibniz products of one evaluation of M(mu), with
+    Delta = (A M)[0, 0], equal the LAPACK form to 1e-12 of their largest
+    value away from the roots of Delta, for every sector: on the catalog
+    (m = 1, 2), on the order 5-7 problems of the verification table
+    (m = 2..4), and with each problem's characteristic matrix replaced by a
+    random complex one of the same shape (m = 1..4)."""
+    rng = np.random.default_rng(33)
+    pairs = [TransformPair(p) for p in [*catalog.values(), *_BEYOND.values()]]
+    synthetic = []
+    for pair in pairs:
+        fake = TransformPair(pair.problem)
+        shape = (pair.m, pair.n)
+        fake.cm = CharMatrix(pair.n, rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape))
+        synthetic.append(fake)
+    assert {p.m for p in pairs} == {1, 2, 3, 4}
+    for pair in pairs + synthetic:
+        cm = pair.cm
+        lams = rng.uniform(0.3, 4.0, 40) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+        for k in range(1, pair.N + 1):
+            mu = pair.alpha ** (pair.N + 1 - k) * lams
+            scale = np.polynomial.polynomial.polyval(np.abs(mu),
+                                                     np.abs(cm.delta_poly))
+            away = lams[np.abs(cm.delta(mu)) > 1e-3 * scale]
+            assert away.size >= 20
+            want = _lapack_weights(pair, k, away)
+            got = pair.kernel_weights(k, away)[1]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (
+                pair.problem.label, pair.n, pair.m, k)
+
+
+def test_kernel_weights_raise_at_a_root_of_delta(catalog):
+    """A batch with one lam whose mu = alpha^(N+1-k) lam is a root of Delta
+    raises OnDeltaZero from the weights, as guard_delta does on its own,
+    for every root of the catalog's problems and every sector."""
+    roots = 0
+    for prob in catalog.values():
+        pair = TransformPair(prob)
+        for root in pair.cm.delta_roots:
+            mu = np.array([root.value])
+            with pytest.raises(OnDeltaZero):
+                pair.cm.guard_delta(mu, pair.cm.delta(mu))
+            for k in range(1, pair.N + 1):
+                lam = root.value / pair.alpha ** (pair.N + 1 - k)
+                with pytest.raises(OnDeltaZero):
+                    pair.kernel_weights(k, np.array([2.5 + 1.0j, lam]))
+                roots += 1
+    assert roots >= 5
+
+
+def test_kernel_weights_evaluate_each_matrix_once(catalog, monkeypatch):
+    """One batch of kernel weights runs no LAPACK determinant and evaluates
+    M once at each argument array, lam for row one and mu for the
+    cofactors and Delta, and guards Delta once: at m = 1, 2, 3 and 4."""
+    dets, evaluated, guarded = [], [], []
+    det, eval_matrix = np.linalg.det, CharMatrix.eval_matrix
+    guard = CharMatrix.guard_delta
+
+    def counting_det(a):
+        dets.append(np.shape(a))
+        return det(a)
+
+    def counting_eval(self, lam):
+        evaluated.append(np.array(lam, dtype=complex))
+        return eval_matrix(self, lam)
+
+    def counting_guard(self, mu, vals):
+        guarded.append(mu)
+        return guard(self, mu, vals)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    monkeypatch.setattr(CharMatrix, "eval_matrix", counting_eval)
+    monkeypatch.setattr(CharMatrix, "guard_delta", counting_guard)
+    lams = np.linspace(1.5, 3.0, 50) * np.exp(0.7j)
+    ms = set()
+    for prob in [catalog["heat-neumann"], catalog["robin-4"], *_BEYOND.values()]:
+        pair = TransformPair(prob)
+        ms.add(pair.m)
+        for k in range(1, pair.N + 1):
+            dets.clear(), evaluated.clear(), guarded.clear()
+            pair.kernel_weights(k, lams)
+            mu = pair.alpha ** (pair.N + 1 - k) * lams
+            assert dets == []
+            assert len(guarded) == 1
+            assert len(evaluated) == 2
+            assert sum(np.array_equal(e, lams) for e in evaluated) == 1
+            assert sum(np.array_equal(e, mu) for e in evaluated) == 1
+    assert ms == {1, 2, 3, 4}
+
+
 def test_cofactor_reduces_to_one_for_single_form():
     cm = _random_char(3, 1, seed=2)
     lams = np.array([0.4 + 0.1j, -1.0 + 2.0j])
@@ -210,11 +331,12 @@ def test_delta_roots_annihilate_determinant(catalog):
 def test_guard_delta_raises_on_zero(catalog):
     """Evaluating kernel denominators on a determinant zero is refused."""
     cm = _cm(catalog["robin-4"])
-    with pytest.raises(OnDeltaZero):
-        cm.guard_delta(np.array([0.0 + 0.0j]))
-    with pytest.raises(OnDeltaZero):
-        cm.guard_delta(np.array([-2.0 - 2.0j]))
-    vals = cm.guard_delta(np.array([5.0 + 1.0j]))
+    for root in (0.0 + 0.0j, -2.0 - 2.0j):
+        mu = np.array([root])
+        with pytest.raises(OnDeltaZero):
+            cm.guard_delta(mu, cm.delta(mu))
+    mu = np.array([5.0 + 1.0j])
+    vals = cm.guard_delta(mu, cm.delta(mu))
     assert np.all(np.abs(vals) > 0.0)
 
 

@@ -283,6 +283,38 @@ def test_factored_apply_equals_dense_product():
         assert (np.abs(got - dense) <= 1e-13 * scale).all()
 
 
+def test_phase_kernel_squares_the_table_four_rungs_down():
+    """On a ray whose rate grows through several octaves, a width group
+    four rungs below another has exactly half its offsets, and
+    PhaseKernel builds the wider group's table as the square of the
+    narrower one's, with no exponential call of its own: fewer
+    exponentials than a table per group, and every run's sum equal to the
+    dense exp(i x lam) @ wf to the rounding of the phases."""
+    ray = PathSegment.ray(0.2 + 0.5j, 0.3, 0.0, 12.0)
+    nodes = segment_nodes(ray, PARAMS, osc=lambda u: 1.0 + u ** 2)
+    lam, w = nodes
+    xs = np.linspace(0.05, 1.5, 7)
+    kernel = quadrature.PhaseKernel(xs, nodes)
+    plain = quadrature.PhaseKernel(xs, nodes)
+    plain._half = [None] * len(plain._half)
+    halves = [(g, h) for g, h in enumerate(kernel._half) if h is not None]
+    assert halves
+    for g, h in halves:
+        assert np.array_equal(nodes.offset[g], 2.0 * nodes.offset[h])
+    wf = w * np.exp(-0.1 * lam ** 2)
+    for first, stop in nodes.runs():
+        rows = wf[first * quadrature._ORDER:stop * quadrature._ORDER, None]
+        got = kernel.apply(first, stop, rows)
+        terms = np.exp(1j * np.multiply.outer(xs, lam[
+            first * quadrature._ORDER:stop * quadrature._ORDER]))
+        dense = terms @ rows
+        scale = np.abs(terms) @ np.abs(rows)
+        assert (np.abs(got - dense) <= 1e-13 * scale).all()
+        plain.apply(first, stop, rows)
+    assert any(g in kernel._tables for g, _ in halves)
+    assert kernel.exps < plain.exps
+
+
 @pytest.mark.parametrize("panels", [1, 2, 3, 5, 1000])
 def test_apply_phase_chunks_equal_dense_product(monkeypatch, panels):
     """apply_phase sums its panels in chunks of whole panels under
