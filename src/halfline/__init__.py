@@ -26,9 +26,8 @@ from .oracles import (OracleResult, fd_residual,
                       stencil_coefficients)
 from .problems import HalfLineProblem, builtin_catalog, classify, validate
 from .quadrature import ExpDecay, PathSegment, QuadratureParams
-from .spectral import (check_type_I, check_type_II, remainder_closed_form,
-                       remainder_polynomial, remainder_report,
-                       spectral_representation_check)
+from .spectral import (check_type_I, check_type_II, remainder_polynomial,
+                       remainder_report, spectral_representation_check)
 from .transforms import SupportTransform, TransformPair
 from .verify import CheckResult, all_passed, data_trio, verify_problem
 
@@ -51,7 +50,7 @@ __all__ = [
     "HalfLineProblem", "builtin_catalog", "classify", "validate",
     "ExpDecay", "PathSegment", "QuadratureParams",
     "check_type_I", "check_type_II",
-    "remainder_closed_form", "remainder_polynomial", "remainder_report",
+    "remainder_polynomial", "remainder_report",
     "spectral_representation_check",
     "SupportTransform", "TransformPair",
     "CheckResult", "all_passed", "data_trio", "verify_problem",

@@ -115,12 +115,3 @@ class ToleranceNotMet(HalflineError):
 
 class NonpositiveX(HalflineError):
     """Spatial coordinate must be strictly positive for this operation."""
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-
-class FitResidualTooLarge(HalflineError):
-    """Polynomial fit of remainder samples left a residual above tolerance,
-    so the samples are not polynomial in lambda."""

@@ -2,18 +2,16 @@
 
 Three families of checks:
 
-* remainder extraction: F_k[Sf] - lam^n F_k[f] is a polynomial in lam of
+* remainder structure: F_k[Sf] - lam^n F_k[f] is a polynomial in lam of
   degree < n whose coefficients come from the complementary boundary forms
-  (:func:`remainder_closed_form`); :func:`remainder_report`, the one place
-  that fits the sampled remainder, compares the fit of every transform,
-  k = 0 and the sectors alike, against that closed form as complex
-  coefficients and bounds the excess coefficients of a degree n + 1 fit;
+  (:func:`remainder_polynomial`).  fhat cancels out of the difference, so
+  :meth:`TransformPair.remainder` evaluates it from the boundary jet under
+  the weights of F_k; :func:`remainder_report` compares that, for k = 0
+  and the sectors alike, with the closed form's values on a circle;
 * diagonalization defects: integrating exp(i lam x) times the closed-form
   remainder over a component tests whether the family diagonalizes the
   spatial operator directly (type I, remainder integral vanishes) or only
-  after division by lam^n (type II).  Every such integral vanishes (or, on
-  a real-axis ray, diverges) for any polynomial of degree < n, so a fit
-  would add only its own noise.  Components with a ray on the real axis
+  after division by lam^n (type II).  Components with a ray on the real axis
   carry a polynomially growing oscillatory integrand there, so the type I
   integral diverges unless the remainder vanishes; a truncation scan
   detects that, on the contours of ``build_contours`` with their
@@ -44,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contours import turn_axis_rays
-from .errors import FitResidualTooLarge, NonpositiveX
+from .errors import NonpositiveX
 from .quadrature import ExpDecay, PathSegment, apply_phase, component_nodes
 # perfbench/spans.py patches segment_nodes at this binding too
 from .quadrature import segment_nodes  # noqa: F401
@@ -54,9 +52,7 @@ __all__ = [
     "TypeIReport",
     "TypeIIReport",
     "RepresentationReport",
-    "remainder_samples",
     "remainder_polynomial",
-    "remainder_closed_form",
     "remainder_report",
     "check_type_I",
     "check_type_II",
@@ -68,82 +64,42 @@ __all__ = [
 # polynomial remainders
 
 
-def remainder_samples(pair, datum, k: int):
-    """(lams, F_k[Sf](lams) - lams^n F_k[f](lams)) at 4n + 7 points on the
-    circle |lam| = R + 1.5, off the singular circle."""
-    phis = np.linspace(0.0, 2.0 * np.pi, 4 * pair.n + 7, endpoint=False)
-    lams = (pair.R + 1.5) * np.exp(1j * phis)
-    vals = (pair.forward(datum, k, lams, applied=True)
-            - lams ** pair.n * pair.forward(datum, k, lams))
-    return lams, vals
-
-
-def remainder_polynomial(pair, datum, k: int, *,
-                         degree: int | None = None) -> np.ndarray:
-    """Coefficients (ascending) of the polynomial remainder.
-
-    ``degree`` defaults to n - 1 (the claimed bound); fitting with a larger
-    basis exposes spurious high-order coefficients, which
-    :func:`remainder_report` bounds as its ``excess``.  Raises
-    :class:`FitResidualTooLarge` when the fit misses a sample by more than
-    1e-7 of the largest sample plus 1e-12.
-    """
-    deg = pair.n - 1 if degree is None else int(degree)
-    lams, vals = remainder_samples(pair, datum, k)
-    V = np.vander(lams, deg + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
-    resid = float(np.abs(V @ coeffs - vals).max())
-    scale = max(float(np.abs(vals).max()), 1e-300)
-    if resid > 1e-7 * scale + 1e-12:
-        raise FitResidualTooLarge(
-            f"transform {k} remainder is not polynomial of degree <= {deg}: "
-            f"fit residual {resid:.3e} against scale {scale:.3e}")
-    return coeffs
-
-
-def remainder_closed_form(pair, datum) -> np.ndarray:
-    """Remainder coefficients from the complementary forms: the remainder
-    equals sum_r (B_c u)_r M[1,r](lam) / (2 pi) with u the boundary jet."""
+def remainder_polynomial(pair, datum) -> np.ndarray:
+    """Remainder coefficients (ascending) from the complementary forms: the
+    remainder of every component equals sum_r (B_c u)_r M[1,r](lam) / (2 pi)
+    with u the boundary jet."""
     u = datum.boundary_derivatives(pair.n)
     return (pair.forms.B_c @ u) @ pair.cm.coeffs[0] / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)
 class RemainderReport:
-    """Fitted remainder coefficients against the closed form.
+    """Every component's remainder against the closed form.
 
-    ``devs[k]`` is the largest deviation of component k's complex
-    coefficients from the closed form, relative to the closed form's
-    scale.  ``passed`` holds when every deviation is at most ``tol``.
-    ``excess[k]`` is the largest coefficient of degree >= n in component
-    k's degree n + 1 fit, relative to that fit's largest coefficient (at
-    least 1e-6): the degree bound under over-fitting.
+    ``devs[k]`` is the largest deviation of component k's remainder from
+    the closed form's values on the circle |lam| = R + 1.5, relative to
+    the largest of those values.  ``passed`` holds when every deviation is
+    at most ``tol``.
     """
 
-    coeffs: np.ndarray
     closed_form: np.ndarray
     devs: tuple
-    excess: tuple
     tol: float
     passed: bool
 
 
-def remainder_report(pair, datum, *, tol: float = 1e-8) -> RemainderReport:
-    """Fit the remainder for every component, at degree n - 1 to compare
-    its complex coefficients with the closed form and at degree n + 1 to
-    bound its excess coefficients."""
-    n = pair.n
-    closed = remainder_closed_form(pair, datum)
-    scale = max(float(np.abs(closed).max()), 1e-6)
-    coeffs = np.array([remainder_polynomial(pair, datum, k)
-                       for k in range(pair.N + 1)])
-    devs = tuple(float(np.abs(c - closed).max()) / scale for c in coeffs)
-    overfits = [remainder_polynomial(pair, datum, k, degree=n + 1)
-                for k in range(pair.N + 1)]
-    excess = tuple(float(np.abs(b[n:]).max())
-                   / max(float(np.abs(b).max()), 1e-6) for b in overfits)
-    return RemainderReport(coeffs=coeffs, closed_form=closed, devs=devs,
-                           excess=excess, tol=tol,
+def remainder_report(pair, datum, *, tol: float = 1e-12) -> RemainderReport:
+    """Compare :meth:`TransformPair.remainder` of every component with the
+    closed form at 4n + 7 points on the circle |lam| = R + 1.5, off the
+    singular circle."""
+    closed = remainder_polynomial(pair, datum)
+    phis = np.linspace(0.0, 2.0 * np.pi, 4 * pair.n + 7, endpoint=False)
+    lams = (pair.R + 1.5) * np.exp(1j * phis)
+    ref = np.polynomial.polynomial.polyval(lams, closed)
+    scale = max(float(np.abs(ref).max()), 1e-300)
+    devs = tuple(float(np.abs(pair.remainder(datum, k, lams) - ref).max())
+                 / scale for k in range(pair.N + 1))
+    return RemainderReport(closed_form=closed, devs=devs, tol=tol,
                            passed=bool(max(devs) <= tol))
 
 
@@ -245,7 +201,7 @@ def check_type_I(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIReport:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.min() <= 0.0:
         raise NonpositiveX("type I check requires x > 0")
-    beta = remainder_closed_form(pair, datum)
+    beta = remainder_polynomial(pair, datum)
     if beta.any() and any(seg.on_real_axis
                           for seg in pair.contours.gammas[k - 1]):
         base = max(8.0 * pair.R, 40.0)
@@ -287,7 +243,7 @@ def check_type_II(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIIReport
     if xs.min() <= 0.0:
         raise NonpositiveX("type II check requires x > 0")
     n = pair.n
-    beta = remainder_closed_form(pair, datum)
+    beta = remainder_polynomial(pair, datum)
     if k == 0:
         vals = pair.real_line_component(
             None, xs, float(xs.max()) + 1.0, indented=True,

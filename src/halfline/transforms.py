@@ -492,6 +492,14 @@ class TransformPair:
                  * datum.boundary_derivatives(self.n))
         return lambda mu, f: mu ** self.n * f - _polyval(terms, mu)
 
+    def remainder(self, datum, k: int, lam) -> np.ndarray:
+        """F_k[Sf](lam) - lam^n F_k[f](lam): the by-parts term of
+        :meth:`forward` with ``applied=True`` under the weights of F_k,
+        which fhat cancels out of, so no fhat is evaluated."""
+        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+        by_parts = self._by_parts(datum)
+        return self._weighted(k, lam, lambda mu: by_parts(mu, 0.0))
+
     def _weighted(self, k: int, lam: np.ndarray, hat) -> np.ndarray:
         """F_k of the half-line transform ``hat`` at lam: hat / (2 pi) for
         k = 0, else the kernel weights over hat's arguments alpha^p lam.

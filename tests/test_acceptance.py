@@ -144,30 +144,27 @@ def test_evolution_correctness(get_pair, catalog):
 
 
 def test_remainder_structure(get_pair, catalog):
-    """Fitted remainder polynomials have degree <= n-1 even when offered two
-    extra coefficients, their magnitudes agree across components to 1e-8 of
-    scale, and the two-form order-3 remainder is the constant with magnitude
-    |f''(0)| / 2 pi."""
-    worst_excess = worst_dev = 0.0
+    """Every component's remainder is the closed-form polynomial of degree
+    <= n-1 within 1e-12 of its scale, and the two-form order-3 remainder
+    is the constant with magnitude |f''(0)| / 2 pi."""
+    worst_dev = 0.0
     for name in CATALOG:
         pair = get_pair(name)
         datum = _trio(catalog, name)[0]
-        rep = spectral.remainder_report(pair, datum)
+        rep = spectral.remainder_report(pair, datum, tol=1e-12)
         worst_dev = max(worst_dev, *rep.devs)
-        worst_excess = max(worst_excess, *rep.excess)
 
     pair2 = get_pair("reverse-lkdv")
     d2 = _trio(catalog, "reverse-lkdv")[0]
-    cf = spectral.remainder_closed_form(pair2, d2)
+    cf = spectral.remainder_polynomial(pair2, d2)
     target = abs(d2.derivative(2, 0.0)) / (2.0 * np.pi)
     const_dev = max(abs(abs(cf[0]) - target),
                     float(np.abs(cf[1:]).max())) / target
 
-    ok = worst_excess < 1e-9 and worst_dev < 1e-8 and const_dev < 1e-8
-    _report("remainder-structure", ok, worst_dev, 1e-8,
-            f"overfit excess {worst_excess:.1e}, constant dev {const_dev:.1e}")
-    assert worst_excess < 1e-9
-    assert worst_dev < 1e-8
+    ok = worst_dev <= 1e-12 and const_dev < 1e-8
+    _report("remainder-structure", ok, worst_dev, 1e-12,
+            f"constant dev {const_dev:.1e}")
+    assert worst_dev <= 1e-12
     assert const_dev < 1e-8
 
 

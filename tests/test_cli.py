@@ -311,7 +311,7 @@ def test_verify_smoke(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "verify heat-dirichlet: all checks passed"
     checks = lines[:-1]
-    assert len(checks) == 13
+    assert len(checks) == 11
     for line in checks:
         assert line.startswith("PASS  ")
         assert "value=" in line and "tol=" in line

@@ -83,9 +83,9 @@ def test_heat_neumann_matches_cosine_oracle(get_pair, get_datum):
 
 def test_time_zero_row_is_reconstruction(get_pair, get_datum):
     """t = 0 rows are the transform round trip, bit for bit, and match the
-    datum.  verify_problem reads its evolution-initial value from its
-    stacked inversion of the data trio instead, whose first row agrees
-    with this round trip to rounding (bounded in tests/test_verify.py)."""
+    datum.  verify_problem's reconstruction reads the stacked inversion
+    of the data trio instead, whose first row agrees with this round trip
+    to rounding (bounded in tests/test_verify.py)."""
     pair = get_pair("lkdv-dirichlet")
     datum = get_datum("lkdv-dirichlet")
     xs = np.array([0.3, 0.7])

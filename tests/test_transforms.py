@@ -415,8 +415,8 @@ def test_verify_scans_one_tail_and_one_level_of_the_first_datum(catalog,
     """One verify_problem of heat-neumann at the benchmark's tolerances runs
     the real line's tail scan once, for the inversion and the spectral
     representation of all three data, and leaves the first datum's own
-    transform at resolution level 0: the remainder fit and the evolution
-    checks need no more.  Checking the representation on that transform
+    transform at resolution level 0: the evolution checks need no more,
+    and the remainder reads no fhat.  Checking the representation on that transform
     scanned a second tail and built its levels 0 to 4."""
     trios = []
     scans = []
@@ -449,8 +449,8 @@ def test_stacked_components_match_each_datum(get_pair, catalog, name):
     datum whose own base rate is below the stack's is held to the stack's
     finer rule (a copy of it whose transform has the stack's base rate):
     on its own coarser layout it differs by fhat's rounding carried over
-    the real line's tail, about 2.6e-11, which evolution-initial's test
-    bounds.  Beyond that, a stack only runs a tail scan or a ray on past
+    the real line's tail, about 2.6e-11, which
+    test_evolution_initial_row_is_the_datums_reconstruction bounds.  Beyond that, a stack only runs a tail scan or a ray on past
     where the datum's own stopped, by terms below abs_tol / 8; measured
     at most 2.9e-14 (heat-neumann's maximal datum).  On the same rule the
     rows of F_k[f] and F_k[Sf] agree to 1e-14 relative (measured equal)."""

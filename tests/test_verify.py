@@ -7,8 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from halfline import evolution, spectral, util, verify
-from halfline.datum import DataStack, make_datum
+from halfline import evolution, util, verify
+from halfline.datum import DataStack
 from halfline.evolution import prepare, solve_grid
 from halfline.problems import HalfLineProblem
 from halfline.transforms import TransformPair
@@ -126,12 +126,13 @@ def test_solve_grid_maps_only_from_the_callers_thread(get_pair, get_datum,
                                   "heat-dirichlet", "heat-neumann", "robin-4"])
 def test_evolution_initial_row_is_the_datums_reconstruction(get_pair, catalog,
                                                             name):
-    """evolution-initial reads the first row of verify's stacked inversion,
-    on the stack's resolution layout.  It is within 1e-10 of
-    pair.reconstruct(trio[0], xs20), which solve_grid's t = 0 row
-    reproduces bit for bit: the first datum's own base rate is the lower
-    one, and fhat's rounding carried over the real line's tail moves the
-    row by about 2.6e-11, four orders below the check's 1e-6 tolerance."""
+    """The first row of verify's stacked inversion, on the stack's
+    resolution layout, is within 1e-10 of pair.reconstruct(trio[0], xs20)
+    alone, which solve_grid's t = 0 row reproduces bit for bit: the first
+    datum's own base rate is the lower one, and fhat's rounding carried
+    over the real line's tail moves the row by about 2.6e-11, four orders
+    below reconstruction's 1e-6 tolerance.  So reconstruction, the
+    stack's maximum, bounds the evolution's t = 0 row too."""
     pair = get_pair(name)
     trio = verify.data_trio(catalog[name], 0)
     xs20 = np.linspace(0.05, 1.0, 20)
@@ -184,21 +185,10 @@ def test_heat_oracle_fails_a_solver_with_a_rotated(catalog, monkeypatch):
 def test_order_five_passes_every_check(a, forms):
     """Order 5 with a = -i, B = (e1, e2), and with a = i, B = (e1, e2,
     e3), lies outside the catalog: every check passes at seed 0 and
-    default params.  remainder-magnitude reads at most 3e-14; a Gauss sum of
-    f(5) itself for F[Sf], under-resolved at small |mu|, read 1.6e-7."""
+    default params.  remainder reads at most 9e-16 against its 1e-12.
+    F[Sf] comes from fhat by parts: a Gauss sum of f(5) itself,
+    under-resolved at small |mu|, read 1.6e-7."""
     problem = HalfLineProblem(5, a, np.eye(5)[:forms], label="order-5")
     results = verify.verify_problem(problem)
     assert verify.all_passed(results), [r.line() for r in results
                                         if not r.passed]
-
-
-def test_order_six_remainder_reports():
-    """Order 6, a = 1, B = (e1, e2, e3): remainder_report returns, every
-    component within 1e-8 of the closed form (about 1.2e-13).  A Gauss sum
-    of f(6) itself for F[Sf] rounds at eps int |f(6)| e^((R + 1.5) L),
-    about 1e-5 here, and its fit raised FitResidualTooLarge."""
-    problem = HalfLineProblem(6, 1.0, np.eye(6)[:3], label="order-6")
-    pair = TransformPair(problem)
-    rep = spectral.remainder_report(
-        pair, make_datum(problem, problem.datum_kernel, seed=0))
-    assert max(rep.devs) <= 1e-8, rep.devs
