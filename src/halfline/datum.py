@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .errors import CoeffsNotInKernel, SupportMismatch
+from .errors import (CoeffsNotInKernel, ComplexCoefficientsDisallowed,
+                     SupportMismatch)
 from .transforms import SupportTransform
 
 __all__ = ["DataStack", "InitialDatum", "make_datum"]
@@ -243,11 +244,21 @@ def make_datum(problem, kernel_coeffs, support: float = 1.0, seed: int | None = 
     """Build a datum compatible with the boundary forms of ``problem``.
 
     ``kernel_coeffs`` (length <= n) must satisfy every homogeneous boundary
-    form; otherwise :class:`CoeffsNotInKernel` is raised.
+    form; otherwise :class:`CoeffsNotInKernel` is raised.  The datum is
+    real: a coefficient with a nonzero imaginary part raises
+    :class:`ComplexCoefficientsDisallowed`, as the maximal kernel of a
+    complex boundary matrix may have.
     """
     n = problem.order
     u = np.zeros(n)
-    coeffs = np.asarray(kernel_coeffs, dtype=float)
+    coeffs = np.asarray(kernel_coeffs)
+    if np.iscomplexobj(coeffs):
+        if coeffs.imag.any():
+            raise ComplexCoefficientsDisallowed(
+                f"the datum must be real; its boundary coefficients "
+                f"{coeffs.tolist()} are not")
+        coeffs = coeffs.real
+    coeffs = coeffs.astype(float)
     if coeffs.size > n:
         raise CoeffsNotInKernel(
             f"got {coeffs.size} boundary coefficients for an order-{n} problem")

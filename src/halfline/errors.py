@@ -24,7 +24,8 @@ class RankDeficientBoundary(HalflineError):
 
 class ComplexCoefficientsDisallowed(HalflineError):
     """Boundary coefficients are complex but the problem was not opted in
-    with ``allow_complex=True``."""
+    with ``allow_complex=True``, or a datum's boundary Taylor coefficients
+    are complex: a datum is real."""
 
 
 class InadmissibleDispersion(HalflineError):

@@ -8,9 +8,10 @@ the integrands are entire and decay between the old and new rays, so the
 values are unchanged while the factor becomes exponentially small along the
 new rays.  After the contours are deformed for an (x, t) window, the
 integrand depends on the datum alone, and the grid points are only where
-it is summed.  So :func:`prepare` builds the node packs of a datum once
-for an x-range and a positive-time range, and its :class:`Solver` applies
-them to any grid inside that window (a point outside it raises):
+it is summed.  So the :class:`Solver` of :func:`prepare` holds the node
+packs of a datum for an x-range and a positive-time range, built once by
+its first call, and applies them to any grid inside that window (a point
+outside it raises):
 rays are cut where the envelope of the window's smallest time falls below
 the tail target, each ray node is resolved for the largest time that
 still needs it (rates rounded up to the quadrature's one quarter-octave
@@ -35,10 +36,14 @@ phases, built once per segment and shared by its blocks (the square of
 the table of the segment's group of half its width, where there is
 one), times one exponential per panel and x.  It is applied, with the block's
 decay factors, only to the prefix of times that still need one of its
-nodes.  The packs are built, and then applied, on the process's one
-``parallel_map`` pool, whose workers outlive the call; each pack is
-applied into sums of its own, and those are added in pack order, so the
-values do not depend on the thread count.
+nodes.  A call runs one job per deformed segment on the process's one
+``parallel_map`` pool, whose workers outlive the call: the job builds the
+segment's pack if the solver has none yet, so one worker's build
+(Python and small numpy) overlaps another's products, and applies it
+into sums of its own.  Those are added in job order, so the values do
+not depend on the thread count.  A job ignores overflow: an overflowing
+build or apply leaves non-finite values, which raise
+:class:`ToleranceNotMet` naming their times under any warning filter.
 
 A problem with real coefficients, conj(a) = (-1)^n a and a real boundary
 matrix, has a mirror symmetry; its datum is real, since
@@ -50,7 +55,10 @@ ray.  It maps each integrand exp(i lam x - a lam^n t) F_k(lam) onto the
 conjugate of its mirror's, so a mirror pair of rays sums to 2 Re of the
 outgoing ray.  For such a problem only the arcs and the outgoing rays are
 built and applied, the outgoing ones as 2 Re; every other problem builds
-and applies every segment.
+and applies every segment.  Where no term of an outgoing ray, times its
+node count, can overflow, its 2 Re is one real matrix product, with half
+the multiply-adds of the complex one; otherwise the complex sums are
+formed, so that an overflow of their imaginary parts still shows.
 """
 
 from __future__ import annotations
@@ -225,43 +233,65 @@ def _segment_pack(pair: TransformPair, datum, seg, k: int, t_min: float,
     return lam, wf, tau, nodes
 
 
-def _packs(pair: TransformPair, datum, xs, tpos):
-    """The packs for the window that xs and the positive times tpos span
-    (only their extremes are read): each deformed segment's
-    :func:`_segment_pack` and whether it stands in for its mirror ray too.
+def _jobs(dcs, fold: bool):
+    """(segment, k, mirrored) of each pack to build and apply on the
+    deformed contours ``dcs``: the rays first, then the arcs.
 
-    For a :attr:`~halfline.transforms.TransformPair.mirrored` problem only
-    the arcs and the outgoing rays are built, each outgoing ray marked;
-    otherwise every segment, unmarked.
+    With ``fold`` (a :attr:`~halfline.transforms.TransformPair.mirrored`
+    problem) only the outgoing rays and the arcs are listed, each outgoing
+    ray marked as standing in for its mirror ray too; otherwise every
+    segment, unmarked.  A ray's pack costs more than an arc's, so listing
+    the rays first lets the pool's workers finish together.
     """
-    dcs = deform_for_time(pair.contours)
-    t_min, t_max = float(tpos.min()), float(tpos.max())
-    x_min, x_max = float(xs.min()), float(xs.max())
-    fold = pair.mirrored
-    jobs = []
+    rays, arcs = [], []
     for k, (inward, arc, out) in enumerate([dcs.gamma0, *dcs.gammas]):
         if not fold:
-            jobs.append((inward, k, False))
-        jobs += [(arc, k, False), (out, k, fold)]
-    return parallel_map(
-        lambda job: (*_segment_pack(pair, datum, job[0], job[1], t_min,
-                                    t_max, x_min, x_max), job[2]),
-        jobs)
+            rays.append((inward, k, False))
+        rays.append((out, k, fold))
+        arcs.append((arc, k, False))
+    return rays + arcs
+
+
+_LOG_HUGE = math.log(np.finfo(float).max)
+
+
+def _sums_are_finite(xs, ts, lam, wf, rate) -> bool:
+    """Whether every sum of the terms wf_j exp(i lam_j x + rate_j t) over
+    the nodes is finite for x in xs and t in the sorted ts, both parts
+    included: log |wf_j| + max_x (-x Im lam_j) + max_t (Re rate_j t),
+    the largest log-modulus of node j's terms, plus log(node count) is
+    below the log of the largest float.  A non-finite wf reads False."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peak = (np.log(np.abs(wf))
+                + np.maximum(-xs.min() * lam.imag, -xs.max() * lam.imag)
+                + np.maximum(rate.real * ts[0], rate.real * ts[-1]))
+    return bool(peak.max() + math.log(lam.size) < _LOG_HUGE)
 
 
 def _pack_apply(pair: TransformPair, xs, ts, pack):
     """One pack's share of :func:`_apply` for the sorted times ``ts``:
     the (len(xs), len(ts)) sums, the (node, time) pairs applied and the
-    complex exponentials evaluated.  A mirrored pack's sums count for its
-    mirror ray too, as 2 Re; they stay non-finite where they overflowed."""
+    complex exponentials evaluated.
+
+    A mirrored pack's sums count for its mirror ray too, as 2 Re.  Where
+    :func:`_sums_are_finite` holds, no part of a sum can overflow, and
+    the real parts come from one real product per block
+    (:meth:`PhaseKernel.re_apply`), with the decay block formed time-major
+    as conj(wf exp(-a lam^n t)).  Otherwise, and for any other pack, the
+    sums are complex; a mirrored pack's stay non-finite where either part
+    overflowed."""
     lam, wf, tau, nodes, mirrored = pack
-    acc = np.zeros((xs.size, ts.size), dtype=complex)
+    rate = -pair.a * lam ** pair.n
+    real = mirrored and lam.size > 0 and _sums_are_finite(xs, ts, lam, wf,
+                                                          rate)
+    if real:
+        rate, wf = rate.conj(), wf.conj()
+    acc = np.zeros((xs.size, ts.size), dtype=float if real else complex)
     applied = 0
     kernel = PhaseKernel(xs, nodes)
     step = max(1, _BLOCK_BUDGET // (xs.size * _ORDER))
     # the sorted times that still need node j: those below tau[j]
     need = np.searchsorted(ts, tau, side="left")
-    lam_n = lam ** pair.n
     for first, stop in nodes.runs():
         for p in range(first, stop, step):
             q = min(stop, p + step)
@@ -269,39 +299,57 @@ def _pack_apply(pair: TransformPair, xs, ts, pack):
             m = int(need[blk].max())
             if m == 0:
                 continue
-            decay = np.multiply.outer(lam_n[blk], ts[:m])
-            np.multiply(-pair.a, decay, out=decay)
-            np.exp(decay, out=decay)
-            np.multiply(wf[blk, None], decay, out=decay)
-            acc[:, :m] += kernel.apply(p, q, decay)
+            if real:
+                decay = np.multiply.outer(ts[:m], rate[blk])
+                np.exp(decay, out=decay)
+                np.multiply(decay, wf[blk], out=decay)
+                acc[:, :m] += kernel.re_apply(p, q, decay)
+            else:
+                decay = np.multiply.outer(rate[blk], ts[:m])
+                np.exp(decay, out=decay)
+                np.multiply(wf[blk, None], decay, out=decay)
+                acc[:, :m] += kernel.apply(p, q, decay)
             applied += decay.size
-    if mirrored:
+    if real:
+        acc *= 2.0
+    elif mirrored:
         acc = np.where(np.isfinite(acc), 2.0 * acc.real, np.nan)
     return acc, applied, kernel.exps + applied
 
 
-def _apply(pair: TransformPair, xs, tpos, packs):
+def _apply(pair: TransformPair, xs, tpos, packs, build=None):
     """sum_j w_j F(lam_j) exp(i lam_j x - a lam_j^n t) for every (x, t > 0).
 
-    Each pack is walked in blocks of whole panels of one width group
-    against the times in increasing order, so a block is applied only to
-    the prefix of times below its largest tau; nodes outward along a ray
-    have falling envelope times, and their own times fall with their
-    terms.  One :class:`PhaseKernel` per pack shares each
-    group's node phases across its blocks.  The packs are applied on the
-    workers of the process's one ``parallel_map`` pool, each into its own
-    sums, which are added in pack order, so the values do not depend on the
-    thread count or on which worker took a pack.  Returns
-    the (len(tpos), len(xs)) values in the order of ``tpos``, the number
-    of (node, time) pairs applied and the number of complex exponentials
-    evaluated.
+    One job per item of ``packs``, on the workers of the process's one
+    ``parallel_map`` pool: an item that is None is first built by
+    ``build(i)``, in the job that applies it, and kept in ``packs``, so a
+    worker's build (Python and small numpy) runs beside the other
+    workers' products.  Each pack is walked in blocks of whole panels of
+    one width group against the times in increasing order, so a block is
+    applied only to the prefix of times below its largest tau; nodes
+    outward along a ray have falling envelope times, and their own times
+    fall with their terms.  One :class:`PhaseKernel` per pack shares each
+    group's node phases across its blocks.  Each job sums into its own
+    array, and those are added in job order, so the values do not depend
+    on the thread count or on which worker took a job.  A job ignores
+    overflow, so an overflowing build or apply leaves non-finite values
+    under any warning filter.  Returns the (len(tpos), len(xs)) values in
+    the order of ``tpos``, the number of (node, time) pairs applied and the
+    number of complex exponentials evaluated.
     """
     t_order = np.argsort(tpos, kind="stable")
     ts = tpos[t_order]
+
+    def job(i):
+        # the error state is per thread, so it is set on the worker
+        with np.errstate(over="ignore", invalid="ignore"):
+            if packs[i] is None:
+                packs[i] = build(i)
+            return _pack_apply(pair, xs, ts, packs[i])
+
     acc = np.zeros((xs.size, ts.size), dtype=complex)
     applied = exps = 0
-    for part, count, evaluated in parallel_map(
-            lambda pack: _pack_apply(pair, xs, ts, pack), packs):
+    for part, count, evaluated in parallel_map(job, range(len(packs))):
         acc += part
         applied += count
         exps += evaluated
@@ -325,28 +373,41 @@ class Solver:
     """The solution of one datum on a prepared window: every x in
     ``x_range`` and every time 0 or in ``t_range`` (see :func:`prepare`).
 
-    Calling it with (xs, ts) applies the window's packs, built once, to
-    that grid and returns a :class:`SolutionField`; ``nodes`` counts the
-    packs' nodes, ``applied`` and ``exponentials`` the call's own work.
-    An x or a positive time outside the window raises ``ValueError``:
-    the packs were cut and resolved for the window alone.  Times 0 are
-    the inversion of the datum, ``pair.reconstruct``, at any x inside
-    the window.
+    Calling it with (xs, ts) applies the window's packs to that grid and
+    returns a :class:`SolutionField`; ``nodes`` counts the packs' nodes,
+    ``applied`` and ``exponentials`` the call's own work.  ``jobs`` lists
+    the packs' segments (:func:`_jobs`); each pack is built by the first
+    call with a positive time, in the pool job that applies it, and kept
+    in ``packs`` for every later call (two threads calling one solver at
+    once may build a pack twice, to the same values).  An x or a positive
+    time outside the window raises ``ValueError``: the packs are cut and
+    resolved for the window alone.  Times 0 are the inversion of the
+    datum, ``pair.reconstruct``, at any x inside the window.
     """
 
-    def __init__(self, pair: TransformPair, datum, x_range, t_range, packs):
+    def __init__(self, pair: TransformPair, datum, x_range, t_range):
         self.pair = pair
         self.datum = datum
         self.x_range = x_range
         self.t_range = t_range
-        self.packs = packs
-        self.nodes = sum(pack[0].size for pack in packs)
+        self.jobs = ([] if t_range is None else
+                     _jobs(deform_for_time(pair.contours), pair.mirrored))
+        self.packs = [None] * len(self.jobs)
+
+    def _build(self, i: int):
+        """The pack of job i: its :func:`_segment_pack` for the window and
+        whether it stands in for its mirror ray too."""
+        seg, k, mirrored = self.jobs[i]
+        (x_lo, x_hi), (t_lo, t_hi) = self.x_range, self.t_range
+        return (*_segment_pack(self.pair, self.datum, seg, k, t_lo, t_hi,
+                               x_lo, x_hi), mirrored)
 
     def __call__(self, xs, ts) -> SolutionField:
         """Evaluate the solution on the grid xs x ts inside the window.
 
         Raises :class:`ToleranceNotMet` naming the times whose values are
-        not finite (the apply overflowed), rather than returning them.
+        not finite (a build or the apply overflowed), rather than
+        returning them.
         """
         xs, ts = _grid(xs, ts)
         x_lo, x_hi = self.x_range
@@ -362,10 +423,11 @@ class Solver:
                 f"outside the prepared t range {self.t_range}")
 
         values = np.zeros((ts.size, xs.size), dtype=complex)
-        applied = exponentials = 0
+        nodes = applied = exponentials = 0
         if pos.any():
-            evolved, applied, exponentials = _apply(self.pair, xs, ts[pos],
-                                                    self.packs)
+            evolved, applied, exponentials = _apply(
+                self.pair, xs, ts[pos], self.packs, self._build)
+            nodes = sum(pack[0].size for pack in self.packs)
             values[pos] = evolved
             bad = ~np.isfinite(values).all(axis=1)
             if bad.any():
@@ -375,32 +437,30 @@ class Solver:
         if (~pos).any():
             values[~pos] = self.pair.reconstruct(self.datum, xs)
 
-        return SolutionField(xs=xs, ts=ts, values=values,
-                             nodes=self.nodes if pos.any() else 0,
+        return SolutionField(xs=xs, ts=ts, values=values, nodes=nodes,
                              applied=applied, exponentials=exponentials)
 
 
 def prepare(pair: TransformPair, datum, x_range, t_range) -> Solver:
-    """Build the packs of ``datum`` for the window x in ``x_range`` = (lo,
-    hi), lo > 0, and t in ``t_range`` = (lo, hi), lo > 0, or for times 0
-    alone when ``t_range`` is None, and return their :class:`Solver`.
+    """The :class:`Solver` of ``datum`` for the window x in ``x_range`` =
+    (lo, hi), lo > 0, and t in ``t_range`` = (lo, hi), lo > 0, or for times
+    0 alone when ``t_range`` is None.
 
-    The rays are cut for the window's smallest time and resolved for its
-    largest, and every drop time holds for each x of the window, so one
-    build serves every grid inside it.
+    Only the window is checked here; the solver's first call with a
+    positive time builds the packs.  The rays are cut for the window's
+    smallest time and resolved for its largest, and every drop time holds
+    for each x of the window, so one build serves every grid inside it.
     """
     x_range = (float(x_range[0]), float(x_range[1]))
     if x_range[0] <= 0.0:
         raise NonpositiveX("solution grid requires x > 0")
     if x_range[0] > x_range[1]:
         raise ValueError(f"empty x range {x_range}")
-    packs = []
     if t_range is not None:
         t_range = (float(t_range[0]), float(t_range[1]))
         if not 0.0 < t_range[0] <= t_range[1]:
             raise ValueError(f"t range {t_range} is not positive and ordered")
-        packs = _packs(pair, datum, np.array(x_range), np.array(t_range))
-    return Solver(pair, datum, x_range, t_range, packs)
+    return Solver(pair, datum, x_range, t_range)
 
 
 def solve_grid(pair: TransformPair, datum, xs, ts) -> SolutionField:
@@ -408,7 +468,7 @@ def solve_grid(pair: TransformPair, datum, xs, ts) -> SolutionField:
     :class:`Solver` of :func:`prepare` on the grid's own window.
 
     Raises :class:`ToleranceNotMet` naming the times whose values are not
-    finite (the apply overflowed), rather than returning them.
+    finite (a build or the apply overflowed), rather than returning them.
     """
     xs, ts = _grid(xs, ts)
     tpos = ts[ts > 0.0]

@@ -440,12 +440,14 @@ class PhaseKernel:
     group (:func:`_node_tables`), built on first use and shared by every
     panel of the group, the first one exponential per panel and x.  The
     columns of ``wf`` meet the phase block, formed from the two factors
-    by products, in one matrix product.  A group whose offsets are exactly
-    twice another group's (along a ray, widths four rungs of the ladder
-    apart) takes that group's table squared, exp(2 z) = exp(z)^2, built
-    first if needed: each squaring doubles the table's relative rounding
-    and adds eps, as evaluating the doubled phase directly doubles its
-    argument's.  ``exps`` counts the complex exponentials evaluated.
+    by products, in one matrix product; for the real parts alone,
+    :meth:`re_apply` reads the phase block as float pairs, in one real
+    product.  A group whose offsets are exactly twice another group's
+    (along a ray, widths four rungs of the ladder apart) takes that
+    group's table squared, exp(2 z) = exp(z)^2, built first if needed:
+    each squaring doubles the table's relative rounding and adds eps, as
+    evaluating the doubled phase directly doubles its argument's.
+    ``exps`` counts the complex exponentials evaluated.
     """
 
     def __init__(self, xs, nodes: Nodes):
@@ -470,15 +472,27 @@ class PhaseKernel:
             self._tables[g] = table
         return table
 
-    def apply(self, first: int, stop: int, wf: np.ndarray) -> np.ndarray:
-        """sum over the nodes of panels first..stop-1, which must share one
-        group, of exp(i x lam) wf; ``wf`` holds those nodes' rows, shape
-        (nodes, columns)."""
+    def _block(self, first: int, stop: int) -> np.ndarray:
+        """exp(i x lam) over panels first..stop-1 of one group."""
         table = self._table(int(self.nodes.group[first]))
         outer = np.multiply.outer(self.ix, self.nodes.center[first:stop])
         np.exp(outer, out=outer)
         self.exps += outer.size
-        return _phase_block(outer, table) @ wf
+        return _phase_block(outer, table)
+
+    def apply(self, first: int, stop: int, wf: np.ndarray) -> np.ndarray:
+        """sum over the nodes of panels first..stop-1, which must share one
+        group, of exp(i x lam) wf; ``wf`` holds those nodes' rows, shape
+        (nodes, columns)."""
+        return self._block(first, stop) @ wf
+
+    def re_apply(self, first: int, stop: int, cwf: np.ndarray) -> np.ndarray:
+        """Re of :meth:`apply` for wf = conj(cwf).T, in one real product:
+        ``cwf`` is time-major, shape (columns, nodes), C-contiguous.  The
+        phase block and ``cwf`` are both read as float pairs (Re, Im), so
+        each node adds Re e Re wf - Im e Im wf = Re(e wf): half the
+        multiply-adds of the complex product, and no copy."""
+        return self._block(first, stop).view(float) @ cwf.view(float).T
 
 
 def apply_phase(xs: np.ndarray, nodes: Nodes, wf: np.ndarray) -> np.ndarray:

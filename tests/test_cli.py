@@ -320,3 +320,17 @@ def test_verify_smoke(capsys):
                    "representation", "evolution-residual", "cofactor-identity",
                    "heat-oracle"):
         assert needed in names
+
+
+def test_verify_complex_datum_kernel_is_rc3(tmp_path, capsys):
+    """verify on a complex-B config whose maximal kernel is complex exits
+    with code 3 and one error line naming the error, no traceback."""
+    cfg = tmp_path / "complex.cfg"
+    cfg.write_text("order = 2\na = 1,0\nallow_complex = true\n"
+                   "bc = 1, 0.5+0.5j\n", encoding="utf-8")
+    assert run(["verify", "--problem", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: ComplexCoefficientsDisallowed: ")

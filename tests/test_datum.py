@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from halfline.datum import _EDGE, DataStack, InitialDatum, make_datum
-from halfline.errors import CoeffsNotInKernel, SupportMismatch
+from halfline.errors import (CoeffsNotInKernel, ComplexCoefficientsDisallowed,
+                             SupportMismatch)
+from halfline.problems import HalfLineProblem
 
 
 def _oracle_mp(datum, x):
@@ -119,6 +121,18 @@ def test_make_datum_rejects_incompatible_coefficients(catalog):
         make_datum(catalog["robin-4"], (1.0, 1.0, 1.0, 1.0))
     with pytest.raises(CoeffsNotInKernel):
         make_datum(catalog["heat-dirichlet"], (0.0, 1.0, 0.5))  # too many
+
+
+def test_make_datum_refuses_complex_coefficients():
+    """A datum is real: coefficients with a nonzero imaginary part, as the
+    maximal kernel of B = [[1, 0.5 + 0.5i]] has, raise the named error;
+    a complex dtype whose imaginary parts are 0 gives the real datum."""
+    problem = HalfLineProblem(2, 1.0, [[1, 0.5 + 0.5j]], allow_complex=True)
+    with pytest.raises(ComplexCoefficientsDisallowed, match="must be real"):
+        make_datum(problem, problem.datum_kernel)
+    heat = HalfLineProblem(2, 1.0, [[1.0, 0.0]])
+    datum = make_datum(heat, np.array([0.0, 1.0], dtype=complex))
+    assert datum == make_datum(heat, (0.0, 1.0))
 
 
 def test_bump_datum_has_flat_boundary(catalog):

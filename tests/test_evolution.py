@@ -12,7 +12,7 @@ from halfline.errors import NonpositiveX, ToleranceNotMet
 from halfline.evolution import prepare, solve_grid
 from halfline.oracles import heat_dirichlet_solution, heat_neumann_solution
 from halfline.problems import HalfLineProblem
-from halfline.quadrature import ExpDecay, PhaseKernel, component_nodes
+from halfline.quadrature import ExpDecay, component_nodes
 from halfline.transforms import TransformPair
 
 _CATALOG = ["lkdv-dirichlet", "reverse-lkdv", "heat-dirichlet",
@@ -122,11 +122,12 @@ def test_theta_fraction_invariance(get_pair, get_datum, monkeypatch):
     assert abs(vals[0] - vals[1]) < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_times_raise(get_pair, get_datum):
     """At small heat times exp(i lam x) fhat(lam) overflows along the
     rotated rays before exp(-lam^2 t) cuts it off: the call raises, naming
-    the times whose values are not finite, instead of returning NaN."""
+    the times whose values are not finite, instead of returning NaN, and
+    it raises so under any warning filter (the suite runs with overflow
+    warnings as they are)."""
     pair = get_pair("heat-dirichlet")
     datum = get_datum("heat-dirichlet")
     xs = [0.05, 0.2, 0.5]
@@ -263,14 +264,25 @@ def _dense_apply(pair, xs, ts, packs):
     return values
 
 
+def _solved(pair, datum, xs, ts):
+    """The field of the grid xs x ts and the solver of its window, whose
+    ``jobs`` and ``packs`` then hold every pack of the call."""
+    solve = prepare(pair, datum, (xs.min(), xs.max()), (ts.min(), ts.max()))
+    return solve(xs, ts), solve
+
+
+def _every_segment(pair):
+    """The library's jobs without the real-coefficient fold: every
+    deformed segment, in the library's order, none of them mirrored."""
+    return evolution._jobs(deform_for_time(pair.contours), False)
+
+
 def _every_segment_packs(pair, datum, xs, ts):
     """The :func:`evolution._segment_pack` of every deformed segment, none
     of them mirrored: the apply without the real-coefficient fold."""
-    dcs = deform_for_time(pair.contours)
     return [(*evolution._segment_pack(pair, datum, seg, k, ts.min(),
                                       ts.max(), xs.min(), xs.max()), False)
-            for k, segs in enumerate([dcs.gamma0, *dcs.gammas])
-            for seg in segs]
+            for seg, k, _ in _every_segment(pair)]
 
 
 def _rate(pair, datum, xs, seg, k, t):
@@ -307,35 +319,19 @@ def _envelope_times(pair, env, seg, lam, ts):
 def _t_max_packs(pair, datum, xs, ts):
     """The packs with every ray resolved for the largest time all the way
     out (the layout before rays were resolved per time), as an oracle."""
-    dcs = deform_for_time(pair.contours)
-    t_min, t_max = ts.min(), ts.max()
     packs = []
-    for k, segs in enumerate([dcs.gamma0, *dcs.gammas]):
-        for seg in segs:
-            env, rate = None, _rate(pair, datum, xs, seg, k, t_max)
-            if not seg.finite:
-                env = _ray_envelope(pair, datum, xs, ts, seg, k)
-            nodes = component_nodes(
-                [seg], pair.params, lambda _seg: rate, lambda _seg: env)
-            lam, w = nodes
-            tau = (np.full(lam.size, np.inf) if env is None else
-                   _envelope_times(pair, env, seg, lam, ts))
-            packs.append((lam, w * pair.forward(datum, k, lam), tau, nodes,
-                          False))
+    for seg, k, _ in _every_segment(pair):
+        env, rate = None, _rate(pair, datum, xs, seg, k, ts.max())
+        if not seg.finite:
+            env = _ray_envelope(pair, datum, xs, ts, seg, k)
+        nodes = component_nodes(
+            [seg], pair.params, lambda _seg: rate, lambda _seg: env)
+        lam, w = nodes
+        tau = (np.full(lam.size, np.inf) if env is None else
+               _envelope_times(pair, env, seg, lam, ts))
+        packs.append((lam, w * pair.forward(datum, k, lam), tau, nodes,
+                      False))
     return packs
-
-
-def _pack_segments(pair):
-    """(segment, k, mirrored) of each pack of :func:`evolution._packs`, in
-    its order: a mirrored problem keeps the arcs and the outgoing rays."""
-    dcs = deform_for_time(pair.contours)
-    fold = pair.mirrored
-    segs = []
-    for k, (inward, arc, out) in enumerate([dcs.gamma0, *dcs.gammas]):
-        if not fold:
-            segs.append((inward, k, False))
-        segs += [(arc, k, False), (out, k, fold)]
-    return segs
 
 
 def _worst_case_decay(pair, seg, k, t_min, x_min, x_max, support, scale):
@@ -371,10 +367,11 @@ def test_dropped_pairs_are_small_as_computed(get_pair, get_datum, name):
     pair = get_pair(name)
     datum = get_datum(name)
     xs, ts = _evolve_grid(pair.n)
-    packs = evolution._packs(pair, datum, xs, ts)
+    _, solve = _solved(pair, datum, xs, ts)
+    packs = solve.packs
     dropped = np.zeros((xs.size, ts.size))
     envelope_only = []
-    for (seg, k, mirrored), pack in zip(_pack_segments(pair), packs):
+    for (seg, k, mirrored), pack in zip(solve.jobs, packs):
         lam, wf, tau, nodes, _ = pack
         assert pack[4] == mirrored
         if seg.finite:
@@ -410,9 +407,9 @@ def test_exact_growth_matches_worst_case_rays(get_pair, get_datum,
     xs, ts = _evolve_grid(pair.n)
     t_min, t_max = ts.min(), ts.max()
     log_target = pair.params.tail_log_target
-    field = solve_grid(pair, datum, xs, ts)
+    field, solve = _solved(pair, datum, xs, ts)
     oracle, moduli, added = [], np.zeros((xs.size, ts.size)), 0
-    for seg, k, mirrored in _pack_segments(pair):
+    for seg, k, mirrored in solve.jobs:
         lam, wf, tau, nodes = evolution._segment_pack(
             pair, datum, seg, k, t_min, t_max, xs.min(), xs.max())
         moduli += (1 + mirrored) * _moduli(pair, xs, ts, lam, wf)
@@ -457,9 +454,8 @@ def test_grid_matches_dense_apply(get_pair, get_datum, name):
     pair = get_pair(name)
     datum = get_datum(name)
     xs, ts = _evolve_grid(pair.n)
-    field = solve_grid(pair, datum, xs, ts)
-    packs = evolution._packs(pair, datum, xs, ts)
-    assert field.nodes == sum(pack[0].size for pack in packs)
+    field, solve = _solved(pair, datum, xs, ts)
+    assert field.nodes == sum(pack[0].size for pack in solve.packs)
     ref = _dense_apply(pair, xs, ts, _every_segment_packs(pair, datum, xs, ts))
     err = np.abs(field.values - ref)
     assert (err <= 1e-11 + 1e-12 * np.abs(ref)).all(), err.max()
@@ -511,23 +507,21 @@ def test_ray_panels_resolve_the_largest_time_needing_them(get_pair,
     ts = ts.max() * np.linspace(0.01, 1.0, ts.size)
     order = quadrature._ORDER
     edge = np.polynomial.legendre.leggauss(order)[0][-1]
-    dcs = deform_for_time(pair.contours)
     rays = 0
-    for k, segs in enumerate([dcs.gamma0, *dcs.gammas]):
-        for seg in segs:
-            if seg.finite:
-                continue
-            lam, _, tau, _ = evolution._segment_pack(
-                pair, datum, seg, k, ts.min(), ts.max(), xs.min(), xs.max())
-            first = lam[::order]
-            width = np.abs(lam[order - 1::order] - first) / edge
-            u = np.abs(first - seg.base)
-            t = ts[np.maximum(np.searchsorted(ts, tau[::order]) - 1, 0)]
-            rate = np.array([_rate(pair, datum, xs, seg, k, ti)(ui)
-                             for ti, ui in zip(t, u)])
-            assert (width * rate <= 2 * np.pi * order / quadrature._DENSITY
-                    * (1 + 1e-9)).all()
-            rays += 1
+    for seg, k, _ in _every_segment(pair):
+        if seg.finite:
+            continue
+        lam, _, tau, _ = evolution._segment_pack(
+            pair, datum, seg, k, ts.min(), ts.max(), xs.min(), xs.max())
+        first = lam[::order]
+        width = np.abs(lam[order - 1::order] - first) / edge
+        u = np.abs(first - seg.base)
+        t = ts[np.maximum(np.searchsorted(ts, tau[::order]) - 1, 0)]
+        rate = np.array([_rate(pair, datum, xs, seg, k, ti)(ui)
+                         for ti, ui in zip(t, u)])
+        assert (width * rate <= 2 * np.pi * order / quadrature._DENSITY
+                * (1 + 1e-9)).all()
+        rays += 1
     assert rays > 0
 
 
@@ -543,17 +537,14 @@ def test_ray_panel_widths_lie_on_one_ladder(get_pair, get_datum, name):
     order = quadrature._ORDER
     cap = 2 * np.pi * order / quadrature._DENSITY
     edge = np.polynomial.legendre.leggauss(order)[0][-1]
-    dcs = deform_for_time(pair.contours)
     widths = []
-    for k, segs in enumerate([dcs.gamma0, *dcs.gammas]):
-        for seg in segs:
-            if seg.finite:
-                continue
-            nodes = evolution._segment_pack(
-                pair, datum, seg, k, ts.min(), ts.max(), xs.min(),
-                xs.max())[3]
-            groups = np.unique(nodes.group[:-1])
-            widths += (2 * np.abs(nodes.offset[groups, -1]) / edge).tolist()
+    for seg, k, _ in _every_segment(pair):
+        if seg.finite:
+            continue
+        nodes = evolution._segment_pack(
+            pair, datum, seg, k, ts.min(), ts.max(), xs.min(), xs.max())[3]
+        groups = np.unique(nodes.group[:-1])
+        widths += (2 * np.abs(nodes.offset[groups, -1]) / edge).tolist()
     assert len(widths) > 0
     j = 4.0 * np.log2(cap / np.array(widths))
     assert (np.abs(j - np.round(j)) < 1e-9).all(), j
@@ -697,29 +688,84 @@ def test_dropped_rays_mirror_kept_rays(get_problem, name):
                                    atol=1e-13 * np.abs(here).max())
 
 
+@pytest.mark.parametrize("name", _REAL_CATALOG + list(_REAL))
+def test_real_product_is_twice_the_real_part(get_problem, name):
+    """Every mirrored pack of the evolve grid sums its 2 Re by the real
+    product, within 1e-15 of its values' scale (2 max |sums|) of 2 Re of
+    the same pack's complex sums (at most 4.3e-16 measured), with the same
+    work counts."""
+    pair, datum = get_problem(name)
+    xs, ts = _evolve_grid(pair.n)
+    _, solve = _solved(pair, datum, xs, ts)
+    mirrored = [pack for pack in solve.packs if pack[4]]
+    assert mirrored
+    for pack in mirrored:
+        real, *counts = evolution._pack_apply(pair, xs, ts, pack)
+        sums, *complex_counts = evolution._pack_apply(pair, xs, ts,
+                                                      (*pack[:4], False))
+        assert real.dtype == float and counts == complex_counts
+        err = np.abs(real - 2.0 * sums.real).max()
+        assert err <= 1e-15 * 2.0 * np.abs(sums).max(), err
+
+
 def test_mirrored_pack_with_nonfinite_imaginary_sums_raises(
         get_pair, get_datum, monkeypatch):
-    """A mirrored pack whose imaginary sums alone overflow still raises:
-    the fold tests the complex sums before taking 2 Re."""
+    """A mirrored pack whose imaginary sums alone overflow still raises.
+    Two nodes of gamma0's outgoing ray, pushed to terms of 1e308 i each at
+    (x, t) = (0.5, 0.2), overflow the imaginary sums and leave the real
+    ones finite: past the real product's bound, the pack takes the complex
+    product, whose finiteness check sees the overflow; with the bound
+    lifted, the real product would return finite values."""
     pair = get_pair("lkdv-dirichlet")
     datum = get_datum("lkdv-dirichlet")
-    mirrored = []
-    packs = evolution._packs
+    assert pair.mirrored
+    x, t = 0.5, 0.2
+    segment_pack = evolution._segment_pack
+    pushed = []
 
-    def marking_packs(*args):
-        out = packs(*args)
-        mirrored.extend(pack[3] for pack in out if pack[4])
-        return out
+    def pushing_pack(pair, datum, seg, k, *window):
+        lam, wf, tau, nodes = segment_pack(pair, datum, seg, k, *window)
+        if k == 0 and not seg.finite:
+            j = [0, 1]
+            wf[j] = 1e308j / np.exp(1j * lam[j] * x
+                                    - pair.a * lam[j] ** pair.n * t)
+            tau[j] = np.inf
+            pushed.append(wf[j])
+        return lam, wf, tau, nodes
 
-    class Kernel(PhaseKernel):
-        def apply(self, first, stop, wf):
-            out = super().apply(first, stop, wf)
-            if any(self.nodes is nodes for nodes in mirrored):
-                out.imag[...] = np.inf
-            return out
-
-    monkeypatch.setattr(evolution, "_packs", marking_packs)
-    monkeypatch.setattr(evolution, "PhaseKernel", Kernel)
+    monkeypatch.setattr(evolution, "_segment_pack", pushing_pack)
     with pytest.raises(ToleranceNotMet, match="0.2"):
-        solve_grid(pair, datum, [0.5], [0.2])
-    assert mirrored
+        solve_grid(pair, datum, [x], [t])
+    assert len(pushed) == 1 and np.isfinite(pushed[0]).all()
+    monkeypatch.setattr(evolution, "_sums_are_finite", lambda *args: True)
+    assert np.isfinite(solve_grid(pair, datum, [x], [t]).values).all()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_prepared_solver_builds_each_pack_once(get_pair, get_datum,
+                                               monkeypatch, threads):
+    """prepare builds nothing; its solver's first call with a positive time
+    builds every job's pack, once, and later calls and times 0 alone build
+    none: prepare and three grid calls run _segment_pack once per job."""
+    pair = get_pair("heat-neumann")
+    datum = get_datum("heat-neumann")
+    built = []
+    segment_pack = evolution._segment_pack
+
+    def counting_pack(pair, datum, seg, k, *window):
+        built.append((id(seg), k, window))
+        return segment_pack(pair, datum, seg, k, *window)
+
+    monkeypatch.setattr(evolution, "_segment_pack", counting_pack)
+    monkeypatch.setenv("UTM_THREADS", threads)
+    solve = prepare(pair, datum, (0.2, 1.2), (0.05, 0.5))
+    assert built == [] and solve.packs == [None] * len(solve.jobs)
+    solve([0.2], [0.0])
+    assert built == []
+    fields = [solve(xs, ts) for xs, ts in (([0.2, 0.7], [0.05, 0.5]),
+                                           ([0.4, 1.2], [0.1]),
+                                           ([1.0], [0.0, 0.3]))]
+    assert sorted(built) == sorted(
+        (id(seg), k, (0.05, 0.5, 0.2, 1.2)) for seg, k, _ in solve.jobs)
+    assert len(set(built)) == len(built)
+    assert {f.nodes for f in fields} == {sum(p[0].size for p in solve.packs)}

@@ -9,6 +9,7 @@ import pytest
 
 from halfline import evolution, util, verify
 from halfline.datum import DataStack
+from halfline.errors import ComplexCoefficientsDisallowed
 from halfline.evolution import prepare, solve_grid
 from halfline.problems import HalfLineProblem
 from halfline.transforms import TransformPair
@@ -71,49 +72,58 @@ def test_verify_solves_one_grid_per_datum_on_the_callers_thread(
 
 @pytest.mark.parametrize("name", ["heat-neumann", "robin-4"])
 def test_verify_builds_its_evolution_packs_once(catalog, monkeypatch, name):
-    """One verify_problem builds one set of segment packs, of the first
+    """One verify_problem builds each segment pack once, of the first
     datum, for the window of every grid its evolution checks ask for, and
     calls no solve_grid: at order 4 the amplitude-1e-3 solution is 1e-3
     times the first datum's, whose packs serve it too."""
     builds = []
-    packs = evolution._packs
+    segment_pack = evolution._segment_pack
 
-    def counting_packs(pair, datum, xs, ts):
-        builds.append((datum, xs, ts))
-        return packs(pair, datum, xs, ts)
+    def counting_pack(pair, datum, seg, k, *window):
+        builds.append((datum, id(seg), k, window))
+        return segment_pack(pair, datum, seg, k, *window)
 
     def no_solve_grid(*args):
         raise AssertionError("verify_problem called solve_grid")
 
-    trios = []
+    trios, solvers = [], []
     trio_of = verify.data_trio
 
     def recording_trio(*args, **kwargs):
         trios.append(trio_of(*args, **kwargs))
         return trios[-1]
 
-    monkeypatch.setattr(evolution, "_packs", counting_packs)
+    def recording_prepare(*args, **kwargs):
+        solvers.append(prepare(*args, **kwargs))
+        return solvers[-1]
+
+    monkeypatch.setattr(evolution, "_segment_pack", counting_pack)
     monkeypatch.setattr(verify, "solve_grid", no_solve_grid)
     monkeypatch.setattr(verify, "data_trio", recording_trio)
+    monkeypatch.setattr(verify, "prepare", recording_prepare)
     results = verify.verify_problem(catalog[name])
     assert verify.all_passed(results)
-    assert len(builds) == 1
-    datum, xs, ts = builds[0]
-    assert datum is trios[0][0]
+    assert len(solvers) == 1
+    assert sorted(b[1:3] for b in builds) == sorted(
+        (id(seg), k) for seg, k, _ in solvers[0].jobs)
+    assert all(b[0] is trios[0][0] for b in builds)
+    assert len({b[3] for b in builds}) == 1
     # the window runs from the boundary stencils' first point, h / 2, to
     # the residual stencils' or the oracle grid's last
+    t_min, t_max, x_min, x_max = builds[0][3]
     ts_res, ts_bnd, h, _ = verify._EVOLUTION[catalog[name].order]
-    assert xs[0] == h / 2
+    assert x_min == h / 2
     if name == "heat-neumann":
-        assert (xs[1], ts[0], ts[1]) == (1.5, 0.01, 1.0)
+        assert (x_max, t_min, t_max) == (1.5, 0.01, 1.0)
     else:
-        assert ts[0] == min(ts_res) - h and ts[1] == max(ts_res) + h
+        assert t_min == min(ts_res) - h and t_max == max(ts_res) + h
 
 
 def test_solve_grid_maps_only_from_the_callers_thread(get_pair, get_datum,
                                                       off_main):
-    """A 400 x 100 solve builds and applies its packs on workers that make
-    no parallel_map call of their own."""
+    """A 400 x 100 solve builds and applies its packs on workers, each
+    pack in the job that applies it, which make no parallel_map call of
+    their own."""
     xs = np.linspace(1.5 / 400, 1.5, 400)
     ts = 0.3 * np.linspace(0.1, 1.0, 100)
     field = solve_grid(get_pair("heat-dirichlet"), get_datum("heat-dirichlet"),
@@ -192,3 +202,12 @@ def test_order_five_passes_every_check(a, forms):
     results = verify.verify_problem(problem)
     assert verify.all_passed(results), [r.line() for r in results
                                         if not r.passed]
+
+
+def test_complex_datum_kernel_raises_the_named_error():
+    """A complex-B problem whose maximal kernel is complex has no real
+    default datum: verify_problem raises the named error before any check
+    runs, not a bare TypeError."""
+    problem = HalfLineProblem(2, 1.0, [[1, 0.5 + 0.5j]], allow_complex=True)
+    with pytest.raises(ComplexCoefficientsDisallowed, match="must be real"):
+        verify.verify_problem(problem)
