@@ -7,7 +7,7 @@ Subcommands:
     delta-roots     CSV of characteristic determinant roots
     reconstruct     CSV of inverse(forward(f)) against f, plus max error
     solve           CSV of the evolved field on an (x, t) grid
-    spectral-check  CSV of type-I/type-II/remainder residuals with verdicts
+    spectral-check  CSV of verify's spectral rows for one datum, with verdicts
     verify          full per-problem verification suite, PASS/FAIL lines
 
 Problems come from ``--builtin <name>`` or a ``--problem <file>`` config
@@ -29,13 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import spectral
 from .config import RunConfig, load_config, parse_grid
 from .errors import ConfigError, HalflineError
 from .evolution import solve_grid
 from .problems import builtin_catalog, classify
 from .transforms import TransformPair
-from .verify import all_passed, verify_problem
+from .verify import all_passed, spectral_checks, verify_problem
 
 __all__ = ["main", "run"]
 
@@ -46,19 +45,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(args, name: str, header, rows) -> None:
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / f"{name}.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\r\n")
-            w.writerow(header)
-            w.writerows(rows)
-        print(f"wrote {out_dir / (name + '.csv')}")
-    else:
-        w = csv.writer(sys.stdout, lineterminator="\r\n")
-        w.writerow(header)
-        w.writerows(rows)
+    if not args.out:
+        csv.writer(sys.stdout, lineterminator="\r\n").writerows([header, *rows])
+        return
+    path = Path(args.out) / f"{name}.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\r\n").writerows([header, *rows])
+    print(f"wrote {path}")
 
 
 def _resolve(args):
@@ -184,6 +178,8 @@ def _cmd_solve(args) -> int:
     datum = _datum(args, problem, cfg)
     xs = _grid_arg(args, "xs", cfg)
     ts = _grid_arg(args, "ts", cfg)
+    if ts.min() < 0.0:
+        raise ConfigError(f"times must be nonnegative, got t = {ts.min():g}")
     field = solve_grid(pair, datum, xs, ts)
     rows = [(_fmt(x), _fmt(t), _fmt(field.values[i, j].real),
              _fmt(field.values[i, j].imag))
@@ -197,53 +193,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_spectral_check(args) -> int:
     problem, cfg = _resolve(args)
-    pair = _pair(problem, cfg)
-    datum = _datum(args, problem, cfg)
-    tol = args.tol
-    xs = np.array([0.3, 0.7, 1.2])
-    rows = []
-    failures = []
-
-    rep = spectral.remainder_report(pair, datum)
-    for k, dev in enumerate(rep.devs):
-        ok = dev <= rep.tol
-        rows.append((k, "", "remainder", _fmt(dev), "PASS" if ok else "FAIL"))
-        if not ok:
-            failures.append(f"remainder k={k}")
-
-    for k in range(1, pair.N + 1):
-        r1 = spectral.check_type_I(pair, datum, k, xs, tol=tol)
-        if r1.values is None:
-            rows.append((k, "", "I", _fmt(r1.drift),
-                         "DIVERGENT" if r1.divergent else "CONVERGENT"))
-        else:
-            for x, v in zip(xs, r1.values):
-                rows.append((k, _fmt(x), "I", _fmt(v),
-                             "PASS" if v < tol else "FAIL"))
-        if not r1.passed:
-            failures.append(f"type-I k={k} (expected "
-                            f"{'convergent' if r1.expected else 'divergent'})")
-
-    for k in range(pair.N + 1):
-        r2 = spectral.check_type_II(pair, datum, k, xs, tol=tol)
-        for x, v in zip(xs, r2.residuals):
-            rows.append((k, _fmt(x), "II", _fmt(v),
-                         "PASS" if v < tol else "FAIL"))
-        if not r2.passed:
-            failures.append(f"type-II k={k}")
-
-    rr = spectral.spectral_representation_check(pair, datum, xs, tol=tol)
-    for x, v in zip(xs, np.abs(rr.lhs - rr.rhs)):
-        rows.append(("", _fmt(x), "representation", _fmt(v),
-                     "PASS" if v < tol else "FAIL"))
-    if not rr.passed:
-        failures.append("representation")
-
+    checks = spectral_checks(_pair(problem, cfg), [_datum(args, problem, cfg)])
+    rows = [("" if k is None else k, "" if x is None else _fmt(x),
+             c.name.removeprefix("type-"), _fmt(value), verdict)
+            for c in checks for k, x, value, verdict in c.rows]
+    failures = [c.name if k is None else f"{c.name} k={k}"
+                for c in checks for k in c.failing()]
     _write_csv(args, "spectral-check",
                ["k", "x", "type", "residual", "verdict"], rows)
     if failures:
-        for f in failures:
-            print(f"FAIL {f}")
+        print("\n".join(f"FAIL {f}" for f in failures))
         return 1
     print(f"all spectral checks passed ({len(rows)} rows)")
     return 0
@@ -272,15 +231,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "evolution problems.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default=None):
+    def common(p):
         p.add_argument("--builtin", help="catalog problem name")
         p.add_argument("--problem", help="problem config file")
         p.add_argument("--out", help="directory for CSV output (default stdout)")
         p.add_argument("--seed", type=int, default=None,
                        help="datum bump seed override")
-        if tol_default is not None:
-            p.add_argument("--tol", type=float, default=tol_default,
-                           help="pass/fail tolerance")
 
     p = sub.add_parser("classify", help="well-posedness count and admissibility")
     common(p)
@@ -299,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct",
                        help="invert the forward transform of the datum")
-    common(p, tol_default=1e-6)
+    common(p)
+    p.add_argument("--tol", type=float, default=1e-6, help="pass/fail tolerance")
     p.add_argument("--xs", help="evaluation points (comma list or start:step:stop)")
     p.set_defaults(fn=_cmd_reconstruct)
 
@@ -310,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("spectral-check",
-                       help="remainder, type-I/II, and representation checks")
-    common(p, tol_default=1e-6)
+                       help="remainder, type-I/II, and representation rows")
+    common(p)
     p.set_defaults(fn=_cmd_spectral_check)
 
     p = sub.add_parser("verify", help="run the full verification suite")
@@ -334,3 +291,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

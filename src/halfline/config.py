@@ -13,7 +13,8 @@ blank lines are ignored.  Keys:
                                       default the problem's maximal jet,
                                       ``0`` for a bump-only datum
     datum.support = <L>
-    datum.seed = <int or none>        ``verify`` reads no datum.* key
+    datum.seed = <int or none>        ``verify`` reads no datum.* key;
+                                      ``spectral-check`` does
     quad.abs_tol = <float>            where ray tails and tail scans stop
     solve.xs, solve.ts                comma list or <start>:<step>:<stop>
 
@@ -103,22 +104,25 @@ def _complexes(text: str, lineno: int, key: str) -> list[complex]:
 
 def parse_grid(text: str, *, key: str = "grid",
                lineno: int | None = None) -> np.ndarray:
-    """Comma list or start:step:stop range (stop inclusive) as an array."""
+    """Comma list or start:step:stop range (stop inclusive) of finite numbers."""
     where = f"line {lineno}: " if lineno is not None else ""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"{where}{key} range must be start:step:stop, got {text!r}")
-        start, step, stop = (_floats(p, key, lineno)[0] for p in parts)
-        if step <= 0.0:
-            raise ConfigError(f"{where}{key} step must be positive")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        if count < 1:
-            raise ConfigError(f"{where}{key} range {text!r} is empty")
-        return start + step * np.arange(count)
-    return np.array(_floats(text, key, lineno))
+    pieces = text.split(":")
+    if len(pieces) not in (1, 3):
+        raise ConfigError(
+            f"{where}{key} range must be start:step:stop, got {text!r}")
+    nums = [_floats(piece, key, lineno) for piece in pieces]
+    if not np.isfinite(sum(nums, [])).all():
+        raise ConfigError(f"{where}{key} entries must be finite, got {text!r}")
+    if len(nums) == 1:
+        return np.array(nums[0])
+    start, step, stop = (piece[0] for piece in nums)
+    if step <= 0.0:
+        raise ConfigError(f"{where}{key} step must be positive")
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    if count < 1:
+        raise ConfigError(f"{where}{key} range {text!r} is empty")
+    return start + step * np.arange(count)
 
 
 def _bool(text: str, lineno: int, key: str) -> bool:

@@ -359,13 +359,13 @@ def _apply(pair: TransformPair, xs, tpos, packs, build=None):
 
 
 def _grid(xs, ts):
-    """xs and ts as 1-D float arrays, nonempty, with no negative time."""
+    """xs and ts as 1-D float arrays, nonempty, with finite times >= 0."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if xs.size == 0 or ts.size == 0:
         raise ValueError("xs and ts must be nonempty")
-    if ts.min() < 0.0:
-        raise ValueError("times must be nonnegative")
+    if not 0.0 <= ts.min() <= ts.max() < np.inf:
+        raise ValueError("times must be finite and nonnegative")
     return xs, ts
 
 
@@ -452,8 +452,8 @@ def prepare(pair: TransformPair, datum, x_range, t_range) -> Solver:
     for each x of the window, so one build serves every grid inside it.
     """
     x_range = (float(x_range[0]), float(x_range[1]))
-    if x_range[0] <= 0.0:
-        raise NonpositiveX("solution grid requires x > 0")
+    if not (x_range[0] > 0.0 and math.isfinite(x_range[1])):
+        raise NonpositiveX("solution grid requires finite x > 0")
     if x_range[0] > x_range[1]:
         raise ValueError(f"empty x range {x_range}")
     if t_range is not None:

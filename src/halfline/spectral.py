@@ -199,8 +199,8 @@ def check_type_I(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIReport:
     if not 1 <= k <= pair.N:
         raise ValueError(f"component index must be in 1..{pair.N}, got {k}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.min() <= 0.0:
-        raise NonpositiveX("type I check requires x > 0")
+    if not 0.0 < xs.min() <= xs.max() < np.inf:
+        raise NonpositiveX("type I check requires finite x > 0")
     beta = remainder_polynomial(pair, datum)
     if beta.any() and any(seg.on_real_axis
                           for seg in pair.contours.gammas[k - 1]):
@@ -240,8 +240,8 @@ def check_type_II(pair, datum, k: int, xs, *, tol: float = 1e-6) -> TypeIIReport
     if not 0 <= k <= pair.N:
         raise ValueError(f"component index must be in 0..{pair.N}, got {k}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.min() <= 0.0:
-        raise NonpositiveX("type II check requires x > 0")
+    if not 0.0 < xs.min() <= xs.max() < np.inf:
+        raise NonpositiveX("type II check requires finite x > 0")
     n = pair.n
     beta = remainder_polynomial(pair, datum)
     if k == 0:
@@ -278,8 +278,8 @@ def spectral_representation_check(pair, datum, xs, *,
     over them.  The rows come from :meth:`TransformPair.components` with
     ``represent``, which inverts F_k[f] in the same pass."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.min() <= 0.0:
-        raise NonpositiveX("representation check requires x > 0")
+    if not 0.0 < xs.min() <= xs.max() < np.inf:
+        raise NonpositiveX("representation check requires finite x > 0")
     rhs = datum.value(xs)
     parts = pair.components(datum, xs, represent=True)
     lhs = sum(part[1] for part in parts)

@@ -753,8 +753,8 @@ class TransformPair:
         lam^(-n) F_k[Sf] (the spectral representation of f), which share
         the real line's tail scan and every sector ray's fhat values."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if xs.min() <= 0.0:
-            raise NonpositiveX("reconstruction requires x > 0")
+        if not 0.0 < xs.min() <= xs.max() < np.inf:
+            raise NonpositiveX("reconstruction requires finite x > 0")
         return ([self._gamma0_piece(datum, xs, represent=represent)]
                 + self.sector_components(datum, xs, represent=represent))
 

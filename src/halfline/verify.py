@@ -8,20 +8,22 @@ advertised type-I/type-II behaviour, the evolution field satisfies the
 PDE and the boundary forms, and (for order-2 problems with a Dirichlet or
 Neumann condition) the field matches the method-of-images solution.
 
-The inversion, sector-vanishing and representation values come from one
-pass over the data trio as a :class:`~halfline.datum.DataStack`; the
-remainder and type checks take the first datum's boundary jet alone, and
-the evolution checks its own transform.  The evolution checks, the
-images oracle among them, read one solver of the first datum
-(:func:`halfline.evolution.prepare`), whose packs are built once for the
-window of every grid they use; where a check asks for a datum of smaller
-amplitude, the solution is scaled, as it is linear in the datum.
+The first six checks are :func:`spectral_checks`, whose rows ``halfline
+spectral-check`` prints for one datum.  Their inversion, sector-vanishing
+and representation values come from one pass over the data trio as a
+:class:`~halfline.datum.DataStack`; the remainder and type checks take
+the first datum's boundary jet alone, and the evolution checks its own
+transform.  The evolution checks, the images oracle among them, read one
+solver of the first datum (:func:`halfline.evolution.prepare`), whose
+packs are built once for the window of every grid they use; where a
+check asks for a datum of smaller amplitude, the solution is scaled, as
+it is linear in the datum.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .evolution import solve_grid  # noqa: F401
 from .transforms import TransformPair
 
 __all__ = ["CheckResult", "data_trio", "extrapolated_boundary_values",
-           "verify_problem", "all_passed"]
+           "spectral_checks", "verify_problem", "all_passed"]
 
 # tolerances of the certified claims
 _TOL_RECON = 1e-6
@@ -65,10 +67,14 @@ _ORACLE_GRID = (np.array([0.5, 1.0, 1.5]), np.array([0.01, 0.1, 1.0]))
 @dataclass(frozen=True)
 class CheckResult:
     """One certified claim: its measured value against its tolerance, and
-    the seconds ``verify_problem`` spent on it (work shared by several
-    checks is charged to the first of them: ``reconstruction`` carries
-    the one stacked pass, its tail scan included, whose rows also give
-    sector-vanishing and representation)."""
+    the seconds spent on it (work shared by several checks is charged to
+    the first of them: ``reconstruction`` carries the one stacked pass,
+    its tail scan included, whose rows also give sector-vanishing and
+    representation).
+
+    ``rows`` holds (k, x, value, verdict) per row of the last four spectral
+    checks, k or x None where a row has none; a verdict is PASS or FAIL, or
+    DIVERGENT or CONVERGENT for a type-I scan, which expects divergence."""
 
     name: str
     passed: bool
@@ -76,6 +82,12 @@ class CheckResult:
     tol: float
     detail: str = ""
     elapsed: float = 0.0
+    rows: tuple = ()
+
+    def failing(self) -> list:
+        """The k of each failing row, once each, in order."""
+        return list(dict.fromkeys(k for k, _, _, verdict in self.rows
+                                  if verdict in ("FAIL", "CONVERGENT")))
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -141,85 +153,107 @@ def _heat_oracle(problem):
     return None
 
 
-def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
-    """Run every applicable check; returns one CheckResult per check.
-
-    The data trio is inverted as one :class:`~halfline.datum.DataStack`:
-    one ``components`` call with ``represent`` transforms each mu once for
-    all three data and both inversions, of F_k[f] and lam^(-n) F_k[Sf],
-    and its rows give the reconstruction, sector-vanishing and
-    representation values at the same 20 points.  The remainder and type
-    checks run on the first datum's boundary jet, the evolution checks on
-    one prepared solver of its own transform."""
-    out: list[CheckResult] = []
+def _timed(out: list):
+    """report(*fields, rows=()): append a CheckResult timed since the last."""
     mark = time.perf_counter()
 
-    def report(*fields):
-        """Record a check, charged with the time since the previous one."""
+    def report(*fields, rows=()):
         nonlocal mark
         now = time.perf_counter()
-        out.append(CheckResult(*fields, elapsed=now - mark))
+        out.append(CheckResult(*fields, elapsed=now - mark, rows=tuple(rows)))
         mark = now
+    return report
 
-    pair = TransformPair(problem, params)
-    trio = data_trio(problem, seed)
-    stack = DataStack(trio)
+
+def _rows(k, xs, values) -> list:
+    """(k, x, value, verdict) at each x, PASS below the type tolerance."""
+    return [(k, x, v, "PASS" if v < _TOL_TYPE else "FAIL")
+            for x, v in zip(xs, values)]
+
+
+def spectral_checks(pair: TransformPair, data) -> list[CheckResult]:
+    """The reconstruction, sector-vanishing, remainder, type-I, type-II
+    and representation checks of a sequence of data of one support.
+
+    The data are inverted as one :class:`~halfline.datum.DataStack`: one
+    ``components`` call with ``represent`` transforms each mu once for
+    every datum and both inversions, of F_k[f] and lam^(-n) F_k[Sf], and
+    gives the reconstruction, sector-vanishing and representation values
+    at the same 20 points.  The remainder and type checks run on the
+    first datum's boundary jet."""
+    out: list[CheckResult] = []
+    report = _timed(out)
+    stack = DataStack(data)
+    datum = stack.data[0]
     L = stack.support
     xs20 = np.linspace(0.05 * L, L, 20)
 
-    # transform-pair inversion, sector vanishing and the spectral
-    # representation, three data each, from one evaluation of the
-    # components for the stack: errs[0] holds the inversion's error per
-    # datum, errs[1] the representation's
+    # one evaluation of the components for the stack: diff[0] holds the
+    # inversion's error per datum and x, diff[1] the representation's
     parts = pair.components(stack, xs20, represent=True)
-    errs = np.abs(sum(parts[1:], parts[0]) - stack.value(xs20)).max(axis=-1)
+    diff = np.abs(sum(parts[1:], parts[0]) - stack.value(xs20))
+    errs = diff.max(axis=-1)
     worst = float(errs[0].max())
     report("reconstruction", worst < _TOL_RECON, worst, _TOL_RECON,
-           "max over maximal/bump/mixed data, 20 points")
+           f"max over {len(stack.data)} data, 20 points")
 
     vanish = max((float(np.abs(sector[0]).max()) for sector in parts[1:]),
                  default=0.0)
     report("sector-vanishing", vanish < _TOL_VANISH,
            vanish, _TOL_VANISH, "all k >= 1")
 
-    # transform remainder of every component against the closed form
-    datum = trio[0]
     rep = spectral.remainder_report(pair, datum, tol=_TOL_REMAINDER)
     report("remainder", rep.passed, max(rep.devs), _TOL_REMAINDER,
-           f"every k, {4 * pair.n + 7} points on |lam| = R + 1.5")
+           f"every k, {4 * pair.n + 7} points on |lam| = R + 1.5",
+           rows=[(k, None, dev, "PASS" if dev <= rep.tol else "FAIL")
+                 for k, dev in enumerate(rep.devs)])
 
-    # augmented eigenfunction claims
+    # augmented eigenfunction claims; a type-I truncation scan is one row
     xs3 = np.array([0.3, 0.7, 1.2])
-    type1_ok = True
-    type1_val = 0.0
-    verdicts = []
+    rows, verdicts, type1_ok = [], [], True
     for k in range(1, pair.N + 1):
         r1 = spectral.check_type_I(pair, datum, k, xs3, tol=_TOL_TYPE)
         type1_ok &= r1.passed
-        if r1.values is not None:
-            type1_val = max(type1_val, float(np.abs(r1.values).max()))
-        verdicts.append(f"k={k}:DIVERGENT(drift={r1.drift:.1e})"
-                        if r1.divergent else f"k={k}:CONVERGENT")
-    report("type-I", type1_ok, type1_val, _TOL_TYPE,
-           " ".join(verdicts))
+        verdict = "DIVERGENT" if r1.divergent else "CONVERGENT"
+        rows += (_rows(k, xs3, r1.values) if r1.values is not None
+                 else [(k, None, r1.drift, verdict)])
+        verdicts.append(f"k={k}:{verdict}"
+                        + (f"(drift={r1.drift:.1e})" if r1.divergent else ""))
+    type1_val = max((float(v) for _, x, v, _ in rows if x is not None),
+                    default=0.0)
+    report("type-I", type1_ok, type1_val, _TOL_TYPE, " ".join(verdicts),
+           rows=rows)
 
-    type2_val = 0.0
-    for k in range(pair.N + 1):
-        r2 = spectral.check_type_II(pair, datum, k, xs3, tol=_TOL_TYPE)
-        type2_val = max(type2_val, float(r2.residuals.max()))
+    rows = [row for k in range(pair.N + 1) for row in _rows(
+        k, xs3, spectral.check_type_II(pair, datum, k, xs3).residuals)]
+    type2_val = max(float(row[2]) for row in rows)
     report("type-II", type2_val < _TOL_TYPE, type2_val,
-           _TOL_TYPE, "all contours")
+           _TOL_TYPE, "all contours", rows=rows)
 
     represented = float(errs[1].max())
     report("representation", represented < _TOL_TYPE, represented, _TOL_TYPE,
-           "3 data, 20 points")
+           f"{len(stack.data)} data, 20 points",
+           rows=_rows(None, xs20, diff[1].max(axis=0)))
+    return out
+
+
+def verify_problem(problem, *, seed: int = 0, params=None) -> list[CheckResult]:
+    """Run every applicable check, the :func:`spectral_checks` of the data
+    trio first; returns one CheckResult per check."""
+    pair = TransformPair(problem, params)
+    trio = data_trio(problem, seed)
+    out = spectral_checks(pair, trio)
+    out[0] = replace(out[0],
+                     detail="max over maximal/bump/mixed data, 20 points")
+    report = _timed(out)
+    datum = trio[0]
 
     # evolution: PDE residual, convergence order, boundary forms and the
     # images oracle, every value from one set of packs of trio[0]
     # built for the window of all their grids; the solution is linear in
     # the datum, so a datum of amplitude amp solves to amp times trio[0]'s
     ts_res, ts_bnd, h, amp = _EVOLUTION.get(problem.order, _EVOLUTION[4])
-    xs_res = np.array([0.3, 0.55, 0.8]) * L
+    xs_res = np.array([0.3, 0.55, 0.8]) * datum.support
     oracle = _heat_oracle(problem)
     grids = [oracles.fd_grid(problem.order, xs_res, ts_res, h),
              (_boundary_offsets(problem.order) * (h / 2), np.array(ts_bnd))]

@@ -2,15 +2,23 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import halfline
 from halfline.cli import run
-from halfline.datum import make_datum
+from halfline.config import parse_config
+from halfline.datum import DataStack, make_datum
 from halfline.evolution import solve_grid
 from halfline.problems import HalfLineProblem
-from halfline.spectral import remainder_report
+from halfline.spectral import check_type_I, check_type_II, remainder_report
+from halfline.transforms import TransformPair
+from halfline.verify import data_trio, verify_problem
 
 
 def _csv_rows(text: str, width: int):
@@ -270,6 +278,33 @@ def test_solve_rejects_boundary_point(capsys):
     assert err.startswith("error: NonpositiveX:")
 
 
+@pytest.mark.parametrize("grid", [["--xs", "0.5", "--ts", "nan"],
+                                  ["--xs", "0.5", "--ts", "0.1,-1"],
+                                  ["--xs", "inf", "--ts", "0.1"]],
+                         ids=["nan-time", "negative-time", "infinite-x"])
+def test_solve_rejects_a_nonfinite_or_negative_grid(capsys, grid):
+    """A NaN or negative time and an infinite x are config errors: exit
+    code 2 with one line, before any solve."""
+    assert run(["solve", "--builtin", "heat-dirichlet", *grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+def test_module_entry_point_runs_the_verifier():
+    """``python -m halfline.cli`` runs the command line, so a script that
+    calls the verifier that way reads its verdict and exit status."""
+    env = dict(os.environ, PYTHONPATH=str(Path(halfline.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "halfline.cli", "verify", "--builtin",
+         "heat-dirichlet"], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == (
+        "verify heat-dirichlet: all checks passed")
+
+
 def test_spectral_check_smoke(capsys, get_pair, get_datum):
     """spectral-check passes for the dissipative baseline and emits verdicts;
     its remainder rows are the deviations of the library's report."""
@@ -279,13 +314,100 @@ def test_spectral_check_smoke(capsys, get_pair, get_datum):
     assert rows[0] == ["k", "x", "type", "residual", "verdict"]
     data = rows[1:]
     # remainder k=0..1, type-I k=1 at 3 points, type-II k=0..1 at 3 points,
-    # representation at 3 points
-    assert len(data) == 2 + 3 + 6 + 3
+    # representation at verify's 20 points
+    assert len(data) == 2 + 3 + 6 + 20
     assert {r[2] for r in data} == {"remainder", "I", "II", "representation"}
     assert all(r[4] == "PASS" for r in data)
-    assert out.splitlines()[-1] == "all spectral checks passed (14 rows)"
+    assert out.splitlines()[-1] == "all spectral checks passed (31 rows)"
     rep = remainder_report(get_pair("heat-dirichlet"), get_datum("heat-dirichlet"))
     assert [float(r[3]) for r in data if r[2] == "remainder"] == list(rep.devs)
+
+
+def _type_rows(pair, datum):
+    """The library's (k, x, type, residual) rows of the remainder and the
+    type checks of one datum, at spectral-check's three points."""
+    xs = np.array([0.3, 0.7, 1.2])
+    rows = [(k, None, "remainder", dev)
+            for k, dev in enumerate(remainder_report(pair, datum).devs)]
+    for k in range(1, pair.N + 1):
+        r1 = check_type_I(pair, datum, k, xs)
+        rows += ([(k, None, "I", r1.drift)] if r1.values is None
+                 else [(k, x, "I", v) for x, v in zip(xs, r1.values)])
+    rows += [(k, x, "II", v) for k in range(pair.N + 1)
+             for x, v in zip(xs, check_type_II(pair, datum, k, xs).residuals)]
+    return [(str(k), "" if x is None else repr(float(x)), kind, float(v))
+            for k, x, kind, v in rows]
+
+
+def test_spectral_check_reads_the_config_datum(capsys, tmp_path, catalog):
+    """The rows are those of the config's datum, a bump-only one of seed 3,
+    and not those of verify's maximal datum: the remainder and type rows
+    equal the library's reports for ``cfg.build_datum()`` and differ from
+    the maximal datum's, and the representation rows are that datum's
+    alone at verify's 20 points."""
+    text = "order = 3\na = 0,-1\nbc = 1,0,0\ndatum.kernel = 0\ndatum.seed = 3\n"
+    path = tmp_path / "bump.cfg"
+    path.write_text(text, encoding="utf-8")
+    cfg = parse_config(text)
+    datum = cfg.build_datum()
+    pair = TransformPair(cfg.build_problem())
+    assert run(["spectral-check", "--problem", str(path)]) == 0
+    rows = _csv_rows(capsys.readouterr().out, 5)[1:]
+    got = [(k, x, kind, float(v)) for k, x, kind, v, _ in rows
+           if kind != "representation"]
+    assert got == _type_rows(pair, datum)
+    assert got != _type_rows(pair, data_trio(catalog["lkdv-dirichlet"])[0])
+    xs = np.linspace(0.05, 1.0, 20)
+    parts = pair.components(DataStack([datum]), xs, represent=True)
+    want = np.abs(sum(part[1] for part in parts) - datum.value(xs))[0]
+    assert [(x, float(v)) for _, x, kind, v, _ in rows
+            if kind == "representation"] == [
+        (repr(float(x)), float(v)) for x, v in zip(xs, want)]
+
+
+def test_a_degree_n_remainder_term_fails_both_runners(monkeypatch, capsys,
+                                                      catalog):
+    """The remainder mutant of the spectral tests, 1e-12 lam^n added to
+    component 1, patched on the class so that the pair each runner builds
+    carries it: verify's remainder line fails, and spectral-check exits 1
+    with one FAIL line, naming the remainder of k = 1."""
+    remainder = TransformPair.remainder
+
+    def spurious(self, datum, k, lam):
+        vals = remainder(self, datum, k, lam)
+        return vals + 1e-12 * lam ** self.n if k == 1 else vals
+
+    monkeypatch.setattr(TransformPair, "remainder", spurious)
+    results = verify_problem(catalog["robin-4"])
+    assert [r.name for r in results if not r.passed] == ["remainder"]
+    line = next(r.line() for r in results if r.name == "remainder")
+    assert line.startswith("FAIL  remainder ")
+    assert run(["spectral-check", "--builtin", "robin-4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [
+        "FAIL remainder k=1"]
+    bad = [r for r in _csv_rows("\n".join(out), 5) if r[4] == "FAIL"]
+    assert [(r[0], r[2]) for r in bad] == [("1", "remainder")]
+
+
+def test_spectral_check_reports_one_divergent_row_per_scanned_component(
+        capsys):
+    """reverse-lkdv's two sector components both have a real-axis ray and
+    a nonzero remainder: each gives one DIVERGENT type-I row, with no x,
+    and the command passes."""
+    assert run(["spectral-check", "--builtin", "reverse-lkdv"]) == 0
+    rows = [r for r in _csv_rows(capsys.readouterr().out, 5) if r[2] == "I"]
+    assert [(k, x, verdict) for k, x, _, _, verdict in rows] == [
+        ("1", "", "DIVERGENT"), ("2", "", "DIVERGENT")]
+    assert min(float(r[3]) for r in rows) >= 0.1
+
+
+def test_spectral_check_has_no_tolerance_option(capsys):
+    """The tolerances are verify's own: spectral-check takes no --tol."""
+    with pytest.raises(SystemExit) as exc:
+        run(["spectral-check", "--builtin", "heat-dirichlet", "--tol", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_spectral_check_reports_a_scanned_component_that_diverges(

@@ -186,6 +186,15 @@ def test_parse_grid_errors():
         parse_grid("5:1:0", key="solve.xs", lineno=9)
 
 
+@pytest.mark.parametrize("text", ["0.1, nan", "inf", "0:0.1:inf", "-inf:1:2"])
+def test_parse_grid_rejects_a_nonfinite_entry(text):
+    """A NaN or infinite entry, of a list or a range, is an error naming
+    the key; a range to infinity would otherwise overflow its count."""
+    with pytest.raises(ConfigError, match=r"line 4: solve.ts entries must be "
+                                          r"finite"):
+        parse_grid(text, key="solve.ts", lineno=4)
+
+
 def test_build_problem_round_trip():
     """A parsed config builds a validated problem with the same data; the
     problem's jet derives from its boundary forms, not from datum.kernel."""

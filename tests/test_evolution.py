@@ -160,6 +160,14 @@ def test_argument_guards(get_pair, get_datum):
         solve_grid(pair, datum, [0.5], [-0.1])
     with pytest.raises(ValueError):
         solve_grid(pair, datum, [], [0.1])
+    # a NaN time fails like a negative one, instead of reading f(x) in its
+    # row; an infinite x is refused before any pack is built
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solve_grid(pair, datum, [0.5], [0.1, np.nan])
+    with pytest.raises(NonpositiveX, match="finite x > 0"):
+        solve_grid(pair, datum, [0.5, np.inf], [0.1])
+    with pytest.raises(NonpositiveX, match="finite x > 0"):
+        prepare(pair, datum, (0.5, np.nan), (0.05, 0.5))
 
 
 def test_prepared_solver_refuses_points_outside_its_window(get_pair,

@@ -254,6 +254,9 @@ def test_type_I_guards(get_pair, get_datum):
         check_type_I(pair, datum, 2, XS)
     with pytest.raises(NonpositiveX):
         check_type_I(pair, datum, 1, np.array([0.0, 0.5]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonpositiveX, match="finite x > 0"):
+            check_type_I(pair, datum, 1, np.array([0.5, bad]))
 
 
 def test_type_checks_integrate_the_closed_form_without_a_fit(
@@ -289,6 +292,11 @@ def test_type_II_guards(get_pair, get_datum):
             check_type_II(pair, datum, k, XS)
     with pytest.raises(NonpositiveX):
         check_type_II(pair, datum, 0, np.array([0.0, 0.5]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonpositiveX, match="finite x > 0"):
+            check_type_II(pair, datum, 0, np.array([0.5, bad]))
+        with pytest.raises(NonpositiveX, match="finite x > 0"):
+            spectral_representation_check(pair, datum, np.array([bad]))
 
 
 def test_type_II_vanishes_everywhere(get_pair, get_datum):

@@ -667,6 +667,10 @@ def test_reconstruct_round_trip_and_support(get_pair, get_datum):
 
     with pytest.raises(NonpositiveX):
         pair.reconstruct(datum, np.array([0.0, 0.5]))
+    # a NaN or infinite x fails at once, before the tail scan
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonpositiveX, match="finite x > 0"):
+            pair.reconstruct(datum, np.array([0.3, bad]))
 
 
 def test_sector_component_vanishes_for_positive_x(get_pair, get_datum):
